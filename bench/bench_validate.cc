@@ -1,6 +1,7 @@
 // Experiment E11 (the EDC motivation, Section 1 / [21]): one-pass
-// top-down XSD validation versus general EDTD (tree-automaton style)
-// membership on the same documents. The shape to observe: both scale
+// top-down XSD validation (DfaXsd::Accepts, which replays the tree into
+// the StreamingValidator kernel) versus general EDTD (tree-automaton
+// style) membership on the same documents. The shape to observe: both scale
 // linearly in document size, with the XSD pass enjoying a significantly
 // smaller constant — the practical payoff of the EDC constraint.
 #include <benchmark/benchmark.h>
@@ -11,7 +12,6 @@
 #include "stap/schema/builder.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
-#include "stap/schema/streaming.h"
 
 namespace stap {
 namespace {
@@ -60,21 +60,6 @@ void BM_ValidateXsdOnePass(benchmark::State& state) {
   state.counters["valid"] = ok ? 1 : 0;
 }
 
-void BM_ValidateStreaming(benchmark::State& state) {
-  std::mt19937 rng(1);
-  Edtd schema = ReduceEdtd(CatalogSchema());
-  DfaXsd xsd = DfaXsdFromStEdtd(schema);
-  Tree document = MakeDocument(static_cast<int>(state.range(0)), &rng);
-  bool ok = false;
-  for (auto _ : state) {
-    ok = ValidateStreaming(xsd, document);
-    benchmark::DoNotOptimize(ok);
-  }
-  state.SetItemsProcessed(state.iterations() * document.NumNodes());
-  state.counters["nodes"] = document.NumNodes();
-  state.counters["valid"] = ok ? 1 : 0;
-}
-
 void BM_ValidateEdtdBottomUp(benchmark::State& state) {
   std::mt19937 rng(1);
   Edtd schema = ReduceEdtd(CatalogSchema());
@@ -90,10 +75,6 @@ void BM_ValidateEdtdBottomUp(benchmark::State& state) {
 }
 
 BENCHMARK(BM_ValidateXsdOnePass)
-    ->RangeMultiplier(4)
-    ->Range(64, 16384)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ValidateStreaming)
     ->RangeMultiplier(4)
     ->Range(64, 16384)
     ->Unit(benchmark::kMicrosecond);

@@ -1,6 +1,7 @@
 #include "stap/schema/edtd.h"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 
 #include "stap/base/check.h"
@@ -25,20 +26,17 @@ int64_t Edtd::Size() const {
   return total;
 }
 
-std::vector<int> Edtd::PossibleTypes(const Tree& subtree) const {
-  // Bottom-up: types for each child first.
-  std::vector<std::vector<int>> child_types;
-  child_types.reserve(subtree.children.size());
-  for (const Tree& child : subtree.children) {
-    child_types.push_back(PossibleTypes(child));
-    if (child_types.back().empty()) return {};
-  }
+namespace {
 
-  std::vector<int> result;
-  for (int tau = 0; tau < num_types(); ++tau) {
-    if (mu[tau] != subtree.label) continue;
-    // Does content[tau] accept some word w with w_i in child_types[i]?
-    const Dfa& dfa = content[tau];
+// Writes to `result` the types τ with μ(τ) = `label` whose content
+// accepts some word w with w_i ∈ child_types[i].
+void TypesOfNode(const Edtd& edtd, int label,
+                 std::span<const std::vector<int>> child_types,
+                 std::vector<int>* result) {
+  result->clear();
+  for (int tau = 0; tau < edtd.num_types(); ++tau) {
+    if (edtd.mu[tau] != label) continue;
+    const Dfa& dfa = edtd.content[tau];
     if (dfa.num_states() == 0) continue;
     StateSet states = {dfa.initial()};
     for (const std::vector<int>& options : child_types) {
@@ -54,12 +52,48 @@ std::vector<int> Edtd::PossibleTypes(const Tree& subtree) const {
     }
     for (int q : states) {
       if (dfa.IsFinal(q)) {
-        result.push_back(tau);
+        result->push_back(tau);
         break;
       }
     }
   }
-  return result;
+}
+
+}  // namespace
+
+std::vector<int> Edtd::PossibleTypes(const Tree& subtree) const {
+  // Bottom-up over an explicit post-order stack: documents are bounded
+  // only by memory, so recursion over the tree is not an option. Each
+  // finished node leaves its type set on `done`, so a node's children's
+  // sets are the top children.size() entries when it finishes. A node
+  // with an untypable child is untypable itself, so the first empty set
+  // empties the whole answer. `done` grows but never shrinks, so its
+  // vectors keep their capacity from node to node.
+  struct Frame {
+    const Tree* node;
+    size_t next_child;
+  };
+  std::vector<Frame> stack = {Frame{&subtree, 0}};
+  std::vector<std::vector<int>> done;
+  size_t num_done = 0;
+  std::vector<int> types;
+  while (!stack.empty()) {
+    Frame& frame = stack.back();
+    const std::vector<Tree>& children = frame.node->children;
+    if (frame.next_child < children.size()) {
+      stack.push_back(Frame{&children[frame.next_child++], 0});
+      continue;
+    }
+    const size_t first = num_done - children.size();
+    TypesOfNode(*this, frame.node->label,
+                std::span(done).subspan(first, children.size()), &types);
+    stack.pop_back();
+    if (types.empty()) return {};
+    if (first == done.size()) done.emplace_back();
+    done[first].swap(types);
+    num_done = first + 1;
+  }
+  return std::move(done[0]);
 }
 
 bool Edtd::Accepts(const Tree& tree) const {

@@ -6,48 +6,10 @@
 #include "stap/automata/minimize.h"
 #include "stap/automata/ops.h"
 #include "stap/base/check.h"
+#include "stap/schema/streaming.h"
 #include "stap/schema/type_automaton.h"
 
 namespace stap {
-
-namespace {
-
-// Explicit-stack pre-order walk; document depth is bounded only by memory,
-// not by the call stack.
-bool AcceptsAt(const DfaXsd& xsd, const Tree& root, int root_state) {
-  struct Frame {
-    const Tree* node;
-    int state;
-    size_t next_child;
-  };
-  Word child_string;
-  auto content_ok = [&](const Tree& node, int state) {
-    child_string.clear();
-    child_string.reserve(node.children.size());
-    for (const Tree& child : node.children) {
-      child_string.push_back(child.label);
-    }
-    return xsd.content[state].Accepts(child_string);
-  };
-  if (!content_ok(root, root_state)) return false;
-  std::vector<Frame> stack;
-  stack.push_back(Frame{&root, root_state, 0});
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    if (frame.next_child == frame.node->children.size()) {
-      stack.pop_back();
-      continue;
-    }
-    const Tree& child = frame.node->children[frame.next_child++];
-    int child_state = xsd.automaton.Next(frame.state, child.label);
-    if (child_state == kNoState) return false;
-    if (!content_ok(child, child_state)) return false;
-    stack.push_back(Frame{&child, child_state, 0});
-  }
-  return true;
-}
-
-}  // namespace
 
 int64_t DfaXsd::Size() const {
   int64_t total = sigma.size() + static_cast<int64_t>(start_symbols.size()) +
@@ -60,11 +22,8 @@ int64_t DfaXsd::Size() const {
 }
 
 bool DfaXsd::Accepts(const Tree& tree) const {
-  if (tree.label < 0 || tree.label >= sigma.size()) return false;
-  if (!StateSetContains(start_symbols, tree.label)) return false;
-  int state = automaton.Next(automaton.initial(), tree.label);
-  if (state == kNoState) return false;
-  return AcceptsAt(*this, tree, state);
+  StreamingValidator validator(this);
+  return ReplayTree(tree, &validator);
 }
 
 void DfaXsd::CheckWellFormed() const {

@@ -42,8 +42,8 @@ struct DfaXsd {
 
   int64_t Size() const;
 
-  // One-pass top-down validation (the EDC payoff): a single root-to-leaf
-  // sweep tracking one automaton state per node.
+  // One-pass top-down validation (the EDC payoff): replays the tree into
+  // a StreamingValidator (schema/streaming.h). CHECKs well-formedness.
   bool Accepts(const Tree& tree) const;
 
   void CheckWellFormed() const;

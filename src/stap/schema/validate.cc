@@ -1,8 +1,10 @@
 #include "stap/schema/validate.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <sstream>
+
+#include "stap/base/check.h"
+#include "stap/schema/streaming.h"
 
 namespace stap {
 
@@ -12,20 +14,27 @@ namespace {
 // this are truncated with an ellipsis and a count of the omitted tail.
 constexpr size_t kMaxFormattedSymbols = 32;
 
-std::string FormatWord(const Word& word, const Alphabet& alphabet) {
+// Hand-built trees can carry labels outside Σ; name them by id.
+std::string SymbolName(const Alphabet& alphabet, int symbol) {
+  if (symbol >= 0 && symbol < alphabet.size()) return alphabet.Name(symbol);
+  return "#" + std::to_string(symbol);
+}
+
+std::string FormatChildString(const Tree& node, const Alphabet& alphabet) {
+  const std::vector<Tree>& children = node.children;
   std::ostringstream os;
   os << "[";
-  const size_t shown = std::min(word.size(), kMaxFormattedSymbols);
+  const size_t shown = std::min(children.size(), kMaxFormattedSymbols);
   for (size_t i = 0; i < shown; ++i) {
     if (i > 0) os << " ";
-    os << alphabet.Name(word[i]);
+    os << SymbolName(alphabet, children[i].label);
   }
-  if (word.size() > shown) {
+  if (children.size() > shown) {
     // State the full length explicitly: a bare ellipsis is too easy to
     // overlook, and a truncated witness that reads as complete sends
     // people debugging the wrong child string.
-    os << " ... (+" << word.size() - shown << " more; " << word.size()
-       << " symbols total)";
+    os << " ... (+" << children.size() - shown << " more; "
+       << children.size() << " symbols total)";
   }
   os << "]";
   return os.str();
@@ -34,73 +43,32 @@ std::string FormatWord(const Word& word, const Alphabet& alphabet) {
 }  // namespace
 
 ValidationResult ValidateWithDiagnostics(const DfaXsd& xsd, const Tree& tree) {
+  StreamingValidator validator(&xsd);
   ValidationResult result;
-  // Sign first, then magnitudes in an unsigned domain (correct whatever
-  // integer type size() returns; see streaming.cc for the rationale).
-  if (tree.label < 0 ||
-      static_cast<uint64_t>(tree.label) >=
-          static_cast<uint64_t>(xsd.sigma.size()) ||
-      !StateSetContains(xsd.start_symbols, tree.label)) {
-    result.ok = false;
-    result.message = "root element is not an allowed start symbol";
-    return result;
-  }
-  int state = xsd.automaton.Next(xsd.automaton.initial(), tree.label);
-  if (state == kNoState) {
-    result.ok = false;
-    result.message = "root element has no declaration";
-    return result;
-  }
-
-  // Explicit-stack pre-order walk: documents are only bounded by memory,
-  // so recursion over the tree (depth up to millions of nodes on
-  // path-shaped documents) is not an option.
-  struct Frame {
-    const Tree* node;
-    int state;
-    size_t next_child;
-  };
-  std::vector<Frame> stack;
-  TreePath path;  // path of stack.back(); empty for the root frame
-
-  auto content_ok = [&](const Tree& node, int node_state) {
-    Word child_string;
-    child_string.reserve(node.children.size());
-    for (const Tree& child : node.children) {
-      child_string.push_back(child.label);
-    }
-    if (xsd.content[node_state].Accepts(child_string)) return true;
-    result.ok = false;
-    result.violation_path = path;
-    result.message = "child string " + FormatWord(child_string, xsd.sigma) +
-                     " of element <" + xsd.sigma.Name(node.label) +
-                     "> does not match its content model";
-    return false;
-  };
-
-  if (!content_ok(tree, state)) return result;
-  stack.push_back(Frame{&tree, state, 0});
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    const Tree& node = *frame.node;
-    if (frame.next_child == node.children.size()) {
-      stack.pop_back();
-      if (!path.empty()) path.pop_back();
-      continue;
-    }
-    const size_t i = frame.next_child++;
-    const Tree& child = node.children[i];
-    path.push_back(static_cast<int>(i));
-    int child_state = xsd.automaton.Next(frame.state, child.label);
-    if (child_state == kNoState) {
-      result.ok = false;
-      result.violation_path = path;
-      result.message = "element <" + xsd.sigma.Name(child.label) +
-                       "> is not declared in this context";
-      return result;
-    }
-    if (!content_ok(child, child_state)) return result;
-    stack.push_back(Frame{&child, child_state, 0});
+  if (ReplayTree(tree, &validator)) return result;
+  result.ok = false;
+  result.violation_path = validator.violation().path;
+  const Tree& node = tree.At(result.violation_path);
+  switch (validator.violation().kind) {
+    case ViolationKind::kRootNotStart:
+      result.message = "root element is not an allowed start symbol";
+      break;
+    case ViolationKind::kUndeclared:
+      result.message = result.violation_path.empty()
+                           ? "root element has no declaration"
+                           : "element <" + SymbolName(xsd.sigma, node.label) +
+                                 "> is not declared in this context";
+      break;
+    case ViolationKind::kChildRejected:
+    case ViolationKind::kContentIncomplete:
+      result.message = "child string " + FormatChildString(node, xsd.sigma) +
+                       " of element <" + SymbolName(xsd.sigma, node.label) +
+                       "> does not match its content model";
+      break;
+    case ViolationKind::kNone:
+    case ViolationKind::kMalformed:
+      // A replayed tree is one well-nested element that always closes.
+      STAP_CHECK(false);
   }
   return result;
 }

@@ -14,7 +14,6 @@
 #include "stap/schema/minimize.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
-#include "stap/schema/streaming.h"
 #include "stap/schema/type_automaton.h"
 
 namespace stap {
@@ -109,11 +108,9 @@ TEST(EdgeCaseTest, DeepDocuments) {
   DfaXsd xsd = DfaXsdFromStEdtd(chains);
   Tree deep = Tree::Unary(Word(20000, 0));
   EXPECT_TRUE(xsd.Accepts(deep));
-  EXPECT_TRUE(ValidateStreaming(xsd, deep));
   Tree bad = deep;
   bad.At(TreePath(10000, 0)).children.push_back(Tree(0));  // rank 2 node
   EXPECT_FALSE(xsd.Accepts(bad));
-  EXPECT_FALSE(ValidateStreaming(xsd, bad));
 }
 
 TEST(EdgeCaseTest, WideDocuments) {
@@ -125,7 +122,6 @@ TEST(EdgeCaseTest, WideDocuments) {
   Tree wide(xsd.sigma.Find("r"));
   wide.children.assign(50000, Tree(xsd.sigma.Find("a")));
   EXPECT_TRUE(xsd.Accepts(wide));
-  EXPECT_TRUE(ValidateStreaming(xsd, wide));
   EXPECT_GT(CountDocuments(xsd, 2, 50), 50.0);
 }
 

@@ -7,13 +7,14 @@
 #include <string>
 
 #include "stap/automata/dot.h"
+#include "stap/io/artifact.h"
+#include "stap/io/batch_validate.h"
 #include "stap/regex/parser.h"
 #include "stap/schema/builder.h"
 #include "stap/schema/dtd_io.h"
 #include "stap/schema/nfa_schema.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
-#include "stap/schema/streaming.h"
 #include "stap/schema/text_format.h"
 #include "stap/schema/validate.h"
 #include "stap/schema/xsd_io.h"
@@ -72,9 +73,10 @@ TEST(FuzzTest, TruncationsOfValidInputsFailCleanly) {
   }
 }
 
-// Validation walks (tree and streaming) and the Tree special members must
-// all be iterative: a path-shaped document deeper than the OS stack limit
-// would otherwise crash in validation or even in the Tree destructor.
+// Validation (tree replay into the streaming kernel) and the Tree special
+// members must all be iterative: a path-shaped document deeper than the
+// OS stack limit would otherwise crash in validation or even in the Tree
+// destructor.
 TEST(DeepDocumentTest, PathTreeDepth150kValidatesWithoutStackOverflow) {
   SchemaBuilder builder;
   builder.AddType("X", "x", "X | Y | %");
@@ -93,7 +95,6 @@ TEST(DeepDocumentTest, PathTreeDepth150kValidatesWithoutStackOverflow) {
   EXPECT_EQ(deep.NumNodes(), kDepth + 1);
   EXPECT_TRUE(xsd.Accepts(deep));
   EXPECT_TRUE(ValidateWithDiagnostics(xsd, deep).ok);
-  EXPECT_TRUE(ValidateStreaming(xsd, deep));
 
   // An interior <y> violates its (empty) content model kDepth/2 levels
   // below the root; the walk must descend that far to find it.
@@ -104,7 +105,6 @@ TEST(DeepDocumentTest, PathTreeDepth150kValidatesWithoutStackOverflow) {
   ValidationResult result = ValidateWithDiagnostics(xsd, broken);
   EXPECT_FALSE(result.ok);
   EXPECT_EQ(static_cast<int>(result.violation_path.size()), kDepth / 2);
-  EXPECT_FALSE(ValidateStreaming(xsd, broken));
   // `deep` and `broken` are destroyed here; the iterative ~Tree keeps that
   // from recursing kDepth frames deep.
 }
@@ -133,6 +133,53 @@ TEST(DeepDocumentTest, ParsesDepth150kXmlWithoutStackOverflow) {
   std::string truncated = xml.substr(0, xml.size() - 4);
   EXPECT_FALSE(ParseXml(truncated, &alphabet).ok());
   // `tree` and `document` are torn down here without recursing.
+}
+
+// Non-single-type validation types the tree bottom-up
+// (Edtd::PossibleTypes), and that walk must be iterative too: ParseXml
+// accepts any depth, so one deep document would otherwise take down the
+// process — under `stap serve`, the whole daemon.
+TEST(DeepDocumentTest, NonSingleTypeSchemaValidatesDepth150k) {
+  // Two <a> types that differ only in which <b> ends the chain, so the
+  // type set of every <a> on the path stays {A1, A2} until the leaf.
+  constexpr char kSchema[] =
+      "start A1 A2\n"
+      "type A1 : a -> (A1|B1)?\n"
+      "type A2 : a -> (A2|B2)?\n"
+      "type B1 : b -> %\n"
+      "type B2 : b -> C\n"
+      "type C : c -> %\n";
+  StatusOr<CompiledSchema> schema = CompileSchema(kSchema, nullptr);
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  ASSERT_FALSE(schema->single_type);
+
+  constexpr int kDepth = 150000;
+  auto chain = [&](const std::string& leaf) {
+    std::string xml;
+    xml.reserve(kDepth * 7 + leaf.size());
+    for (int i = 0; i < kDepth; ++i) xml += "<a>";
+    xml += leaf;
+    for (int i = 0; i < kDepth; ++i) xml += "</a>";
+    return xml;
+  };
+  const std::string valid[] = {chain(""), chain("<b/>"), chain("<b><c/></b>")};
+  for (const std::string& xml : valid) {
+    DocumentVerdict verdict = ValidateDocument(*schema, xml, nullptr);
+    EXPECT_EQ(verdict.kind, DocumentVerdict::Kind::kValid) << verdict.message;
+    Alphabet alphabet = schema->edtd.sigma;
+    StatusOr<Tree> tree = ParseXml(xml, &alphabet);
+    ASSERT_TRUE(tree.ok());
+    EXPECT_TRUE(schema->edtd.Accepts(*tree));
+  }
+
+  const std::string invalid = chain("<c/>");
+  DocumentVerdict verdict = ValidateDocument(*schema, invalid, nullptr);
+  EXPECT_EQ(verdict.kind, DocumentVerdict::Kind::kInvalid);
+  EXPECT_EQ(verdict.message, "document not in the schema language");
+  Alphabet alphabet = schema->edtd.sigma;
+  StatusOr<Tree> tree = ParseXml(invalid, &alphabet);
+  ASSERT_TRUE(tree.ok());
+  EXPECT_FALSE(schema->edtd.Accepts(*tree));
 }
 
 TEST(DotTest, RendersDfaAndNfa) {

@@ -9,7 +9,6 @@
 #include "stap/schema/builder.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
-#include "stap/schema/streaming.h"
 #include "stap/schema/type_automaton.h"
 #include "stap/schema/validate.h"
 #include "stap/tree/enumerate.h"
@@ -107,8 +106,6 @@ TEST(DfaXsdTest, NonZeroInitialStateValidates) {
 
   EXPECT_TRUE(ValidateWithDiagnostics(xsd, good).ok);
   EXPECT_FALSE(ValidateWithDiagnostics(xsd, bad).ok);
-  EXPECT_TRUE(ValidateStreaming(xsd, good));
-  EXPECT_FALSE(ValidateStreaming(xsd, bad));
 
   // The EDTD conversion handles the shifted state numbering too.
   Edtd back = StEdtdFromDfaXsd(xsd);
@@ -154,6 +151,83 @@ TEST(ValidateTest, TruncatesLongChildStringsInDiagnostics) {
   EXPECT_NE(result.message.find("... (+8 more; 40 symbols total)"),
             std::string::npos)
       << result.message;
+}
+
+TEST(ValidateTest, ReportsFirstViolationInDocumentOrder) {
+  DfaXsd xsd = DfaXsdFromStEdtd(ReduceEdtd(LibrarySchema()));
+  Alphabet& s = xsd.sigma;
+  int library = s.Find("library"), book = s.Find("book"),
+      title = s.Find("title"), chapter = s.Find("chapter");
+
+  // Two violations: <library>'s child string [book title] fails Book*,
+  // and <chapter> holds a <title>. The kernel meets the <title> inside
+  // <chapter> first (the content run of <library> only dies at its second
+  // child), so that is the one reported, not the pre-order-first one.
+  Tree two(library, {Tree(book, {Tree(title), Tree(chapter, {Tree(title)})}),
+                     Tree(title)});
+  ValidationResult result = ValidateWithDiagnostics(xsd, two);
+  ASSERT_FALSE(result.ok);
+  EXPECT_EQ(result.violation_path, (TreePath{0, 1}));
+  EXPECT_EQ(result.message,
+            "child string [title] of element <chapter> does not match its "
+            "content model");
+}
+
+TEST(ValidateTest, MissingRequiredChildIsCaughtAtTheClosingTag) {
+  SchemaBuilder builder;
+  builder.AddType("P", "p", "A B C");
+  builder.AddType("A", "a", "%");
+  builder.AddType("B", "b", "%");
+  builder.AddType("C", "c", "%");
+  builder.AddStart("P");
+  DfaXsd xsd = DfaXsdFromStEdtd(ReduceEdtd(builder.Build()));
+  Alphabet& s = xsd.sigma;
+  // Every prefix of [a b] is a live run of "A B C"; only the closing tag
+  // of <p> shows that <c> is missing. The message lists the whole string.
+  Tree partial(s.Find("p"), {Tree(s.Find("a")), Tree(s.Find("b"))});
+  ValidationResult result = ValidateWithDiagnostics(xsd, partial);
+  ASSERT_FALSE(result.ok);
+  EXPECT_EQ(result.violation_path, TreePath{});
+  EXPECT_EQ(result.message,
+            "child string [a b] of element <p> does not match its content "
+            "model");
+}
+
+TEST(ValidateTest, ReportsElementsUndeclaredInTheirContext) {
+  // Hand-built: the content of <a> admits a <b> (and the start symbols
+  // admit a root <b>), but the XSD automaton types neither.
+  DfaXsd xsd;
+  xsd.sigma = Alphabet({"a", "b"});
+  const int a = 0, b = 1;
+  Dfa automaton(2, 2);
+  automaton.SetInitial(0);
+  automaton.SetTransition(0, a, 1);
+  xsd.automaton = automaton;
+  xsd.state_label = {kNoSymbol, a};
+  Dfa b_optional(2, 2);  // content of <a>: "b?"
+  b_optional.SetTransition(0, b, 1);
+  b_optional.SetFinal(0);
+  b_optional.SetFinal(1);
+  xsd.content = {Dfa::EpsilonOnly(2), b_optional};
+  xsd.start_symbols = {a, b};
+  xsd.CheckWellFormed();
+
+  EXPECT_TRUE(ValidateWithDiagnostics(xsd, Tree(a)).ok);
+  ValidationResult child = ValidateWithDiagnostics(xsd, Tree(a, {Tree(b)}));
+  ASSERT_FALSE(child.ok);
+  EXPECT_EQ(child.violation_path, TreePath{0});
+  EXPECT_EQ(child.message, "element <b> is not declared in this context");
+  EXPECT_FALSE(xsd.Accepts(Tree(a, {Tree(b)})));
+  // A hand-built tree may carry a label outside Σ; it is named by id.
+  ValidationResult foreign = ValidateWithDiagnostics(xsd, Tree(a, {Tree(7)}));
+  ASSERT_FALSE(foreign.ok);
+  EXPECT_EQ(foreign.violation_path, TreePath{0});
+  EXPECT_EQ(foreign.message, "element <#7> is not declared in this context");
+
+  ValidationResult root = ValidateWithDiagnostics(xsd, Tree(b));
+  ASSERT_FALSE(root.ok);
+  EXPECT_EQ(root.violation_path, TreePath{});
+  EXPECT_EQ(root.message, "root element has no declaration");
 }
 
 TEST(ValidateTest, AgreesWithAcceptsOnEnumeration) {

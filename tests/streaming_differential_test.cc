@@ -1,11 +1,14 @@
-// Differential tests for the streaming one-pass validator: on random
-// single-type schemas, ValidateStreaming must agree with every other
-// validation route (DfaXsd::Accepts, ValidateWithDiagnostics, and the
-// EDTD obtained by converting the XSD back), on valid documents, on
-// random mutations of valid documents, and on arbitrary enumerated
-// trees. A second group drives the event API directly with malformed
-// sequences — out-of-range symbols, a second root, EndElement with
-// nothing open — which no tree-shaped input can produce.
+// Differential tests for the one DfaXsd validation kernel
+// (StreamingValidator). On random single-type schemas, every way into it —
+// DfaXsd::Accepts, ValidateWithDiagnostics and the raw event API — must
+// agree with two independent references: ReferenceAccepts below, a
+// whole-child-string tree walker kept only for this comparison, and the
+// EDTD obtained by converting the XSD back (Edtd::Accepts). The inputs are
+// valid documents, random mutations of them, and arbitrary enumerated
+// trees; every diagnostic on a rejected tree must also point at a node
+// that really is at fault. A second group drives the event API directly
+// with malformed sequences — out-of-range symbols, a second root,
+// EndElement with nothing open — which no tree-shaped input can produce.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -67,14 +70,97 @@ Tree Mutate(const Tree& original, std::mt19937* rng, int num_symbols) {
   return tree;
 }
 
+// Test-only reference: an explicit-stack pre-order walk that checks each
+// node's whole child string against its content DFA on entry, before its
+// children are typed. Deliberately not the event kernel's algorithm.
+bool ReferenceAccepts(const DfaXsd& xsd, const Tree& tree) {
+  if (tree.label < 0 || tree.label >= xsd.sigma.size()) return false;
+  if (!StateSetContains(xsd.start_symbols, tree.label)) return false;
+  const int root_state =
+      xsd.automaton.Next(xsd.automaton.initial(), tree.label);
+  if (root_state == kNoState) return false;
+  struct Frame {
+    const Tree* node;
+    int state;
+    size_t next_child;
+  };
+  auto content_ok = [&](const Tree& node, int state) {
+    Word child_string;
+    for (const Tree& child : node.children) {
+      if (child.label < 0 || child.label >= xsd.sigma.size()) return false;
+      child_string.push_back(child.label);
+    }
+    return xsd.content[state].Accepts(child_string);
+  };
+  if (!content_ok(tree, root_state)) return false;
+  std::vector<Frame> stack = {Frame{&tree, root_state, 0}};
+  while (!stack.empty()) {
+    Frame& frame = stack.back();
+    if (frame.next_child == frame.node->children.size()) {
+      stack.pop_back();
+      continue;
+    }
+    const Tree& child = frame.node->children[frame.next_child++];
+    const int child_state = xsd.automaton.Next(frame.state, child.label);
+    if (child_state == kNoState || !content_ok(child, child_state)) {
+      return false;
+    }
+    stack.push_back(Frame{&child, child_state, 0});
+  }
+  return true;
+}
+
+// The raw event API, driven recursively (the trees here are shallow).
+void FeedEvents(const Tree& node, StreamingValidator* v) {
+  if (!v->StartElement(node.label)) return;
+  for (const Tree& child : node.children) FeedEvents(child, v);
+  v->EndElement();
+}
+
+// A diagnostic is truthful when the node it names is at fault on its own:
+// the root with a bad label, a node with no type in its parent's context,
+// or a typed node whose child string its content DFA rejects.
+void ExpectTruthfulDiagnostic(const DfaXsd& xsd, const Tree& tree,
+                              const ValidationResult& result) {
+  ASSERT_TRUE(tree.IsValidPath(result.violation_path)) << result.message;
+  int state = xsd.automaton.initial();
+  const Tree* node = &tree;
+  for (int index : result.violation_path) {
+    state = xsd.automaton.Next(state, node->label);
+    ASSERT_NE(state, kNoState) << "an ancestor of the reported node is "
+                                  "already untyped: " << result.message;
+    node = &node->children[index];
+  }
+  if (result.violation_path.empty() &&
+      !StateSetContains(xsd.start_symbols, node->label)) {
+    return;  // root not a start symbol
+  }
+  if (node->label < 0 || node->label >= xsd.sigma.size()) return;
+  state = xsd.automaton.Next(state, node->label);
+  if (state == kNoState) return;  // undeclared in its context
+  Word child_string;
+  for (const Tree& child : node->children) child_string.push_back(child.label);
+  EXPECT_FALSE(xsd.content[state].Accepts(child_string))
+      << "reported node is not at fault: " << result.message << " in "
+      << tree.ToString(xsd.sigma);
+}
+
 void ExpectAllValidatorsAgree(const DfaXsd& xsd, const Edtd& round_trip,
                               const Tree& tree) {
-  const bool expected = xsd.Accepts(tree);
-  EXPECT_EQ(ValidateStreaming(xsd, tree), expected)
-      << tree.ToString(xsd.sigma);
-  EXPECT_EQ(ValidateWithDiagnostics(xsd, tree).ok, expected)
-      << tree.ToString(xsd.sigma);
+  const bool expected = ReferenceAccepts(xsd, tree);
   EXPECT_EQ(round_trip.Accepts(tree), expected) << tree.ToString(xsd.sigma);
+  EXPECT_EQ(xsd.Accepts(tree), expected) << tree.ToString(xsd.sigma);
+  StreamingValidator events(&xsd);
+  FeedEvents(tree, &events);
+  EXPECT_EQ(events.EndDocument(), expected) << tree.ToString(xsd.sigma);
+  const ValidationResult result = ValidateWithDiagnostics(xsd, tree);
+  EXPECT_EQ(result.ok, expected) << tree.ToString(xsd.sigma);
+  if (!result.ok) {
+    // The event API and the tree replay find the same first violation.
+    EXPECT_EQ(events.violation().path, result.violation_path)
+        << tree.ToString(xsd.sigma);
+    ExpectTruthfulDiagnostic(xsd, tree, result);
+  }
 }
 
 class StreamingDifferentialTest : public ::testing::TestWithParam<int> {};
@@ -92,7 +178,7 @@ TEST_P(StreamingDifferentialTest, AgreesOnRandomSchemasAndTrees) {
   for (int i = 0; i < 8; ++i) {
     std::optional<Tree> tree = SampleTree(xsd, &rng, 5);
     ASSERT_TRUE(tree.has_value());
-    EXPECT_TRUE(ValidateStreaming(xsd, *tree)) << tree->ToString(xsd.sigma);
+    EXPECT_TRUE(ReferenceAccepts(xsd, *tree)) << tree->ToString(xsd.sigma);
     ExpectAllValidatorsAgree(xsd, round_trip, *tree);
     Tree mutated = Mutate(*tree, &rng, params.num_symbols);
     for (int j = 0; j < 3; ++j) {
@@ -169,7 +255,7 @@ TEST(StreamingMalformedTest, UnclosedElementFailsOnlyAtEndDocument) {
 TEST(StreamingDeepDocumentTest, ValidatesPathDeeperThanTheCallStack) {
   // A 200k-deep chain of <a> elements: recursion over the document would
   // overflow the stack, so this doubles as a regression test for the
-  // explicit-stack event generation in ValidateStreaming.
+  // explicit-stack tree replay (ReplayTree).
   DfaXsd xsd = ChainXsd();
   constexpr int kDepth = 200000;
   StreamingValidator v(&xsd);
@@ -184,7 +270,7 @@ TEST(StreamingDeepDocumentTest, ValidatesPathDeeperThanTheCallStack) {
     next.children.push_back(std::move(deep));
     deep = std::move(next);
   }
-  EXPECT_TRUE(ValidateStreaming(xsd, deep));
+  EXPECT_TRUE(xsd.Accepts(deep));
   EXPECT_TRUE(ValidateWithDiagnostics(xsd, deep).ok);
 }
 

@@ -77,15 +77,19 @@ TEST(StreamingTest, RejectsBadRootsAndSecondRoots) {
   }
 }
 
+// The EDTD route (Prop. 2.9 back-conversion, bottom-up type sets) is an
+// independent check on the one-pass kernel behind DfaXsd::Accepts.
 TEST(StreamingTest, AgreesWithRecursiveValidationOnEnumeration) {
   DfaXsd xsd = LibraryXsd();
+  Edtd back = StEdtdFromDfaXsd(xsd);
   for (const Tree& tree : EnumerateTrees({3, 2, xsd.sigma.size()})) {
-    EXPECT_EQ(ValidateStreaming(xsd, tree), xsd.Accepts(tree))
+    EXPECT_EQ(xsd.Accepts(tree), back.Accepts(tree))
         << tree.ToString(xsd.sigma);
   }
 }
 
-// Property: streaming == recursive on random schemas and random trees.
+// Property: the kernel agrees with the EDTD route on random schemas and
+// random trees.
 class StreamingRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(StreamingRandomTest, MatchesRecursiveValidator) {
@@ -94,15 +98,16 @@ TEST_P(StreamingRandomTest, MatchesRecursiveValidator) {
   params.num_symbols = 3;
   params.num_types = 4;
   DfaXsd xsd = DfaXsdFromStEdtd(RandomStEdtd(&rng, params));
+  Edtd back = StEdtdFromDfaXsd(xsd);
   // Members...
   for (int i = 0; i < 5; ++i) {
     std::optional<Tree> tree = SampleTree(xsd, &rng, 4);
     ASSERT_TRUE(tree.has_value());
-    EXPECT_TRUE(ValidateStreaming(xsd, *tree));
+    EXPECT_TRUE(xsd.Accepts(*tree));
   }
   // ...and arbitrary small trees.
   for (const Tree& tree : EnumerateTrees({3, 2, 3})) {
-    EXPECT_EQ(ValidateStreaming(xsd, tree), xsd.Accepts(tree));
+    EXPECT_EQ(xsd.Accepts(tree), back.Accepts(tree));
   }
 }
 

@@ -97,7 +97,6 @@
 #include "stap/schema/typing.h"
 #include "stap/schema/xsd_io.h"
 #include "stap/schema/type_automaton.h"
-#include "stap/schema/validate.h"
 #include "stap/serve/client.h"
 #include "stap/serve/server.h"
 #include "stap/tree/xml.h"
@@ -370,30 +369,22 @@ int CmdCompile(const std::vector<std::string>& argv, Budget* budget) {
 }
 
 // Single-document validation, output-compatible with the historical
-// `stap validate <schema> <doc.xml>`.
-int ValidateSingle(const CompiledSchema& schema, const std::string& doc_path) {
+// `stap validate <schema> <doc.xml>`: batch mode's verdict for one
+// document, printed without the file name and summary line.
+int ValidateSingle(const CompiledSchema& schema, const std::string& doc_path,
+                   Budget* budget) {
   StatusOr<std::string> xml = ReadFile(doc_path);
   if (!xml.ok()) return Fail(xml.status());
-  Alphabet alphabet = schema.edtd.sigma;
-  StatusOr<Tree> document = ParseXml(*xml, &alphabet);
-  if (!document.ok()) return Fail(document.status());
-  if (alphabet.size() != schema.edtd.sigma.size()) {
-    std::cout << "INVALID: document uses elements the schema does not "
-                 "declare\n";
-    return 1;
+  DocumentVerdict verdict = ValidateDocument(schema, *xml, budget);
+  if (verdict.kind == DocumentVerdict::Kind::kError) {
+    return Fail(Status(verdict.error_code, verdict.message));
   }
-  if (schema.single_type) {
-    ValidationResult result = ValidateWithDiagnostics(schema.xsd, *document);
-    if (result.ok) {
-      std::cout << "VALID\n";
-      return 0;
-    }
-    std::cout << "INVALID: " << result.message << "\n";
-    return 1;
+  if (verdict.kind == DocumentVerdict::Kind::kValid) {
+    std::cout << "VALID\n";
+    return 0;
   }
-  bool ok = schema.edtd.Accepts(*document);
-  std::cout << (ok ? "VALID\n" : "INVALID\n");
-  return ok ? 0 : 1;
+  std::cout << "INVALID: " << verdict.message << "\n";
+  return 1;
 }
 
 int CmdValidate(const std::vector<std::string>& argv,
@@ -402,7 +393,7 @@ int CmdValidate(const std::vector<std::string>& argv,
       LoadCompiledSchema(argv[2], options.budget_ptr());
   if (!schema.ok()) return Fail(schema.status());
   if (argv.size() == 4 && options.jobs < 0) {
-    return ValidateSingle(*schema, argv[3]);
+    return ValidateSingle(*schema, argv[3], options.budget_ptr());
   }
   // Batch mode: one status line per document, in input order, plus a
   // summary — byte-identical output whatever the job count.
