@@ -41,7 +41,7 @@ void BM_RegexToDfaPipeline(benchmark::State& state) {
   RegexPtr regex = RandomRegex(&rng, depth, 3);
   int64_t dfa_states = 0;
   for (auto _ : state) {
-    Dfa dfa = RegexToDfa(*regex, 3);
+    Dfa dfa = *RegexToDfa(*regex, 3);
     dfa_states = dfa.num_states();
     benchmark::DoNotOptimize(dfa_states);
   }
@@ -59,10 +59,10 @@ void BM_DeterminizationBlowup(benchmark::State& state) {
   parts.push_back(Regex::Symbol(0));
   for (int i = 0; i < n - 1; ++i) parts.push_back(ab);
   RegexPtr regex = Regex::Concat(std::move(parts));
-  Nfa glushkov = GlushkovAutomaton(*regex, 2);
+  Nfa glushkov = *GlushkovAutomaton(*regex, 2);
   int64_t dfa_states = 0;
   for (auto _ : state) {
-    Dfa dfa = Minimize(Determinize(glushkov));
+    Dfa dfa = *Minimize(*Determinize(glushkov));
     dfa_states = dfa.num_states();
     benchmark::DoNotOptimize(dfa_states);
   }
@@ -75,7 +75,7 @@ void BM_DfaToRegexRoundTrip(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   std::mt19937 rng(99 + depth);
   RegexPtr regex = RandomRegex(&rng, depth, 3);
-  Dfa dfa = RegexToDfa(*regex, 3);
+  Dfa dfa = *RegexToDfa(*regex, 3);
   int64_t nodes = 0;
   for (auto _ : state) {
     RegexPtr back = DfaToRegex(dfa);
@@ -90,10 +90,10 @@ void BM_BkwOneUnambiguityTest(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   std::mt19937 rng(7 + depth);
   RegexPtr regex = RandomRegex(&rng, depth, 2);
-  Dfa dfa = RegexToDfa(*regex, 2);
+  Dfa dfa = *RegexToDfa(*regex, 2);
   bool verdict = false;
   for (auto _ : state) {
-    verdict = IsOneUnambiguousLanguage(dfa);
+    verdict = *IsOneUnambiguousLanguage(dfa);
     benchmark::DoNotOptimize(verdict);
   }
   state.counters["dfa_states"] = dfa.num_states();

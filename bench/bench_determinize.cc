@@ -37,7 +37,7 @@ void BM_DenseTheorem32(benchmark::State& state) {
   const int64_t before = StatesCreated();
   int64_t iters = 0;
   for (auto _ : state) {
-    Dfa dfa = Determinize(ta.nfa);
+    Dfa dfa = *Determinize(ta.nfa);
     benchmark::DoNotOptimize(dfa);
     ++iters;
   }
@@ -110,7 +110,7 @@ void BM_DenseRandomEdtd(benchmark::State& state) {
   const int64_t before = StatesCreated();
   int64_t iters = 0;
   for (auto _ : state) {
-    Dfa dfa = Determinize(nfa);
+    Dfa dfa = *Determinize(nfa);
     benchmark::DoNotOptimize(dfa);
     ++iters;
   }
@@ -155,7 +155,7 @@ void BM_InclusionAntichain(benchmark::State& state) {
   auto [a, b] = InclusionInstance(static_cast<int>(state.range(0)));
   bool included = false;
   for (auto _ : state) {
-    included = NfaIncludedInNfa(a, b);
+    included = *NfaIncludedInNfa(a, b);
     benchmark::DoNotOptimize(included);
   }
   state.counters["states"] = static_cast<double>(state.range(0));

@@ -227,7 +227,7 @@ void BM_DeterminizeHashed(benchmark::State& state) {
   Nfa nfa = MakeNfa(static_cast<int>(state.range(0)), 7);
   int states = 0;
   for (auto _ : state) {
-    Dfa dfa = Determinize(nfa);
+    Dfa dfa = *Determinize(nfa);
     states = dfa.num_states();
     benchmark::DoNotOptimize(dfa);
   }
@@ -246,16 +246,16 @@ void BM_DeterminizeMap(benchmark::State& state) {
 }
 
 void BM_MinimizeHashed(benchmark::State& state) {
-  Dfa dfa = Determinize(MakeNfa(static_cast<int>(state.range(0)), 11));
+  Dfa dfa = *Determinize(MakeNfa(static_cast<int>(state.range(0)), 11));
   for (auto _ : state) {
-    Dfa minimized = Minimize(dfa);
+    Dfa minimized = *Minimize(dfa);
     benchmark::DoNotOptimize(minimized);
   }
   state.counters["dfa_states"] = dfa.num_states();
 }
 
 void BM_MinimizeMap(benchmark::State& state) {
-  Dfa dfa = Determinize(MakeNfa(static_cast<int>(state.range(0)), 11));
+  Dfa dfa = *Determinize(MakeNfa(static_cast<int>(state.range(0)), 11));
   for (auto _ : state) {
     Dfa minimized = MapMinimize(dfa);
     benchmark::DoNotOptimize(minimized);
@@ -267,7 +267,7 @@ void BM_NfaInclusionHashed(benchmark::State& state) {
   Nfa a = MakeNfa(static_cast<int>(state.range(0)), 3);
   Nfa b = Loosen(a, 5);
   for (auto _ : state) {
-    bool included = NfaIncludedInNfa(a, b);
+    bool included = *NfaIncludedInNfa(a, b);
     benchmark::DoNotOptimize(included);
   }
 }
@@ -304,14 +304,14 @@ Nfa LowerBoundNfa(int n) {
   parts.push_back(Regex::Star(ab));
   parts.push_back(Regex::Symbol(0));
   for (int i = 0; i < n; ++i) parts.push_back(ab);
-  return GlushkovAutomaton(*Regex::Concat(std::move(parts)),
-                           /*num_symbols=*/2);
+  return *GlushkovAutomaton(*Regex::Concat(std::move(parts)),
+                            /*num_symbols=*/2);
 }
 
 void BM_LowerBoundInclusionAntichain(benchmark::State& state) {
   Nfa nfa = LowerBoundNfa(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    bool included = AntichainIncluded(nfa, nfa);
+    bool included = *AntichainIncluded(nfa, nfa);
     benchmark::DoNotOptimize(included);
   }
   state.counters["nfa_states"] = nfa.num_states();
@@ -333,7 +333,7 @@ void BM_LowerBoundInclusionSubsets(benchmark::State& state) {
 void BM_LowerBoundInclusionDeterminize(benchmark::State& state) {
   Nfa nfa = LowerBoundNfa(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    Dfa dfa = Determinize(nfa);
+    Dfa dfa = *Determinize(nfa);
     bool included =
         !NfaDfaInclusionCounterexampleViaSubsets(nfa, dfa).has_value();
     benchmark::DoNotOptimize(included);

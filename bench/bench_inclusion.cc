@@ -30,7 +30,7 @@ void BM_InclusionPtime(benchmark::State& state) {
   auto [d1, d2] = MakeInstance(static_cast<int>(state.range(0)));
   bool included = false;
   for (auto _ : state) {
-    included = IncludedInSingleType(d1, d2);
+    included = *IncludedInSingleType(d1, d2);
     benchmark::DoNotOptimize(included);
   }
   state.counters["types"] = static_cast<double>(state.range(0));
@@ -41,10 +41,10 @@ void BM_InclusionPtime(benchmark::State& state) {
 // the upper approximation of d1 ∪ d2, which contains d1 by construction.
 void BM_InclusionPtimePositive(benchmark::State& state) {
   auto [d1, d2] = MakeInstance(static_cast<int>(state.range(0)));
-  Edtd superset = StEdtdFromDfaXsd(UpperUnion(d1, d2));
+  Edtd superset = StEdtdFromDfaXsd(*UpperUnion(d1, d2));
   bool included = false;
   for (auto _ : state) {
-    included = IncludedInSingleType(d1, superset);
+    included = *IncludedInSingleType(d1, superset);
     benchmark::DoNotOptimize(included);
   }
   state.counters["types"] = static_cast<double>(state.range(0));

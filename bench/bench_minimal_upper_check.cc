@@ -20,7 +20,7 @@ void BM_MinimalUpperCheckPositive(benchmark::State& state) {
   Edtd candidate = StEdtdFromDfaXsd(MinimalUpperApproximation(target));
   bool verdict = false;
   for (auto _ : state) {
-    verdict = IsMinimalUpperApproximation(candidate, target);
+    verdict = *IsMinimalUpperApproximation(candidate, target);
     benchmark::DoNotOptimize(verdict);
   }
   state.counters["n"] = n;
@@ -35,7 +35,7 @@ void BM_MinimalUpperCheckNegative(benchmark::State& state) {
   // d1 alone is not even an upper bound: early rejection path.
   bool verdict = true;
   for (auto _ : state) {
-    verdict = IsMinimalUpperApproximation(d1, target);
+    verdict = *IsMinimalUpperApproximation(d1, target);
     benchmark::DoNotOptimize(verdict);
   }
   state.counters["n"] = n;

@@ -17,7 +17,7 @@ namespace {
 void BM_MinimizeUnionOutput(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto [d1, d2] = Theorem36Family(n);
-  DfaXsd upper = UpperUnion(d1, d2);
+  DfaXsd upper = *UpperUnion(d1, d2);
   int64_t before = upper.type_size();
   int64_t after = 0;
   for (auto _ : state) {

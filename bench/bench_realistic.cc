@@ -66,7 +66,7 @@ void BM_RealisticMerge(benchmark::State& state) {
   Edtd jats = JatsLite();
   int64_t type_size = 0;
   for (auto _ : state) {
-    DfaXsd merged = MinimizeXsd(UpperUnion(docbook, jats));
+    DfaXsd merged = MinimizeXsd(*UpperUnion(docbook, jats));
     type_size = merged.type_size();
     benchmark::DoNotOptimize(type_size);
   }
@@ -90,7 +90,7 @@ void BM_RealisticDiffReport(benchmark::State& state) {
 
 void BM_RealisticExportImport(benchmark::State& state) {
   DfaXsd merged =
-      MinimizeXsd(UpperUnion(DocbookLite(), JatsLite()));
+      MinimizeXsd(*UpperUnion(DocbookLite(), JatsLite()));
   int64_t bytes = 0;
   for (auto _ : state) {
     std::string exported = ExportXsd(merged);
@@ -104,7 +104,7 @@ void BM_RealisticExportImport(benchmark::State& state) {
 
 void BM_RealisticValidation(benchmark::State& state) {
   DfaXsd merged =
-      MinimizeXsd(UpperUnion(DocbookLite(), JatsLite()));
+      MinimizeXsd(*UpperUnion(DocbookLite(), JatsLite()));
   std::mt19937 rng(5);
   std::vector<Tree> documents;
   for (int i = 0; i < 20; ++i) {

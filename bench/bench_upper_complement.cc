@@ -24,7 +24,7 @@ void BM_UpperComplement(benchmark::State& state) {
   Edtd schema = RandomStEdtd(&rng, params);
   int64_t type_size = 0;
   for (auto _ : state) {
-    DfaXsd upper = UpperComplement(schema);
+    DfaXsd upper = *UpperComplement(schema);
     type_size = upper.type_size();
     benchmark::DoNotOptimize(type_size);
   }

@@ -22,7 +22,7 @@ void BM_UpperDifference(benchmark::State& state) {
   Edtd d2 = RandomStEdtd(&rng, params);
   int64_t type_size = 0;
   for (auto _ : state) {
-    DfaXsd diff = UpperDifference(d1, d2);
+    DfaXsd diff = *UpperDifference(d1, d2);
     type_size = diff.type_size();
     benchmark::DoNotOptimize(type_size);
   }

@@ -18,7 +18,7 @@ void BM_UpperIntersection(benchmark::State& state) {
   const int p2 = ReduceEdtd(d2).num_types();
   int64_t type_size = 0;
   for (auto _ : state) {
-    DfaXsd inter = UpperIntersection(d1, d2);
+    DfaXsd inter = *UpperIntersection(d1, d2);
     type_size = inter.type_size();
     benchmark::DoNotOptimize(type_size);
   }

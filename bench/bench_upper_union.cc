@@ -16,7 +16,7 @@ void BM_UpperUnion(benchmark::State& state) {
   auto [d1, d2] = Theorem36Family(n);
   int64_t type_size = 0;
   for (auto _ : state) {
-    DfaXsd upper = UpperUnion(d1, d2);
+    DfaXsd upper = *UpperUnion(d1, d2);
     type_size = upper.type_size();
     benchmark::DoNotOptimize(type_size);
   }
@@ -27,7 +27,7 @@ void BM_UpperUnion(benchmark::State& state) {
       static_cast<double>(d1.Size() * d2.Size());
   state.counters["type_size"] = static_cast<double>(type_size);
   state.counters["minimized_type_size"] =
-      static_cast<double>(MinimizeXsd(UpperUnion(d1, d2)).type_size());
+      static_cast<double>(MinimizeXsd(*UpperUnion(d1, d2)).type_size());
   state.counters["n_squared"] = static_cast<double>(n) * n;
 }
 

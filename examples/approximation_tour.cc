@@ -12,7 +12,7 @@
 #include "stap/approx/upper_boolean.h"
 #include "stap/automata/dot.h"
 #include "stap/schema/builder.h"
-#include "stap/schema/count.h"
+#include "stap/count/counter.h"
 #include "stap/schema/minimize.h"
 #include "stap/schema/text_format.h"
 #include "stap/schema/type_automaton.h"
@@ -69,7 +69,8 @@ int main() {
   DfaXsd upper = MinimizeXsd(MinimalUpperApproximation(union_edtd));
   std::cout << SchemaToText(StEdtdFromDfaXsd(upper));
   double union_count = 2.0;
-  double upper_count = CountDocuments(upper, 3, 2);
+  double upper_count =
+      CountXsdByDepth(upper, {3, 2}, nullptr)->back().ToDouble();
   std::cout << "documents (depth<=3): union " << union_count
             << ", approximation " << upper_count << " -> overhead "
             << (upper_count - union_count) << "\n\n";

@@ -34,7 +34,7 @@ int main() {
 
   // The union of two XSDs need not be an XSD; compute the unique minimal
   // single-type language containing it (Theorem 3.6).
-  DfaXsd merged = MinimizeXsd(UpperUnion(journal.Build(), blog.Build()));
+  DfaXsd merged = MinimizeXsd(*UpperUnion(journal.Build(), blog.Build()));
 
   std::cout << "Merged schema (" << merged.type_size() << " types):\n"
             << SchemaToText(StEdtdFromDfaXsd(merged)) << "\n";

@@ -45,7 +45,7 @@ int main() {
   Edtd grammar = service.Build();
 
   std::cout << "Single-type definable: "
-            << (IsSingleTypeDefinable(grammar) ? "yes" : "no") << "\n\n";
+            << (*IsSingleTypeDefinable(grammar) ? "yes" : "no") << "\n\n";
 
   // Upper approximation: the XSD a lenient consumer should use.
   DfaXsd upper = MinimizeXsd(MinimalUpperApproximation(grammar));

@@ -41,15 +41,15 @@ int main() {
 
   // (b) Backward compatibility: every v1 document validates under v2.
   std::cout << "v1 ⊆ v2 (backward compatible): "
-            << (IncludedInSingleType(schema_v1, schema_v2) ? "yes" : "no")
+            << (*IncludedInSingleType(schema_v1, schema_v2) ? "yes" : "no")
             << "\n";
   std::cout << "v2 ⊆ v1 (no new documents): "
-            << (IncludedInSingleType(schema_v2, schema_v1) ? "yes" : "no")
+            << (*IncludedInSingleType(schema_v2, schema_v1) ? "yes" : "no")
             << "\n\n";
 
   // (a) What is new in v2? The difference v2 \ v1 is generally not an
   // XSD; publish its minimal upper approximation (Theorem 3.10).
-  DfaXsd whats_new = MinimizeXsd(UpperDifference(schema_v2, schema_v1));
+  DfaXsd whats_new = MinimizeXsd(*UpperDifference(schema_v2, schema_v1));
   std::cout << "Upper approximation of (v2 \\ v1), "
             << whats_new.type_size() << " types:\n"
             << SchemaToText(StEdtdFromDfaXsd(whats_new)) << "\n";

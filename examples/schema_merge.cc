@@ -38,7 +38,7 @@ int main() {
 
   Edtd d1 = branch_a.Build();
   Edtd d2 = branch_b.Build();
-  DfaXsd merged = MinimizeXsd(UpperUnion(d1, d2));
+  DfaXsd merged = MinimizeXsd(*UpperUnion(d1, d2));
   std::cout << "Integrated XSD has " << merged.type_size() << " types.\n\n";
 
   // Diagnose a malformed feed entry.

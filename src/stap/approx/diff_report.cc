@@ -5,7 +5,7 @@
 #include "stap/approx/upper_boolean.h"
 #include "stap/approx/witness.h"
 #include "stap/base/check.h"
-#include "stap/schema/count.h"
+#include "stap/count/counter.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
 #include "stap/schema/type_automaton.h"
@@ -52,10 +52,18 @@ SchemaDiffReport CompareSchemas(const Edtd& a_in, const Edtd& b_in,
     report.relation = SchemaRelation::kEquivalent;
   }
 
-  report.count_a = CountDocuments(xsd_a, count_depth, count_width);
-  report.count_b = CountDocuments(xsd_b, count_depth, count_width);
-  report.count_intersection = CountDocuments(
-      UpperIntersection(a, b), count_depth, count_width);
+  CountBounds bounds;
+  bounds.max_depth = count_depth;
+  bounds.max_width = count_width;
+  auto count = [&bounds](const DfaXsd& xsd) {
+    StatusOr<std::vector<CountValue>> counts =
+        CountXsdByDepth(xsd, bounds, nullptr);
+    STAP_CHECK(counts.ok());  // only invalid bounds fail without a budget
+    return counts->back().ToDouble();
+  };
+  report.count_a = count(xsd_a);
+  report.count_b = count(xsd_b);
+  report.count_intersection = count(*UpperIntersection(a, b));
   return report;
 }
 

@@ -4,7 +4,7 @@
 // maintainer actually wants when comparing two XSDs: the containment
 // relation (Lemma 3.3, both directions), concrete witness documents for
 // each strict direction (approx/witness.h), and bounded document counts
-// quantifying how much the schemas differ (schema/count.h).
+// quantifying how much the schemas differ (count/counter.h).
 #ifndef STAP_APPROX_DIFF_REPORT_H_
 #define STAP_APPROX_DIFF_REPORT_H_
 

@@ -153,21 +153,11 @@ StatusOr<bool> IncludedInSingleType(const Edtd& d1, const Edtd& d2_in,
   return EdtdIncludedInXsd(d1_aligned, DfaXsdFromStEdtd(d2), pool, budget);
 }
 
-bool IncludedInSingleType(const Edtd& d1, const Edtd& d2, ThreadPool* pool) {
-  StatusOr<bool> result = IncludedInSingleType(d1, d2, pool, nullptr);
-  return *std::move(result);  // a null budget never exhausts
-}
-
 StatusOr<bool> SingleTypeEquivalent(const Edtd& d1, const Edtd& d2,
                                     ThreadPool* pool, Budget* budget) {
   StatusOr<bool> forward = IncludedInSingleType(d1, d2, pool, budget);
   if (!forward.ok() || !*forward) return forward;
   return IncludedInSingleType(d2, d1, pool, budget);
-}
-
-bool SingleTypeEquivalent(const Edtd& d1, const Edtd& d2, ThreadPool* pool) {
-  StatusOr<bool> result = SingleTypeEquivalent(d1, d2, pool, nullptr);
-  return *std::move(result);  // a null budget never exhausts
 }
 
 }  // namespace stap

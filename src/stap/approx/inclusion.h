@@ -24,29 +24,28 @@ class ThreadPool;
 
 // L(d1) ⊆ L(xsd2)? Polynomial in |d1| + |xsd2|. `d1` is reduced
 // internally; alphabets are aligned by name. When `pool` is non-null the
-// per-pair content-model inclusions run on it.
-bool EdtdIncludedInXsd(const Edtd& d1, const DfaXsd& xsd2,
-                       ThreadPool* pool = nullptr);
-
-// Budgeted variant: the pair BFS charges states and the per-pair content
-// inclusions run the budgeted antichain engine; the first exhausted
-// worker wins and the sweep drains cooperatively. No defaults (avoids
-// colliding with the defaulted signature above); a null budget is
-// unlimited.
+// per-pair content-model inclusions run on it. The pair BFS charges
+// states and the per-pair content inclusions run the budgeted antichain
+// engine; the first exhausted worker wins and the sweep drains
+// cooperatively. `budget` has no default so the call stays distinct from
+// the unbudgeted form below; a null budget is unlimited.
 StatusOr<bool> EdtdIncludedInXsd(const Edtd& d1, const DfaXsd& xsd2,
                                  ThreadPool* pool, Budget* budget);
 
-// Convenience wrapper: d2 must be single-type (checked).
-bool IncludedInSingleType(const Edtd& d1, const Edtd& d2,
-                          ThreadPool* pool = nullptr);
+// Unbudgeted form, kept for the pinned perfbench/src/approx_corpus.cc.
+bool EdtdIncludedInXsd(const Edtd& d1, const DfaXsd& xsd2,
+                       ThreadPool* pool = nullptr);
+
+// Convenience wrapper: d2 must be single-type (checked). A null budget is
+// unlimited (here and below).
 StatusOr<bool> IncludedInSingleType(const Edtd& d1, const Edtd& d2,
-                                    ThreadPool* pool, Budget* budget);
+                                    ThreadPool* pool = nullptr,
+                                    Budget* budget = nullptr);
 
 // Language equivalence of two single-type EDTDs (both checked).
-bool SingleTypeEquivalent(const Edtd& d1, const Edtd& d2,
-                          ThreadPool* pool = nullptr);
 StatusOr<bool> SingleTypeEquivalent(const Edtd& d1, const Edtd& d2,
-                                    ThreadPool* pool, Budget* budget);
+                                    ThreadPool* pool = nullptr,
+                                    Budget* budget = nullptr);
 
 }  // namespace stap
 

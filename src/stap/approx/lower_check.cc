@@ -138,11 +138,6 @@ LowerCheckResult CheckMaximalLowerFinite(const Edtd& candidate_in,
   return result;
 }
 
-bool IsSingleTypeDefinable(const Edtd& edtd) {
-  StatusOr<bool> result = IsSingleTypeDefinable(edtd, nullptr);
-  return *std::move(result);  // a null budget never exhausts
-}
-
 StatusOr<bool> IsSingleTypeDefinable(const Edtd& edtd, Budget* budget,
                                      const UpperOptions& options) {
   // A single-type schema defines itself; skip the EXPTIME inclusion

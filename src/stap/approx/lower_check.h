@@ -64,15 +64,14 @@ LowerCheckResult CheckMaximalLowerFinite(const Edtd& candidate,
 
 // Is L(edtd) definable by a single-type EDTD at all? (Martens et al.'s
 // EXPTIME test, via Theorem 3.2: the language is single-type definable iff
-// it equals its minimal upper approximation.)
-bool IsSingleTypeDefinable(const Edtd& edtd);
-
-// Budgeted variant: the upper construction charges the budget (the
-// dominant exponential cost; the converse inclusion runs on whatever it
-// built). `options` configures that construction — any context supplied
-// there must be exact-mode (upper.h) or the verdict concerns the
-// restricted language only. A null budget is unlimited.
-StatusOr<bool> IsSingleTypeDefinable(const Edtd& edtd, Budget* budget,
+// it equals its minimal upper approximation.) The upper construction
+// charges the budget (the dominant exponential cost; the converse
+// inclusion runs on whatever it built). `options` configures that
+// construction — any context supplied there must be exact-mode (upper.h)
+// or the verdict concerns the restricted language only. A null budget is
+// unlimited.
+StatusOr<bool> IsSingleTypeDefinable(const Edtd& edtd,
+                                     Budget* budget = nullptr,
                                      const UpperOptions& options = {});
 
 }  // namespace stap

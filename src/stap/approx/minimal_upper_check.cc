@@ -143,11 +143,4 @@ StatusOr<bool> IsMinimalUpperApproximation(const Edtd& candidate_in,
   return true;
 }
 
-bool IsMinimalUpperApproximation(const Edtd& candidate, const Edtd& target,
-                                 ThreadPool* pool) {
-  StatusOr<bool> result =
-      IsMinimalUpperApproximation(candidate, target, pool, nullptr);
-  return *std::move(result);  // a null budget never exhausts
-}
-
 }  // namespace stap

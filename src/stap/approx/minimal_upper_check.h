@@ -23,15 +23,13 @@ class ThreadPool;
 
 // Is L(candidate) the minimal upper XSD-approximation of L(target)?
 // `candidate` must be single-type (checked); `target` may be any EDTD.
-bool IsMinimalUpperApproximation(const Edtd& candidate, const Edtd& target,
-                                 ThreadPool* pool = nullptr);
-
-// Budgeted variant: the lazy product pairs charge the set quota and the
-// per-pair antichain inclusions charge through the same budget, bounding
-// the PSPACE-hard phase. No defaults; a null budget is unlimited.
+// The lazy product pairs charge the set quota and the per-pair antichain
+// inclusions charge through the same budget, bounding the PSPACE-hard
+// phase. A null budget is unlimited.
 StatusOr<bool> IsMinimalUpperApproximation(const Edtd& candidate,
                                            const Edtd& target,
-                                           ThreadPool* pool, Budget* budget);
+                                           ThreadPool* pool = nullptr,
+                                           Budget* budget = nullptr);
 
 }  // namespace stap
 

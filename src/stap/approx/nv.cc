@@ -299,7 +299,7 @@ DfaXsd NonViolating(const Edtd& d1_in, const Edtd& d2_in) {
                                  : Dfa::EmptyLanguage(num_symbols);
     if (pair.c_type) {
       // All of D1's constraints apply below a c-type (rule 1 of d').
-      result.content[remap[p]] = Minimize(DfaIntersection(f2, f1));
+      result.content[remap[p]] = *Minimize(DfaIntersection(f2, f1));
     } else {
       // Either no child leads to an s-type, or the whole level is also
       // D1-valid (rule 2 of d').
@@ -318,9 +318,9 @@ DfaXsd NonViolating(const Edtd& d1_in, const Edtd& d2_in) {
       if (any_slab) {
         Dfa risky = DfaIntersection(DfaIntersection(f2, f1),
                                     ContainsMarked(slab));
-        result.content[remap[p]] = Minimize(DfaUnion(safe, risky));
+        result.content[remap[p]] = *Minimize(DfaUnion(safe, risky));
       } else {
-        result.content[remap[p]] = Minimize(safe);
+        result.content[remap[p]] = *Minimize(safe);
       }
     }
   }
@@ -331,7 +331,7 @@ DfaXsd LowerUnionFixingFirst(const Edtd& d1, const Edtd& d2) {
   DfaXsd nv = NonViolating(d1, d2);
   Edtd nv_edtd = StEdtdFromDfaXsd(nv);
   auto [d1_aligned, nv_aligned] = AlignAlphabets(d1, nv_edtd);
-  return MinimizeXsd(UpperUnion(d1_aligned, nv_aligned));
+  return MinimizeXsd(*UpperUnion(d1_aligned, nv_aligned));
 }
 
 }  // namespace stap

@@ -56,7 +56,7 @@ StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& input, Budget* budget,
   ScopedSpan subset_span("upper.subset_construction");
   std::vector<StateSet> subsets;
   StatusOr<Dfa> determinized_or =
-      Determinize(type_automaton.nfa, options.vertical_context, budget,
+      Determinize(type_automaton.nfa, budget, options.vertical_context,
                   &subsets);
   if (!determinized_or.ok()) return determinized_or.status();
   Dfa determinized = *std::move(determinized_or);
@@ -129,14 +129,14 @@ StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& input, Budget* budget,
     xsd.state_label[remap[s]] = label;
     if (options.minimize_content) {
       StatusOr<Dfa> content =
-          MinimizeNfa(content_union, options.content_context, budget);
+          MinimizeNfa(content_union, budget, options.content_context);
       if (!content.ok()) return content.status();
       xsd.content[remap[s]] = *std::move(content);
     } else {
       // Trimmed() drops the schema path's dead sink along with any other
       // dead state, so the representation stays comparable to dense.
       StatusOr<Dfa> content =
-          Determinize(content_union, options.content_context, budget);
+          Determinize(content_union, budget, options.content_context);
       if (!content.ok()) return content.status();
       xsd.content[remap[s]] = content->Trimmed();
     }

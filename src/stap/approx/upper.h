@@ -51,16 +51,18 @@ Nfa ContentUnionContext(const Edtd& edtd);
 
 // Returns the minimal upper XSD-approximation of L(edtd). The input is
 // reduced internally (Proviso 2.3). States of the result correspond to the
-// reachable non-empty subsets of ∆.
-DfaXsd MinimalUpperApproximation(const Edtd& edtd,
-                                 const UpperOptions& options = {});
-
-// Budgeted variant: the type-automaton subset construction and every
-// per-subset content determinization charge the budget's state quota, so
-// the Theorem 3.2 exponential family aborts with kResourceExhausted
-// instead of exhausting memory. A null budget is unlimited.
+// reachable non-empty subsets of ∆. The type-automaton subset
+// construction and every per-subset content determinization charge the
+// budget's state quota, so the Theorem 3.2 exponential family aborts with
+// kResourceExhausted instead of exhausting memory. `budget` has no default
+// so the call stays distinct from the unbudgeted form below; a null budget
+// is unlimited.
 StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& edtd, Budget* budget,
                                            const UpperOptions& options = {});
+
+// Unbudgeted form, kept for the pinned perfbench/src/approx_corpus.cc.
+DfaXsd MinimalUpperApproximation(const Edtd& edtd,
+                                 const UpperOptions& options = {});
 
 }  // namespace stap
 

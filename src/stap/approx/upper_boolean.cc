@@ -175,11 +175,6 @@ StatusOr<Edtd> EdtdIntersection(const Edtd& a_in, const Edtd& b_in,
   return ReduceEdtd(result);
 }
 
-Edtd EdtdIntersection(const Edtd& a, const Edtd& b, ThreadPool* pool) {
-  StatusOr<Edtd> result = EdtdIntersection(a, b, pool, nullptr);
-  return *std::move(result);  // a null budget never exhausts
-}
-
 StatusOr<Edtd> ComplementEdtd(const DfaXsd& xsd, ThreadPool* pool,
                               Budget* budget) {
   ScopedSpan span("boolean.complement");
@@ -259,11 +254,6 @@ StatusOr<Edtd> ComplementEdtd(const DfaXsd& xsd, ThreadPool* pool,
 
   result.CheckWellFormed();
   return result;
-}
-
-Edtd ComplementEdtd(const DfaXsd& xsd, ThreadPool* pool) {
-  StatusOr<Edtd> result = ComplementEdtd(xsd, pool, nullptr);
-  return *std::move(result);  // a null budget never exhausts
 }
 
 StatusOr<Edtd> DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
@@ -396,22 +386,12 @@ StatusOr<Edtd> DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
   return result;
 }
 
-Edtd DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2, ThreadPool* pool) {
-  StatusOr<Edtd> result = DifferenceEdtd(d1, xsd2, pool, nullptr);
-  return *std::move(result);  // a null budget never exhausts
-}
-
 StatusOr<DfaXsd> UpperUnion(const Edtd& d1, const Edtd& d2, Budget* budget,
                             const UpperOptions& options) {
   ScopedSpan span("approx.upper_union");
   STAP_CHECK(IsSingleType(d1));
   STAP_CHECK(IsSingleType(d2));
   return MinimalUpperApproximation(EdtdUnion(d1, d2), budget, options);
-}
-
-DfaXsd UpperUnion(const Edtd& d1, const Edtd& d2) {
-  StatusOr<DfaXsd> result = UpperUnion(d1, d2, nullptr);
-  return *std::move(result);  // a null budget never exhausts
 }
 
 StatusOr<DfaXsd> UpperIntersection(const Edtd& d1_in, const Edtd& d2_in,
@@ -492,11 +472,6 @@ StatusOr<DfaXsd> UpperIntersection(const Edtd& d1_in, const Edtd& d2_in,
   return MinimizeXsd(product, budget);
 }
 
-DfaXsd UpperIntersection(const Edtd& d1, const Edtd& d2, ThreadPool* pool) {
-  StatusOr<DfaXsd> result = UpperIntersection(d1, d2, pool, nullptr);
-  return *std::move(result);  // a null budget never exhausts
-}
-
 StatusOr<DfaXsd> UpperComplement(const Edtd& d, ThreadPool* pool,
                                  Budget* budget, const UpperOptions& options) {
   ScopedSpan span("approx.upper_complement");
@@ -506,11 +481,6 @@ StatusOr<DfaXsd> UpperComplement(const Edtd& d, ThreadPool* pool,
       ComplementEdtd(DfaXsdFromStEdtd(reduced), pool, budget);
   if (!complement.ok()) return complement.status();
   return MinimalUpperApproximation(*complement, budget, options);
-}
-
-DfaXsd UpperComplement(const Edtd& d, ThreadPool* pool) {
-  StatusOr<DfaXsd> result = UpperComplement(d, pool, nullptr);
-  return *std::move(result);  // a null budget never exhausts
 }
 
 StatusOr<DfaXsd> UpperDifference(const Edtd& d1_in, const Edtd& d2_in,
@@ -526,11 +496,6 @@ StatusOr<DfaXsd> UpperDifference(const Edtd& d1_in, const Edtd& d2_in,
       DifferenceEdtd(r1, DfaXsdFromStEdtd(r2), pool, budget);
   if (!difference.ok()) return difference.status();
   return MinimalUpperApproximation(*difference, budget, options);
-}
-
-DfaXsd UpperDifference(const Edtd& d1, const Edtd& d2, ThreadPool* pool) {
-  StatusOr<DfaXsd> result = UpperDifference(d1, d2, pool, nullptr);
-  return *std::move(result);  // a null budget never exhausts
 }
 
 }  // namespace stap

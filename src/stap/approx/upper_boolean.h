@@ -46,55 +46,45 @@ Edtd EdtdUnion(const Edtd& a, const Edtd& b);
 // languages are closed under intersection — the substrate of
 // Proposition 3.7). Works for arbitrary EDTDs; alphabets aligned
 // internally; the result is reduced.
-Edtd EdtdIntersection(const Edtd& a, const Edtd& b,
-                      ThreadPool* pool = nullptr);
+//
+// The EDTD constructions below build per-type contents (products,
+// determinizations, minimizations) that all charge `budget`; exhaustion in
+// any parallel-sweep worker propagates as kResourceExhausted. A null
+// budget is unlimited (here and in the theorems further down).
+StatusOr<Edtd> EdtdIntersection(const Edtd& a, const Edtd& b,
+                                ThreadPool* pool = nullptr,
+                                Budget* budget = nullptr);
 
 // An EDTD for the complement of the single-type `xsd` (Theorem 3.9's D_c):
 // one "path" type per XSD state guessing the route to a violation, plus
 // one "anything" type per symbol.
-Edtd ComplementEdtd(const DfaXsd& xsd, ThreadPool* pool = nullptr);
+StatusOr<Edtd> ComplementEdtd(const DfaXsd& xsd, ThreadPool* pool = nullptr,
+                              Budget* budget = nullptr);
 
 // An EDTD for L(d1) \ L(xsd2), d1 single-type (Theorem 3.10's D_c).
-Edtd DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
-                    ThreadPool* pool = nullptr);
-
-// Budgeted EDTD constructions. The per-type content builds (products,
-// determinizations, minimizations) all charge `budget`; exhaustion in any
-// parallel-sweep worker propagates as kResourceExhausted. The budgeted
-// overloads take every parameter explicitly (no defaults) so they never
-// collide with the defaulted signatures above; a null budget is
-// unlimited.
-StatusOr<Edtd> EdtdIntersection(const Edtd& a, const Edtd& b,
-                                ThreadPool* pool, Budget* budget);
-StatusOr<Edtd> ComplementEdtd(const DfaXsd& xsd, ThreadPool* pool,
-                              Budget* budget);
 StatusOr<Edtd> DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
-                              ThreadPool* pool, Budget* budget);
+                              ThreadPool* pool = nullptr,
+                              Budget* budget = nullptr);
 
 // Minimal upper XSD-approximations per the theorems. Inputs must be
-// single-type (checked).
-DfaXsd UpperUnion(const Edtd& d1, const Edtd& d2);
-DfaXsd UpperIntersection(const Edtd& d1, const Edtd& d2,
-                         ThreadPool* pool = nullptr);  // exact
-DfaXsd UpperComplement(const Edtd& d, ThreadPool* pool = nullptr);
-DfaXsd UpperDifference(const Edtd& d1, const Edtd& d2,
-                       ThreadPool* pool = nullptr);
-
-// Budgeted variants of the four theorems. `options` configures the final
+// single-type (checked). `options` configures the final
 // MinimalUpperApproximation (upper.h) — note that any context supplied
 // there constrains the *result* schema's alphabet, not the internal
 // types-as-symbols content builds of Complement/Difference, which stay
 // dense (their ambient language is all of Σ*; see DESIGN.md on why the
 // complement construction is the degenerate case for schema guidance).
-StatusOr<DfaXsd> UpperUnion(const Edtd& d1, const Edtd& d2, Budget* budget,
+StatusOr<DfaXsd> UpperUnion(const Edtd& d1, const Edtd& d2,
+                            Budget* budget = nullptr,
                             const UpperOptions& options = {});
 StatusOr<DfaXsd> UpperIntersection(const Edtd& d1, const Edtd& d2,
-                                   ThreadPool* pool, Budget* budget);
-StatusOr<DfaXsd> UpperComplement(const Edtd& d, ThreadPool* pool,
-                                 Budget* budget,
+                                   ThreadPool* pool = nullptr,
+                                   Budget* budget = nullptr);  // exact
+StatusOr<DfaXsd> UpperComplement(const Edtd& d, ThreadPool* pool = nullptr,
+                                 Budget* budget = nullptr,
                                  const UpperOptions& options = {});
 StatusOr<DfaXsd> UpperDifference(const Edtd& d1, const Edtd& d2,
-                                 ThreadPool* pool, Budget* budget,
+                                 ThreadPool* pool = nullptr,
+                                 Budget* budget = nullptr,
                                  const UpperOptions& options = {});
 
 }  // namespace stap

@@ -246,23 +246,12 @@ StatusOr<std::optional<Word>> AntichainInclusionCounterexample(
   return std::optional<Word>(std::nullopt);
 }
 
-std::optional<Word> AntichainInclusionCounterexample(const Nfa& a,
-                                                     const Nfa& b) {
-  StatusOr<std::optional<Word>> result =
-      AntichainInclusionCounterexample(a, b, nullptr);
-  return *std::move(result);  // a null budget never exhausts
-}
-
 StatusOr<bool> AntichainIncluded(const Nfa& a, const Nfa& b,
                                  Budget* budget) {
   StatusOr<std::optional<Word>> witness =
       AntichainInclusionCounterexample(a, b, budget);
   if (!witness.ok()) return witness.status();
   return !witness->has_value();
-}
-
-bool AntichainIncluded(const Nfa& a, const Nfa& b) {
-  return !AntichainInclusionCounterexample(a, b).has_value();
 }
 
 StatusOr<std::optional<Word>> AntichainUniversalityCounterexample(
@@ -279,14 +268,9 @@ StatusOr<std::optional<Word>> AntichainUniversalityCounterexample(
   return AntichainInclusionCounterexample(all, nfa, budget);
 }
 
-std::optional<Word> AntichainUniversalityCounterexample(const Nfa& nfa) {
-  StatusOr<std::optional<Word>> result =
-      AntichainUniversalityCounterexample(nfa, nullptr);
-  return *std::move(result);
-}
-
 bool AntichainUniversal(const Nfa& nfa) {
-  return !AntichainUniversalityCounterexample(nfa).has_value();
+  // A null budget never exhausts.
+  return !AntichainUniversalityCounterexample(nfa)->has_value();
 }
 
 StatusOr<bool> AntichainEquivalent(const Nfa& a, const Nfa& b,
@@ -294,10 +278,6 @@ StatusOr<bool> AntichainEquivalent(const Nfa& a, const Nfa& b,
   StatusOr<bool> forward = AntichainIncluded(a, b, budget);
   if (!forward.ok() || !*forward) return forward;
   return AntichainIncluded(b, a, budget);
-}
-
-bool AntichainEquivalent(const Nfa& a, const Nfa& b) {
-  return AntichainIncluded(a, b) && AntichainIncluded(b, a);
 }
 
 }  // namespace stap

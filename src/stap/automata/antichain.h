@@ -14,8 +14,8 @@
 // line of work). The search exits on the first counterexample and
 // reconstructs a shortest witness word from parent pointers.
 //
-// The budgeted entry points charge every kept frontier node (states) and
-// every generated successor set (sets) against the Budget, so adversarial
+// The entry points charge every kept frontier node (states) and every
+// generated successor set (sets) against the Budget, so adversarial
 // instances whose antichains do blow up (the PSPACE-hard content-model
 // cases) return kResourceExhausted instead of running unbounded. The
 // engine reports its work through base/metrics.h: nodes kept, candidates
@@ -34,30 +34,25 @@
 
 namespace stap {
 
-// A shortest word in L(a) \ L(b), or nullopt when L(a) ⊆ L(b).
-std::optional<Word> AntichainInclusionCounterexample(const Nfa& a,
-                                                     const Nfa& b);
-
-// Budgeted variant; a null budget is unlimited.
+// A shortest word in L(a) \ L(b), or nullopt when L(a) ⊆ L(b). A null
+// budget is unlimited (here and below).
 StatusOr<std::optional<Word>> AntichainInclusionCounterexample(
-    const Nfa& a, const Nfa& b, Budget* budget);
+    const Nfa& a, const Nfa& b, Budget* budget = nullptr);
 
 // L(a) ⊆ L(b)?
-bool AntichainIncluded(const Nfa& a, const Nfa& b);
-StatusOr<bool> AntichainIncluded(const Nfa& a, const Nfa& b, Budget* budget);
+StatusOr<bool> AntichainIncluded(const Nfa& a, const Nfa& b,
+                                 Budget* budget = nullptr);
 
 // A shortest word outside L(nfa), or nullopt when L(nfa) = Σ*.
-std::optional<Word> AntichainUniversalityCounterexample(const Nfa& nfa);
 StatusOr<std::optional<Word>> AntichainUniversalityCounterexample(
-    const Nfa& nfa, Budget* budget);
+    const Nfa& nfa, Budget* budget = nullptr);
 
-// L(nfa) = Σ*?
+// L(nfa) = Σ*? Unbudgeted.
 bool AntichainUniversal(const Nfa& nfa);
 
 // L(a) == L(b)?
-bool AntichainEquivalent(const Nfa& a, const Nfa& b);
 StatusOr<bool> AntichainEquivalent(const Nfa& a, const Nfa& b,
-                                   Budget* budget);
+                                   Budget* budget = nullptr);
 
 }  // namespace stap
 

@@ -226,19 +226,7 @@ StatusOr<Dfa> DeterminizeCore(const Nfa& nfa, const Nfa* context,
 
 }  // namespace
 
-StatusOr<Dfa> Determinize(const Nfa& nfa, Budget* budget,
-                          std::vector<StateSet>* subsets) {
-  return DeterminizeCore(nfa, nullptr, budget, subsets, nullptr, nullptr);
-}
-
-Dfa Determinize(const Nfa& nfa, std::vector<StateSet>* subsets) {
-  // A null budget can never exhaust, so the result is always OK.
-  StatusOr<Dfa> result =
-      DeterminizeCore(nfa, nullptr, nullptr, subsets, nullptr, nullptr);
-  return *std::move(result);
-}
-
-StatusOr<Dfa> Determinize(const Nfa& nfa, const Nfa* context, Budget* budget,
+StatusOr<Dfa> Determinize(const Nfa& nfa, Budget* budget, const Nfa* context,
                           std::vector<StateSet>* subsets) {
   return DeterminizeCore(nfa, context, budget, subsets, nullptr, nullptr);
 }

@@ -32,22 +32,17 @@
 namespace stap {
 
 // Determinizes `nfa` by the standard subset construction, exploring only
-// reachable subsets. If `subsets` is non-null it receives, for each DFA
-// state, the NFA state set it denotes (the empty set is the dead sink,
-// created only when reachable). The DFA is complete by construction.
-Dfa Determinize(const Nfa& nfa, std::vector<StateSet>* subsets = nullptr);
-
-// Budgeted variant: every DFA state created charges the budget, so the
+// reachable subsets. Every DFA state created charges the budget, so the
 // exponential families (Theorem 3.2) fail with kResourceExhausted in
-// bounded time instead of exhausting memory. A null budget is unlimited.
-StatusOr<Dfa> Determinize(const Nfa& nfa, Budget* budget,
-                          std::vector<StateSet>* subsets = nullptr);
-
-// Dispatching variant: a non-null `context` selects the schema-guided
-// construction below, a null context the dense path — so call sites can
-// thread an optional context through without branching themselves, and
-// the null-context behavior stays available as a differential oracle.
-StatusOr<Dfa> Determinize(const Nfa& nfa, const Nfa* context, Budget* budget,
+// bounded time instead of exhausting memory; a null budget is unlimited.
+// A non-null `context` selects the schema-guided construction below, a
+// null context the dense path — so call sites can thread an optional
+// context through without branching themselves. If `subsets` is non-null
+// it receives, for each DFA state, the NFA state set it denotes (the
+// empty set is the dead sink, created only when reachable). The dense
+// result is complete by construction.
+StatusOr<Dfa> Determinize(const Nfa& nfa, Budget* budget = nullptr,
+                          const Nfa* context = nullptr,
                           std::vector<StateSet>* subsets = nullptr);
 
 // Construction-time observability of a schema-guided run. The registry

@@ -21,20 +21,17 @@ namespace stap {
 bool DfaIncludedIn(const Dfa& a, const Dfa& b);
 
 // L(nfa) ⊆ L(dfa)? Polynomial: pairs (NFA state, DFA state) search.
-// This is the engine behind the paper's Lemma 3.3.
-bool NfaIncludedInDfa(const Nfa& nfa, const Dfa& dfa);
-
-// Budgeted variant; a null budget is unlimited.
+// This is the engine behind the paper's Lemma 3.3. A null budget is
+// unlimited.
 StatusOr<bool> NfaIncludedInDfa(const Nfa& nfa, const Dfa& dfa,
-                                Budget* budget);
+                                Budget* budget = nullptr);
 
 // L(a) ⊆ L(b)? Antichain frontier search; worst-case exponential in |b|
 // (the PSPACE-hard case of Section 5's NFA content models) but explores
 // only ⊆-minimal b-sets, with early exit on the first counterexample.
-bool NfaIncludedInNfa(const Nfa& a, const Nfa& b);
-
-// Budgeted variant; a null budget is unlimited.
-StatusOr<bool> NfaIncludedInNfa(const Nfa& a, const Nfa& b, Budget* budget);
+// A null budget is unlimited.
+StatusOr<bool> NfaIncludedInNfa(const Nfa& a, const Nfa& b,
+                                Budget* budget = nullptr);
 
 // L(a) == L(b)?
 bool DfaEquivalent(const Dfa& a, const Dfa& b);

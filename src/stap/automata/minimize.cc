@@ -172,21 +172,10 @@ StatusOr<Dfa> Minimize(const Dfa& input, Budget* budget) {
   return CanonicalizeNumbering(trimmed);
 }
 
-Dfa Minimize(const Dfa& input) {
-  StatusOr<Dfa> result = Minimize(input, nullptr);
-  return *std::move(result);
-}
-
-StatusOr<Dfa> MinimizeNfa(const Nfa& nfa, Budget* budget) {
-  return MinimizeNfa(nfa, nullptr, budget);
-}
-
-StatusOr<Dfa> MinimizeNfa(const Nfa& nfa, const Nfa* context, Budget* budget) {
-  StatusOr<Dfa> determinized = Determinize(nfa, context, budget);
+StatusOr<Dfa> MinimizeNfa(const Nfa& nfa, Budget* budget, const Nfa* context) {
+  StatusOr<Dfa> determinized = Determinize(nfa, budget, context);
   if (!determinized.ok()) return determinized.status();
   return Minimize(*determinized, budget);
 }
-
-Dfa MinimizeNfa(const Nfa& nfa) { return Minimize(Determinize(nfa)); }
 
 }  // namespace stap

@@ -67,21 +67,17 @@ StatusOr<Dfa> DfaProduct(const Dfa& a_in, const Dfa& b_in, BoolOp op,
   return product.Trimmed();
 }
 
-Dfa DfaProduct(const Dfa& a, const Dfa& b, BoolOp op) {
-  StatusOr<Dfa> result = DfaProduct(a, b, op, nullptr);
-  return *std::move(result);  // a null budget never exhausts
-}
-
+// A null budget never exhausts, so the products below are always OK.
 Dfa DfaIntersection(const Dfa& a, const Dfa& b) {
-  return DfaProduct(a, b, BoolOp::kAnd);
+  return *DfaProduct(a, b, BoolOp::kAnd);
 }
 
 Dfa DfaUnion(const Dfa& a, const Dfa& b) {
-  return DfaProduct(a, b, BoolOp::kOr);
+  return *DfaProduct(a, b, BoolOp::kOr);
 }
 
 Dfa DfaDifference(const Dfa& a, const Dfa& b) {
-  return DfaProduct(a, b, BoolOp::kDiff);
+  return *DfaProduct(a, b, BoolOp::kDiff);
 }
 
 Dfa DfaComplement(const Dfa& dfa) {

@@ -12,15 +12,12 @@
 namespace stap {
 
 // Product of two DFAs, exploring only reachable pairs. The resulting DFA
-// accepts L(a) op L(b).
+// accepts L(a) op L(b). Every reachable product pair charges the state
+// quota, so quadratic blowups abort with kResourceExhausted. A null budget
+// is unlimited.
 enum class BoolOp { kAnd, kOr, kDiff };
-Dfa DfaProduct(const Dfa& a, const Dfa& b, BoolOp op);
-
-// Budgeted variant: every reachable product pair charges the state quota,
-// so quadratic blowups abort with kResourceExhausted. A null budget is
-// unlimited.
 StatusOr<Dfa> DfaProduct(const Dfa& a, const Dfa& b, BoolOp op,
-                         Budget* budget);
+                         Budget* budget = nullptr);
 
 Dfa DfaIntersection(const Dfa& a, const Dfa& b);
 Dfa DfaUnion(const Dfa& a, const Dfa& b);

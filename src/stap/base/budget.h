@@ -17,9 +17,10 @@
 //
 // Budgets are shared: the parallel sweeps of the approximation pipeline
 // charge one Budget from many ThreadPool workers, so the counters are
-// atomics and exhaustion latches. A null Budget* means "unlimited" at
-// every call site; the pre-budget call signatures keep working unchanged
-// through the null-tolerant static helpers.
+// atomics and exhaustion latches. Every exponential operation has one
+// signature, taking a defaulted `Budget* budget = nullptr`; a null
+// Budget* means "unlimited", which the null-tolerant static helpers below
+// implement.
 #ifndef STAP_BASE_BUDGET_H_
 #define STAP_BASE_BUDGET_H_
 

@@ -18,7 +18,6 @@ namespace stap {
 
 namespace trace_internal {
 std::atomic<TraceSession*> g_active_session{nullptr};
-thread_local RequestCapture* t_active_capture = nullptr;
 }  // namespace trace_internal
 
 namespace {

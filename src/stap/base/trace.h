@@ -241,7 +241,10 @@ class RequestCapture {
 };
 
 namespace trace_internal {
-extern thread_local RequestCapture* t_active_capture;
+// Inline (C++17) with its initializer in the header, so every translation
+// unit accesses it directly rather than through an extern thread_local
+// wrapper, which UBSan builds flagged as a null load.
+inline thread_local RequestCapture* t_active_capture = nullptr;
 }  // namespace trace_internal
 
 // The calling thread's active capture, or null. One plain thread-local

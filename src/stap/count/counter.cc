@@ -36,8 +36,7 @@ bool IntersectsSorted(const StateSet& a, const std::vector<int>& b) {
 }
 
 // Weighted count of words of length <= max_width through `content`, where
-// symbol a carries weight[a] child subtrees (CountValue generalization of
-// schema/count.cc's CountContent).
+// symbol a carries weight[a] child subtrees.
 CountValue CountContentWeighted(const Dfa& content,
                                 const std::vector<CountValue>& weight,
                                 int max_width) {

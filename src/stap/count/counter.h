@@ -7,7 +7,7 @@
 //
 //  * CountXsdByDepth — one-pass top-down validation of a DfaXsd assigns
 //    each node a unique state, so per-state subtree counts compose with
-//    no double counting (a big-int generalization of schema/count.h).
+//    no double counting.
 //  * CountEdtdByDepth — EDTDs are nondeterministic, so per-type counts
 //    would double-count trees assignable to several types. The DP instead
 //    counts per *profile*: the exact set of types assignable to a

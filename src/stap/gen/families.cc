@@ -11,7 +11,7 @@ namespace stap {
 Edtd UnaryEdtdFromRegex(const Regex& regex, const Alphabet& sigma) {
   // The Glushkov automaton is state-labeled: position states become types
   // whose μ is the position's symbol; a unary tree spells a word top-down.
-  Nfa glushkov = GlushkovAutomaton(regex, sigma.size());
+  Nfa glushkov = *GlushkovAutomaton(regex, sigma.size());
 
   Edtd edtd;
   edtd.sigma = sigma;

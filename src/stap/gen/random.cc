@@ -51,7 +51,7 @@ std::pair<Dfa, RegexPtr> RandomRepeatContent(std::mt19937* rng,
     alternatives.push_back(std::move(regex));
     regex = Regex::Union(std::move(alternatives));
   }
-  Dfa dfa = Minimize(RegexToDfa(*regex, num_symbols));
+  Dfa dfa = *RegexToDfa(*regex, num_symbols);
   return {std::move(dfa), std::move(regex)};
 }
 
@@ -318,7 +318,7 @@ Edtd RandomEdtd(std::mt19937* rng, const RandomSchemaParams& params) {
         words.push_back(std::move(word));
       }
       edtd.content.push_back(
-          Minimize(Dfa::FromWords(words, params.num_types)));
+          *Minimize(Dfa::FromWords(words, params.num_types)));
     }
     int num_starts = 1 + Pick(rng, 2);
     for (int s = 0; s < num_starts; ++s) {
@@ -365,7 +365,7 @@ Edtd RandomFiniteEdtd(std::mt19937* rng, const RandomSchemaParams& params) {
           words.push_back(std::move(word));
         }
       }
-      edtd.content.push_back(Minimize(Dfa::FromWords(words, n)));
+      edtd.content.push_back(*Minimize(Dfa::FromWords(words, n)));
     }
     int num_starts = 1 + Pick(rng, 2);
     for (int s = 0; s < num_starts; ++s) {
@@ -449,7 +449,7 @@ Edtd RandomNonRecursiveStEdtd(std::mt19937* rng,
           words.push_back(std::move(word));
         }
       }
-      Dfa content = Minimize(Dfa::FromWords(words, num_symbols));
+      Dfa content = *Minimize(Dfa::FromWords(words, num_symbols));
       if (!finite_language && !allowed.empty() && Chance(rng, 30)) {
         // Allow unbounded repetition of one child label while keeping the
         // DAG type structure (depth stays bounded, width does not).
@@ -458,7 +458,7 @@ Edtd RandomNonRecursiveStEdtd(std::mt19937* rng,
         star.AddInitial(0);
         star.SetFinal(0);
         star.AddTransition(0, a, 0);
-        content = MinimizeNfa(NfaUnion(content.ToNfa(), star));
+        content = *MinimizeNfa(NfaUnion(content.ToNfa(), star));
       }
       xsd.content[q] = content;
     }
@@ -550,7 +550,7 @@ Edtd RandomStEdtd(std::mt19937* rng, const RandomSchemaParams& params) {
           words.push_back(std::move(word));
         }
       }
-      xsd.content[q] = Minimize(Dfa::FromWords(words, num_symbols));
+      xsd.content[q] = *Minimize(Dfa::FromWords(words, num_symbols));
     }
     xsd.CheckWellFormed();
     Edtd reduced = ReduceEdtd(StEdtdFromDfaXsd(xsd));

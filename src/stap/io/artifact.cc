@@ -720,11 +720,6 @@ bool LooksLikeXml(std::string_view text) {
 }
 
 StatusOr<CompiledSchema> CompileSchema(std::string_view schema_text,
-                                       CompileCache* cache) {
-  return CompileSchema(schema_text, cache, nullptr);
-}
-
-StatusOr<CompiledSchema> CompileSchema(std::string_view schema_text,
                                        CompileCache* cache, Budget* budget) {
   // Route by sniffing: XML documents go through the XSD frontend, which
   // has its own content-model memoization story (none yet — counted

@@ -110,13 +110,11 @@ bool LooksLikeXml(std::string_view text);
 // Parses a schema source — the textual format, or a W3C XSD document
 // (auto-detected via LooksLikeXml) — and compiles it into a
 // CompiledSchema, memoizing textual content-model compilation through
-// `cache` (null = no cache). The budgeted overload charges content-model
-// compilation (counted-repetition expansion, determinize, minimize)
-// against `budget`.
+// `cache` (null = no cache). Content-model compilation (counted-repetition
+// expansion, determinize, minimize) charges `budget` (null = unlimited).
 StatusOr<CompiledSchema> CompileSchema(std::string_view schema_text,
-                                       CompileCache* cache);
-StatusOr<CompiledSchema> CompileSchema(std::string_view schema_text,
-                                       CompileCache* cache, Budget* budget);
+                                       CompileCache* cache,
+                                       Budget* budget = nullptr);
 
 }  // namespace stap
 

@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "stap/automata/determinize.h"
 #include "stap/automata/minimize.h"
 #include "stap/base/check.h"
 
@@ -202,20 +201,8 @@ StatusOr<bool> Decide(const Dfa& input, int depth, Budget* budget) {
 
 }  // namespace
 
-bool IsOneUnambiguousLanguage(const Dfa& dfa) {
-  StatusOr<bool> result = Decide(dfa, 0, nullptr);
-  return *std::move(result);  // a null budget never exhausts
-}
-
 StatusOr<bool> IsOneUnambiguousLanguage(const Dfa& dfa, Budget* budget) {
   return Decide(dfa, 0, budget);
-}
-
-StatusOr<bool> IsOneUnambiguousLanguage(const Nfa& nfa, const Nfa* context,
-                                        Budget* budget) {
-  StatusOr<Dfa> dfa = Determinize(nfa, context, budget);
-  if (!dfa.ok()) return dfa.status();
-  return Decide(*dfa, 0, budget);
 }
 
 }  // namespace stap

@@ -15,27 +15,17 @@
 #define STAP_REGEX_BKW_H_
 
 #include "stap/automata/dfa.h"
-#include "stap/automata/nfa.h"
 #include "stap/base/budget.h"
 #include "stap/base/status.h"
 
 namespace stap {
 
 // True if L(dfa) is definable by some deterministic (one-unambiguous)
-// regular expression.
-bool IsOneUnambiguousLanguage(const Dfa& dfa);
-
-// Budgeted variant: every recursive orbit minimization charges the
+// regular expression. Every recursive orbit minimization charges the
 // budget (the recursion multiplies minimal-DFA sizes, so the state quota
-// is the effective bound). A null budget is unlimited.
-StatusOr<bool> IsOneUnambiguousLanguage(const Dfa& dfa, Budget* budget);
-
-// NFA entry point: determinizes first — schema-guided under `context`
-// when non-null (automata/determinize.h), dense otherwise. With a
-// context the verdict concerns the restricted language L(nfa) modulo
-// context-dead prefixes; with an exact-mode context (language containing
-// L(nfa)) it equals the dense verdict.
-StatusOr<bool> IsOneUnambiguousLanguage(const Nfa& nfa, const Nfa* context,
+// is the effective bound). A null budget is unlimited. For an NFA,
+// determinize first (automata/determinize.h), schema-guided if wanted.
+StatusOr<bool> IsOneUnambiguousLanguage(const Dfa& dfa,
                                         Budget* budget = nullptr);
 
 }  // namespace stap

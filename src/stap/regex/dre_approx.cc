@@ -159,7 +159,7 @@ RegexPtr ApproximateDre(const Dfa& input) {
 StatusOr<RegexPtr> ApproximateDreUnderSchema(const Nfa& nfa,
                                              const Nfa* context,
                                              Budget* budget) {
-  StatusOr<Dfa> dfa = Determinize(nfa, context, budget);
+  StatusOr<Dfa> dfa = Determinize(nfa, budget, context);
   if (!dfa.ok()) return dfa.status();
   // The chain heuristic trims first, which also drops the schema path's
   // dead sink.
@@ -168,7 +168,7 @@ StatusOr<RegexPtr> ApproximateDreUnderSchema(const Nfa& nfa,
 
 bool ApproximateDreIsExact(const Dfa& dfa) {
   RegexPtr approx = ApproximateDre(dfa);
-  return DfaEquivalent(RegexToDfa(*approx, dfa.num_symbols()), dfa);
+  return DfaEquivalent(*RegexToDfa(*approx, dfa.num_symbols()), dfa);
 }
 
 }  // namespace stap

@@ -180,14 +180,8 @@ StatusOr<Nfa> GlushkovAutomaton(const Regex& regex, int num_symbols,
   return nfa;
 }
 
-Nfa GlushkovAutomaton(const Regex& regex, int num_symbols) {
-  StatusOr<Nfa> nfa = GlushkovAutomaton(regex, num_symbols, nullptr);
-  STAP_CHECK(nfa.ok());
-  return *std::move(nfa);
-}
-
 bool IsOneUnambiguous(const Regex& regex, int num_symbols) {
-  Nfa glushkov = GlushkovAutomaton(regex, num_symbols);
+  Nfa glushkov = *GlushkovAutomaton(regex, num_symbols);
   for (int q = 0; q < glushkov.num_states(); ++q) {
     for (int a = 0; a < num_symbols; ++a) {
       if (glushkov.Next(q, a).size() > 1) return false;
@@ -202,12 +196,6 @@ StatusOr<Dfa> RegexToDfa(const Regex& regex, int num_symbols, Budget* budget) {
   StatusOr<Dfa> dfa = Determinize(*glushkov, budget);
   if (!dfa.ok()) return dfa;
   return Minimize(*dfa, budget);
-}
-
-Dfa RegexToDfa(const Regex& regex, int num_symbols) {
-  StatusOr<Dfa> dfa = RegexToDfa(regex, num_symbols, nullptr);
-  STAP_CHECK(dfa.ok());
-  return *std::move(dfa);
 }
 
 }  // namespace stap

@@ -10,7 +10,7 @@
 // Counted repetition r{n,m} is lowered here by bounded expansion
 // (r^n·(r?)^{m-n}, and r^{n-1}·r+ for r{n,}): each copy mints fresh
 // positions, so the position count — and the Glushkov automaton — grows
-// linearly in the bounds. The budgeted entry points charge every position
+// linearly in the bounds. The entry points charge every position
 // against the state quota and every follow edge against the set quota, so
 // adversarial bounds like a{1,1000000} fail with kResourceExhausted
 // instead of exhausting memory. Downstream analyses (BKW, dre_approx)
@@ -31,11 +31,7 @@ namespace stap {
 // Counted repetition is expanded; positions charge `budget`'s state quota
 // and follow edges its set quota (nullptr = unlimited).
 StatusOr<Nfa> GlushkovAutomaton(const Regex& regex, int num_symbols,
-                                Budget* budget);
-
-// Unbudgeted convenience; dies on expressions whose expansion would need a
-// budget to be safe (use the budgeted overload for untrusted input).
-Nfa GlushkovAutomaton(const Regex& regex, int num_symbols);
+                                Budget* budget = nullptr);
 
 // True if the Glushkov automaton of `regex` is deterministic, i.e. the
 // expression is one-unambiguous / satisfies UPA. Counted repetition is
@@ -43,10 +39,10 @@ Nfa GlushkovAutomaton(const Regex& regex, int num_symbols);
 // reading.
 bool IsOneUnambiguous(const Regex& regex, int num_symbols);
 
-// Compiles to the canonical minimal DFA. The budgeted overload threads
-// `budget` through expansion, determinization, and minimization.
-StatusOr<Dfa> RegexToDfa(const Regex& regex, int num_symbols, Budget* budget);
-Dfa RegexToDfa(const Regex& regex, int num_symbols);
+// Compiles to the canonical minimal DFA, threading `budget` through
+// expansion, determinization, and minimization.
+StatusOr<Dfa> RegexToDfa(const Regex& regex, int num_symbols,
+                         Budget* budget = nullptr);
 
 }  // namespace stap
 

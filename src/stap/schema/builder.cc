@@ -30,7 +30,7 @@ Edtd SchemaBuilder::Build() const {
     StatusOr<RegexPtr> regex =
         ParseRegex(source, &resolver, /*intern_new_symbols=*/false);
     STAP_CHECK_OK(regex.status());
-    edtd.content.push_back(RegexToDfa(**regex, types_.size()));
+    edtd.content.push_back(*RegexToDfa(**regex, types_.size()));
     edtd.content_source.push_back(*regex);
   }
   for (const std::string& name : start_names_) {

@@ -65,7 +65,7 @@ class DtdParser {
       if (any_content[i]) {
         dtd.content[symbol] = Dfa::AllWords(alphabet_.size());
       } else {
-        dtd.content[symbol] = RegexToDfa(*regex, alphabet_.size());
+        dtd.content[symbol] = *RegexToDfa(*regex, alphabet_.size());
       }
     }
     for (int a = 0; a < alphabet_.size(); ++a) {

@@ -104,6 +104,11 @@ StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& input, Budget* budget) {
   DfaXsd xsd = DropUselessTransitions(DfaXsdFromStEdtd(reduced));
   const int n = xsd.automaton.num_states();
   const int num_symbols = xsd.sigma.size();
+  // Charge what step 1 materialized: the reduced automaton and its
+  // canonical content DFAs. The refinement below never adds states.
+  int64_t states_built = n;
+  for (const Dfa& content : xsd.content) states_built += content.num_states();
+  STAP_RETURN_IF_ERROR(Budget::ChargeStates(budget, states_built));
 
   // Step 2: initial partition by (label, content language). Content DFAs
   // are canonical minimal automata here, so structural equality decides
@@ -205,7 +210,7 @@ StatusOr<DfaXsd> MinimizeXsdUnderContext(const DfaXsd& input,
   for (int q = 0; q < xsd.automaton.num_states(); ++q) {
     if (q == init) continue;
     StatusOr<Dfa> content =
-        MinimizeNfa(xsd.content[q].ToNfa(), &sibling_context, budget);
+        MinimizeNfa(xsd.content[q].ToNfa(), budget, &sibling_context);
     if (!content.ok()) return content.status();
     xsd.content[q] = *std::move(content);
   }

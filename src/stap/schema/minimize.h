@@ -18,12 +18,14 @@ namespace stap {
 // Returns the canonical minimal DfaXsd for L(xsd): reduced, merged,
 // content DFAs minimized, states in BFS order. Structural equality of two
 // minimized XSDs (XsdStructurallyEqual) decides language equivalence.
-DfaXsd MinimizeXsd(const DfaXsd& xsd);
-
-// Budgeted variant: the content canonicalizations charge the state quota
-// and every refinement round checks the wall-clock deadline. A null
-// budget is unlimited.
+// The reduced automaton and its canonical content DFAs charge the state
+// quota, and every refinement round checks the wall-clock deadline.
+// `budget` has no default so the call stays distinct from the unbudgeted
+// form below; a null budget is unlimited.
 StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& xsd, Budget* budget);
+
+// Unbudgeted form, kept for the pinned perfbench/src/approx_corpus.cc.
+DfaXsd MinimizeXsd(const DfaXsd& xsd);
 
 // Minimizes `xsd` relative to an ambient sibling-word constraint: every
 // content DFA is re-canonicalized schema-guided under `sibling_context`

@@ -125,7 +125,7 @@ Edtd EdtdNfa::Determinized() const {
   result.mu = mu;
   result.start_types = start_types;
   result.content.reserve(content.size());
-  for (const Nfa& nfa : content) result.content.push_back(MinimizeNfa(nfa));
+  for (const Nfa& nfa : content) result.content.push_back(*MinimizeNfa(nfa));
   result.CheckWellFormed();
   return result;
 }
@@ -143,7 +143,7 @@ StatusOr<EdtdNfa> ParseSchemaNfa(std::string_view text) {
         ParseRegex(source, &edtd.types, /*intern_new_symbols=*/false);
     if (!regex.ok()) return regex.status();
     edtd.content.push_back(
-        GlushkovAutomaton(**regex, edtd.types.size()).Trimmed());
+        GlushkovAutomaton(**regex, edtd.types.size())->Trimmed());
   }
   return edtd;
 }
@@ -189,7 +189,7 @@ bool IncludedInSingleTypeNfa(const EdtdNfa& d1, const EdtdNfa& d2) {
       // construction (the PSPACE-flavored step of Lemma 5.1).
       Nfa image1 = TypeImage(d1.content[s1 - 1], d1.mu, num_symbols);
       Nfa image2 = TypeImage(d2.content[s2 - 1], d2.mu, num_symbols);
-      if (!NfaIncludedInNfa(image1, image2)) return false;
+      if (!*NfaIncludedInNfa(image1, image2)) return false;
     }
     for (int a = 0; a < num_symbols; ++a) {
       const StateSet& next1 = a1.Next(s1, a);

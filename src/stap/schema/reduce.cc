@@ -114,7 +114,7 @@ Edtd ReduceEdtd(const Edtd& input) {
     if (remap[tau] == kNoSymbol) continue;
     result.mu[remap[tau]] = input.mu[tau];
     result.content[remap[tau]] =
-        Minimize(RemapSymbols(restricted[tau], remap, new_n));
+        *Minimize(RemapSymbols(restricted[tau], remap, new_n));
     if (!input.content_source.empty() &&
         input.content_source[tau] != nullptr) {
       // A source mentioning a dropped (unproductive/unreachable) type

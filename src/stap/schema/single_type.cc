@@ -100,7 +100,7 @@ DfaXsd DfaXsdFromStEdtd(const Edtd& edtd) {
     // is cheap and also canonicalizes.
     Nfa image = HomomorphicImage(edtd.content[tau].Trimmed(), edtd.mu,
                                  edtd.num_symbols());
-    xsd.content[TypeAutomaton::StateOfType(tau)] = MinimizeNfa(image);
+    xsd.content[TypeAutomaton::StateOfType(tau)] = *MinimizeNfa(image);
   }
   if (!edtd.content_source.empty()) {
     // Substituting μ into the source regex is exactly the homomorphic
@@ -158,7 +158,7 @@ Edtd StEdtdFromDfaXsd(const DfaXsd& xsd) {
         type_to_symbol[tau] = a;
       }
     }
-    edtd.content.push_back(Minimize(
+    edtd.content.push_back(*Minimize(
         InverseHomomorphism(xsd.content[q], type_to_symbol, num_types)));
     if (!xsd.content_source.empty()) {
       // δ(q, ·) is deterministic, so each symbol lifts to at most one

@@ -68,14 +68,6 @@ StatusOr<SchemaDeclarations> ParseSchemaDeclarations(std::string_view input) {
   return decls;
 }
 
-StatusOr<Edtd> ParseSchema(std::string_view input) {
-  return ParseSchema(input, nullptr);
-}
-
-StatusOr<Edtd> ParseSchema(std::string_view input, CompileCache* cache) {
-  return ParseSchema(input, cache, nullptr);
-}
-
 StatusOr<Edtd> ParseSchema(std::string_view input, CompileCache* cache,
                            Budget* budget) {
   StatusOr<SchemaDeclarations> decls = ParseSchemaDeclarations(input);

@@ -29,21 +29,20 @@ class CompileCache;
 // Parses the textual format into an EDTD (not automatically reduced).
 // The parsed content regexes are retained in Edtd::content_source, so
 // counted repetition (r{n,m}) survives later export.
-StatusOr<Edtd> ParseSchema(std::string_view input);
-
-// As above, but memoizes content-model compilation (Glushkov →
-// determinize → minimize) through `cache`, so repeated loads of the same
-// schema — or of schemas sharing content models — compile each distinct
-// model once per process. A null cache compiles directly. Thread-safe
-// for concurrent calls sharing one cache.
-StatusOr<Edtd> ParseSchema(std::string_view input, CompileCache* cache);
-
-// As above with a compilation budget: content-model expansion (counted
-// repetition), determinization, and minimization charge `budget` and fail
-// with kResourceExhausted when it trips. A non-null budget bypasses the
-// cache so one caller's quota never decides another's entry.
-StatusOr<Edtd> ParseSchema(std::string_view input, CompileCache* cache,
-                           Budget* budget);
+//
+// A non-null `cache` memoizes content-model compilation (Glushkov →
+// determinize → minimize), so repeated loads of the same schema — or of
+// schemas sharing content models — compile each distinct model once per
+// process. A null cache compiles directly. Thread-safe for concurrent
+// calls sharing one cache.
+//
+// Content-model expansion (counted repetition), determinization, and
+// minimization charge `budget` and fail with kResourceExhausted when it
+// trips; a null budget is unlimited. A non-null budget bypasses the cache
+// so one caller's quota never decides another's entry.
+StatusOr<Edtd> ParseSchema(std::string_view input,
+                           CompileCache* cache = nullptr,
+                           Budget* budget = nullptr);
 
 // The raw declarations of a schema file, before content compilation —
 // shared by the DFA-content (ParseSchema) and NFA-content

@@ -461,7 +461,7 @@ std::string ExportXsd(const DfaXsd& xsd, const XsdExportOptions& options) {
     complex_type.name = "xs:complexType";
     complex_type.attributes.push_back({"name", TypeNameOfState(xsd, q)});
     RegexPtr regex;
-    if (!IsOneUnambiguousLanguage(xsd.content[q])) {
+    if (!*IsOneUnambiguousLanguage(xsd.content[q])) {
       // Section 5: no best deterministic expression may exist; the model
       // violates UPA. Either approximate it away (upper approximation of
       // the content language) or flag it for downstream tooling.
@@ -489,10 +489,6 @@ std::string ExportXsd(const DfaXsd& xsd, const XsdExportOptions& options) {
 
 StatusOr<Edtd> ImportXsd(std::string_view xml, Budget* budget) {
   return Importer(budget).Run(xml);
-}
-
-StatusOr<Edtd> ImportXsd(std::string_view xml) {
-  return ImportXsd(xml, nullptr);
 }
 
 }  // namespace stap

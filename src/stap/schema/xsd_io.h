@@ -69,8 +69,7 @@ std::string ExportXsd(const DfaXsd& xsd, const XsdExportOptions& options = {});
 // provenance for each type. Content-model compilation (counted-repetition
 // expansion, determinize, minimize) charges `budget` when non-null and
 // fails with kResourceExhausted when a quota trips.
-StatusOr<Edtd> ImportXsd(std::string_view xml, Budget* budget);
-StatusOr<Edtd> ImportXsd(std::string_view xml);
+StatusOr<Edtd> ImportXsd(std::string_view xml, Budget* budget = nullptr);
 
 }  // namespace stap
 

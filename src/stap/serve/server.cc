@@ -571,13 +571,14 @@ ServeResponse Server::HandleRequest(const ServeRequest& request,
       }
       StatusOr<DfaXsd> xsd =
           MinimalUpperApproximation((*schema)->edtd, budget.get());
+      if (xsd.ok()) xsd = MinimizeXsd(*xsd, budget.get());
       if (!xsd.ok()) {
         response.code = CodeForStatus(xsd.status());
         response.body = xsd.status().message();
         break;
       }
       response.code = ResponseCode::kOk;
-      response.body = SchemaToText(StEdtdFromDfaXsd(MinimizeXsd(*xsd)));
+      response.body = SchemaToText(StEdtdFromDfaXsd(*xsd));
       break;
     }
   }

@@ -181,9 +181,4 @@ StatusOr<DetBta> DeterminizeBta(const Bta& bta, Budget* budget) {
   return det;
 }
 
-DetBta DeterminizeBta(const Bta& bta) {
-  StatusOr<DetBta> result = DeterminizeBta(bta, nullptr);
-  return *std::move(result);  // a null budget never exhausts
-}
-
 }  // namespace stap

@@ -79,7 +79,6 @@ class DetBta {
   bool Accepts(const Tree& tree) const;
 
  private:
-  friend DetBta DeterminizeBta(const Bta& bta);
   friend StatusOr<DetBta> DeterminizeBta(const Bta& bta, Budget* budget);
 
   int num_symbols_ = 0;
@@ -91,14 +90,11 @@ class DetBta {
 };
 
 // Bottom-up subset construction over the reachable subsets (exponential in
-// the worst case — the paper's Section 4.4 cost).
-DetBta DeterminizeBta(const Bta& bta);
-
-// Budgeted variant: every interned subset charges the state quota and
-// every materialized internal transition the set quota, so adversarial
-// inputs abort with kResourceExhausted instead of exhausting memory.
-// A null budget is unlimited.
-StatusOr<DetBta> DeterminizeBta(const Bta& bta, Budget* budget);
+// the worst case — the paper's Section 4.4 cost). Every interned subset
+// charges the state quota and every materialized internal transition the
+// set quota, so adversarial inputs abort with kResourceExhausted instead
+// of exhausting memory. A null budget is unlimited.
+StatusOr<DetBta> DeterminizeBta(const Bta& bta, Budget* budget = nullptr);
 
 }  // namespace stap
 

@@ -74,7 +74,7 @@ std::optional<Tree> EdtdInclusionCounterexample(const Edtd& d1,
                                                 const Edtd& d2) {
   STAP_CHECK(d1.sigma == d2.sigma);
   Bta bta1 = BtaFromEdtd(d1);
-  DetBta det2 = DeterminizeBta(BtaFromEdtd(d2));
+  DetBta det2 = *DeterminizeBta(BtaFromEdtd(d2));
   std::optional<Tree> binary =
       ProductCounterexample(bta1, det2, d1.num_symbols() + 1);
   if (!binary.has_value()) return std::nullopt;

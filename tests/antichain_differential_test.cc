@@ -31,7 +31,7 @@ namespace {
 // Oracle for universality: determinize, complete, and BFS for the
 // shortest word reaching a non-final state.
 std::optional<Word> SubsetUniversalityCounterexample(const Nfa& nfa) {
-  Dfa dfa = Determinize(nfa).Completed();
+  Dfa dfa = Determinize(nfa)->Completed();
   const int num_symbols = dfa.num_symbols();
   std::vector<int> parent(dfa.num_states(), -2);
   std::vector<int> via(dfa.num_states(), kNoSymbol);
@@ -75,14 +75,14 @@ TEST_P(AntichainDifferentialTest, InclusionAgreesWithSubsetOracle) {
     Nfa b = RandomNfa(&rng, 2 + round % 10, sym, 1 + round % 3);
 
     // Verdict agreement with the pair-subset oracle.
-    bool included = AntichainIncluded(a, b);
+    bool included = *AntichainIncluded(a, b);
     EXPECT_EQ(included, NfaIncludedInNfaViaSubsets(a, b));
 
     // Witness agreement with the determinize-based BFS oracle: same
     // existence, same shortest length, and a semantically valid word.
-    std::optional<Word> witness = AntichainInclusionCounterexample(a, b);
+    std::optional<Word> witness = *AntichainInclusionCounterexample(a, b);
     std::optional<Word> oracle =
-        NfaDfaInclusionCounterexampleViaSubsets(a, Determinize(b));
+        NfaDfaInclusionCounterexampleViaSubsets(a, *Determinize(b));
     ASSERT_EQ(witness.has_value(), oracle.has_value());
     EXPECT_EQ(included, !witness.has_value());
     if (witness.has_value()) {
@@ -103,7 +103,7 @@ TEST_P(AntichainDifferentialTest, UniversalityAgreesWithSubsetOracle) {
     // so both branches of the verdict are exercised.
     Nfa nfa = RandomNfa(&rng, 2 + round % 8, sym, 2 + round % 3);
 
-    std::optional<Word> witness = AntichainUniversalityCounterexample(nfa);
+    std::optional<Word> witness = *AntichainUniversalityCounterexample(nfa);
     std::optional<Word> oracle = SubsetUniversalityCounterexample(nfa);
     ASSERT_EQ(witness.has_value(), oracle.has_value());
     EXPECT_EQ(AntichainUniversal(nfa), !witness.has_value());
@@ -126,7 +126,7 @@ TEST_P(AntichainDifferentialTest, EquivalenceAgreesWithSubsetOracle) {
     Nfa b = (round % 3 == 0) ? a : RandomNfa(&rng, 2 + round % 8, sym);
     bool oracle = NfaIncludedInNfaViaSubsets(a, b) &&
                   NfaIncludedInNfaViaSubsets(b, a);
-    EXPECT_EQ(AntichainEquivalent(a, b), oracle);
+    EXPECT_EQ(*AntichainEquivalent(a, b), oracle);
   }
 }
 
@@ -138,14 +138,14 @@ TEST(AntichainEdgeCases, EmptyAndEpsilonLanguages) {
   eps.AddInitial(0);
   eps.SetFinal(0);  // accepts exactly the empty word
 
-  EXPECT_TRUE(AntichainIncluded(empty, eps));
-  EXPECT_FALSE(AntichainIncluded(eps, empty));
-  std::optional<Word> w = AntichainInclusionCounterexample(eps, empty);
+  EXPECT_TRUE(*AntichainIncluded(empty, eps));
+  EXPECT_FALSE(*AntichainIncluded(eps, empty));
+  std::optional<Word> w = *AntichainInclusionCounterexample(eps, empty);
   ASSERT_TRUE(w.has_value());
   EXPECT_TRUE(w->empty());  // the empty word is the shortest witness
   EXPECT_FALSE(AntichainUniversal(eps));
-  EXPECT_TRUE(AntichainEquivalent(empty, empty));
-  EXPECT_FALSE(AntichainEquivalent(empty, eps));
+  EXPECT_TRUE(*AntichainEquivalent(empty, empty));
+  EXPECT_FALSE(*AntichainEquivalent(empty, eps));
 }
 
 TEST(AntichainEdgeCases, UniversalSigmaStar) {
@@ -154,10 +154,10 @@ TEST(AntichainEdgeCases, UniversalSigmaStar) {
   all.SetFinal(0);
   for (int a = 0; a < 3; ++a) all.AddTransition(0, a, 0);
   EXPECT_TRUE(AntichainUniversal(all));
-  EXPECT_FALSE(AntichainUniversalityCounterexample(all).has_value());
+  EXPECT_FALSE(AntichainUniversalityCounterexample(all)->has_value());
   Nfa empty(1, 3);
   empty.AddInitial(0);
-  EXPECT_TRUE(AntichainIncluded(empty, all));
+  EXPECT_TRUE(*AntichainIncluded(empty, all));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AntichainDifferentialTest,

@@ -73,8 +73,8 @@ void ExpectXsdEqual(const DfaXsd& a, const DfaXsd& b) {
 
 // Language equivalence via the antichain engine, both directions.
 void ExpectSameLanguage(const Nfa& a, const Nfa& b) {
-  EXPECT_TRUE(NfaIncludedInNfa(a, b));
-  EXPECT_TRUE(NfaIncludedInNfa(b, a));
+  EXPECT_TRUE(*NfaIncludedInNfa(a, b));
+  EXPECT_TRUE(*NfaIncludedInNfa(b, a));
 }
 
 // --- random NFAs ------------------------------------------------------
@@ -103,7 +103,7 @@ TEST(ArtifactRoundTrip, RandomMinimizedDfas) {
     const int num_states = 1 + static_cast<int>(rng() % 10);
     const int num_symbols = 1 + static_cast<int>(rng() % 4);
     Nfa nfa = RandomNfa(&rng, num_states, num_symbols);
-    Dfa dfa = Minimize(Determinize(nfa));
+    Dfa dfa = *Minimize(*Determinize(nfa));
 
     StatusOr<Dfa> back = DeserializeDfa(SerializeDfa(dfa));
     ASSERT_TRUE(back.ok()) << back.status().message() << " (instance " << i
@@ -119,7 +119,7 @@ TEST(ArtifactRoundTrip, PartialDfas) {
   for (int i = 0; i < 40; ++i) {
     std::mt19937 rng(MixSeed(2500 + i));
     Nfa nfa = RandomNfa(&rng, 8, 3, 1);  // sparse: runs die often
-    Dfa dfa = Determinize(nfa).Trimmed();
+    Dfa dfa = Determinize(nfa)->Trimmed();
 
     StatusOr<Dfa> back = DeserializeDfa(SerializeDfa(dfa));
     ASSERT_TRUE(back.ok()) << back.status().message();
@@ -145,7 +145,7 @@ TEST(ArtifactRoundTrip, RegexDerivedContentModels) {
     alphabet.Intern("d");
     StatusOr<RegexPtr> regex = ParseRegex(source, &alphabet, false);
     ASSERT_TRUE(regex.ok()) << source;
-    Dfa dfa = RegexToDfa(**regex, alphabet.size());
+    Dfa dfa = *RegexToDfa(**regex, alphabet.size());
 
     StatusOr<Dfa> back = DeserializeDfa(SerializeDfa(dfa));
     ASSERT_TRUE(back.ok()) << source << ": " << back.status().message();

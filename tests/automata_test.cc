@@ -137,7 +137,7 @@ TEST(NfaTest, IsEmptyDetectsUnreachableFinal) {
 
 TEST(DeterminizeTest, MatchesNfaOnAllShortWords) {
   Nfa nfa = NthFromEndIsOne(3);
-  Dfa dfa = Determinize(nfa);
+  Dfa dfa = *Determinize(nfa);
   for (int len = 0; len <= 6; ++len) {
     for (int bits = 0; bits < (1 << len); ++bits) {
       Word word;
@@ -151,7 +151,7 @@ TEST(DeterminizeTest, SubsetBlowupIsExponential) {
   // The classical (a+b)*a(a+b)^(n-1) family needs 2^n deterministic
   // states.
   for (int n = 2; n <= 6; ++n) {
-    Dfa dfa = Minimize(Determinize(NthFromEndIsOne(n)));
+    Dfa dfa = *Minimize(*Determinize(NthFromEndIsOne(n)));
     EXPECT_EQ(dfa.num_states(), 1 << n) << "n=" << n;
   }
 }
@@ -170,14 +170,14 @@ TEST(MinimizeTest, CanonicalFormsAgree) {
   b.SetTransition(3, 1, 1);
   b.SetFinal(1);
   b.SetFinal(3);
-  EXPECT_EQ(Minimize(a), Minimize(b));
-  EXPECT_EQ(Minimize(a).num_states(), 2);
+  EXPECT_EQ(*Minimize(a), *Minimize(b));
+  EXPECT_EQ(Minimize(a)->num_states(), 2);
 }
 
 TEST(MinimizeTest, EmptyLanguageIsCanonical) {
   Dfa dead(3, 2);
   dead.SetTransition(0, 0, 1);
-  EXPECT_EQ(Minimize(dead), Dfa::EmptyLanguage(2));
+  EXPECT_EQ(*Minimize(dead), Dfa::EmptyLanguage(2));
 }
 
 TEST(OpsTest, ProductImplementsBooleanOps) {
@@ -240,7 +240,7 @@ TEST(InclusionTest, DfaInclusionAndEquivalence) {
   Dfa all = Dfa::AllWords(2);
   EXPECT_TRUE(DfaIncludedIn(ends1, all));
   EXPECT_FALSE(DfaIncludedIn(all, ends1));
-  EXPECT_TRUE(DfaEquivalent(ends1, Minimize(ends1)));
+  EXPECT_TRUE(DfaEquivalent(ends1, *Minimize(ends1)));
 
   std::optional<Word> witness = DfaInclusionCounterexample(all, ends1);
   ASSERT_TRUE(witness.has_value());
@@ -250,9 +250,9 @@ TEST(InclusionTest, DfaInclusionAndEquivalence) {
 
 TEST(InclusionTest, NfaIncludedInDfa) {
   Nfa nfa = NthFromEndIsOne(2);
-  Dfa superset = Determinize(NthFromEndIsOne(2));
-  EXPECT_TRUE(NfaIncludedInDfa(nfa, superset));
-  EXPECT_FALSE(NfaIncludedInDfa(nfa, EndsInOne()));
+  Dfa superset = *Determinize(NthFromEndIsOne(2));
+  EXPECT_TRUE(*NfaIncludedInDfa(nfa, superset));
+  EXPECT_FALSE(*NfaIncludedInDfa(nfa, EndsInOne()));
   std::optional<Word> witness =
       NfaDfaInclusionCounterexample(nfa, EndsInOne());
   ASSERT_TRUE(witness.has_value());
@@ -302,7 +302,7 @@ TEST_P(DfaAlgebraTest, DeMorganAndDoubleComplement) {
   EXPECT_TRUE(DfaEquivalent(DfaDifference(a, b),
                             DfaIntersection(a, DfaComplement(b))));
   // Minimization preserves the language.
-  EXPECT_TRUE(DfaEquivalent(Minimize(a), a));
+  EXPECT_TRUE(DfaEquivalent(*Minimize(a), a));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DfaAlgebraTest, ::testing::Range(0, 25));

@@ -102,8 +102,8 @@ type B    : b -> ~
   EXPECT_TRUE(IncludedInSingleTypeNfa(*small2, *big_nfa));
   EXPECT_FALSE(IncludedInSingleTypeNfa(*big_nfa, *small2));
   // Cross-check through the DFA pipeline.
-  EXPECT_TRUE(IncludedInSingleType(ReduceEdtd(small2->Determinized()),
-                                   big_nfa->Determinized()));
+  EXPECT_TRUE(*IncludedInSingleType(ReduceEdtd(small2->Determinized()),
+                                    big_nfa->Determinized()));
 }
 
 TEST(NfaInclusionTest, NfaIncludedInNfaBasics) {
@@ -111,12 +111,12 @@ TEST(NfaInclusionTest, NfaIncludedInNfaBasics) {
   auto compile = [&](const char* text) {
     StatusOr<RegexPtr> regex = ParseRegex(text, &alphabet, false);
     EXPECT_TRUE(regex.ok());
-    return GlushkovAutomaton(**regex, alphabet.size());
+    return *GlushkovAutomaton(**regex, alphabet.size());
   };
-  EXPECT_TRUE(NfaIncludedInNfa(compile("a b"), compile("(a | b)*")));
-  EXPECT_TRUE(NfaIncludedInNfa(compile("(a b)+"), compile("a (b a)* b")));
-  EXPECT_FALSE(NfaIncludedInNfa(compile("a*"), compile("a a*")));
-  EXPECT_TRUE(NfaIncludedInNfa(compile("~"), compile("a")));
+  EXPECT_TRUE(*NfaIncludedInNfa(compile("a b"), compile("(a | b)*")));
+  EXPECT_TRUE(*NfaIncludedInNfa(compile("(a b)+"), compile("a (b a)* b")));
+  EXPECT_FALSE(*NfaIncludedInNfa(compile("a*"), compile("a a*")));
+  EXPECT_TRUE(*NfaIncludedInNfa(compile("~"), compile("a")));
 }
 
 TEST(BkwTest, KnownOneUnambiguousLanguages) {
@@ -124,15 +124,15 @@ TEST(BkwTest, KnownOneUnambiguousLanguages) {
   auto language = [&](const char* text) {
     StatusOr<RegexPtr> regex = ParseRegex(text, &alphabet, false);
     EXPECT_TRUE(regex.ok());
-    return RegexToDfa(**regex, alphabet.size());
+    return *RegexToDfa(**regex, alphabet.size());
   };
   // (a+b)*a equals (b*a)+, which is deterministic.
-  EXPECT_TRUE(IsOneUnambiguousLanguage(language("(a | b)* a")));
-  EXPECT_TRUE(IsOneUnambiguousLanguage(language("a* b a*")));
-  EXPECT_TRUE(IsOneUnambiguousLanguage(language("%")));
-  EXPECT_TRUE(IsOneUnambiguousLanguage(language("~")));
-  EXPECT_TRUE(IsOneUnambiguousLanguage(language("(a b)*")));
-  EXPECT_TRUE(IsOneUnambiguousLanguage(language("b* a (a | b)*")));
+  EXPECT_TRUE(*IsOneUnambiguousLanguage(language("(a | b)* a")));
+  EXPECT_TRUE(*IsOneUnambiguousLanguage(language("a* b a*")));
+  EXPECT_TRUE(*IsOneUnambiguousLanguage(language("%")));
+  EXPECT_TRUE(*IsOneUnambiguousLanguage(language("~")));
+  EXPECT_TRUE(*IsOneUnambiguousLanguage(language("(a b)*")));
+  EXPECT_TRUE(*IsOneUnambiguousLanguage(language("b* a (a | b)*")));
 }
 
 TEST(BkwTest, KnownNonDeterministicLanguages) {
@@ -140,13 +140,13 @@ TEST(BkwTest, KnownNonDeterministicLanguages) {
   auto language = [&](const char* text) {
     StatusOr<RegexPtr> regex = ParseRegex(text, &alphabet, false);
     EXPECT_TRUE(regex.ok());
-    return RegexToDfa(**regex, alphabet.size());
+    return *RegexToDfa(**regex, alphabet.size());
   };
   // The BKW flagship: "second-to-last symbol is a".
-  EXPECT_FALSE(IsOneUnambiguousLanguage(language("(a | b)* a (a | b)")));
+  EXPECT_FALSE(*IsOneUnambiguousLanguage(language("(a | b)* a (a | b)")));
   // And its longer variants (the Theorem 3.2 family's string languages).
   EXPECT_FALSE(
-      IsOneUnambiguousLanguage(language("(a | b)* a (a | b) (a | b)")));
+      *IsOneUnambiguousLanguage(language("(a | b)* a (a | b) (a | b)")));
 }
 
 // Soundness sweep: the language of any Glushkov-deterministic expression
@@ -180,7 +180,7 @@ TEST_P(BkwSoundnessTest, DeterministicExpressionsPass) {
     RegexPtr regex = RandomRegex(&rng, 4);
     if (!IsOneUnambiguous(*regex, 2)) continue;
     ++found;
-    EXPECT_TRUE(IsOneUnambiguousLanguage(RegexToDfa(*regex, 2)));
+    EXPECT_TRUE(*IsOneUnambiguousLanguage(*RegexToDfa(*regex, 2)));
   }
   EXPECT_GT(found, 0);
 }

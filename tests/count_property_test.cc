@@ -60,7 +60,7 @@ TEST(CountPropertyTest, InclusionExclusionAtEveryDepth) {
     const std::vector<CountValue> count_union =
         MustCountEdtd(EdtdUnion(a, b), bounds);
     const std::vector<CountValue> count_inter =
-        MustCountEdtd(EdtdIntersection(a, b), bounds);
+        MustCountEdtd(*EdtdIntersection(a, b), bounds);
 
     for (int d = 0; d < bounds.max_depth; ++d) {
       const CountValue lhs =

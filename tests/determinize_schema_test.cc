@@ -43,14 +43,14 @@ TEST(DeterminizeSchemaTest, RestrictedLanguageEquivalence) {
     Nfa nfa = RandomNfa(&rng, 2 + rng() % 6, num_symbols);
     Nfa context = RandomNfa(&rng, 1 + rng() % 5, num_symbols);
 
-    Dfa dense = Determinize(nfa);
+    Dfa dense = *Determinize(nfa);
     StatusOr<Dfa> guided = DeterminizeUnderSchema(nfa, context);
     ASSERT_TRUE(guided.ok());
-    Dfa ctx_dfa = Determinize(context);
+    Dfa ctx_dfa = *Determinize(context);
 
     EXPECT_TRUE(DfaIncludedIn(*guided, dense)) << "iter " << iter;
-    EXPECT_TRUE(DfaEquivalent(DfaProduct(*guided, ctx_dfa, BoolOp::kAnd),
-                              DfaProduct(dense, ctx_dfa, BoolOp::kAnd)))
+    EXPECT_TRUE(DfaEquivalent(*DfaProduct(*guided, ctx_dfa, BoolOp::kAnd),
+                              *DfaProduct(dense, ctx_dfa, BoolOp::kAnd)))
         << "iter " << iter;
   }
 }
@@ -65,10 +65,10 @@ TEST(DeterminizeSchemaTest, LivePrefixWordAgreement) {
     Nfa nfa = RandomNfa(&rng, 2 + rng() % 6, num_symbols);
     Nfa context = RandomNfa(&rng, 1 + rng() % 5, num_symbols);
 
-    Dfa dense = Determinize(nfa);
+    Dfa dense = *Determinize(nfa);
     StatusOr<Dfa> guided = DeterminizeUnderSchema(nfa, context);
     ASSERT_TRUE(guided.ok());
-    Dfa ctx_dfa = Determinize(context);
+    Dfa ctx_dfa = *Determinize(context);
 
     for (int w = 0; w < 8; ++w) {
       auto word = SampleWord(ctx_dfa, &rng);
@@ -93,7 +93,7 @@ TEST(DeterminizeSchemaTest, ExactModeMatchesDense) {
     Nfa padding = RandomNfa(&rng, 1 + rng() % 4, num_symbols);
     Nfa exact_context = iter % 2 == 0 ? nfa : NfaUnion(nfa, padding);
 
-    Dfa dense = Determinize(nfa);
+    Dfa dense = *Determinize(nfa);
     StatusOr<Dfa> guided = DeterminizeUnderSchema(nfa, exact_context);
     ASSERT_TRUE(guided.ok());
     EXPECT_TRUE(DfaEquivalent(dense, *guided)) << "iter " << iter;
@@ -115,7 +115,7 @@ TEST(DeterminizeSchemaTest, InclusionOracleAgreesWithAntichain) {
 
     StatusOr<bool> via_schema = NfaIncludedInNfaViaSchemaDeterminize(a, b);
     ASSERT_TRUE(via_schema.ok());
-    EXPECT_EQ(*via_schema, NfaIncludedInNfa(a, b)) << "iter " << iter;
+    EXPECT_EQ(*via_schema, *NfaIncludedInNfa(a, b)) << "iter " << iter;
     included += *via_schema ? 1 : 0;
   }
   EXPECT_GT(included, 30);  // both verdicts must actually occur
@@ -163,8 +163,9 @@ TEST(DeterminizeSchemaTest, MinimizeXsdUnderExactContextIsCanonical) {
   }
 }
 
-// BKW language one-unambiguity and the DRE chain approximation through
-// the schema-guided NFA entry points, under self-context (exact mode):
+// BKW language one-unambiguity of the schema-guided determinization and
+// the DRE chain approximation's NFA entry point, under self-context (exact
+// mode):
 // verdicts match the dense path, and the approximation regex still
 // contains the NFA's language.
 TEST(DeterminizeSchemaTest, RegexEntryPointsUnderSelfContext) {
@@ -173,17 +174,17 @@ TEST(DeterminizeSchemaTest, RegexEntryPointsUnderSelfContext) {
     const int num_symbols = 2 + static_cast<int>(rng() % 2);
     Nfa nfa = RandomNfa(&rng, 2 + rng() % 4, num_symbols);
 
-    Dfa dense = Determinize(nfa);
+    Dfa dense = *Determinize(nfa);
     StatusOr<bool> guided_verdict =
-        IsOneUnambiguousLanguage(nfa, &nfa, nullptr);
+        IsOneUnambiguousLanguage(*Determinize(nfa, nullptr, &nfa));
     ASSERT_TRUE(guided_verdict.ok());
-    EXPECT_EQ(*guided_verdict, IsOneUnambiguousLanguage(dense))
+    EXPECT_EQ(*guided_verdict, *IsOneUnambiguousLanguage(dense))
         << "iter " << iter;
 
     StatusOr<RegexPtr> approx = ApproximateDreUnderSchema(nfa, &nfa);
     ASSERT_TRUE(approx.ok());
-    Dfa approx_dfa = RegexToDfa(**approx, num_symbols);
-    EXPECT_TRUE(NfaIncludedInDfa(nfa, approx_dfa)) << "iter " << iter;
+    Dfa approx_dfa = *RegexToDfa(**approx, num_symbols);
+    EXPECT_TRUE(*NfaIncludedInDfa(nfa, approx_dfa)) << "iter " << iter;
   }
 }
 
@@ -228,7 +229,7 @@ TEST(DeterminizeSchemaTest, BoundedContextPrunesTheorem32) {
   Counter* const created_counter = GetCounter("determinize.states_created");
 
   const int64_t created_before_dense = created_counter->value();
-  Dfa dense = Determinize(ta.nfa);
+  Dfa dense = *Determinize(ta.nfa);
   const int64_t dense_created = created_counter->value() -
                                 created_before_dense;
 
@@ -252,9 +253,9 @@ TEST(DeterminizeSchemaTest, BoundedContextPrunesTheorem32) {
       << "dense=" << dense_created << " guided=" << guided_created;
 
   // And the restriction is still correct.
-  Dfa ctx_dfa = Determinize(context);
-  EXPECT_TRUE(DfaEquivalent(DfaProduct(*guided, ctx_dfa, BoolOp::kAnd),
-                            DfaProduct(dense, ctx_dfa, BoolOp::kAnd)));
+  Dfa ctx_dfa = *Determinize(context);
+  EXPECT_TRUE(DfaEquivalent(*DfaProduct(*guided, ctx_dfa, BoolOp::kAnd),
+                            *DfaProduct(dense, ctx_dfa, BoolOp::kAnd)));
 }
 
 // Empty-context edge case: a context with no initial states (or whose

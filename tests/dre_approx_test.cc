@@ -16,7 +16,7 @@ namespace {
 Dfa Language(const char* text, Alphabet* alphabet) {
   StatusOr<RegexPtr> regex = ParseRegex(text, alphabet);
   EXPECT_TRUE(regex.ok()) << regex.status();
-  return RegexToDfa(**regex, alphabet->size());
+  return *RegexToDfa(**regex, alphabet->size());
 }
 
 TEST(DreApproxTest, ExactOnChainLanguages) {
@@ -26,7 +26,7 @@ TEST(DreApproxTest, ExactOnChainLanguages) {
     Dfa dfa = Language(text, &alphabet);
     RegexPtr approx = ApproximateDre(dfa);
     EXPECT_TRUE(IsOneUnambiguous(*approx, alphabet.size())) << text;
-    EXPECT_TRUE(DfaEquivalent(RegexToDfa(*approx, alphabet.size()), dfa))
+    EXPECT_TRUE(DfaEquivalent(*RegexToDfa(*approx, alphabet.size()), dfa))
         << text << " -> " << approx->ToString(alphabet);
     EXPECT_TRUE(ApproximateDreIsExact(dfa)) << text;
   }
@@ -41,8 +41,8 @@ TEST(DreApproxTest, SoundSupersetOnNonChainLanguages) {
     RegexPtr approx = ApproximateDre(dfa);
     EXPECT_TRUE(IsOneUnambiguous(*approx, alphabet.size())) << text;
     // Superset...
-    EXPECT_TRUE(NfaIncludedInDfa(dfa.ToNfa(),
-                                 RegexToDfa(*approx, alphabet.size())))
+    EXPECT_TRUE(*NfaIncludedInDfa(dfa.ToNfa(),
+                                  *RegexToDfa(*approx, alphabet.size())))
         << text << " -> " << approx->ToString(alphabet);
   }
   // ...and not exact for genuinely non-chain languages.
@@ -57,7 +57,7 @@ TEST(DreApproxTest, CyclicPrecedenceCollapsesToOneGroup) {
   RegexPtr approx = ApproximateDre(dfa);
   EXPECT_TRUE(IsOneUnambiguous(*approx, alphabet.size()));
   EXPECT_TRUE(
-      NfaIncludedInDfa(dfa.ToNfa(), RegexToDfa(*approx, alphabet.size())));
+      *NfaIncludedInDfa(dfa.ToNfa(), *RegexToDfa(*approx, alphabet.size())));
 }
 
 TEST(DreApproxTest, EmptyAndEpsilon) {
@@ -95,11 +95,11 @@ RegexPtr RandomRegex(std::mt19937* rng, int depth) {
 TEST_P(DreApproxRandomTest, DeterministicSuperset) {
   std::mt19937 rng(GetParam() * 39916801 + 31);
   RegexPtr regex = RandomRegex(&rng, 4);
-  Dfa dfa = RegexToDfa(*regex, 3);
+  Dfa dfa = *RegexToDfa(*regex, 3);
   RegexPtr approx = ApproximateDre(dfa);
   EXPECT_TRUE(IsOneUnambiguous(*approx, 3));
-  EXPECT_TRUE(IsOneUnambiguousLanguage(RegexToDfa(*approx, 3)));
-  EXPECT_TRUE(NfaIncludedInDfa(dfa.ToNfa(), RegexToDfa(*approx, 3)))
+  EXPECT_TRUE(*IsOneUnambiguousLanguage(*RegexToDfa(*approx, 3)));
+  EXPECT_TRUE(*NfaIncludedInDfa(dfa.ToNfa(), *RegexToDfa(*approx, 3)))
       << "input DFA states=" << dfa.num_states();
 }
 

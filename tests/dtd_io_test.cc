@@ -77,7 +77,7 @@ TEST(DtdIoTest, RoundTripPreservesLanguage) {
   Edtd original = Edtd::FromDtd(*dtd);
   Edtd back = Edtd::FromDtd(*reparsed);
   ASSERT_TRUE(IsSingleType(original));
-  EXPECT_TRUE(SingleTypeEquivalent(original, back)) << rendered;
+  EXPECT_TRUE(*SingleTypeEquivalent(original, back)) << rendered;
 }
 
 TEST(DtdIoTest, DtdsFeedTheApproximationPipeline) {

@@ -240,7 +240,7 @@ TEST_P(DifferentialTest, DeterminizeMatchesMapReference) {
     Nfa nfa = RandomNfa(&rng, n, sym, 2 + round % 3);
     std::vector<StateSet> subsets;
     std::vector<StateSet> map_subsets;
-    Dfa hashed = Determinize(nfa, &subsets);
+    Dfa hashed = *Determinize(nfa, nullptr, nullptr, &subsets);
     Dfa reference = MapDeterminize(nfa, &map_subsets);
     // Both implementations assign subset ids in discovery order (BFS over
     // ids, symbols ascending), so the results agree structurally.
@@ -253,10 +253,10 @@ TEST_P(DifferentialTest, MinimizeMatchesMapReference) {
   std::mt19937 rng(test::MixSeed(GetParam() * 40503ull + 2166136261ull));
   for (int round = 0; round < 20; ++round) {
     Nfa nfa = RandomNfa(&rng, 2 + round % 12, 2 + round % 3);
-    Dfa dfa = Determinize(nfa);
+    Dfa dfa = *Determinize(nfa);
     // Both sides end in a canonical BFS numbering, so structural equality
     // is language equality here.
-    EXPECT_EQ(Minimize(dfa), MapMinimize(dfa));
+    EXPECT_EQ(*Minimize(dfa), MapMinimize(dfa));
   }
 }
 
@@ -266,9 +266,9 @@ TEST_P(DifferentialTest, InclusionAgreesWithMapReference) {
     int sym = 2 + round % 3;
     Nfa a = RandomNfa(&rng, 2 + round % 10, sym);
     Nfa b = RandomNfa(&rng, 2 + round % 8, sym);
-    EXPECT_EQ(NfaIncludedInNfa(a, b), MapNfaIncludedInNfa(a, b));
+    EXPECT_EQ(*NfaIncludedInNfa(a, b), MapNfaIncludedInNfa(a, b));
 
-    Dfa dfa = Determinize(b);
+    Dfa dfa = *Determinize(b);
     std::optional<Word> witness = NfaDfaInclusionCounterexample(a, dfa);
     std::optional<Word> reference = MapSearchCounterexample(a, dfa);
     ASSERT_EQ(witness.has_value(), reference.has_value());
@@ -280,7 +280,7 @@ TEST_P(DifferentialTest, InclusionAgreesWithMapReference) {
       EXPECT_TRUE(a.Accepts(*witness));
       EXPECT_FALSE(dfa.Accepts(*witness));
     }
-    EXPECT_EQ(NfaIncludedInDfa(a, dfa), !witness.has_value());
+    EXPECT_EQ(*NfaIncludedInDfa(a, dfa), !witness.has_value());
 
     // A strict superset of `a` makes inclusion hold, forcing both
     // searches through the whole reachable pair space (no early exit).
@@ -289,7 +289,7 @@ TEST_P(DifferentialTest, InclusionAgreesWithMapReference) {
     for (int q = 0; q < superset.num_states(); ++q) {
       superset.AddTransition(q, q % sym, (q + 1) % superset.num_states());
     }
-    EXPECT_TRUE(NfaIncludedInNfa(a, superset));
+    EXPECT_TRUE(*NfaIncludedInNfa(a, superset));
     EXPECT_TRUE(MapNfaIncludedInNfa(a, superset));
   }
 }

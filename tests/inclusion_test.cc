@@ -31,10 +31,10 @@ TEST(InclusionTest, BasicContainments) {
 
   Edtd d_small = small.Build();
   Edtd d_big = big.Build();
-  EXPECT_TRUE(IncludedInSingleType(d_small, d_big));
-  EXPECT_FALSE(IncludedInSingleType(d_big, d_small));
-  EXPECT_TRUE(SingleTypeEquivalent(d_small, d_small));
-  EXPECT_FALSE(SingleTypeEquivalent(d_small, d_big));
+  EXPECT_TRUE(*IncludedInSingleType(d_small, d_big));
+  EXPECT_FALSE(*IncludedInSingleType(d_big, d_small));
+  EXPECT_TRUE(*SingleTypeEquivalent(d_small, d_small));
+  EXPECT_FALSE(*SingleTypeEquivalent(d_small, d_big));
 }
 
 TEST(InclusionTest, NonSingleTypeLeftSide) {
@@ -56,14 +56,14 @@ TEST(InclusionTest, NonSingleTypeLeftSide) {
   st.AddStart("R");
   Edtd right = st.Build();
 
-  EXPECT_TRUE(IncludedInSingleType(left, right));
+  EXPECT_TRUE(*IncludedInSingleType(left, right));
   // Shrinking the right side breaks it.
   SchemaBuilder smaller;
   smaller.AddType("R", "a", "B");
   smaller.AddType("B", "b", "C");
   smaller.AddType("C", "c", "%");
   smaller.AddStart("R");
-  EXPECT_FALSE(IncludedInSingleType(left, smaller.Build()));
+  EXPECT_FALSE(*IncludedInSingleType(left, smaller.Build()));
 }
 
 TEST(InclusionTest, AlphabetMismatchesHandled) {
@@ -73,7 +73,7 @@ TEST(InclusionTest, AlphabetMismatchesHandled) {
   SchemaBuilder b2;
   b2.AddType("B", "b", "%");
   b2.AddStart("B");
-  EXPECT_FALSE(IncludedInSingleType(b1.Build(), b2.Build()));
+  EXPECT_FALSE(*IncludedInSingleType(b1.Build(), b2.Build()));
   // Extra unknown symbols on the left must fail, not crash.
   SchemaBuilder b3;
   b3.AddType("A", "a", "C?");
@@ -82,8 +82,8 @@ TEST(InclusionTest, AlphabetMismatchesHandled) {
   SchemaBuilder b4;
   b4.AddType("A", "a", "%");
   b4.AddStart("A");
-  EXPECT_FALSE(IncludedInSingleType(b3.Build(), b4.Build()));
-  EXPECT_TRUE(IncludedInSingleType(b4.Build(), b3.Build()));
+  EXPECT_FALSE(*IncludedInSingleType(b3.Build(), b4.Build()));
+  EXPECT_TRUE(*IncludedInSingleType(b4.Build(), b3.Build()));
 }
 
 TEST(InclusionTest, EmptyLanguages) {
@@ -93,9 +93,9 @@ TEST(InclusionTest, EmptyLanguages) {
   SchemaBuilder leaf;
   leaf.AddType("R", "a", "%");
   leaf.AddStart("R");
-  EXPECT_TRUE(IncludedInSingleType(empty.Build(), leaf.Build()));
-  EXPECT_FALSE(IncludedInSingleType(leaf.Build(), empty.Build()));
-  EXPECT_TRUE(IncludedInSingleType(empty.Build(), empty.Build()));
+  EXPECT_TRUE(*IncludedInSingleType(empty.Build(), leaf.Build()));
+  EXPECT_FALSE(*IncludedInSingleType(leaf.Build(), empty.Build()));
+  EXPECT_TRUE(*IncludedInSingleType(empty.Build(), empty.Build()));
 }
 
 TEST(InclusionTest, ContentModelSubtleties) {
@@ -108,8 +108,8 @@ TEST(InclusionTest, ContentModelSubtleties) {
   b2.AddType("R", "r", "A? A? A?");
   b2.AddType("A", "a", "%");
   b2.AddStart("R");
-  EXPECT_TRUE(IncludedInSingleType(b1.Build(), b2.Build()));
-  EXPECT_FALSE(IncludedInSingleType(b2.Build(), b1.Build()));
+  EXPECT_TRUE(*IncludedInSingleType(b1.Build(), b2.Build()));
+  EXPECT_FALSE(*IncludedInSingleType(b2.Build(), b1.Build()));
 }
 
 // Property sweep: the PTIME algorithm agrees with the exact EXPTIME route
@@ -124,7 +124,7 @@ TEST_P(InclusionAgreementTest, AgreesWithExactDecision) {
   Edtd left = RandomEdtd(&rng, params);
   Edtd right = RandomStEdtd(&rng, params);
   auto [l, r] = AlignAlphabets(left, right);
-  bool ptime = IncludedInSingleType(l, r);
+  bool ptime = *IncludedInSingleType(l, r);
   bool exact = EdtdIncludedInExact(ReduceEdtd(l), ReduceEdtd(r));
   EXPECT_EQ(ptime, exact);
 }

@@ -17,7 +17,7 @@ namespace {
 
 TEST(DefinabilityTest, KnownLanguages) {
   // Unary-tree languages are always single-type definable.
-  EXPECT_TRUE(IsSingleTypeDefinable(Theorem32Family(2)));
+  EXPECT_TRUE(*IsSingleTypeDefinable(Theorem32Family(2)));
   // The sibling-mix language is not.
   SchemaBuilder builder;
   builder.AddType("R1", "r", "X1 Y1");
@@ -32,10 +32,10 @@ TEST(DefinabilityTest, KnownLanguages) {
   builder.AddType("B2", "b", "%");
   builder.AddStart("R1");
   builder.AddStart("R2");
-  EXPECT_FALSE(IsSingleTypeDefinable(builder.Build()));
+  EXPECT_FALSE(*IsSingleTypeDefinable(builder.Build()));
   // Unions of DTDs over disjoint roots are definable.
   auto [d1, d2] = Theorem43Schemas();
-  EXPECT_FALSE(IsSingleTypeDefinable(EdtdUnion(d1, d2)));
+  EXPECT_FALSE(*IsSingleTypeDefinable(EdtdUnion(d1, d2)));
 }
 
 // Regression: a single-type schema is definable by itself, and the check
@@ -49,7 +49,7 @@ TEST(DefinabilityTest, SingleTypeShortCircuitsOnCountedContent) {
   builder.AddType("Name", "name", "%");
   builder.AddType("Tag", "tag", "%");
   builder.AddStart("Catalog");
-  EXPECT_TRUE(IsSingleTypeDefinable(builder.Build()));
+  EXPECT_TRUE(*IsSingleTypeDefinable(builder.Build()));
 }
 
 // A finite non-definable target: { r(x(a), y(a)), r(x(b), y(b)) } — its

@@ -35,7 +35,7 @@ Edtd NonDefinableEdtd() {
 TEST(MinimalUpperCheckTest, AcceptsTheConstruction) {
   Edtd target = NonDefinableEdtd();
   Edtd candidate = StEdtdFromDfaXsd(MinimalUpperApproximation(target));
-  EXPECT_TRUE(IsMinimalUpperApproximation(candidate, target));
+  EXPECT_TRUE(*IsMinimalUpperApproximation(candidate, target));
 }
 
 TEST(MinimalUpperCheckTest, RejectsNonUpperBounds) {
@@ -48,7 +48,7 @@ TEST(MinimalUpperCheckTest, RejectsNonUpperBounds) {
   builder.AddType("A1", "a", "%");
   builder.AddType("A2", "a", "%");
   builder.AddStart("R");
-  EXPECT_FALSE(IsMinimalUpperApproximation(builder.Build(), target));
+  EXPECT_FALSE(*IsMinimalUpperApproximation(builder.Build(), target));
 }
 
 TEST(MinimalUpperCheckTest, RejectsLooseUpperBounds) {
@@ -63,7 +63,7 @@ TEST(MinimalUpperCheckTest, RejectsLooseUpperBounds) {
   loose.AddType("LA2", "a", "%");
   loose.AddType("LB2", "b", "%");
   loose.AddStart("R");
-  EXPECT_FALSE(IsMinimalUpperApproximation(loose.Build(), target));
+  EXPECT_FALSE(*IsMinimalUpperApproximation(loose.Build(), target));
 }
 
 TEST(MinimalUpperCheckTest, DefinableLanguagesRequireEquality) {
@@ -72,19 +72,19 @@ TEST(MinimalUpperCheckTest, DefinableLanguagesRequireEquality) {
   builder.AddType("A", "a", "%");
   builder.AddStart("R");
   Edtd target = builder.Build();
-  EXPECT_TRUE(IsMinimalUpperApproximation(target, target));
+  EXPECT_TRUE(*IsMinimalUpperApproximation(target, target));
   SchemaBuilder wider;
   wider.AddType("R", "r", "A* B?");
   wider.AddType("A", "a", "%");
   wider.AddType("B", "b", "%");
   wider.AddStart("R");
-  EXPECT_FALSE(IsMinimalUpperApproximation(wider.Build(), target));
+  EXPECT_FALSE(*IsMinimalUpperApproximation(wider.Build(), target));
 }
 
 TEST(MinimalUpperCheckTest, Theorem32FamilyCandidates) {
   Edtd target = Theorem32Family(2);
   Edtd exact_candidate = StEdtdFromDfaXsd(MinimalUpperApproximation(target));
-  EXPECT_TRUE(IsMinimalUpperApproximation(exact_candidate, target));
+  EXPECT_TRUE(*IsMinimalUpperApproximation(exact_candidate, target));
   // A unary-tree XSD accepting all (a+b)-chains that contain an a is an
   // upper bound but too coarse.
   SchemaBuilder coarse;
@@ -96,7 +96,7 @@ TEST(MinimalUpperCheckTest, Theorem32FamilyCandidates) {
   coarse.AddStart("S0");
   coarse.AddStart("S0a");
   Edtd loose = coarse.Build();
-  EXPECT_FALSE(IsMinimalUpperApproximation(loose, target));
+  EXPECT_FALSE(*IsMinimalUpperApproximation(loose, target));
 }
 
 // Property: the construction's output always passes the check, and the
@@ -110,7 +110,7 @@ TEST_P(MinimalUpperRandomTest, ConstructionPassesCheck) {
   params.num_types = 4;
   Edtd target = RandomEdtd(&rng, params);
   Edtd candidate = StEdtdFromDfaXsd(MinimalUpperApproximation(target));
-  EXPECT_TRUE(IsMinimalUpperApproximation(candidate, target));
+  EXPECT_TRUE(*IsMinimalUpperApproximation(candidate, target));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MinimalUpperRandomTest,

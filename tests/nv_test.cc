@@ -94,7 +94,7 @@ TEST(NvTest, DisjointAlphabetUnionIsFullyNonViolating) {
   DfaXsd nv = NonViolating(d1, d2);
   Edtd d2_aligned = AlignAlphabets(d2, d1).first;
   EXPECT_TRUE(EdtdIncludedInXsd(d2_aligned, nv));
-  EXPECT_TRUE(IncludedInSingleType(StEdtdFromDfaXsd(nv), d2_aligned));
+  EXPECT_TRUE(*IncludedInSingleType(StEdtdFromDfaXsd(nv), d2_aligned));
 }
 
 TEST(NvTest, IdenticalSchemasAreFullyNonViolating) {
@@ -104,9 +104,9 @@ TEST(NvTest, IdenticalSchemasAreFullyNonViolating) {
   builder.AddStart("R");
   Edtd d = builder.Build();
   DfaXsd nv = NonViolating(d, d);
-  EXPECT_TRUE(SingleTypeEquivalent(d, StEdtdFromDfaXsd(nv)));
+  EXPECT_TRUE(*SingleTypeEquivalent(d, StEdtdFromDfaXsd(nv)));
   DfaXsd lower = LowerUnionFixingFirst(d, d);
-  EXPECT_TRUE(SingleTypeEquivalent(d, StEdtdFromDfaXsd(lower)));
+  EXPECT_TRUE(*SingleTypeEquivalent(d, StEdtdFromDfaXsd(lower)));
 }
 
 TEST(NvTest, AnalysisMarksSAndCTypes) {
@@ -133,8 +133,8 @@ TEST(NvTest, EmptyFirstLanguageKeepsAllOfSecond) {
   b2.AddStart("B");
   Edtd d1 = empty.Build(), d2 = b2.Build();
   DfaXsd nv = NonViolating(d1, d2);
-  EXPECT_TRUE(IncludedInSingleType(d2, StEdtdFromDfaXsd(nv)));
-  EXPECT_TRUE(IncludedInSingleType(StEdtdFromDfaXsd(nv), d2));
+  EXPECT_TRUE(*IncludedInSingleType(d2, StEdtdFromDfaXsd(nv)));
+  EXPECT_TRUE(*IncludedInSingleType(StEdtdFromDfaXsd(nv), d2));
 }
 
 // Property sweep on random single-type pairs: the computed nv(D2, D1)

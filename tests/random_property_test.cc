@@ -53,7 +53,7 @@ TEST_P(PipelineTest, TextFormatRoundTripsRandomSchemas) {
   std::string text = SchemaToText(schema);
   StatusOr<Edtd> reparsed = ParseSchema(text);
   ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << text;
-  EXPECT_TRUE(SingleTypeEquivalent(schema, *reparsed)) << text;
+  EXPECT_TRUE(*SingleTypeEquivalent(schema, *reparsed)) << text;
 }
 
 TEST_P(PipelineTest, UpperBooleanLatticeLaws) {
@@ -65,15 +65,15 @@ TEST_P(PipelineTest, UpperBooleanLatticeLaws) {
   Edtd d2 = RandomStEdtd(&rng_, params);
 
   // Union upper bound contains both inputs.
-  DfaXsd u = UpperUnion(d1, d2);
+  DfaXsd u = *UpperUnion(d1, d2);
   EXPECT_TRUE(EdtdIncludedInXsd(d1, u));
   EXPECT_TRUE(EdtdIncludedInXsd(d2, u));
 
   // Intersection is exact: included in both inputs.
-  DfaXsd i = UpperIntersection(d1, d2);
+  DfaXsd i = *UpperIntersection(d1, d2);
   Edtd i_edtd = StEdtdFromDfaXsd(i);
-  EXPECT_TRUE(IncludedInSingleType(i_edtd, d1));
-  EXPECT_TRUE(IncludedInSingleType(i_edtd, d2));
+  EXPECT_TRUE(*IncludedInSingleType(i_edtd, d1));
+  EXPECT_TRUE(*IncludedInSingleType(i_edtd, d2));
 
   // On bounded documents: union upper accepts everything either accepts;
   // intersection accepts exactly the common documents.
@@ -92,7 +92,7 @@ TEST_P(PipelineTest, ComplementUpperCoversAllNonMembers) {
   params.num_symbols = 2;
   params.num_types = 3;
   Edtd d = RandomStEdtd(&rng_, params);
-  DfaXsd upper = UpperComplement(d);
+  DfaXsd upper = *UpperComplement(d);
   for (const Tree& tree : EnumerateTrees({3, 2, 2})) {
     if (!d.Accepts(tree)) {
       EXPECT_TRUE(upper.Accepts(tree)) << tree.ToString(d.sigma);
@@ -106,7 +106,7 @@ TEST_P(PipelineTest, DifferenceUpperSandwich) {
   params.num_types = 3;
   Edtd d1 = RandomStEdtd(&rng_, params);
   Edtd d2 = RandomStEdtd(&rng_, params);
-  DfaXsd diff = UpperDifference(d1, d2);
+  DfaXsd diff = *UpperDifference(d1, d2);
   auto [a1, a2] = AlignAlphabets(d1, d2);
   for (const Tree& tree : EnumerateTrees({3, 2, 2})) {
     bool in_diff_semantics = a1.Accepts(tree) && !a2.Accepts(tree);
@@ -129,11 +129,11 @@ TEST_P(PipelineTest, MinimizationIsOrderInsensitive) {
   Edtd d1 = RandomStEdtd(&rng_, params);
   Edtd d2 = RandomStEdtd(&rng_, params);
   // minimize(upper(d1 ∪ d2)) must equal minimize(upper(d2 ∪ d1)).
-  DfaXsd u12 = MinimizeXsd(UpperUnion(d1, d2));
-  DfaXsd u21 = MinimizeXsd(UpperUnion(d2, d1));
+  DfaXsd u12 = MinimizeXsd(*UpperUnion(d1, d2));
+  DfaXsd u21 = MinimizeXsd(*UpperUnion(d2, d1));
   // Alphabets may be permuted between the two orders; compare languages.
-  EXPECT_TRUE(SingleTypeEquivalent(StEdtdFromDfaXsd(u12),
-                                   StEdtdFromDfaXsd(u21)));
+  EXPECT_TRUE(*SingleTypeEquivalent(StEdtdFromDfaXsd(u12),
+                                    StEdtdFromDfaXsd(u21)));
 }
 
 // The counted-content variants: with repeat_percent set the generators
@@ -162,7 +162,7 @@ TEST_P(PipelineTest, CountedContentTextFormatRoundTrips) {
   std::string text = SchemaToText(schema);
   StatusOr<Edtd> reparsed = ParseSchema(text);
   ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << text;
-  EXPECT_TRUE(SingleTypeEquivalent(schema, *reparsed)) << text;
+  EXPECT_TRUE(*SingleTypeEquivalent(schema, *reparsed)) << text;
 }
 
 TEST_P(PipelineTest, CountedContentUpperBooleanLatticeLaws) {
@@ -174,14 +174,14 @@ TEST_P(PipelineTest, CountedContentUpperBooleanLatticeLaws) {
   Edtd d1 = RandomStEdtd(&rng_, params);
   Edtd d2 = RandomStEdtd(&rng_, params);
 
-  DfaXsd u = UpperUnion(d1, d2);
+  DfaXsd u = *UpperUnion(d1, d2);
   EXPECT_TRUE(EdtdIncludedInXsd(d1, u));
   EXPECT_TRUE(EdtdIncludedInXsd(d2, u));
 
-  DfaXsd i = UpperIntersection(d1, d2);
+  DfaXsd i = *UpperIntersection(d1, d2);
   Edtd i_edtd = StEdtdFromDfaXsd(i);
-  EXPECT_TRUE(IncludedInSingleType(i_edtd, d1));
-  EXPECT_TRUE(IncludedInSingleType(i_edtd, d2));
+  EXPECT_TRUE(*IncludedInSingleType(i_edtd, d1));
+  EXPECT_TRUE(*IncludedInSingleType(i_edtd, d2));
 
   auto [a1, a2] = AlignAlphabets(d1, d2);
   for (const Tree& tree : EnumerateTrees({3, 3, 2})) {

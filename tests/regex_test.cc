@@ -78,8 +78,8 @@ TEST(RegexPrinterTest, RoundTripsThroughParser) {
     RegexPtr regex = Parse(source, &alphabet);
     std::string printed = regex->ToString(alphabet);
     RegexPtr reparsed = Parse(printed, &alphabet);
-    EXPECT_TRUE(DfaEquivalent(RegexToDfa(*regex, alphabet.size()),
-                              RegexToDfa(*reparsed, alphabet.size())))
+    EXPECT_TRUE(DfaEquivalent(*RegexToDfa(*regex, alphabet.size()),
+                              *RegexToDfa(*reparsed, alphabet.size())))
         << source << " vs " << printed;
   }
 }
@@ -87,7 +87,7 @@ TEST(RegexPrinterTest, RoundTripsThroughParser) {
 TEST(GlushkovTest, PositionsAndAcceptance) {
   Alphabet alphabet;
   RegexPtr regex = Parse("(a b)* a", &alphabet);
-  Nfa nfa = GlushkovAutomaton(*regex, alphabet.size());
+  Nfa nfa = *GlushkovAutomaton(*regex, alphabet.size());
   EXPECT_EQ(nfa.num_states(), 4);  // 3 positions + initial
   EXPECT_TRUE(nfa.Accepts({0}));
   EXPECT_TRUE(nfa.Accepts({0, 1, 0}));
@@ -98,7 +98,7 @@ TEST(GlushkovTest, PositionsAndAcceptance) {
 TEST(GlushkovTest, StateLabeledProperty) {
   Alphabet alphabet;
   RegexPtr regex = Parse("(a | b)* a (a | b)", &alphabet);
-  Nfa nfa = GlushkovAutomaton(*regex, alphabet.size());
+  Nfa nfa = *GlushkovAutomaton(*regex, alphabet.size());
   // Every state has all incoming transitions on one symbol.
   std::vector<int> incoming(nfa.num_states(), kNoSymbol);
   for (int q = 0; q < nfa.num_states(); ++q) {
@@ -126,14 +126,14 @@ TEST(GlushkovTest, OneUnambiguityMatchesKnownExamples) {
 }
 
 TEST(RegexToDfaTest, EpsilonAndEmpty) {
-  EXPECT_TRUE(RegexToDfa(*Regex::EmptySet(), 2).IsEmpty());
-  Dfa eps = RegexToDfa(*Regex::Epsilon(), 2);
+  EXPECT_TRUE(RegexToDfa(*Regex::EmptySet(), 2)->IsEmpty());
+  Dfa eps = *RegexToDfa(*Regex::Epsilon(), 2);
   EXPECT_TRUE(eps.Accepts({}));
   EXPECT_FALSE(eps.Accepts({0}));
 }
 
 TEST(RegexToDfaTest, LiteralWord) {
-  Dfa dfa = RegexToDfa(*Regex::Literal({0, 1, 0}), 2);
+  Dfa dfa = *RegexToDfa(*Regex::Literal({0, 1, 0}), 2);
   EXPECT_TRUE(dfa.Accepts({0, 1, 0}));
   EXPECT_FALSE(dfa.Accepts({0, 1}));
   EXPECT_EQ(dfa.num_states(), 4);
@@ -187,8 +187,8 @@ TEST(RepeatTest, PrinterRoundTripsCountedBounds) {
     RegexPtr regex = Parse(source, &alphabet);
     std::string printed = regex->ToString(alphabet);
     RegexPtr reparsed = Parse(printed, &alphabet);
-    EXPECT_TRUE(DfaEquivalent(RegexToDfa(*regex, alphabet.size()),
-                              RegexToDfa(*reparsed, alphabet.size())))
+    EXPECT_TRUE(DfaEquivalent(*RegexToDfa(*regex, alphabet.size()),
+                              *RegexToDfa(*reparsed, alphabet.size())))
         << source << " vs " << printed;
   }
 }
@@ -196,19 +196,19 @@ TEST(RepeatTest, PrinterRoundTripsCountedBounds) {
 TEST(RepeatTest, GlushkovExpansionMatchesCountedSemantics) {
   Alphabet alphabet;
   RegexPtr ranged = Parse("a{2,4}", &alphabet);
-  Dfa dfa = RegexToDfa(*ranged, alphabet.size());
+  Dfa dfa = *RegexToDfa(*ranged, alphabet.size());
   for (int k = 0; k <= 6; ++k) {
     EXPECT_EQ(dfa.Accepts(Word(k, 0)), k >= 2 && k <= 4) << "k=" << k;
   }
   RegexPtr open = Parse("(a b){2,}", &alphabet);
-  Dfa open_dfa = RegexToDfa(*open, alphabet.size());
+  Dfa open_dfa = *RegexToDfa(*open, alphabet.size());
   EXPECT_FALSE(open_dfa.Accepts({0, 1}));
   EXPECT_TRUE(open_dfa.Accepts({0, 1, 0, 1}));
   EXPECT_TRUE(open_dfa.Accepts({0, 1, 0, 1, 0, 1}));
   EXPECT_FALSE(open_dfa.Accepts({0, 1, 0}));
   // A nullable body keeps the lower bound honest: (a?){2,3} accepts ε.
   RegexPtr nullable = Parse("(a?){2,3}", &alphabet);
-  Dfa nullable_dfa = RegexToDfa(*nullable, alphabet.size());
+  Dfa nullable_dfa = *RegexToDfa(*nullable, alphabet.size());
   for (int k = 0; k <= 4; ++k) {
     EXPECT_EQ(nullable_dfa.Accepts(Word(k, 0)), k <= 3) << "k=" << k;
   }
@@ -241,9 +241,9 @@ TEST(DfaToRegexTest, RoundTripsPreserveLanguage) {
     alphabet.Intern("a");
     alphabet.Intern("b");
     alphabet.Intern("c");
-    Dfa dfa = RegexToDfa(*regex, alphabet.size());
+    Dfa dfa = *RegexToDfa(*regex, alphabet.size());
     RegexPtr back = DfaToRegex(dfa);
-    Dfa dfa2 = RegexToDfa(*back, alphabet.size());
+    Dfa dfa2 = *RegexToDfa(*back, alphabet.size());
     EXPECT_TRUE(DfaEquivalent(dfa, dfa2)) << source;
   }
 }
@@ -275,8 +275,8 @@ RegexPtr RandomRegex(std::mt19937* rng, int depth) {
 TEST_P(RegexRandomTest, GlushkovAgreesWithMinimalDfaOnShortWords) {
   std::mt19937 rng(GetParam());
   RegexPtr regex = RandomRegex(&rng, 4);
-  Nfa glushkov = GlushkovAutomaton(*regex, 2);
-  Dfa dfa = RegexToDfa(*regex, 2);
+  Nfa glushkov = *GlushkovAutomaton(*regex, 2);
+  Dfa dfa = *RegexToDfa(*regex, 2);
   for (int len = 0; len <= 5; ++len) {
     for (int bits = 0; bits < (1 << len); ++bits) {
       Word word;

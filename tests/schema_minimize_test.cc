@@ -90,7 +90,7 @@ TEST(MinimizeStEdtdTest, RoundTrip) {
   builder.AddStart("R");
   Edtd edtd = builder.Build();
   Edtd minimized = MinimizeStEdtd(edtd);
-  EXPECT_TRUE(SingleTypeEquivalent(edtd, minimized));
+  EXPECT_TRUE(*SingleTypeEquivalent(edtd, minimized));
 }
 
 // Property sweep: for random single-type schemas, the minimized XSD is
@@ -108,7 +108,7 @@ TEST_P(MinimizeRandomTest, SoundCanonicalAndIdempotent) {
   DfaXsd minimized = MinimizeXsd(original);
   EXPECT_LE(minimized.type_size(), original.type_size());
   EXPECT_TRUE(
-      SingleTypeEquivalent(edtd, StEdtdFromDfaXsd(minimized)));
+      *SingleTypeEquivalent(edtd, StEdtdFromDfaXsd(minimized)));
   EXPECT_TRUE(XsdStructurallyEqual(minimized, MinimizeXsd(minimized)));
 }
 

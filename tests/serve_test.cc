@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "stap/approx/upper.h"
 #include "stap/base/budget.h"
 #include "stap/base/compile_cache.h"
 #include "stap/base/metrics.h"
@@ -368,6 +369,31 @@ TEST(Serve, BudgetExhaustionReturnsExhaustedFrame) {
       client.Call(ValidateRequest(2, "@lib", kValidDoc));
   ASSERT_TRUE(small.ok());
   EXPECT_EQ(small->code, ResponseCode::kOk);
+}
+
+// The approx opcode charges one per-request budget end to end: with the
+// state quota set to exactly what Construction 3.1 alone charges on the
+// schema, the follow-up MinimizeXsd pushes the request over it.
+TEST(Serve, ApproxChargesMinimizationAgainstTheRequestBudget) {
+  StatusOr<CompiledSchema> lib = CompileSchema(kLibSchema, nullptr);
+  ASSERT_TRUE(lib.ok()) << lib.status();
+  Budget probe;
+  ASSERT_TRUE(MinimalUpperApproximation(lib->edtd, &probe).ok());
+  ASSERT_GT(probe.states_charged(), 0);
+
+  ServeOptions options;
+  options.request_max_states = probe.states_charged();
+  std::unique_ptr<Server> server = StartWithLib(std::move(options));
+  ServeClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+
+  ServeRequest approx;
+  approx.id = 1;
+  approx.op = Opcode::kApprox;
+  approx.schema_ref = "@lib";
+  StatusOr<ServeResponse> response = client.Call(approx);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->code, ResponseCode::kExhausted) << response->body;
 }
 
 TEST(Serve, ConnectionCapShedsWithBusyFrame) {

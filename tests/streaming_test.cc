@@ -6,7 +6,7 @@
 
 #include "stap/gen/random.h"
 #include "stap/schema/builder.h"
-#include "stap/schema/count.h"
+#include "stap/count/counter.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
 #include "stap/schema/streaming.h"
@@ -125,16 +125,17 @@ TEST(CountTest, CountsMatchEnumerationExactly) {
          EnumerateTrees({depth, width, xsd.sigma.size()})) {
       if (xsd.Accepts(tree)) ++expected;
     }
-    EXPECT_DOUBLE_EQ(CountDocuments(xsd, depth, width),
-                     static_cast<double>(expected))
+    EXPECT_DOUBLE_EQ(
+        CountXsdByDepth(xsd, {depth, width}, nullptr)->back().ToDouble(),
+        static_cast<double>(expected))
         << "depth=" << depth << " width=" << width;
   }
 }
 
 TEST(CountTest, GrowsWithBounds) {
   DfaXsd xsd = LibraryXsd();
-  double small = CountDocuments(xsd, 3, 2);
-  double large = CountDocuments(xsd, 3, 6);
+  double small = CountXsdByDepth(xsd, {3, 2}, nullptr)->back().ToDouble();
+  double large = CountXsdByDepth(xsd, {3, 6}, nullptr)->back().ToDouble();
   EXPECT_GT(large, small);
   EXPECT_GT(small, 0.0);
 }
@@ -144,7 +145,8 @@ TEST(CountTest, EmptySchemaCountsZero) {
   builder.AddType("R", "a", "R");
   builder.AddStart("R");
   DfaXsd xsd = DfaXsdFromStEdtd(ReduceEdtd(builder.Build()));
-  EXPECT_DOUBLE_EQ(CountDocuments(xsd, 4, 4), 0.0);
+  EXPECT_DOUBLE_EQ(CountXsdByDepth(xsd, {4, 4}, nullptr)->back().ToDouble(),
+                   0.0);
 }
 
 // Random cross-check: the DP equals brute-force enumeration.
@@ -160,7 +162,7 @@ TEST_P(CountRandomTest, MatchesEnumeration) {
   for (const Tree& tree : EnumerateTrees({3, 2, 2})) {
     if (xsd.Accepts(tree)) ++expected;
   }
-  EXPECT_DOUBLE_EQ(CountDocuments(xsd, 3, 2),
+  EXPECT_DOUBLE_EQ(CountXsdByDepth(xsd, {3, 2}, nullptr)->back().ToDouble(),
                    static_cast<double>(expected));
 }
 

@@ -61,7 +61,7 @@ TEST(TextFormatTest, RoundTripPreservesLanguage) {
   StatusOr<Edtd> reparsed = ParseSchema(text);
   ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << text;
   ASSERT_TRUE(IsSingleType(*schema));
-  EXPECT_TRUE(SingleTypeEquivalent(*schema, *reparsed)) << text;
+  EXPECT_TRUE(*SingleTypeEquivalent(*schema, *reparsed)) << text;
 }
 
 TEST(SchemaBuilderTest, MatchesTextFormatSemantics) {

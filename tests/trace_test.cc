@@ -285,14 +285,14 @@ TEST(TraceTest, DeterminizeSpanMatchesTheMetricsRegistry) {
   parts.push_back(Regex::Star(ab));
   parts.push_back(Regex::Symbol(0));
   for (int i = 0; i < 5; ++i) parts.push_back(ab);
-  Nfa nfa = GlushkovAutomaton(*Regex::Concat(std::move(parts)),
-                              /*num_symbols=*/2);
+  Nfa nfa = *GlushkovAutomaton(*Regex::Concat(std::move(parts)),
+                               /*num_symbols=*/2);
 
   Counter* const states = GetCounter("determinize.states_created");
   const int64_t before = states->value();
   TraceSession session;
   session.Start();
-  Dfa dfa = Determinize(nfa);
+  Dfa dfa = *Determinize(nfa);
   session.Stop();
   const int64_t registry_delta = states->value() - before;
   EXPECT_EQ(registry_delta, dfa.num_states());

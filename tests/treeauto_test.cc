@@ -59,7 +59,7 @@ TEST(BtaTest, EmptinessFixpoint) {
 TEST(DetBtaTest, AgreesWithNondeterministic) {
   Edtd edtd = ReduceEdtd(Example26Edtd());
   Bta bta = BtaFromEdtd(edtd);
-  DetBta det = DeterminizeBta(bta);
+  DetBta det = *DeterminizeBta(bta);
   for (const Tree& tree : EnumerateTrees({3, 2, 2})) {
     Tree binary = EncodeBinary(tree, edtd.num_symbols());
     EXPECT_EQ(det.Accepts(binary), bta.Accepts(binary))

@@ -31,7 +31,7 @@ std::pair<Edtd, Edtd> SiblingSchemas() {
 
 TEST(UpperUnionTest, CoversBothAndAddsTheForcedMix) {
   auto [d1, d2] = SiblingSchemas();
-  DfaXsd upper = UpperUnion(d1, d2);
+  DfaXsd upper = *UpperUnion(d1, d2);
   Alphabet& s = upper.sigma;
   int r = s.Find("r"), x = s.Find("x"), y = s.Find("y"), a = s.Find("a"),
       b = s.Find("b");
@@ -49,7 +49,7 @@ TEST(UpperUnionTest, CoversBothAndAddsTheForcedMix) {
 
 TEST(UpperUnionTest, InclusionAndMinimalityOnEnumeration) {
   auto [d1, d2] = SiblingSchemas();
-  DfaXsd upper = UpperUnion(d1, d2);
+  DfaXsd upper = *UpperUnion(d1, d2);
   // Upper bound property.
   EXPECT_TRUE(EdtdIncludedInXsd(d1, upper));
   EXPECT_TRUE(EdtdIncludedInXsd(d2, upper));
@@ -63,8 +63,8 @@ TEST(UpperUnionTest, InclusionAndMinimalityOnEnumeration) {
 TEST(UpperUnionTest, UnionOfSameSchemaIsIdentity) {
   auto [d1, d2] = SiblingSchemas();
   (void)d2;
-  DfaXsd upper = UpperUnion(d1, d1);
-  EXPECT_TRUE(SingleTypeEquivalent(d1, StEdtdFromDfaXsd(upper)));
+  DfaXsd upper = *UpperUnion(d1, d1);
+  EXPECT_TRUE(*SingleTypeEquivalent(d1, StEdtdFromDfaXsd(upper)));
 }
 
 TEST(UpperUnionTest, DisjointAlphabetsAlign) {
@@ -74,7 +74,7 @@ TEST(UpperUnionTest, DisjointAlphabetsAlign) {
   SchemaBuilder b2;
   b2.AddType("B", "b", "%");
   b2.AddStart("B");
-  DfaXsd upper = UpperUnion(b1.Build(), b2.Build());
+  DfaXsd upper = *UpperUnion(b1.Build(), b2.Build());
   EXPECT_TRUE(upper.Accepts(Tree(upper.sigma.Find("a"))));
   EXPECT_TRUE(upper.Accepts(Tree(upper.sigma.Find("b"))));
 }
@@ -90,7 +90,7 @@ TEST(UpperIntersectionTest, IsExact) {
   b2.AddType("A", "a", "A?");
   b2.AddStart("R");
   Edtd d1 = b1.Build(), d2 = b2.Build();
-  DfaXsd inter = UpperIntersection(d1, d2);
+  DfaXsd inter = *UpperIntersection(d1, d2);
   Alphabet& s = inter.sigma;
   int r = s.Find("r"), a = s.Find("a");
   EXPECT_TRUE(inter.Accepts(Tree(r, {Tree(a), Tree(a)})));
@@ -111,7 +111,7 @@ TEST(UpperIntersectionTest, EmptyIntersection) {
   SchemaBuilder b2;
   b2.AddType("B", "b", "%");
   b2.AddStart("B");
-  DfaXsd inter = UpperIntersection(b1.Build(), b2.Build());
+  DfaXsd inter = *UpperIntersection(b1.Build(), b2.Build());
   EXPECT_EQ(inter.type_size(), 0);
 }
 
@@ -123,7 +123,7 @@ TEST(UpperComplementTest, Theorem411ComplementWidensToAllNonLeaves) {
   // every chain of length >= 2 back in, so the minimal upper
   // approximation is "every a-tree with at least two nodes".
   Edtd chains = Theorem411Dtd();
-  DfaXsd upper = UpperComplement(chains);
+  DfaXsd upper = *UpperComplement(chains);
   for (const Tree& tree : EnumerateTrees({4, 2, 1})) {
     EXPECT_EQ(upper.Accepts(tree), tree.NumNodes() >= 2)
         << tree.ToString(chains.sigma);
@@ -133,7 +133,7 @@ TEST(UpperComplementTest, Theorem411ComplementWidensToAllNonLeaves) {
 TEST(UpperComplementTest, IsAnUpperBoundInGeneral) {
   auto [d1, d2] = SiblingSchemas();
   (void)d2;
-  DfaXsd upper = UpperComplement(d1);
+  DfaXsd upper = *UpperComplement(d1);
   // Every non-member within bounds is accepted by the approximation.
   for (const Tree& tree : EnumerateTrees({3, 2, d1.sigma.size()})) {
     if (!d1.Accepts(tree)) {
@@ -154,7 +154,7 @@ TEST(UpperDifferenceTest, CarvesOutTheSecondLanguage) {
   b2.AddType("A", "a", "%");
   b2.AddStart("R");
   Edtd d1 = b1.Build(), d2 = b2.Build();
-  DfaXsd diff = UpperDifference(d1, d2);
+  DfaXsd diff = *UpperDifference(d1, d2);
   int r = diff.sigma.Find("r"), a = diff.sigma.Find("a");
   EXPECT_TRUE(diff.Accepts(Tree(r)));
   EXPECT_FALSE(diff.Accepts(Tree(r, {Tree(a)})));
@@ -165,7 +165,7 @@ TEST(UpperDifferenceTest, UpperBoundOnEnumeration) {
   auto [d1, d2] = Theorem43Schemas();
   // D1 is not single-type-comparable with D2? Both are DTDs, hence
   // single-type. Difference: a*b chains minus a-trees = all of L(D1).
-  DfaXsd diff = UpperDifference(d1, d2);
+  DfaXsd diff = *UpperDifference(d1, d2);
   for (const Tree& tree : EnumerateTrees({4, 2, 2})) {
     if (d1.Accepts(tree) && !d2.Accepts(tree)) {
       EXPECT_TRUE(diff.Accepts(tree)) << tree.ToString(d1.sigma);
@@ -182,7 +182,7 @@ TEST(UpperDifferenceTest, UpperBoundOnEnumeration) {
 TEST(UpperDifferenceTest, DifferenceWithSelfIsEmpty) {
   auto [d1, d2] = SiblingSchemas();
   (void)d2;
-  DfaXsd diff = UpperDifference(d1, d1);
+  DfaXsd diff = *UpperDifference(d1, d1);
   EXPECT_EQ(MinimizeXsd(diff).type_size(), 0);
 }
 
@@ -201,7 +201,7 @@ TEST(EdtdIntersectionTest, ExactOnGeneralEdtds) {
   b2.AddType("X", "x", "X?");
   b2.AddStart("R");
   Edtd d1 = b1.Build(), d2 = b2.Build();
-  Edtd inter = EdtdIntersection(d1, d2);
+  Edtd inter = *EdtdIntersection(d1, d2);
   auto [a1, a2] = AlignAlphabets(d1, d2);
   for (const Tree& tree : EnumerateTrees({3, 2, a1.sigma.size()})) {
     EXPECT_EQ(inter.Accepts(tree), a1.Accepts(tree) && a2.Accepts(tree))
@@ -211,8 +211,8 @@ TEST(EdtdIntersectionTest, ExactOnGeneralEdtds) {
 
 TEST(EdtdIntersectionTest, AgreesWithSingleTypeProduct) {
   auto [d1, d2] = Theorem38Family(2);
-  Edtd inter = EdtdIntersection(d1, d2);
-  DfaXsd product = UpperIntersection(d1, d2);
+  Edtd inter = *EdtdIntersection(d1, d2);
+  DfaXsd product = *UpperIntersection(d1, d2);
   for (int len : {3, 5, 15, 16}) {
     Tree chain = Tree::Unary(Word(static_cast<size_t>(len), 0));
     EXPECT_EQ(inter.Accepts(chain), product.Accepts(chain)) << len;
@@ -224,7 +224,7 @@ TEST(ComplementEdtdTest, DefinesTheExactComplement) {
   auto [d1, d2] = SiblingSchemas();
   (void)d2;
   Edtd reduced = ReduceEdtd(d1);
-  Edtd complement = ComplementEdtd(DfaXsdFromStEdtd(reduced));
+  Edtd complement = *ComplementEdtd(DfaXsdFromStEdtd(reduced));
   for (const Tree& tree : EnumerateTrees({3, 2, d1.sigma.size()})) {
     EXPECT_EQ(complement.Accepts(tree), !d1.Accepts(tree))
         << tree.ToString(d1.sigma);
@@ -237,8 +237,8 @@ TEST(DifferenceEdtdTest, DefinesTheExactDifference) {
   Edtd r2 = ReduceEdtd(d2);
   // Align to a common alphabet first.
   auto [a1, a2] = AlignAlphabets(r1, r2);
-  Edtd difference = DifferenceEdtd(ReduceEdtd(a1),
-                                   DfaXsdFromStEdtd(ReduceEdtd(a2)));
+  Edtd difference = *DifferenceEdtd(ReduceEdtd(a1),
+                                    DfaXsdFromStEdtd(ReduceEdtd(a2)));
   for (const Tree& tree : EnumerateTrees({4, 2, 2})) {
     EXPECT_EQ(difference.Accepts(tree),
               a1.Accepts(tree) && !a2.Accepts(tree))
@@ -252,7 +252,7 @@ class Theorem36Test : public ::testing::TestWithParam<int> {};
 TEST_P(Theorem36Test, QuadraticTypeSize) {
   const int n = GetParam();
   auto [d1, d2] = Theorem36Family(n);
-  DfaXsd upper = MinimizeXsd(UpperUnion(d1, d2));
+  DfaXsd upper = MinimizeXsd(*UpperUnion(d1, d2));
   // The proof exhibits n^2 pairwise-distinct types (reached by a^k b^l).
   EXPECT_GE(upper.type_size(), n * n);
   // Sanity: members of both languages stay in.
@@ -270,7 +270,7 @@ TEST_P(Theorem38Test, ProductTypeSize) {
   auto [d1, d2] = Theorem38Family(n);
   int p1 = ReduceEdtd(d1).num_types();
   int p2 = ReduceEdtd(d2).num_types();
-  DfaXsd inter = MinimizeXsd(UpperIntersection(d1, d2));
+  DfaXsd inter = MinimizeXsd(*UpperIntersection(d1, d2));
   EXPECT_GE(inter.type_size(), p1 * p2);
 }
 

@@ -62,14 +62,14 @@ TEST(UpperTest, ExactForSingleTypeInputs) {
   Edtd edtd = builder.Build();
   ASSERT_TRUE(IsSingleType(edtd));
   DfaXsd upper = MinimalUpperApproximation(edtd);
-  EXPECT_TRUE(SingleTypeEquivalent(edtd, StEdtdFromDfaXsd(upper)));
+  EXPECT_TRUE(*SingleTypeEquivalent(edtd, StEdtdFromDfaXsd(upper)));
 }
 
 TEST(UpperTest, ApproximationIsExactIffDefinable) {
   // { a(b(c)), a(b) } IS closed under ancestor-guarded exchange, so it is
   // single-type definable and the approximation adds nothing.
   Edtd definable = TwoRootsEdtd();
-  EXPECT_TRUE(IsSingleTypeDefinable(definable));
+  EXPECT_TRUE(*IsSingleTypeDefinable(definable));
   DfaXsd upper = MinimalUpperApproximation(definable);
   for (const Tree& tree : EnumerateTrees({3, 2, 3})) {
     EXPECT_EQ(upper.Accepts(tree), definable.Accepts(tree))
@@ -107,7 +107,7 @@ TEST(UpperTest, ClosureEscapeForcesTheApproximation) {
   EXPECT_FALSE(upper.Accepts(Tree(r, {Tree(x, {Tree(a), Tree(a)}),
                                       Tree(y, {Tree(b)})})));
   // And this is the witness that the language is not definable.
-  EXPECT_FALSE(IsSingleTypeDefinable(edtd));
+  EXPECT_FALSE(*IsSingleTypeDefinable(edtd));
 }
 
 TEST(UpperTest, UpperOfUpperIsIdentity) {
@@ -125,8 +125,8 @@ TEST(UpperTest, ContentMinimizationIsLanguageNeutral) {
   no_minimize.minimize_content = false;
   DfaXsd with = MinimalUpperApproximation(edtd);
   DfaXsd without = MinimalUpperApproximation(edtd, no_minimize);
-  EXPECT_TRUE(SingleTypeEquivalent(StEdtdFromDfaXsd(with),
-                                   StEdtdFromDfaXsd(without)));
+  EXPECT_TRUE(*SingleTypeEquivalent(StEdtdFromDfaXsd(with),
+                                    StEdtdFromDfaXsd(without)));
   EXPECT_LE(with.Size(), without.Size());
 }
 

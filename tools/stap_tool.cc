@@ -91,7 +91,7 @@
 #include "stap/schema/minimize.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
-#include "stap/schema/count.h"
+#include "stap/count/counter.h"
 #include "stap/count/measure.h"
 #include "stap/schema/text_format.h"
 #include "stap/schema/typing.h"
@@ -424,6 +424,16 @@ int CmdCheck(const std::string& schema_path, Budget* budget) {
   StatusOr<Edtd> schema = LoadSchema(schema_path, budget);
   if (!schema.ok()) return Fail(schema.status());
   Edtd reduced = ReduceEdtd(*schema);
+  StatusOr<bool> definable = IsSingleTypeDefinable(reduced, budget);
+  if (!definable.ok()) return Fail(definable.status());
+  // UPA (Section 5): is every content model a one-unambiguous language?
+  bool upa = true;
+  for (int tau = 0; tau < reduced.num_types() && upa; ++tau) {
+    StatusOr<bool> one_unambiguous =
+        IsOneUnambiguousLanguage(reduced.content[tau], budget);
+    if (!one_unambiguous.ok()) return Fail(one_unambiguous.status());
+    upa = *one_unambiguous;
+  }
   std::cout << "types (declared):  " << schema->num_types() << "\n"
             << "types (reduced):   " << reduced.num_types() << "\n"
             << "alphabet:          " << reduced.sigma.size() << " elements\n"
@@ -431,20 +441,17 @@ int CmdCheck(const std::string& schema_path, Budget* budget) {
             << (reduced.num_types() == 0 ? "yes" : "no") << "\n"
             << "single-type (EDC): "
             << (IsSingleType(reduced) ? "yes" : "no") << "\n"
-            << "single-type definable: "
-            << (IsSingleTypeDefinable(reduced) ? "yes" : "no") << "\n";
-  // UPA (Section 5): is every content model a one-unambiguous language?
-  bool upa = true;
-  for (int tau = 0; tau < reduced.num_types() && upa; ++tau) {
-    upa = IsOneUnambiguousLanguage(reduced.content[tau]);
-  }
-  std::cout << "UPA-expressible content models: " << (upa ? "yes" : "no")
+            << "single-type definable: " << (*definable ? "yes" : "no")
+            << "\n"
+            << "UPA-expressible content models: " << (upa ? "yes" : "no")
             << "\n";
   return 0;
 }
 
-int PrintXsd(const DfaXsd& xsd) {
-  std::cout << SchemaToText(StEdtdFromDfaXsd(MinimizeXsd(xsd)));
+int PrintXsd(const DfaXsd& xsd, Budget* budget) {
+  StatusOr<DfaXsd> minimized = MinimizeXsd(xsd, budget);
+  if (!minimized.ok()) return Fail(minimized.status());
+  std::cout << SchemaToText(StEdtdFromDfaXsd(*minimized));
   return 0;
 }
 
@@ -849,14 +856,14 @@ int RunCommand(const std::vector<std::string>& argv, GlobalOptions& options) {
       return Fail(InvalidArgumentError(
           "schema is not single-type; run 'approx' first"));
     }
-    return PrintXsd(DfaXsdFromStEdtd(reduced));
+    return PrintXsd(DfaXsdFromStEdtd(reduced), budget);
   }
   if (command == "approx" && argc == 3) {
     StatusOr<Edtd> schema = LoadSchema(argv[2], budget);
     if (!schema.ok()) return Fail(schema.status());
     StatusOr<DfaXsd> xsd = MinimalUpperApproximation(*schema, budget);
     if (!xsd.ok()) return Fail(xsd.status());
-    return PrintXsd(*xsd);
+    return PrintXsd(*xsd, budget);
   }
   if ((command == "merge" || command == "intersect" || command == "diff" ||
        command == "lower" || command == "included") &&
@@ -885,19 +892,19 @@ int RunCommand(const std::vector<std::string>& argv, GlobalOptions& options) {
     if (command == "merge") {
       StatusOr<DfaXsd> result = UpperUnion(r1, r2, budget);
       if (!result.ok()) return Fail(result.status());
-      return PrintXsd(*result);
+      return PrintXsd(*result, budget);
     }
     if (command == "intersect") {
       StatusOr<DfaXsd> result = UpperIntersection(r1, r2, nullptr, budget);
       if (!result.ok()) return Fail(result.status());
-      return PrintXsd(*result);
+      return PrintXsd(*result, budget);
     }
     if (command == "diff") {
       StatusOr<DfaXsd> result = UpperDifference(r1, r2, nullptr, budget);
       if (!result.ok()) return Fail(result.status());
-      return PrintXsd(*result);
+      return PrintXsd(*result, budget);
     }
-    return PrintXsd(LowerUnionFixingFirst(r1, r2));
+    return PrintXsd(LowerUnionFixingFirst(r1, r2), budget);
   }
   if (command == "complement" && argc == 3) {
     StatusOr<Edtd> schema = LoadSchema(argv[2], budget);
@@ -909,7 +916,7 @@ int RunCommand(const std::vector<std::string>& argv, GlobalOptions& options) {
     }
     StatusOr<DfaXsd> result = UpperComplement(reduced, nullptr, budget);
     if (!result.ok()) return Fail(result.status());
-    return PrintXsd(*result);
+    return PrintXsd(*result, budget);
   }
   if (command == "sample" && (argc == 3 || argc == 4)) {
     int count = 1;
@@ -989,16 +996,17 @@ int RunCommand(const std::vector<std::string>& argv, GlobalOptions& options) {
       return Fail(InvalidArgumentError(
           "counting requires a single-type schema; run 'approx' first"));
     }
-    int depth = 0;
-    int width = 0;
-    if (!ParseCount(argv[3], 0, 1000000, &depth)) {
-      return BadCount("depth bound", argv[3], 0, 1000000);
+    CountBounds bounds;
+    if (!ParseCount(argv[3], 1, 1000000, &bounds.max_depth)) {
+      return BadCount("depth bound", argv[3], 1, 1000000);
     }
-    if (!ParseCount(argv[4], 0, 1000000, &width)) {
+    if (!ParseCount(argv[4], 0, 1000000, &bounds.max_width)) {
       return BadCount("width bound", argv[4], 0, 1000000);
     }
-    double count = CountDocuments(DfaXsdFromStEdtd(reduced), depth, width);
-    std::cout << count << "\n";
+    StatusOr<std::vector<CountValue>> counts =
+        CountXsdByDepth(DfaXsdFromStEdtd(reduced), bounds, budget);
+    if (!counts.ok()) return Fail(counts.status());
+    std::cout << counts->back().ToDouble() << "\n";
     return 0;
   }
   if (command == "measure" && argc >= 3) return CmdMeasure(argv, budget);
@@ -1015,7 +1023,10 @@ int RunCommand(const std::vector<std::string>& argv, GlobalOptions& options) {
       if (std::string(argv[3]) != "--repair-upa") return Usage();
       options.repair_upa = true;
     }
-    std::cout << ExportXsd(MinimizeXsd(DfaXsdFromStEdtd(reduced)), options);
+    StatusOr<DfaXsd> minimized =
+        MinimizeXsd(DfaXsdFromStEdtd(reduced), budget);
+    if (!minimized.ok()) return Fail(minimized.status());
+    std::cout << ExportXsd(*minimized, options);
     return 0;
   }
   if (command == "import" && argc == 3) {
