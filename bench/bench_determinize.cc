@@ -16,6 +16,7 @@
 
 #include <random>
 
+#include "oracles/inclusion.h"
 #include "stap/automata/determinize.h"
 #include "stap/automata/inclusion.h"
 #include "stap/automata/ops.h"

@@ -1,5 +1,5 @@
-// Hot-path kernels, hashed vs. the original std::map-based versions (kept
-// here as reference baselines). Instances are seeded random NFAs; run with
+// Hot-path kernels, hashed vs. the original std::map-based versions (the
+// reference kernels in tests/oracles). Instances are seeded random NFAs; run with
 // --benchmark_format=json for machine-readable before/after numbers (see
 // bench/results/hotpath.json and EXPERIMENTS.md).
 //
@@ -18,20 +18,18 @@
 //                                               to measure tracing overhead
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <iostream>
-#include <iterator>
-#include <map>
 #include <optional>
 #include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "oracles/inclusion.h"
+#include "oracles/map_kernels.h"
 #include "stap/approx/inclusion.h"
 #include "stap/approx/upper.h"
 #include "stap/automata/antichain.h"
@@ -69,131 +67,6 @@ void ApplyBudgetConfig(Budget* budget) {
   if (g_budget_config.max_sets >= 0) {
     budget->set_max_sets(g_budget_config.max_sets);
   }
-}
-
-// ---------------------------------------------------------------------
-// Reference (pre-interning) kernels, including the original chained
-// set_union successor computation that Nfa::NextInto replaced.
-// ---------------------------------------------------------------------
-
-StateSet MapNext(const Nfa& nfa, const StateSet& states, int symbol) {
-  StateSet result;
-  for (int q : states) {
-    const StateSet& succ = nfa.Next(q, symbol);
-    StateSet merged;
-    merged.reserve(result.size() + succ.size());
-    std::set_union(result.begin(), result.end(), succ.begin(), succ.end(),
-                   std::back_inserter(merged));
-    result = std::move(merged);
-  }
-  return result;
-}
-
-Dfa MapDeterminize(const Nfa& nfa) {
-  const int num_symbols = nfa.num_symbols();
-  std::map<StateSet, int> ids;
-  std::vector<StateSet> worklist;
-
-  Dfa dfa(0, num_symbols);
-  auto intern = [&](StateSet set) -> int {
-    auto [it, inserted] = ids.emplace(std::move(set), dfa.num_states());
-    if (inserted) {
-      dfa.AddState();
-      worklist.push_back(it->first);
-    }
-    return it->second;
-  };
-
-  dfa.SetInitial(intern(nfa.initial()));
-  size_t processed = 0;
-  while (processed < worklist.size()) {
-    StateSet current = worklist[processed];
-    int current_id = ids.at(current);
-    ++processed;
-    for (int q : current) {
-      if (nfa.IsFinal(q)) {
-        dfa.SetFinal(current_id);
-        break;
-      }
-    }
-    for (int a = 0; a < num_symbols; ++a) {
-      dfa.SetTransition(current_id, a, intern(MapNext(nfa, current, a)));
-    }
-  }
-  return dfa;
-}
-
-Dfa MapMinimize(const Dfa& input) {
-  Dfa dfa = input.Trimmed().Completed();
-  const int n = dfa.num_states();
-  const int num_symbols = dfa.num_symbols();
-
-  std::vector<int> classes(n);
-  for (int q = 0; q < n; ++q) classes[q] = dfa.IsFinal(q) ? 1 : 0;
-
-  int num_classes = 2;
-  while (true) {
-    std::map<std::vector<int>, int> signature_ids;
-    std::vector<int> next_classes(n);
-    for (int q = 0; q < n; ++q) {
-      std::vector<int> signature;
-      signature.reserve(num_symbols + 1);
-      signature.push_back(classes[q]);
-      for (int a = 0; a < num_symbols; ++a) {
-        signature.push_back(classes[dfa.Next(q, a)]);
-      }
-      auto [it, inserted] =
-          signature_ids.emplace(std::move(signature), signature_ids.size());
-      next_classes[q] = it->second;
-    }
-    int next_num_classes = static_cast<int>(signature_ids.size());
-    classes = std::move(next_classes);
-    if (next_num_classes == num_classes) break;
-    num_classes = next_num_classes;
-  }
-
-  Dfa quotient(num_classes, num_symbols);
-  quotient.SetInitial(classes[dfa.initial()]);
-  for (int q = 0; q < n; ++q) {
-    if (dfa.IsFinal(q)) quotient.SetFinal(classes[q]);
-    for (int a = 0; a < num_symbols; ++a) {
-      quotient.SetTransition(classes[q], a, classes[dfa.Next(q, a)]);
-    }
-  }
-  // The production Minimize additionally canonicalizes the numbering; that
-  // step is identical in both versions and cheap, so it is omitted from
-  // the baseline to keep the comparison focused on the refinement loop.
-  return quotient.Trimmed();
-}
-
-bool MapNfaIncludedInNfa(const Nfa& a, const Nfa& b) {
-  const int num_symbols = a.num_symbols();
-  std::map<std::pair<StateSet, StateSet>, bool> seen;
-  std::vector<std::pair<StateSet, StateSet>> worklist;
-  auto visit = [&](StateSet sa, StateSet sb) {
-    auto [it, inserted] =
-        seen.emplace(std::make_pair(std::move(sa), std::move(sb)), true);
-    if (inserted) worklist.push_back(it->first);
-  };
-  visit(a.initial(), b.initial());
-  auto accepts = [](const Nfa& nfa, const StateSet& set) {
-    for (int q : set) {
-      if (nfa.IsFinal(q)) return true;
-    }
-    return false;
-  };
-  size_t processed = 0;
-  while (processed < worklist.size()) {
-    auto [sa, sb] = worklist[processed];
-    ++processed;
-    if (accepts(a, sa) && !accepts(b, sb)) return false;
-    for (int sym = 0; sym < num_symbols; ++sym) {
-      StateSet next_a = MapNext(a, sa, sym);
-      if (next_a.empty()) continue;
-      visit(std::move(next_a), MapNext(b, sb, sym));
-    }
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------
@@ -276,7 +149,7 @@ void BM_NfaInclusionMap(benchmark::State& state) {
   Nfa a = MakeNfa(static_cast<int>(state.range(0)), 3);
   Nfa b = Loosen(a, 5);
   for (auto _ : state) {
-    bool included = MapNfaIncludedInNfa(a, b);
+    bool included = NfaIncludedInNfaViaSubsets(a, b);
     benchmark::DoNotOptimize(included);
   }
 }
@@ -317,8 +190,8 @@ void BM_LowerBoundInclusionAntichain(benchmark::State& state) {
   state.counters["nfa_states"] = nfa.num_states();
 }
 
-// The retired production path: BFS over pairs of subsets (see
-// NfaIncludedInNfaViaSubsets in automata/inclusion.h).
+// The retired production path: BFS over pairs of subsets (the map-based
+// oracle in tests/oracles/inclusion.h).
 void BM_LowerBoundInclusionSubsets(benchmark::State& state) {
   Nfa nfa = LowerBoundNfa(static_cast<int>(state.range(0)));
   for (auto _ : state) {

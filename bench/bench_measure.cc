@@ -15,7 +15,7 @@
 
 #include <random>
 
-#include "stap/count/binary.h"
+#include "oracles/count_binary.h"
 #include "stap/count/counter.h"
 #include "stap/count/measure.h"
 #include "stap/gen/families.h"

@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "stap/automata/state_set_hash.h"
+#include "stap/automata/interner.h"
 #include "stap/base/check.h"
 #include "stap/base/metrics.h"
 #include "stap/base/trace.h"

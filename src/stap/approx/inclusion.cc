@@ -7,8 +7,8 @@
 
 #include "stap/approx/upper_boolean.h"
 #include "stap/automata/inclusion.h"
+#include "stap/automata/interner.h"
 #include "stap/automata/ops.h"
-#include "stap/automata/state_set_hash.h"
 #include "stap/base/check.h"
 #include "stap/base/metrics.h"
 #include "stap/base/thread_pool.h"

@@ -8,8 +8,8 @@
 #include "stap/approx/upper_boolean.h"
 #include "stap/automata/antichain.h"
 #include "stap/automata/determinize.h"
+#include "stap/automata/interner.h"
 #include "stap/automata/ops.h"
-#include "stap/automata/state_set_hash.h"
 #include "stap/base/check.h"
 #include "stap/base/thread_pool.h"
 #include "stap/base/trace.h"
@@ -75,7 +75,7 @@ StatusOr<bool> IsMinimalUpperApproximation(const Edtd& candidate_in,
   // interned subset id. The sink (both halves empty) carries no content
   // obligation, and the initial pair is the ({init}, {q_init}) root
   // marker whose content the root-label check above already covers.
-  StateSetInterner subsets;
+  Interner<StateSet, IntVectorHash> subsets;
   struct PairRef {
     int q;
     int subset_id;
@@ -86,9 +86,8 @@ StatusOr<bool> IsMinimalUpperApproximation(const Edtd& candidate_in,
     // The candidate automaton is deterministic, so every live context
     // half is a singleton {q}.
     STAP_CHECK(pair_contexts[s].size() == 1);
-    StateSet subset = pair_subsets[s];
-    worklist.push_back(
-        PairRef{pair_contexts[s][0], subsets.Intern(std::move(subset)).first});
+    worklist.push_back(PairRef{
+        pair_contexts[s][0], subsets.Intern(std::move(pair_subsets[s])).first});
   }
   walk_span.AddArg("pairs", worklist.size());
   walk_span.AddArg("subsets", subsets.size());

@@ -9,9 +9,9 @@
 
 #include "stap/approx/upper_boolean.h"
 #include "stap/automata/inclusion.h"
+#include "stap/automata/interner.h"
 #include "stap/automata/minimize.h"
 #include "stap/automata/ops.h"
-#include "stap/automata/state_set_hash.h"
 #include "stap/base/check.h"
 #include "stap/schema/minimize.h"
 #include "stap/schema/reduce.h"
@@ -80,11 +80,11 @@ struct ProductBuilder {
   DfaXsd x1;
   DfaXsd x2;
   NvAnalysis analysis;
-  std::unordered_map<std::pair<int, int>, int, IntPairHash> pair_ids;
+  std::unordered_map<uint64_t, int, U64Hash> pair_ids;
 
   int Intern(int q1, int q2) {
     auto [it, inserted] =
-        pair_ids.emplace(std::make_pair(q1, q2), analysis.pairs.size());
+        pair_ids.emplace(PackPair(q1, q2), analysis.pairs.size());
     if (inserted) {
       NvAnalysis::PairState state;
       state.q1 = q1;
@@ -117,7 +117,8 @@ struct ProductBuilder {
         int r1 = q1 == kNoState ? kNoState : x1.automaton.Next(q1, a);
         int r2 = q2 == kNoState ? kNoState : x2.automaton.Next(q2, a);
         if (r1 == kNoState && r2 == kNoState) continue;
-        analysis.transition[p * num_symbols + a] = pair_ids.at({r1, r2});
+        analysis.transition[p * num_symbols + a] =
+            pair_ids.at(PackPair(r1, r2));
       }
     }
   }

@@ -7,9 +7,9 @@
 
 #include "stap/approx/upper.h"
 #include "stap/automata/determinize.h"
+#include "stap/automata/interner.h"
 #include "stap/automata/minimize.h"
 #include "stap/automata/ops.h"
-#include "stap/automata/state_set_hash.h"
 #include "stap/base/check.h"
 #include "stap/base/thread_pool.h"
 #include "stap/base/trace.h"
@@ -266,12 +266,12 @@ StatusOr<Edtd> DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
   const int m2 = xsd2.automaton.num_states();
 
   // Pair types (τ1, q2) for label-compatible combinations.
-  std::unordered_map<std::pair<int, int>, int, IntPairHash> pair_id;
+  std::unordered_map<uint64_t, int, U64Hash> pair_id;
   std::vector<std::pair<int, int>> pairs;
   for (int tau = 0; tau < n1; ++tau) {
     for (int q = 1; q < m2; ++q) {
       if (d1.mu[tau] == xsd2.state_label[q]) {
-        pair_id[{tau, q}] = n1 + static_cast<int>(pairs.size());
+        pair_id[PackPair(tau, q)] = n1 + static_cast<int>(pairs.size());
         pairs.emplace_back(tau, q);
       }
     }
@@ -299,7 +299,7 @@ StatusOr<Edtd> DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
     int a = d1.mu[tau];
     int q = xsd2.automaton.Next(xsd2.automaton.initial(), a);
     if (StateSetContains(xsd2.start_symbols, a) && q != kNoState) {
-      StateSetInsert(result.start_types, pair_id.at({tau, q}));
+      StateSetInsert(result.start_types, pair_id.at(PackPair(tau, q)));
     } else {
       StateSetInsert(result.start_types, tau);
     }
@@ -356,7 +356,7 @@ StatusOr<Edtd> DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
             // Or switch: child continues the guessed route in D2.
             int q2_next = xsd2.automaton.Next(q, d1.mu[t]);
             if (q2_next != kNoState) {
-              auto it = pair_id.find({t, q2_next});
+              auto it = pair_id.find(PackPair(t, q2_next));
               if (it != pair_id.end()) {
                 l2.AddTransition(state_id(s1, s2, 0), it->second,
                                  state_id(r1, r2, 1));
@@ -407,7 +407,7 @@ StatusOr<DfaXsd> UpperIntersection(const Edtd& d1_in, const Edtd& d2_in,
   // Product of the two XSD automata over reachable pairs; content models
   // are intersected.
   ScopedSpan walk_span("intersection.product_walk");
-  std::unordered_map<std::pair<int, int>, int, IntPairHash> ids;
+  std::unordered_map<uint64_t, int, U64Hash> ids;
   std::vector<std::pair<int, int>> worklist;
   DfaXsd product;
   product.sigma = x1.sigma;
@@ -415,7 +415,7 @@ StatusOr<DfaXsd> UpperIntersection(const Edtd& d1_in, const Edtd& d2_in,
   Status charge_status;
   auto intern = [&](int q1, int q2) -> int {
     auto [it, inserted] =
-        ids.emplace(std::make_pair(q1, q2), product.automaton.num_states());
+        ids.emplace(PackPair(q1, q2), product.automaton.num_states());
     if (inserted) {
       product.automaton.AddState();
       worklist.emplace_back(q1, q2);
@@ -428,7 +428,7 @@ StatusOr<DfaXsd> UpperIntersection(const Edtd& d1_in, const Edtd& d2_in,
   size_t processed = 0;
   while (processed < worklist.size() && charge_status.ok()) {
     auto [q1, q2] = worklist[processed];
-    int id = ids.at({q1, q2});
+    int id = ids.at(PackPair(q1, q2));
     ++processed;
     for (int a = 0; a < num_symbols; ++a) {
       int r1 = x1.automaton.Next(q1, a);

@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "stap/automata/inclusion.h"
+#include "stap/automata/interner.h"
 #include "stap/automata/ops.h"
-#include "stap/automata/state_set_hash.h"
 #include "stap/base/check.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/type_automaton.h"

@@ -21,8 +21,9 @@
 // engine reports its work through base/metrics.h: nodes kept, candidates
 // generated, and subsumption prunes per stage.
 //
-// The determinize-based subset-product path (inclusion.h *ViaSubsets
-// functions) is retained as a differential-test oracle; see DESIGN.md.
+// The map-based subset-product searches this engine replaced live on as
+// differential-test oracles in tests/oracles/inclusion.h, outside the
+// library; see DESIGN.md.
 #ifndef STAP_AUTOMATA_ANTICHAIN_H_
 #define STAP_AUTOMATA_ANTICHAIN_H_
 

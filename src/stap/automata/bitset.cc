@@ -2,10 +2,6 @@
 
 namespace stap {
 
-namespace {
-constexpr size_t kInitialTableSize = 64;  // power of two
-}  // namespace
-
 DenseNfa::DenseNfa(const Nfa& nfa)
     : num_states_(nfa.num_states()),
       num_symbols_(nfa.num_symbols()),
@@ -21,45 +17,6 @@ DenseNfa::DenseNfa(const Nfa& nfa)
     }
   }
   for (int q : nfa.initial()) initial_.Add(q);
-}
-
-DenseStateSetInterner::DenseStateSetInterner(int num_states)
-    : num_states_(num_states), table_(kInitialTableSize, -1) {}
-
-size_t DenseStateSetInterner::FindSlot(const DenseStateSet& set,
-                                       uint64_t hash) const {
-  const size_t mask = table_.size() - 1;
-  size_t i = static_cast<size_t>(hash) & mask;
-  while (true) {
-    int32_t id = table_[i];
-    if (id < 0) return i;
-    if (hashes_[id] == hash && sets_[id] == set) return i;
-    i = (i + 1) & mask;
-  }
-}
-
-std::pair<int, bool> DenseStateSetInterner::Intern(const DenseStateSet& set) {
-  const uint64_t hash = set.Hash();
-  const size_t slot = FindSlot(set, hash);
-  if (table_[slot] >= 0) return {table_[slot], false};
-  const int id = static_cast<int>(sets_.size());
-  sets_.push_back(set);
-  hashes_.push_back(hash);
-  table_[slot] = id;
-  // Keep the load factor below 0.7.
-  if (sets_.size() * 10 >= table_.size() * 7) Grow();
-  return {id, true};
-}
-
-void DenseStateSetInterner::Grow() {
-  table_.assign(table_.size() * 2, -1);
-  const size_t mask = table_.size() - 1;
-  // All stored sets are distinct, so reinsertion only probes for a hole.
-  for (size_t id = 0; id < hashes_.size(); ++id) {
-    size_t i = static_cast<size_t>(hashes_[id]) & mask;
-    while (table_[i] >= 0) i = (i + 1) & mask;
-    table_[i] = static_cast<int32_t>(id);
-  }
 }
 
 }  // namespace stap

@@ -16,21 +16,18 @@
 // successor set of a frontier is an OR of rows selected by the frontier's
 // set bits — no sorting, no deduplication, no per-step allocation.
 //
-// DenseStateSetInterner mirrors StateSetInterner (state_set_hash.h) for
-// the dense representation: open addressing over stored hashes, deque
-// storage so references survive growth.
+// DenseStateSetHash keys Interner (interner.h) on the dense
+// representation.
 #ifndef STAP_AUTOMATA_BITSET_H_
 #define STAP_AUTOMATA_BITSET_H_
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <utility>
 #include <vector>
 
+#include "stap/automata/interner.h"
 #include "stap/automata/nfa.h"
-#include "stap/automata/state_set_hash.h"
 
 namespace stap {
 
@@ -139,6 +136,11 @@ class DenseStateSet {
   std::vector<uint64_t> blocks_;
 };
 
+// Interner hasher for DenseStateSets over one fixed universe.
+struct DenseStateSetHash {
+  uint64_t operator()(const DenseStateSet& set) const { return set.Hash(); }
+};
+
 // An Nfa snapshot with bitset transition rows: Row(q, a) is the successor
 // set of q on a, and NextInto ORs the rows selected by a frontier.
 class DenseNfa {
@@ -173,32 +175,6 @@ class DenseNfa {
   std::vector<DenseStateSet> rows_;  // state * num_symbols + symbol
   DenseStateSet initial_;
   DenseStateSet finals_;
-};
-
-// Maps DenseStateSets (over one fixed universe) to dense ids 0, 1, 2, …
-// in insertion order. Same design as StateSetInterner: open addressing
-// over stored hashes, deque-backed storage for reference stability.
-class DenseStateSetInterner {
- public:
-  explicit DenseStateSetInterner(int num_states);
-
-  // Interns a copy of `set`, returning (id, inserted). The argument is
-  // never consumed, so callers reuse it as a scratch buffer.
-  std::pair<int, bool> Intern(const DenseStateSet& set);
-
-  // The set with the given id; stays valid across Intern calls.
-  const DenseStateSet& operator[](int id) const { return sets_[id]; }
-
-  int size() const { return static_cast<int>(sets_.size()); }
-
- private:
-  size_t FindSlot(const DenseStateSet& set, uint64_t hash) const;
-  void Grow();
-
-  int num_states_;
-  std::deque<DenseStateSet> sets_;  // id -> set
-  std::vector<uint64_t> hashes_;    // id -> full hash
-  std::vector<int32_t> table_;      // open addressing; -1 = empty
 };
 
 }  // namespace stap

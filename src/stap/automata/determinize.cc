@@ -1,10 +1,10 @@
 #include "stap/automata/determinize.h"
 
-#include <unordered_map>
+#include <cstdint>
 #include <utility>
 
 #include "stap/automata/bitset.h"
-#include "stap/automata/state_set_hash.h"
+#include "stap/automata/interner.h"
 #include "stap/base/check.h"
 #include "stap/base/metrics.h"
 #include "stap/base/trace.h"
@@ -56,7 +56,8 @@ StatusOr<Dfa> DeterminizeCore(const Nfa& nfa, const Nfa* context,
 
   const int num_symbols = nfa.num_symbols();
   const DenseNfa dense(nfa);
-  DenseStateSetInterner interner(nfa.num_states());
+  using SubsetInterner = Interner<DenseStateSet, DenseStateSetHash>;
+  SubsetInterner interner;
 
   Dfa dfa(0, num_symbols);
   // state_subset[id] is the interned NFA-subset id of DFA state id, or -1
@@ -107,19 +108,24 @@ StatusOr<Dfa> DeterminizeCore(const Nfa& nfa, const Nfa* context,
     span.AddArg("context_states", context->num_states());
 
     const DenseNfa ctx(*context);
-    DenseStateSetInterner ctx_interner(context->num_states());
+    SubsetInterner ctx_interner;
     // Distinct NFA subsets seen at the pruning frontier; interned so the
     // pruned-states counter reports unique subsets, not transitions.
-    DenseStateSetInterner pruned_interner(nfa.num_states());
-    std::unordered_map<uint64_t, int, U64Hash> pair_ids;
-    std::vector<std::pair<int, int>> pairs;  // DFA state -> (ctx id, sub id)
+    SubsetInterner pruned_interner;
+    // DFA state id -> PackPair(ctx id, sub id); the sink is PackPair(-1, -1).
+    Interner<uint64_t, U64Hash> pairs;
+    auto pair_at = [&](int id) {
+      const uint64_t key = pairs[id];
+      return std::pair<int, int>(static_cast<int32_t>(key >> 32),
+                                 static_cast<int32_t>(key));
+    };
     int64_t pruned_transitions = 0;
     int64_t max_subset_size = 0;
     int sink = kNoState;
     auto sink_state = [&]() {
       if (sink == kNoState) {
         sink = add_state(-1, false);
-        pairs.emplace_back(-1, -1);
+        pairs.Intern(PackPair(-1, -1));
         for (int a = 0; a < num_symbols; ++a) {
           dfa.SetTransition(sink, a, sink);
         }
@@ -127,16 +133,14 @@ StatusOr<Dfa> DeterminizeCore(const Nfa& nfa, const Nfa* context,
       return sink;
     };
     auto pair_state = [&](int ctx_id, int sub_id) {
-      auto [it, inserted] =
-          pair_ids.emplace(PackPair(ctx_id, sub_id), dfa.num_states());
+      auto [id, inserted] = pairs.Intern(PackPair(ctx_id, sub_id));
       if (inserted) {
         add_state(sub_id, dense.AnyFinal(interner[sub_id]));
-        pairs.emplace_back(ctx_id, sub_id);
         const int64_t size = interner[sub_id].Count();
         metrics.subset_size->Record(static_cast<double>(size));
         if (size > max_subset_size) max_subset_size = size;
       }
-      return it->second;
+      return id;
     };
 
     if (ctx.initial().Empty() || dense.initial().Empty()) {
@@ -152,14 +156,12 @@ StatusOr<Dfa> DeterminizeCore(const Nfa& nfa, const Nfa* context,
 
       DenseStateSet scratch(nfa.num_states());
       DenseStateSet ctx_scratch(context->num_states());
-      // `pairs` doubles as the worklist; the sink (pair (-1, -1)) is
-      // pre-wired and skipped.
-      // `pairs[i]` is the pair interned as DFA state i (both grow in
-      // lockstep), so the worklist index is the state id.
-      for (size_t i = 0; i < pairs.size(); ++i) {
-        const auto [ctx_id, sub_id] = pairs[i];
+      // `pairs` doubles as the worklist: pair id i is DFA state i (both
+      // grow in lockstep). The sink (pair (-1, -1)) is pre-wired and
+      // skipped.
+      for (int id = 0; id < pairs.size(); ++id) {
+        const auto [ctx_id, sub_id] = pair_at(id);
         if (sub_id < 0) continue;
-        const int id = static_cast<int>(i);
         for (int a = 0; a < num_symbols; ++a) {
           ctx.NextInto(ctx_interner[ctx_id], a, &ctx_scratch);
           if (ctx_scratch.Empty()) {
@@ -203,7 +205,8 @@ StatusOr<Dfa> DeterminizeCore(const Nfa& nfa, const Nfa* context,
     }
     if (context_subsets != nullptr) {
       context_subsets->reserve(context_subsets->size() + pairs.size());
-      for (const auto& [ctx_id, sub_id] : pairs) {
+      for (int id = 0; id < pairs.size(); ++id) {
+        const int ctx_id = pair_at(id).first;
         context_subsets->push_back(
             ctx_id >= 0 ? ctx_interner[ctx_id].ToStateSet() : StateSet{});
       }

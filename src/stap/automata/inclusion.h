@@ -1,10 +1,10 @@
 // Language inclusion and equivalence tests.
 //
-// The production entry points run the antichain engine (antichain.h):
-// on-the-fly frontier search over (state, bitset) pairs with subsumption
-// pruning, no up-front subset construction. The pre-antichain
-// subset-product search is retained under *ViaSubsets names as a
-// differential-test oracle and benchmark baseline.
+// Every entry point runs the antichain engine (antichain.h): on-the-fly
+// frontier search over (state, bitset) pairs with subsumption pruning, no
+// up-front subset construction. The subset-product and schema-guided
+// determinization oracles it is cross-checked against live with the
+// tests, in tests/oracles/inclusion.h.
 #ifndef STAP_AUTOMATA_INCLUSION_H_
 #define STAP_AUTOMATA_INCLUSION_H_
 
@@ -42,31 +42,6 @@ std::optional<Word> DfaInclusionCounterexample(const Dfa& a, const Dfa& b);
 // A shortest word in L(nfa) \ L(dfa), if any.
 std::optional<Word> NfaDfaInclusionCounterexample(const Nfa& nfa,
                                                   const Dfa& dfa);
-
-// ---------------------------------------------------------------------
-// Determinize-based oracles (pre-antichain implementations). Verdicts and
-// witness lengths match the antichain engine; kept for differential tests
-// (tests/antichain_differential_test.cc) and the crossover benchmark in
-// bench_hotpath. See DESIGN.md for when these are the right tool.
-// ---------------------------------------------------------------------
-
-// L(a) ⊆ L(b) via the on-the-fly subset-product search (determinizes
-// both sides' reachable subsets without subsumption pruning).
-bool NfaIncludedInNfaViaSubsets(const Nfa& a, const Nfa& b);
-
-// L(a) ⊆ L(b) via DeterminizeUnderSchema(b, context = a): only b-subsets
-// reachable along words of L(a)'s prefixes are materialized, and the
-// restricted-mode contract (L(result) ∩ L(a) = L(b) ∩ L(a)) makes the
-// verdict exact — L(a) ⊆ L(b) iff L(a) ⊆ L(result). Differential oracle
-// for the schema-guided determinizer against the antichain engine.
-StatusOr<bool> NfaIncludedInNfaViaSchemaDeterminize(const Nfa& a,
-                                                    const Nfa& b,
-                                                    Budget* budget = nullptr);
-
-// Shortest word in L(nfa) \ L(dfa) via the (subset of nfa, dfa state)
-// product BFS.
-std::optional<Word> NfaDfaInclusionCounterexampleViaSubsets(const Nfa& nfa,
-                                                            const Dfa& dfa);
 
 }  // namespace stap
 

@@ -1,13 +1,12 @@
 #include "stap/automata/minimize.h"
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
 #include <utility>
 #include <vector>
 
 #include "stap/automata/determinize.h"
-#include "stap/automata/state_set_hash.h"
+#include "stap/automata/interner.h"
 #include "stap/base/check.h"
 #include "stap/base/metrics.h"
 #include "stap/base/trace.h"
@@ -15,66 +14,6 @@
 namespace stap {
 
 namespace {
-
-// Interns fixed-width int spans (Moore signatures) to dense ids. All
-// signatures of one refinement round have the same width, so they live
-// back-to-back in a flat arena — no per-state vector allocation, and the
-// probe compares with memcmp over contiguous memory.
-class SignatureInterner {
- public:
-  SignatureInterner(size_t width, int expected)
-      : width_(width), table_(TableSizeFor(expected), -1) {
-    arena_.reserve(width * static_cast<size_t>(expected));
-    hashes_.reserve(static_cast<size_t>(expected));
-  }
-
-  int size() const { return static_cast<int>(hashes_.size()); }
-
-  // Interns `sig` (exactly `width_` ints), returning its dense id.
-  int Intern(const int* sig) {
-    const uint64_t hash = HashIntSpan(sig, width_);
-    const size_t mask = table_.size() - 1;
-    size_t i = static_cast<size_t>(hash) & mask;
-    while (true) {
-      int32_t id = table_[i];
-      if (id < 0) break;
-      if (hashes_[id] == hash &&
-          std::memcmp(arena_.data() + id * width_, sig,
-                      width_ * sizeof(int)) == 0) {
-        return id;
-      }
-      i = (i + 1) & mask;
-    }
-    const int id = static_cast<int>(hashes_.size());
-    arena_.insert(arena_.end(), sig, sig + width_);
-    hashes_.push_back(hash);
-    table_[i] = id;
-    if (hashes_.size() * 10 >= table_.size() * 7) Grow();
-    return id;
-  }
-
- private:
-  static size_t TableSizeFor(int expected) {
-    size_t size = 64;
-    while (size * 7 < static_cast<size_t>(expected) * 10) size *= 2;
-    return size;
-  }
-
-  void Grow() {
-    table_.assign(table_.size() * 2, -1);
-    const size_t mask = table_.size() - 1;
-    for (size_t id = 0; id < hashes_.size(); ++id) {
-      size_t i = static_cast<size_t>(hashes_[id]) & mask;
-      while (table_[i] >= 0) i = (i + 1) & mask;
-      table_[i] = static_cast<int32_t>(id);
-    }
-  }
-
-  size_t width_;
-  std::vector<int> arena_;        // id * width_ .. (id+1) * width_
-  std::vector<uint64_t> hashes_;  // id -> full hash
-  std::vector<int32_t> table_;    // open addressing; -1 = empty
-};
 
 // Renumbers the states of a (partial, trimmed) DFA in BFS order, symbols
 // ascending. For a minimal DFA this numbering is canonical.
@@ -130,10 +69,12 @@ StatusOr<Dfa> Minimize(const Dfa& input, Budget* budget) {
   for (int q = 0; q < n; ++q) classes[q] = dfa.IsFinal(q) ? 1 : 0;
 
   int num_classes = 2;
-  // Signature of a state: (its class, classes of its successors).
-  // One reusable scratch row; signatures are interned through a flat
-  // arena table, so the refinement loop performs no allocation per state.
-  std::vector<int> signature(static_cast<size_t>(num_symbols) + 1);
+  // Signature of a state: (its class, classes of its successors). Each
+  // round writes state q's signature into row q of one reused buffer and
+  // interns a view of the row, so the refinement loop performs no
+  // allocation per state or per class.
+  const size_t width = static_cast<size_t>(num_symbols) + 1;
+  std::vector<int> signatures(width * n);
   std::vector<int> next_classes(n);
   while (true) {
     // Minimization never grows the state count, so only the wall clock
@@ -141,13 +82,14 @@ StatusOr<Dfa> Minimize(const Dfa& input, Budget* budget) {
     rounds->Increment();
     ++rounds_run;
     STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
-    SignatureInterner signature_ids(signature.size(), n);
+    Interner<IntSpanKey, IntSpanKeyHash> signature_ids(n);
     for (int q = 0; q < n; ++q) {
+      int* signature = signatures.data() + width * q;
       signature[0] = classes[q];
       for (int a = 0; a < num_symbols; ++a) {
-        signature[static_cast<size_t>(a) + 1] = classes[dfa.Next(q, a)];
+        signature[a + 1] = classes[dfa.Next(q, a)];
       }
-      next_classes[q] = signature_ids.Intern(signature.data());
+      next_classes[q] = signature_ids.Intern({signature, width}).first;
     }
     int next_num_classes = signature_ids.size();
     std::swap(classes, next_classes);

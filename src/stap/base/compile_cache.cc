@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "stap/automata/state_set_hash.h"
+#include "stap/automata/interner.h"
 #include "stap/base/metrics.h"
 #include "stap/base/trace.h"
 

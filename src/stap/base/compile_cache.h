@@ -11,7 +11,7 @@
 // Keys are canonicalized content models: the regex source text plus the
 // ordered type-alphabet names it ranges over (the same source over a
 // different alphabet compiles to a different DFA). The 64-bit key hash
-// (built from the same splitmix64 mixer as state_set_hash.h) picks the
+// (built from the same splitmix64 mixer as automata/interner.h) picks the
 // shard; exact equality on the canonical string resolves hash collisions,
 // so a collision can never serve the wrong DFA.
 //

@@ -1,10 +1,12 @@
 #include "stap/count/counter.h"
 
+#include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "stap/automata/state_set_hash.h"
+#include "stap/automata/interner.h"
 #include "stap/base/check.h"
 #include "stap/base/metrics.h"
 #include "stap/base/trace.h"
@@ -22,7 +24,7 @@ Status CheckBounds(const CountBounds& bounds) {
 }
 
 // Do two sorted int sets intersect?
-bool IntersectsSorted(const StateSet& a, const std::vector<int>& b) {
+bool IntersectsSorted(std::span<const int> a, const std::vector<int>& b) {
   size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] == b[j]) return true;
@@ -67,44 +69,41 @@ CountValue CountContentWeighted(const Dfa& content,
   return total;
 }
 
-// The per-label sibling-word DP shared by the EDTD and intersection
-// counters: joint states are tuples of content-DFA state subsets (one per
-// type with the current label), optionally paired with an XSD content
-// state. Tuples are interned by their serialized form.
-class TupleInterner {
- public:
-  explicit TupleInterner(Budget* budget) : budget_(budget) {}
-
-  // Interns `tuple` (with an optional scalar prefix distinguishing XSD
-  // content states); returns its dense id through `id`.
-  Status Intern(int prefix, const std::vector<StateSet>& tuple, int* id) {
-    static Counter* const tuples_counter = GetCounter("count.sibling_tuples");
-    std::vector<int> key;
-    key.push_back(prefix);
-    for (const StateSet& subset : tuple) {
-      key.insert(key.end(), subset.begin(), subset.end());
-      key.push_back(-1);
-    }
-    auto [it, inserted] = ids_.emplace(std::move(key), tuples_.size());
-    if (inserted) {
-      STAP_RETURN_IF_ERROR(Budget::ChargeSets(budget_));
-      tuples_counter->Increment();
-      tuples_.push_back(tuple);
-      prefixes_.push_back(prefix);
-    }
-    *id = it->second;
-    return Status();
-  }
-
-  const std::vector<StateSet>& tuple(int id) const { return tuples_[id]; }
-  int prefix(int id) const { return prefixes_[id]; }
-
- private:
-  Budget* budget_;
-  std::unordered_map<std::vector<int>, int, IntVectorHash> ids_;
-  std::vector<std::vector<StateSet>> tuples_;
-  std::vector<int> prefixes_;
+// A state of the per-label sibling-word DP shared by the EDTD and
+// intersection counters: one content-DFA state subset per type with the
+// current label, plus the XSD content state of the intersection counter
+// (0 for the EDTD counter).
+struct SiblingTuple {
+  int prefix = 0;
+  std::vector<StateSet> subsets;
+  bool operator==(const SiblingTuple&) const = default;
 };
+
+struct SiblingTupleHash {
+  uint64_t operator()(const SiblingTuple& tuple) const {
+    uint64_t h = MixU64(static_cast<uint32_t>(tuple.prefix));
+    for (const StateSet& subset : tuple.subsets) {
+      h = MixU64(h ^ HashIntSpan(subset.data(), subset.size()));
+    }
+    return h;
+  }
+};
+
+using SiblingTuples = Interner<SiblingTuple, SiblingTupleHash>;
+
+// Interns `tuple` into `*tuples`, charging the set quota when it is new,
+// and returns its dense id through `id`. On a hit `tuple` is untouched.
+Status InternTuple(SiblingTuples* tuples, SiblingTuple&& tuple,
+                   Budget* budget, int* id) {
+  static Counter* const tuples_counter = GetCounter("count.sibling_tuples");
+  const auto [tuple_id, inserted] = tuples->Intern(std::move(tuple));
+  if (inserted) {
+    STAP_RETURN_IF_ERROR(Budget::ChargeSets(budget));
+    tuples_counter->Increment();
+  }
+  *id = tuple_id;
+  return Status();
+}
 
 // Advances every per-type subset of `tuple` on the child profile
 // `child_types` (a set of ∆ symbols). Returns false when every successor
@@ -112,7 +111,7 @@ class TupleInterner {
 // again, so the caller prunes it.
 bool AdvanceTuple(const std::vector<const Dfa*>& contents,
                   const std::vector<StateSet>& tuple,
-                  const StateSet& child_types,
+                  std::span<const int> child_types,
                   std::vector<StateSet>* successor) {
   const int k = static_cast<int>(contents.size());
   successor->assign(k, StateSet{});
@@ -146,10 +145,13 @@ StateSet TupleProfile(const std::vector<int>& taus,
   return profile;
 }
 
-std::vector<StateSet> InitialTuple(const std::vector<const Dfa*>& contents) {
-  std::vector<StateSet> tuple(contents.size());
+SiblingTuple InitialTuple(int prefix,
+                          const std::vector<const Dfa*>& contents) {
+  SiblingTuple tuple{prefix, std::vector<StateSet>(contents.size())};
   for (size_t i = 0; i < contents.size(); ++i) {
-    if (contents[i]->num_states() > 0) tuple[i] = {contents[i]->initial()};
+    if (contents[i]->num_states() > 0) {
+      tuple.subsets[i] = {contents[i]->initial()};
+    }
   }
   return tuple;
 }
@@ -210,27 +212,23 @@ StatusOr<std::vector<CountValue>> CountEdtdByDepth(const Edtd& edtd,
   }
 
   // Profiles with counts for trees of depth <= d-1 (cumulative).
-  std::vector<StateSet> prev_profiles;
+  Interner<StateSet, IntVectorHash> prev_profiles;
   std::vector<CountValue> prev_counts;
   std::vector<CountValue> totals;
   totals.reserve(bounds.max_depth);
 
   for (int d = 1; d <= bounds.max_depth; ++d) {
     STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
-    std::unordered_map<StateSet, int, StateSetHash> next_ids;
-    std::vector<StateSet> next_profiles;
+    Interner<StateSet, IntVectorHash> next_profiles;
     std::vector<CountValue> next_counts;
     auto add_profile = [&](StateSet profile, const CountValue& cnt) -> Status {
-      auto [it, inserted] = next_ids.emplace(std::move(profile),
-                                             next_profiles.size());
+      auto [id, inserted] = next_profiles.Intern(std::move(profile));
       if (inserted) {
         STAP_RETURN_IF_ERROR(Budget::ChargeStates(budget));
         profiles_counter->Increment();
-        next_profiles.push_back(it->first);
         next_counts.push_back(cnt);
       } else {
-        next_counts[it->second] =
-            CountValue::Add(next_counts[it->second], cnt);
+        next_counts[id] = CountValue::Add(next_counts[id], cnt);
       }
       return Status();
     };
@@ -242,33 +240,34 @@ StatusOr<std::vector<CountValue>> CountEdtdByDepth(const Edtd& edtd,
       contents.reserve(taus.size());
       for (int tau : taus) contents.push_back(&edtd.content[tau]);
 
-      TupleInterner interner(budget);
+      SiblingTuples tuples;
       int init_id = 0;
-      STAP_RETURN_IF_ERROR(
-          interner.Intern(0, InitialTuple(contents), &init_id));
+      STAP_RETURN_IF_ERROR(InternTuple(&tuples, InitialTuple(0, contents),
+                                       budget, &init_id));
       std::unordered_map<int, CountValue> frontier;
       frontier[init_id] = CountValue::One();
 
       for (int len = 0; len <= bounds.max_width; ++len) {
         for (const auto& [id, cnt] : frontier) {
-          StateSet profile = TupleProfile(taus, contents, interner.tuple(id));
+          StateSet profile = TupleProfile(taus, contents, tuples[id].subsets);
           if (!profile.empty()) {
             STAP_RETURN_IF_ERROR(add_profile(std::move(profile), cnt));
           }
         }
-        if (len == bounds.max_width || prev_profiles.empty()) break;
+        if (len == bounds.max_width || prev_profiles.size() == 0) break;
         std::unordered_map<int, CountValue> next_frontier;
-        std::vector<StateSet> successor;
+        SiblingTuple successor;
         for (const auto& [id, cnt] : frontier) {
-          // Copy: interning below may reallocate the tuple storage.
-          const std::vector<StateSet> tuple = interner.tuple(id);
-          for (size_t pi = 0; pi < prev_profiles.size(); ++pi) {
+          // Stays valid while interning: the interner's storage is stable.
+          const std::vector<StateSet>& tuple = tuples[id].subsets;
+          for (int pi = 0; pi < prev_profiles.size(); ++pi) {
             if (!AdvanceTuple(contents, tuple, prev_profiles[pi],
-                              &successor)) {
+                              &successor.subsets)) {
               continue;
             }
             int sid = 0;
-            STAP_RETURN_IF_ERROR(interner.Intern(0, successor, &sid));
+            STAP_RETURN_IF_ERROR(
+                InternTuple(&tuples, std::move(successor), budget, &sid));
             CountValue& slot = next_frontier[sid];
             slot = CountValue::Add(slot,
                                    CountValue::Mul(cnt, prev_counts[pi]));
@@ -280,7 +279,7 @@ StatusOr<std::vector<CountValue>> CountEdtdByDepth(const Edtd& edtd,
     }
 
     CountValue total;
-    for (size_t pi = 0; pi < next_profiles.size(); ++pi) {
+    for (int pi = 0; pi < next_profiles.size(); ++pi) {
       if (IntersectsSorted(next_profiles[pi], edtd.start_types)) {
         total = CountValue::Add(total, next_counts[pi]);
       }
@@ -289,7 +288,7 @@ StatusOr<std::vector<CountValue>> CountEdtdByDepth(const Edtd& edtd,
     prev_profiles = std::move(next_profiles);
     prev_counts = std::move(next_counts);
   }
-  span.AddArg("profiles", static_cast<int64_t>(prev_profiles.size()));
+  span.AddArg("profiles", prev_profiles.size());
   return totals;
 }
 
@@ -311,37 +310,32 @@ StatusOr<std::vector<CountValue>> CountIntersectionByDepth(
   }
   const int n = xsd.automaton.num_states();
 
-  // Joint keys: [q, profile...] for trees valid at XSD state q whose
-  // exact EDTD profile is the given type set.
-  std::unordered_map<std::vector<int>, int, IntVectorHash> prev_ids;
-  std::vector<int> prev_states;
-  std::vector<StateSet> prev_profiles;
+  // Joint keys [q, profile...] for trees valid at XSD state q whose exact
+  // EDTD profile is the given type set.
+  Interner<std::vector<int>, IntVectorHash> prev_pairs;
   std::vector<CountValue> prev_counts;
+  auto profile_of = [](const std::vector<int>& pair) {
+    return std::span<const int>(pair).subspan(1);
+  };
   std::vector<CountValue> totals;
   totals.reserve(bounds.max_depth);
 
   for (int d = 1; d <= bounds.max_depth; ++d) {
     STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
-    std::unordered_map<std::vector<int>, int, IntVectorHash> next_ids;
-    std::vector<int> next_states;
-    std::vector<StateSet> next_profiles;
+    Interner<std::vector<int>, IntVectorHash> next_pairs;
     std::vector<CountValue> next_counts;
-    auto add_pair = [&](int q, StateSet profile,
+    auto add_pair = [&](int q, const StateSet& profile,
                         const CountValue& cnt) -> Status {
       std::vector<int> key;
       key.reserve(profile.size() + 1);
       key.push_back(q);
       key.insert(key.end(), profile.begin(), profile.end());
-      auto [it, inserted] = next_ids.emplace(std::move(key),
-                                             next_states.size());
+      auto [id, inserted] = next_pairs.Intern(std::move(key));
       if (inserted) {
         STAP_RETURN_IF_ERROR(Budget::ChargeStates(budget));
-        next_states.push_back(q);
-        next_profiles.push_back(std::move(profile));
         next_counts.push_back(cnt);
       } else {
-        next_counts[it->second] =
-            CountValue::Add(next_counts[it->second], cnt);
+        next_counts[id] = CountValue::Add(next_counts[id], cnt);
       }
       return Status();
     };
@@ -356,39 +350,40 @@ StatusOr<std::vector<CountValue>> CountIntersectionByDepth(
       contents.reserve(taus.size());
       for (int tau : taus) contents.push_back(&edtd.content[tau]);
 
-      TupleInterner interner(budget);
+      SiblingTuples tuples;
       int init_id = 0;
-      STAP_RETURN_IF_ERROR(interner.Intern(content_q.initial(),
-                                           InitialTuple(contents), &init_id));
+      STAP_RETURN_IF_ERROR(
+          InternTuple(&tuples, InitialTuple(content_q.initial(), contents),
+                      budget, &init_id));
       std::unordered_map<int, CountValue> frontier;
       frontier[init_id] = CountValue::One();
 
       for (int len = 0; len <= bounds.max_width; ++len) {
         for (const auto& [id, cnt] : frontier) {
-          if (!content_q.IsFinal(interner.prefix(id))) continue;
-          StateSet profile = TupleProfile(taus, contents, interner.tuple(id));
-          if (!profile.empty()) {
-            STAP_RETURN_IF_ERROR(add_pair(q, std::move(profile), cnt));
-          }
+          if (!content_q.IsFinal(tuples[id].prefix)) continue;
+          StateSet profile = TupleProfile(taus, contents, tuples[id].subsets);
+          if (!profile.empty()) STAP_RETURN_IF_ERROR(add_pair(q, profile, cnt));
         }
-        if (len == bounds.max_width || prev_states.empty()) break;
+        if (len == bounds.max_width || prev_pairs.size() == 0) break;
         std::unordered_map<int, CountValue> next_frontier;
-        std::vector<StateSet> successor;
+        SiblingTuple successor;
         for (const auto& [id, cnt] : frontier) {
-          const std::vector<StateSet> tuple = interner.tuple(id);
-          const int cs = interner.prefix(id);
-          for (size_t pi = 0; pi < prev_states.size(); ++pi) {
-            const int child_q = prev_states[pi];
+          const std::vector<StateSet>& tuple = tuples[id].subsets;
+          const int cs = tuples[id].prefix;
+          for (int pi = 0; pi < prev_pairs.size(); ++pi) {
+            const int child_q = prev_pairs[pi][0];
             const int b = xsd.state_label[child_q];
             if (xsd.automaton.Next(q, b) != child_q) continue;
             const int cs_next = content_q.Next(cs, b);
             if (cs_next == kNoState) continue;
-            if (!AdvanceTuple(contents, tuple, prev_profiles[pi],
-                              &successor)) {
+            if (!AdvanceTuple(contents, tuple, profile_of(prev_pairs[pi]),
+                              &successor.subsets)) {
               continue;
             }
+            successor.prefix = cs_next;
             int sid = 0;
-            STAP_RETURN_IF_ERROR(interner.Intern(cs_next, successor, &sid));
+            STAP_RETURN_IF_ERROR(
+                InternTuple(&tuples, std::move(successor), budget, &sid));
             CountValue& slot = next_frontier[sid];
             slot = CountValue::Add(slot,
                                    CountValue::Mul(cnt, prev_counts[pi]));
@@ -403,20 +398,18 @@ StatusOr<std::vector<CountValue>> CountIntersectionByDepth(
     for (int a : xsd.start_symbols) {
       const int q = xsd.automaton.Next(xsd.automaton.initial(), a);
       if (q == kNoState) continue;
-      for (size_t pi = 0; pi < next_states.size(); ++pi) {
-        if (next_states[pi] == q &&
-            IntersectsSorted(next_profiles[pi], edtd.start_types)) {
+      for (int pi = 0; pi < next_pairs.size(); ++pi) {
+        if (next_pairs[pi][0] == q &&
+            IntersectsSorted(profile_of(next_pairs[pi]), edtd.start_types)) {
           total = CountValue::Add(total, next_counts[pi]);
         }
       }
     }
     totals.push_back(total);
-    prev_ids = std::move(next_ids);
-    prev_states = std::move(next_states);
-    prev_profiles = std::move(next_profiles);
+    prev_pairs = std::move(next_pairs);
     prev_counts = std::move(next_counts);
   }
-  span.AddArg("pairs", static_cast<int64_t>(prev_states.size()));
+  span.AddArg("pairs", prev_pairs.size());
   return totals;
 }
 

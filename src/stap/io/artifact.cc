@@ -3,7 +3,7 @@
 #include <cstring>
 #include <utility>
 
-#include "stap/automata/state_set_hash.h"
+#include "stap/automata/interner.h"
 #include "stap/base/compile_cache.h"
 #include "stap/base/metrics.h"
 #include "stap/base/trace.h"

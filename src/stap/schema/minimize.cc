@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "stap/automata/interner.h"
 #include "stap/automata/minimize.h"
-#include "stap/automata/state_set_hash.h"
 #include "stap/base/check.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/type_automaton.h"
@@ -125,28 +125,26 @@ StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& input, Budget* budget) {
   }
   int num_blocks = static_cast<int>(block_ids.size());
 
-  // Step 3: refine by successor blocks until stable (hashed signatures,
-  // as in automata/minimize.cc). Refinement never grows the state count,
-  // so only the wall-clock deadline can exhaust; checked once per round.
-  std::vector<int> signature;
+  // Step 3: refine by successor blocks until stable (signatures interned
+  // as views into one reused buffer, as in automata/minimize.cc).
+  // Refinement never grows the state count, so only the wall-clock
+  // deadline can exhaust; checked once per round.
+  const size_t width = static_cast<size_t>(num_symbols) + 1;
+  std::vector<int> signatures(width * n);
   while (true) {
     STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
-    std::unordered_map<std::vector<int>, int, IntVectorHash> signature_ids;
-    signature_ids.reserve(static_cast<size_t>(n));
+    Interner<IntSpanKey, IntSpanKeyHash> signature_ids(n);
     std::vector<int> next_block(n);
     for (int q = 0; q < n; ++q) {
-      signature.clear();
-      signature.reserve(num_symbols + 1);
-      signature.push_back(block[q]);
+      int* signature = signatures.data() + width * q;
+      signature[0] = block[q];
       for (int a = 0; a < num_symbols; ++a) {
         int r = xsd.automaton.Next(q, a);
-        signature.push_back(r == kNoState ? -1 : block[r]);
+        signature[a + 1] = r == kNoState ? -1 : block[r];
       }
-      auto [it, inserted] =
-          signature_ids.emplace(std::move(signature), signature_ids.size());
-      next_block[q] = it->second;
+      next_block[q] = signature_ids.Intern({signature, width}).first;
     }
-    int next_num = static_cast<int>(signature_ids.size());
+    int next_num = signature_ids.size();
     block = std::move(next_block);
     if (next_num == num_blocks) break;
     num_blocks = next_num;

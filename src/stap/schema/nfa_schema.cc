@@ -5,8 +5,8 @@
 
 #include "stap/automata/determinize.h"
 #include "stap/automata/inclusion.h"
+#include "stap/automata/interner.h"
 #include "stap/automata/minimize.h"
-#include "stap/automata/state_set_hash.h"
 #include "stap/base/check.h"
 #include "stap/regex/glushkov.h"
 #include "stap/regex/parser.h"

@@ -1,10 +1,9 @@
 #include "stap/treeauto/bta.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
-#include "stap/automata/state_set_hash.h"
+#include "stap/automata/interner.h"
 #include "stap/base/check.h"
 
 namespace stap {
@@ -129,18 +128,16 @@ StatusOr<DetBta> DeterminizeBta(const Bta& bta, Budget* budget) {
   DetBta det;
   det.num_symbols_ = bta.num_symbols();
 
-  std::unordered_map<StateSet, int, StateSetHash> ids;
   Status charge_status;
-  auto intern = [&](const StateSet& subset) -> int {
-    auto [it, inserted] = ids.emplace(subset, det.subsets_.size());
+  auto intern = [&](StateSet subset) -> int {
+    auto [id, inserted] = det.subsets_.Intern(std::move(subset));
     if (inserted) {
       if (charge_status.ok()) charge_status = Budget::ChargeStates(budget);
-      det.subsets_.push_back(subset);
-      bool is_final = std::any_of(subset.begin(), subset.end(),
-                                  [&](int q) { return bta.IsFinal(q); });
-      det.final_.push_back(is_final);
+      const StateSet& added = det.subsets_[id];
+      det.final_.push_back(std::any_of(added.begin(), added.end(),
+                                       [&](int q) { return bta.IsFinal(q); }));
     }
-    return it->second;
+    return id;
   };
 
   det.sink_ = intern(StateSet{});
@@ -170,7 +167,7 @@ StatusOr<DetBta> DeterminizeBta(const Bta& bta, Budget* budget) {
               }
             }
           }
-          int target = intern(combined);
+          int target = intern(std::move(combined));
           det.internal_[{a, s1, s2}] = target;
           changed = true;
         }

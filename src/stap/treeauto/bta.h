@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "stap/automata/interner.h"
 #include "stap/automata/nfa.h"
 #include "stap/base/budget.h"
 #include "stap/base/status.h"
@@ -61,7 +62,7 @@ class Bta {
 // tree automaton produced by DeterminizeBta.
 class DetBta {
  public:
-  int num_states() const { return static_cast<int>(subsets_.size()); }
+  int num_states() const { return subsets_.size(); }
   int num_symbols() const { return num_symbols_; }
 
   int LeafState(int symbol) const { return leaf_[symbol]; }
@@ -83,7 +84,7 @@ class DetBta {
 
   int num_symbols_ = 0;
   int sink_ = 0;
-  std::vector<StateSet> subsets_;
+  Interner<StateSet, IntVectorHash> subsets_;  // state -> NFA subset
   std::vector<int> leaf_;  // per symbol
   std::map<std::tuple<int, int, int>, int> internal_;
   std::vector<bool> final_;

@@ -4,7 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "stap/automata/state_set_hash.h"
+#include "stap/automata/interner.h"
 #include "stap/base/check.h"
 #include "stap/treeauto/bta.h"
 #include "stap/treeauto/encoding.h"
@@ -23,12 +23,12 @@ std::optional<Tree> ProductCounterexample(const Bta& bta1, const DetBta& det2,
     int s2;
     Tree witness;
   };
-  std::unordered_map<std::pair<int, int>, int, IntPairHash> ids;
+  std::unordered_map<uint64_t, int, U64Hash> ids;
   std::vector<Node> nodes;
   std::optional<Tree> counterexample;
 
   auto intern = [&](int q1, int s2, Tree witness) -> bool {
-    auto [it, inserted] = ids.emplace(std::make_pair(q1, s2), nodes.size());
+    auto [it, inserted] = ids.emplace(PackPair(q1, s2), nodes.size());
     if (!inserted) return false;
     if (!counterexample.has_value() && bta1.IsFinal(q1) && !det2.IsFinal(s2)) {
       counterexample = witness;

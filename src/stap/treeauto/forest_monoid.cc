@@ -3,6 +3,7 @@
 #include <map>
 #include <utility>
 
+#include "stap/automata/interner.h"
 #include "stap/base/check.h"
 
 namespace stap {
@@ -164,14 +165,8 @@ MonoidForestAutomaton MfaFromXsd(const DfaXsd& xsd) {
   MonoidBuilder builder(xsd);
   const int num_symbols = xsd.sigma.size();
 
-  std::map<std::vector<int>, int> ids;
-  std::vector<std::vector<int>> elements;
-  auto intern = [&](std::vector<int> element) -> int {
-    auto [it, inserted] = ids.emplace(std::move(element), elements.size());
-    if (inserted) elements.push_back(it->first);
-    return it->second;
-  };
-  intern(builder.Identity());
+  Interner<std::vector<int>, IntVectorHash> elements;
+  elements.Intern(builder.Identity());
 
   // Fixpoint: close the reachable set under δ(a, ·) and composition.
   std::map<std::pair<int, int>, int> delta_map;     // (symbol, e) -> e'
@@ -179,12 +174,12 @@ MonoidForestAutomaton MfaFromXsd(const DfaXsd& xsd) {
   bool changed = true;
   while (changed) {
     changed = false;
-    const int known = static_cast<int>(elements.size());
+    const int known = elements.size();
     for (int e = 0; e < known; ++e) {
       for (int a = 0; a < num_symbols; ++a) {
         auto key = std::make_pair(a, e);
         if (delta_map.count(key) > 0) continue;
-        delta_map[key] = intern(builder.Apply(a, elements[e]));
+        delta_map[key] = elements.Intern(builder.Apply(a, elements[e])).first;
         changed = true;
       }
     }
@@ -193,13 +188,13 @@ MonoidForestAutomaton MfaFromXsd(const DfaXsd& xsd) {
         auto key = std::make_pair(e1, e2);
         if (compose_map.count(key) > 0) continue;
         compose_map[key] =
-            intern(builder.Compose(elements[e1], elements[e2]));
+            elements.Intern(builder.Compose(elements[e1], elements[e2])).first;
         changed = true;
       }
     }
   }
 
-  const int size = static_cast<int>(elements.size());
+  const int size = elements.size();
   std::vector<int> table(static_cast<size_t>(size) * size);
   for (int e1 = 0; e1 < size; ++e1) {
     for (int e2 = 0; e2 < size; ++e2) {

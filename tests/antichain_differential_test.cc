@@ -1,5 +1,5 @@
 // Differential tests for the antichain inclusion engine against the
-// determinize-based subset-product oracles retained in inclusion.h.
+// map-based subset-product oracles in tests/oracles/inclusion.h.
 //
 // Both searches are breadth-first, and the antichain's subsumption
 // pruning only ever discards newcomers in favor of earlier ⊆-smaller
@@ -19,9 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "oracles/inclusion.h"
 #include "stap/automata/antichain.h"
 #include "stap/automata/determinize.h"
-#include "stap/automata/inclusion.h"
 #include "stap/gen/random.h"
 #include "test_seed.h"
 

@@ -16,8 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include "oracles/count_binary.h"
 #include "stap/base/budget.h"
-#include "stap/count/binary.h"
 #include "stap/count/counter.h"
 #include "stap/gen/random.h"
 #include "stap/schema/builder.h"

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "oracles/inclusion.h"
 #include "stap/approx/upper.h"
 #include "stap/automata/determinize.h"
 #include "stap/automata/inclusion.h"

@@ -1,230 +1,33 @@
 // Differential tests for the hash-interned automata kernels: the
 // production implementations (determinize, minimize, inclusion) must agree
-// with the original std::map-based versions, which are embedded here as
-// reference oracles. Determinize discovers subsets in the same order in
-// both implementations, so the DFAs must match structurally; Minimize
-// numbers Moore classes differently, so both sides are compared after
-// canonical renumbering.
+// with the original std::map-based versions in tests/oracles. Determinize
+// discovers subsets in the same order in both implementations, so the
+// DFAs must match structurally; Minimize numbers Moore classes
+// differently, so both sides are compared after canonical renumbering.
+// The Interner those kernels share is unit-tested at the end.
 //
 // Run with --seed=N (or STAP_SEED=N) to explore a different random
 // stream; failures print the reproduction flag (see test_seed.h).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <deque>
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <random>
 #include <utility>
 #include <vector>
 
+#include "oracles/inclusion.h"
+#include "oracles/map_kernels.h"
+#include "stap/automata/bitset.h"
 #include "stap/automata/determinize.h"
 #include "stap/automata/inclusion.h"
+#include "stap/automata/interner.h"
 #include "stap/automata/minimize.h"
-#include "stap/automata/state_set_hash.h"
 #include "stap/gen/random.h"
 #include "test_seed.h"
 
 namespace stap {
 namespace {
-
-// ---------------------------------------------------------------------
-// Reference kernels: verbatim ports of the pre-interning implementations.
-// ---------------------------------------------------------------------
-
-Dfa MapDeterminize(const Nfa& nfa, std::vector<StateSet>* subsets = nullptr) {
-  const int num_symbols = nfa.num_symbols();
-  std::map<StateSet, int> ids;
-  std::vector<StateSet> worklist;
-
-  Dfa dfa(0, num_symbols);
-  auto intern = [&](StateSet set) -> int {
-    auto [it, inserted] = ids.emplace(std::move(set), dfa.num_states());
-    if (inserted) {
-      dfa.AddState();
-      worklist.push_back(it->first);
-      if (subsets != nullptr) subsets->push_back(it->first);
-    }
-    return it->second;
-  };
-
-  int start = intern(nfa.initial());
-  dfa.SetInitial(start);
-
-  size_t processed = 0;
-  while (processed < worklist.size()) {
-    StateSet current = worklist[processed];
-    int current_id = ids.at(current);
-    ++processed;
-    for (int q : current) {
-      if (nfa.IsFinal(q)) {
-        dfa.SetFinal(current_id);
-        break;
-      }
-    }
-    for (int a = 0; a < num_symbols; ++a) {
-      int next_id = intern(nfa.Next(current, a));
-      dfa.SetTransition(current_id, a, next_id);
-    }
-  }
-  return dfa;
-}
-
-Dfa MapCanonicalizeNumbering(const Dfa& dfa) {
-  const int num_symbols = dfa.num_symbols();
-  std::vector<int> remap(dfa.num_states(), kNoState);
-  std::vector<int> order;
-  std::deque<int> queue = {dfa.initial()};
-  remap[dfa.initial()] = 0;
-  order.push_back(dfa.initial());
-  while (!queue.empty()) {
-    int q = queue.front();
-    queue.pop_front();
-    for (int a = 0; a < num_symbols; ++a) {
-      int r = dfa.Next(q, a);
-      if (r != kNoState && remap[r] == kNoState) {
-        remap[r] = static_cast<int>(order.size());
-        order.push_back(r);
-        queue.push_back(r);
-      }
-    }
-  }
-  Dfa result(static_cast<int>(order.size()), num_symbols);
-  result.SetInitial(0);
-  for (int q : order) {
-    if (dfa.IsFinal(q)) result.SetFinal(remap[q]);
-    for (int a = 0; a < num_symbols; ++a) {
-      int r = dfa.Next(q, a);
-      if (r != kNoState && remap[r] != kNoState) {
-        result.SetTransition(remap[q], a, remap[r]);
-      }
-    }
-  }
-  return result;
-}
-
-Dfa MapMinimize(const Dfa& input) {
-  Dfa dfa = input.Trimmed().Completed();
-  const int n = dfa.num_states();
-  const int num_symbols = dfa.num_symbols();
-
-  std::vector<int> classes(n);
-  for (int q = 0; q < n; ++q) classes[q] = dfa.IsFinal(q) ? 1 : 0;
-
-  int num_classes = 2;
-  while (true) {
-    std::map<std::vector<int>, int> signature_ids;
-    std::vector<int> next_classes(n);
-    for (int q = 0; q < n; ++q) {
-      std::vector<int> signature;
-      signature.reserve(num_symbols + 1);
-      signature.push_back(classes[q]);
-      for (int a = 0; a < num_symbols; ++a) {
-        signature.push_back(classes[dfa.Next(q, a)]);
-      }
-      auto [it, inserted] =
-          signature_ids.emplace(std::move(signature), signature_ids.size());
-      next_classes[q] = it->second;
-    }
-    int next_num_classes = static_cast<int>(signature_ids.size());
-    classes = std::move(next_classes);
-    if (next_num_classes == num_classes) break;
-    num_classes = next_num_classes;
-  }
-
-  Dfa quotient(num_classes, num_symbols);
-  quotient.SetInitial(classes[dfa.initial()]);
-  for (int q = 0; q < n; ++q) {
-    if (dfa.IsFinal(q)) quotient.SetFinal(classes[q]);
-    for (int a = 0; a < num_symbols; ++a) {
-      quotient.SetTransition(classes[q], a, classes[dfa.Next(q, a)]);
-    }
-  }
-
-  Dfa trimmed = quotient.Trimmed();
-  if (trimmed.IsEmpty()) return Dfa::EmptyLanguage(num_symbols);
-  return MapCanonicalizeNumbering(trimmed);
-}
-
-std::optional<Word> MapSearchCounterexample(const Nfa& nfa, const Dfa& dfa_in) {
-  const Dfa dfa = dfa_in.Completed();
-  const int num_symbols = nfa.num_symbols();
-
-  auto nfa_accepts = [&](const StateSet& set) {
-    return std::any_of(set.begin(), set.end(),
-                       [&](int q) { return nfa.IsFinal(q); });
-  };
-
-  using Pair = std::pair<StateSet, int>;
-  std::map<Pair, int> ids;
-  std::vector<Pair> nodes;
-  std::vector<int> parent;
-  std::vector<int> via_symbol;
-  std::deque<int> queue;
-
-  auto intern = [&](StateSet set, int dfa_state, int from, int symbol) -> int {
-    auto [it, inserted] =
-        ids.emplace(Pair(std::move(set), dfa_state), nodes.size());
-    if (inserted) {
-      nodes.push_back(it->first);
-      parent.push_back(from);
-      via_symbol.push_back(symbol);
-      queue.push_back(it->second);
-    }
-    return it->second;
-  };
-
-  intern(nfa.initial(), dfa.initial(), -1, kNoSymbol);
-  while (!queue.empty()) {
-    int id = queue.front();
-    queue.pop_front();
-    const auto [set, dfa_state] = nodes[id];
-    if (nfa_accepts(set) && !dfa.IsFinal(dfa_state)) {
-      Word word;
-      for (int cur = id; parent[cur] >= 0; cur = parent[cur]) {
-        word.push_back(via_symbol[cur]);
-      }
-      std::reverse(word.begin(), word.end());
-      return word;
-    }
-    for (int sym = 0; sym < num_symbols; ++sym) {
-      StateSet next_set = nfa.Next(set, sym);
-      if (next_set.empty()) continue;
-      intern(std::move(next_set), dfa.Next(dfa_state, sym), id, sym);
-    }
-  }
-  return std::nullopt;
-}
-
-bool MapNfaIncludedInNfa(const Nfa& a, const Nfa& b) {
-  const int num_symbols = a.num_symbols();
-  std::map<std::pair<StateSet, StateSet>, bool> seen;
-  std::vector<std::pair<StateSet, StateSet>> worklist;
-  auto visit = [&](StateSet sa, StateSet sb) {
-    auto [it, inserted] =
-        seen.emplace(std::make_pair(std::move(sa), std::move(sb)), true);
-    if (inserted) worklist.push_back(it->first);
-  };
-  visit(a.initial(), b.initial());
-  auto accepts = [](const Nfa& nfa, const StateSet& set) {
-    for (int q : set) {
-      if (nfa.IsFinal(q)) return true;
-    }
-    return false;
-  };
-  size_t processed = 0;
-  while (processed < worklist.size()) {
-    auto [sa, sb] = worklist[processed];
-    ++processed;
-    if (accepts(a, sa) && !accepts(b, sb)) return false;
-    for (int sym = 0; sym < num_symbols; ++sym) {
-      StateSet next_a = a.Next(sa, sym);
-      if (next_a.empty()) continue;
-      visit(std::move(next_a), b.Next(sb, sym));
-    }
-  }
-  return true;
-}
 
 // ---------------------------------------------------------------------
 // Differential properties over random NFAs.
@@ -266,11 +69,12 @@ TEST_P(DifferentialTest, InclusionAgreesWithMapReference) {
     int sym = 2 + round % 3;
     Nfa a = RandomNfa(&rng, 2 + round % 10, sym);
     Nfa b = RandomNfa(&rng, 2 + round % 8, sym);
-    EXPECT_EQ(*NfaIncludedInNfa(a, b), MapNfaIncludedInNfa(a, b));
+    EXPECT_EQ(*NfaIncludedInNfa(a, b), NfaIncludedInNfaViaSubsets(a, b));
 
     Dfa dfa = *Determinize(b);
     std::optional<Word> witness = NfaDfaInclusionCounterexample(a, dfa);
-    std::optional<Word> reference = MapSearchCounterexample(a, dfa);
+    std::optional<Word> reference =
+        NfaDfaInclusionCounterexampleViaSubsets(a, dfa);
     ASSERT_EQ(witness.has_value(), reference.has_value());
     if (witness.has_value()) {
       // Both searches are breadth-first, so they agree on the length of a
@@ -290,61 +94,98 @@ TEST_P(DifferentialTest, InclusionAgreesWithMapReference) {
       superset.AddTransition(q, q % sym, (q + 1) % superset.num_states());
     }
     EXPECT_TRUE(*NfaIncludedInNfa(a, superset));
-    EXPECT_TRUE(MapNfaIncludedInNfa(a, superset));
+    EXPECT_TRUE(NfaIncludedInNfaViaSubsets(a, superset));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest, ::testing::Range(0, 8));
 
 // ---------------------------------------------------------------------
-// StateSetInterner unit tests.
+// Interner unit tests, over both key types the kernels intern.
 // ---------------------------------------------------------------------
 
-TEST(StateSetInternerTest, DedupesAndKeepsStableIds) {
-  StateSetInterner interner;
-  auto [id0, new0] = interner.Intern(StateSet{1, 2, 3});
-  auto [id1, new1] = interner.Intern(StateSet{});
-  auto [id2, new2] = interner.Intern(StateSet{1, 2, 3});
-  EXPECT_TRUE(new0);
-  EXPECT_TRUE(new1);
-  EXPECT_FALSE(new2);
-  EXPECT_EQ(id0, 0);
-  EXPECT_EQ(id1, 1);
-  EXPECT_EQ(id2, id0);
-  EXPECT_EQ(interner.size(), 2);
-  EXPECT_EQ(interner[0], (StateSet{1, 2, 3}));
-  EXPECT_TRUE(interner[1].empty());
+struct VectorKeys {
+  using Key = std::vector<int>;
+  using Hash = IntVectorHash;
+  static Key Make(int i) { return {i, i + 1000}; }
+};
+
+struct DenseKeys {
+  using Key = DenseStateSet;
+  using Hash = DenseStateSetHash;
+  static Key Make(int i) {
+    DenseStateSet set(2048);
+    set.Add(i);
+    set.Add(i + 1000);
+    return set;
+  }
+};
+
+// Sends every key to the same probe chain, so only key equality can tell
+// keys apart.
+struct ConstantHash {
+  template <typename Key>
+  uint64_t operator()(const Key&) const {
+    return 0x5eed;
+  }
+};
+
+template <typename Keys>
+class InternerTest : public ::testing::Test {};
+
+using KeyKinds = ::testing::Types<VectorKeys, DenseKeys>;
+TYPED_TEST_SUITE(InternerTest, KeyKinds);
+
+TYPED_TEST(InternerTest, IdsAreDenseInInsertionOrder) {
+  Interner<typename TypeParam::Key, typename TypeParam::Hash> interner;
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(interner.Intern(TypeParam::Make(i)), std::make_pair(i, true));
+  }
+  for (int i = 9; i >= 0; --i) {
+    EXPECT_EQ(interner.Intern(TypeParam::Make(i)), std::make_pair(i, false));
+  }
+  ASSERT_EQ(interner.size(), 10);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(interner[i], TypeParam::Make(i));
 }
 
-TEST(StateSetInternerTest, ReferencesSurviveTableGrowth) {
-  StateSetInterner interner;
-  interner.Intern(StateSet{7});
-  const StateSet& first = interner[0];
-  // Push well past the initial table size to force several rehashes.
-  for (int i = 0; i < 500; ++i) {
-    auto [id, inserted] = interner.Intern(StateSet{i, i + 1000});
-    EXPECT_TRUE(inserted);
-    EXPECT_EQ(id, i + 1);
+TYPED_TEST(InternerTest, HitLeavesTheArgumentIntact) {
+  Interner<typename TypeParam::Key, typename TypeParam::Hash> interner;
+  interner.Intern(TypeParam::Make(3));
+  typename TypeParam::Key scratch = TypeParam::Make(3);
+  EXPECT_EQ(interner.Intern(std::move(scratch)), std::make_pair(0, false));
+  // A hit must not consume the rvalue argument.
+  EXPECT_EQ(scratch, TypeParam::Make(3));
+  const typename TypeParam::Key copy = TypeParam::Make(4);
+  EXPECT_EQ(interner.Intern(copy), std::make_pair(1, true));
+  EXPECT_EQ(copy, TypeParam::Make(4));
+}
+
+TYPED_TEST(InternerTest, ReferencesSurviveTableGrowth) {
+  Interner<typename TypeParam::Key, typename TypeParam::Hash> interner;
+  interner.Intern(TypeParam::Make(0));
+  const typename TypeParam::Key& first = interner[0];
+  // 500 keys grow the 64-slot table four times (at 45, 90, 180 and 359
+  // keys under the 0.7 load factor).
+  for (int i = 1; i < 500; ++i) {
+    EXPECT_EQ(interner.Intern(TypeParam::Make(i)), std::make_pair(i, true));
   }
-  EXPECT_EQ(first, (StateSet{7}));  // deque storage: no reallocation
+  EXPECT_EQ(&interner[0], &first);  // deque storage: never relocated
+  EXPECT_EQ(first, TypeParam::Make(0));
   for (int i = 0; i < 500; ++i) {
-    auto [id, inserted] = interner.Intern(StateSet{i, i + 1000});
-    EXPECT_FALSE(inserted);
-    EXPECT_EQ(id, i + 1);
+    EXPECT_EQ(interner.Intern(TypeParam::Make(i)), std::make_pair(i, false));
   }
 }
 
-TEST(StateSetInternerTest, MoveSetsIntoPreservesIdOrder) {
-  StateSetInterner interner;
-  interner.Intern(StateSet{3});
-  interner.Intern(StateSet{1, 4});
-  interner.Intern(StateSet{1, 5, 9});
-  std::vector<StateSet> sets;
-  interner.MoveSetsInto(&sets);
-  ASSERT_EQ(sets.size(), 3u);
-  EXPECT_EQ(sets[0], (StateSet{3}));
-  EXPECT_EQ(sets[1], (StateSet{1, 4}));
-  EXPECT_EQ(sets[2], (StateSet{1, 5, 9}));
+TYPED_TEST(InternerTest, ConstantHashKeepsDistinctKeysApart) {
+  Interner<typename TypeParam::Key, ConstantHash> interner;
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(interner.Intern(TypeParam::Make(i)), std::make_pair(i, true));
+  }
+  ASSERT_EQ(interner.size(), 100);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(interner.Intern(TypeParam::Make(i)), std::make_pair(i, false));
+    EXPECT_EQ(interner[i], TypeParam::Make(i));
+  }
 }
 
 TEST(StateSetHashTest, OrderSensitiveAndConsistent) {

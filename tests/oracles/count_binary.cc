@@ -1,4 +1,4 @@
-#include "stap/count/binary.h"
+#include "oracles/count_binary.h"
 
 #include <unordered_map>
 #include <utility>

@@ -6,12 +6,12 @@
 // states. A bottom-up deterministic automaton assigns every encoded tree
 // exactly one state, so per-state counts compose with no double counting —
 // the same argument the profile DP makes, reached through a different
-// construction. The two counters cross-validate each other in the test
-// suite; this one pays the up-front DeterminizeBta cost (worst-case
+// construction. It pays the up-front DeterminizeBta cost (worst-case
 // exponential, budget-charged), so `stap measure` runs the profile DP and
-// the tests run both.
-#ifndef STAP_COUNT_BINARY_H_
-#define STAP_COUNT_BINARY_H_
+// only the test suite and bench_measure run this one, as an oracle for
+// it; hence it lives in the stap_oracles library, not in libstap.
+#ifndef STAP_TESTS_ORACLES_COUNT_BINARY_H_
+#define STAP_TESTS_ORACLES_COUNT_BINARY_H_
 
 #include <vector>
 
@@ -31,4 +31,4 @@ StatusOr<std::vector<CountValue>> CountEdtdByDepthViaBinary(
 
 }  // namespace stap
 
-#endif  // STAP_COUNT_BINARY_H_
+#endif  // STAP_TESTS_ORACLES_COUNT_BINARY_H_

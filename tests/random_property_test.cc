@@ -1,11 +1,15 @@
 // Randomized end-to-end properties tying the whole pipeline together:
-// generators produce valid schemas, sampling produces members, and the
-// approximation operators satisfy their lattice laws.
+// generators produce valid schemas, sampling produces members, the
+// approximation operators satisfy their lattice laws, and the paper's
+// decision procedures agree with each other (Construction 3.1 against
+// Theorem 3.5's minimality check, Lemma 3.3 against the EXPTIME
+// tree-automaton route).
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "stap/approx/inclusion.h"
+#include "stap/approx/minimal_upper_check.h"
 #include "stap/approx/upper.h"
 #include "stap/approx/upper_boolean.h"
 #include "stap/gen/random.h"
@@ -15,6 +19,7 @@
 #include "stap/schema/text_format.h"
 #include "stap/schema/type_automaton.h"
 #include "stap/tree/enumerate.h"
+#include "stap/treeauto/exact.h"
 
 namespace stap {
 namespace {
@@ -191,6 +196,51 @@ TEST_P(PipelineTest, CountedContentUpperBooleanLatticeLaws) {
     }
     EXPECT_EQ(i.Accepts(tree), in1 && in2) << tree.ToString(a1.sigma);
   }
+}
+
+// Theorem 3.5 as a cross-check on Construction 3.1: the minimal upper
+// approximation of every random EDTD, counted content models included,
+// passes the minimality check. This drives the check's (candidate state,
+// type subset) pair walk through the schema-guided determinizer on
+// random inputs, not just the fixed minimal_upper_check_test instances.
+TEST_P(PipelineTest, UpperApproximationPassesTheMinimalityCheck) {
+  for (int repeat_percent : {0, 100}) {
+    RandomSchemaParams params;
+    params.repeat_percent = repeat_percent;
+    Edtd edtd = RandomEdtd(&rng_, params);
+    Edtd upper = StEdtdFromDfaXsd(MinimalUpperApproximation(edtd));
+    StatusOr<bool> minimal = IsMinimalUpperApproximation(upper, edtd);
+    ASSERT_TRUE(minimal.ok()) << minimal.status();
+    EXPECT_TRUE(*minimal) << "repeat_percent " << repeat_percent << "\n"
+                          << SchemaToText(edtd);
+  }
+}
+
+// Lemma 3.3's polynomial inclusion L(d) ⊆ L(x) agrees with the EXPTIME
+// route through bottom-up tree-automaton determinization. x is the
+// minimal upper approximation of d itself (always a superset) or of a
+// second random EDTD (usually not), so both verdicts occur.
+TEST(PipelineInclusionTest, Lemma33AgreesWithTheExactRoute) {
+  int verdicts[2] = {0, 0};
+  for (int seed = 0; seed < 50; ++seed) {
+    std::mt19937 rng(static_cast<uint32_t>(seed * 69061 + 17));
+    RandomSchemaParams params;
+    params.num_types = 4;
+    Edtd d = RandomEdtd(&rng, params);
+    Edtd other = RandomEdtd(&rng, params);
+    for (const Edtd* source : {&d, &other}) {
+      DfaXsd x = MinimalUpperApproximation(*source);
+      auto [d_aligned, x_aligned] = AlignAlphabets(d, StEdtdFromDfaXsd(x));
+      const bool included = EdtdIncludedInXsd(d, x);
+      EXPECT_EQ(included, EdtdIncludedInExact(d_aligned, x_aligned))
+          << "seed " << seed << "\n"
+          << SchemaToText(d) << "\n"
+          << SchemaToText(*source);
+      ++verdicts[included ? 1 : 0];
+    }
+  }
+  EXPECT_GT(verdicts[1], 0) << "no included pair";
+  EXPECT_GT(verdicts[0], 0) << "no non-included pair";
 }
 
 // The generators must actually emit kRepeat nodes, not just set the
