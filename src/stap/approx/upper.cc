@@ -38,26 +38,19 @@ StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& input, Budget* budget,
   ta_span.AddArg("nfa_states", type_automaton.nfa.num_states());
   ta_span.End();
 
-  if (options.vertical_context != nullptr &&
-      options.vertical_context->num_symbols() != edtd.num_symbols()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "vertical_context alphabet does not match the EDTD");
-  }
   if (options.content_context != nullptr &&
       options.content_context->num_symbols() != edtd.num_symbols()) {
     return Status(StatusCode::kInvalidArgument,
                   "content_context alphabet does not match the EDTD");
   }
 
-  // Subset construction on the type automaton, schema-guided when a
-  // vertical context is supplied. Each materialized subset is either
-  // {q_init}, empty (the dead sink, dense or schema-pruned), or a set of
-  // type states that all carry the same Σ-label.
+  // Subset construction on the type automaton. Each materialized subset
+  // is either {q_init}, empty (the dead sink), or a set of type states
+  // that all carry the same Σ-label.
   ScopedSpan subset_span("upper.subset_construction");
   std::vector<StateSet> subsets;
   StatusOr<Dfa> determinized_or =
-      Determinize(type_automaton.nfa, budget, options.vertical_context,
-                  &subsets);
+      Determinize(type_automaton.nfa, budget, /*context=*/nullptr, &subsets);
   if (!determinized_or.ok()) return determinized_or.status();
   Dfa determinized = *std::move(determinized_or);
   subset_span.AddArg("subset_states", determinized.num_states());
@@ -68,14 +61,6 @@ StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& input, Budget* budget,
   // empty sink is dropped.
   const int n = determinized.num_states();
   std::vector<int> remap(n, kNoState);
-  if (subsets[determinized.initial()].empty()) {
-    // Only reachable schema-guided: the vertical context admits no root
-    // at all, so the restricted approximation is the empty schema. The
-    // DfaXsd representation has no empty form; report it as a bad
-    // context rather than fabricating one.
-    return Status(StatusCode::kInvalidArgument,
-                  "vertical_context admits no document root");
-  }
   STAP_CHECK(subsets[determinized.initial()] ==
              StateSet{TypeAutomaton::kInit});
   remap[determinized.initial()] = 0;

@@ -23,21 +23,12 @@ struct UpperOptions {
   // bench_upper_edtd.
   bool minimize_content = true;
 
-  // Ambient sibling-word constraint (an NFA over the EDTD's Σ) for the
-  // type-automaton subset construction: when non-null, the construction
-  // runs schema-guided (determinize.h) and materializes only type
-  // subsets reachable along context-live sibling words. The result is
-  // then the minimal upper approximation of L(edtd) *restricted to* the
-  // context — exact only if L(context) contains every sibling word the
-  // type automaton accepts. Null runs the dense path. Both pointers must
-  // outlive the call; neither is owned.
-  const Nfa* vertical_context = nullptr;
-
   // Context for every merged-content determinization/minimization. With
   // an exact-mode context (language contains every merged content union,
   // e.g. ContentUnionContext below) the output XSD is language-identical
   // to the dense path — and with minimize_content also structurally
-  // identical, which the differential tests exploit. Null = dense.
+  // identical, which the differential tests exploit. Null = dense. Must
+  // outlive the call; not owned.
   const Nfa* content_context = nullptr;
 };
 

@@ -336,6 +336,13 @@ StatusOr<Edtd> DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
     if (c1.num_states() > 0) {
       const int s1n = c1.num_states();
       const int s2n = f2.num_states();
+      // Charged up front: the product is allocated and determinized
+      // before any kernel would charge it.
+      Status charged = Budget::ChargeStates(budget, int64_t{2} * s1n * s2n);
+      if (!charged.ok()) {
+        shared.Update(charged);
+        return;
+      }
       auto state_id = [&](int s1, int s2, int mode) {
         return (mode * s2n + s2) * s1n + s1;
       };

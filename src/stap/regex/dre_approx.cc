@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "stap/automata/determinize.h"
 #include "stap/automata/inclusion.h"
 #include "stap/regex/glushkov.h"
 
@@ -154,16 +153,6 @@ RegexPtr ApproximateDre(const Dfa& input) {
     factors.push_back(std::move(factor));
   }
   return Regex::Concat(std::move(factors));
-}
-
-StatusOr<RegexPtr> ApproximateDreUnderSchema(const Nfa& nfa,
-                                             const Nfa* context,
-                                             Budget* budget) {
-  StatusOr<Dfa> dfa = Determinize(nfa, budget, context);
-  if (!dfa.ok()) return dfa.status();
-  // The chain heuristic trims first, which also drops the schema path's
-  // dead sink.
-  return ApproximateDre(*dfa);
 }
 
 bool ApproximateDreIsExact(const Dfa& dfa) {

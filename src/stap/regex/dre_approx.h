@@ -21,24 +21,12 @@
 #define STAP_REGEX_DRE_APPROX_H_
 
 #include "stap/automata/dfa.h"
-#include "stap/automata/nfa.h"
-#include "stap/base/budget.h"
-#include "stap/base/status.h"
 #include "stap/regex/ast.h"
 
 namespace stap {
 
 // A deterministic (one-unambiguous) expression with L(dfa) ⊆ L(result).
 RegexPtr ApproximateDre(const Dfa& dfa);
-
-// Schema-guided NFA entry point: determinizes `nfa` — under `context`
-// when non-null (automata/determinize.h), dense otherwise — and chains
-// the result. The expression is deterministic and contains L(nfa)
-// restricted to context-live prefixes; with a null or exact-mode context
-// it contains all of L(nfa), like ApproximateDre on the dense DFA.
-StatusOr<RegexPtr> ApproximateDreUnderSchema(const Nfa& nfa,
-                                             const Nfa* context,
-                                             Budget* budget = nullptr);
 
 // True if the approximation is exact (L(result) == L(dfa)).
 bool ApproximateDreIsExact(const Dfa& dfa);

@@ -7,8 +7,7 @@
 #include <vector>
 
 #include "stap/automata/interner.h"
-#include "stap/automata/minimize.h"
-#include "stap/base/check.h"
+#include "stap/base/trace.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/type_automaton.h"
 
@@ -98,6 +97,7 @@ DfaXsd MinimizeXsd(const DfaXsd& input) {
 }
 
 StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& input, Budget* budget) {
+  ScopedSpan span("schema.minimize_xsd");
   // Step 1: reduce through the EDTD view; this prunes unproductive and
   // unreachable states and canonicalizes every content DFA.
   Edtd reduced = ReduceEdtd(StEdtdFromDfaXsd(input));
@@ -185,39 +185,8 @@ StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& input, Budget* budget) {
 
   DfaXsd result = Canonicalize(quotient);
   result.CheckWellFormed();
+  span.AddArg("xsd_states", result.automaton.num_states());
   return result;
-}
-
-StatusOr<DfaXsd> MinimizeXsdUnderContext(const DfaXsd& input,
-                                         const Nfa& sibling_context,
-                                         Budget* budget) {
-  if (sibling_context.num_symbols() != input.sigma.size()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "sibling_context alphabet does not match the XSD");
-  }
-  // Re-canonicalize every content DFA schema-guided: subsets reachable
-  // only on context-dead child words collapse into the sink, and the
-  // minimization quotients the result, so contents that agree on every
-  // context-live word become structurally identical. MinimizeXsd's
-  // block partition then merges the states they label.
-  DfaXsd xsd = input;
-  // Context-guided re-canonicalization rewrites the content languages
-  // themselves, so any counted-source provenance would go stale.
-  xsd.content_source.clear();
-  const int init = xsd.automaton.initial();
-  for (int q = 0; q < xsd.automaton.num_states(); ++q) {
-    if (q == init) continue;
-    StatusOr<Dfa> content =
-        MinimizeNfa(xsd.content[q].ToNfa(), budget, &sibling_context);
-    if (!content.ok()) return content.status();
-    xsd.content[q] = *std::move(content);
-  }
-  return MinimizeXsd(xsd, budget);
-}
-
-Edtd MinimizeStEdtd(const Edtd& edtd) {
-  STAP_CHECK(IsSingleType(edtd));
-  return StEdtdFromDfaXsd(MinimizeXsd(DfaXsdFromStEdtd(edtd)));
 }
 
 bool XsdStructurallyEqual(const DfaXsd& a, const DfaXsd& b) {

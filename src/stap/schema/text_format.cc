@@ -5,9 +5,11 @@
 
 #include "stap/base/compile_cache.h"
 #include "stap/base/string_util.h"
+#include "stap/base/trace.h"
 #include "stap/regex/from_dfa.h"
 #include "stap/regex/glushkov.h"
 #include "stap/regex/parser.h"
+#include "stap/schema/minimize.h"
 
 namespace stap {
 
@@ -129,6 +131,15 @@ std::string SchemaToText(const Edtd& edtd) {
        << regex->ToString(edtd.types) << "\n";
   }
   return os.str();
+}
+
+StatusOr<std::string> XsdToText(const DfaXsd& xsd, Budget* budget) {
+  StatusOr<DfaXsd> minimized = MinimizeXsd(xsd, budget);
+  if (!minimized.ok()) return minimized.status();
+  ScopedSpan span("schema.print");
+  std::string text = SchemaToText(StEdtdFromDfaXsd(*minimized));
+  span.AddArg("bytes", text.size());
+  return text;
 }
 
 }  // namespace stap

@@ -21,6 +21,7 @@
 #include "stap/base/budget.h"
 #include "stap/base/status.h"
 #include "stap/schema/edtd.h"
+#include "stap/schema/single_type.h"
 
 namespace stap {
 
@@ -60,6 +61,12 @@ StatusOr<SchemaDeclarations> ParseSchemaDeclarations(std::string_view input);
 // Renders an EDTD back into the textual format; content DFAs are converted
 // to regular expressions by state elimination.
 std::string SchemaToText(const Edtd& edtd);
+
+// The one printer for computed XSDs: MinimizeXsd (schema/minimize.h), the
+// stEDTD view, then SchemaToText, so every printed result is the
+// canonical minimal representation (Def. 2.8). Minimization charges
+// `budget`; printing is traced as the `schema.print` span.
+StatusOr<std::string> XsdToText(const DfaXsd& xsd, Budget* budget);
 
 }  // namespace stap
 

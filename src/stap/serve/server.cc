@@ -20,7 +20,6 @@
 #include "stap/base/string_util.h"
 #include "stap/base/trace.h"
 #include "stap/io/batch_validate.h"
-#include "stap/schema/minimize.h"
 #include "stap/schema/single_type.h"
 #include "stap/schema/text_format.h"
 
@@ -571,14 +570,15 @@ ServeResponse Server::HandleRequest(const ServeRequest& request,
       }
       StatusOr<DfaXsd> xsd =
           MinimalUpperApproximation((*schema)->edtd, budget.get());
-      if (xsd.ok()) xsd = MinimizeXsd(*xsd, budget.get());
-      if (!xsd.ok()) {
-        response.code = CodeForStatus(xsd.status());
-        response.body = xsd.status().message();
+      StatusOr<std::string> text =
+          xsd.ok() ? XsdToText(*xsd, budget.get()) : xsd.status();
+      if (!text.ok()) {
+        response.code = CodeForStatus(text.status());
+        response.body = text.status().message();
         break;
       }
       response.code = ResponseCode::kOk;
-      response.body = SchemaToText(StEdtdFromDfaXsd(*xsd));
+      response.body = *std::move(text);
       break;
     }
   }

@@ -145,28 +145,8 @@ TEST(DeterminizeSchemaTest, UpperApproximationStructurallyIdentical) {
   }
 }
 
-// MinimizeXsdUnderContext with an exact-mode context is the identity
-// relative to plain MinimizeXsd.
-TEST(DeterminizeSchemaTest, MinimizeXsdUnderExactContextIsCanonical) {
-  for (int iter = 0; iter < 50; ++iter) {
-    std::mt19937 rng(MixSeed(6000 + iter));
-    RandomSchemaParams params;
-    params.num_symbols = 2 + static_cast<int>(rng() % 2);
-    params.num_types = 3 + static_cast<int>(rng() % 4);
-    Edtd edtd = RandomStEdtd(&rng, params);
-    DfaXsd xsd = DfaXsdFromStEdtd(edtd);
-
-    DfaXsd dense = MinimizeXsd(xsd);
-    Nfa context = ContentUnionContext(edtd);
-    StatusOr<DfaXsd> guided = MinimizeXsdUnderContext(xsd, context);
-    ASSERT_TRUE(guided.ok());
-    EXPECT_TRUE(XsdStructurallyEqual(dense, *guided)) << "iter " << iter;
-  }
-}
-
-// BKW language one-unambiguity of the schema-guided determinization and
-// the DRE chain approximation's NFA entry point, under self-context (exact
-// mode):
+// BKW language one-unambiguity and the DRE chain approximation of the
+// schema-guided determinization, under self-context (exact mode):
 // verdicts match the dense path, and the approximation regex still
 // contains the NFA's language.
 TEST(DeterminizeSchemaTest, RegexEntryPointsUnderSelfContext) {
@@ -182,9 +162,8 @@ TEST(DeterminizeSchemaTest, RegexEntryPointsUnderSelfContext) {
     EXPECT_EQ(*guided_verdict, *IsOneUnambiguousLanguage(dense))
         << "iter " << iter;
 
-    StatusOr<RegexPtr> approx = ApproximateDreUnderSchema(nfa, &nfa);
-    ASSERT_TRUE(approx.ok());
-    Dfa approx_dfa = *RegexToDfa(**approx, num_symbols);
+    RegexPtr approx = ApproximateDre(*Determinize(nfa, nullptr, &nfa));
+    Dfa approx_dfa = *RegexToDfa(*approx, num_symbols);
     EXPECT_TRUE(*NfaIncludedInDfa(nfa, approx_dfa)) << "iter " << iter;
   }
 }

@@ -82,14 +82,14 @@ TEST(MinimizeXsdTest, EmptyLanguage) {
   EXPECT_EQ(minimized.type_size(), 0);
 }
 
-TEST(MinimizeStEdtdTest, RoundTrip) {
+TEST(MinimizeXsdTest, StEdtdRoundTrip) {
   SchemaBuilder builder;
   builder.AddType("R", "r", "X | Y");
   builder.AddType("X", "a", "%");
   builder.AddType("Y", "b", "%");
   builder.AddStart("R");
   Edtd edtd = builder.Build();
-  Edtd minimized = MinimizeStEdtd(edtd);
+  Edtd minimized = StEdtdFromDfaXsd(MinimizeXsd(DfaXsdFromStEdtd(edtd)));
   EXPECT_TRUE(*SingleTypeEquivalent(edtd, minimized));
 }
 

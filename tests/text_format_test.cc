@@ -64,6 +64,37 @@ TEST(TextFormatTest, RoundTripPreservesLanguage) {
   EXPECT_TRUE(*SingleTypeEquivalent(*schema, *reparsed)) << text;
 }
 
+// XsdToText prints the canonical minimal form: the two identical leaf
+// types C1 and C2 print as one, the text parses back to the same
+// language, and the minimization charges the budget.
+TEST(TextFormatTest, XsdToTextPrintsTheMinimalForm) {
+  StatusOr<Edtd> schema = ParseSchema(
+      "start R\n"
+      "type R  : r -> A B\n"
+      "type A  : a -> C1\n"
+      "type B  : b -> C2\n"
+      "type C1 : c -> %\n"
+      "type C2 : c -> %\n");
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  const DfaXsd xsd = DfaXsdFromStEdtd(*schema);
+  StatusOr<std::string> text = XsdToText(xsd, nullptr);
+  ASSERT_TRUE(text.ok()) << text.status();
+  size_t type_lines = 0;
+  for (size_t pos = text->find("type "); pos != std::string::npos;
+       pos = text->find("type ", pos + 1)) {
+    ++type_lines;
+  }
+  EXPECT_EQ(type_lines, 4u) << *text;
+  StatusOr<Edtd> reparsed = ParseSchema(*text);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << *text;
+  EXPECT_TRUE(*SingleTypeEquivalent(*schema, *reparsed)) << *text;
+
+  Budget budget;
+  budget.set_max_states(1);
+  EXPECT_EQ(XsdToText(xsd, &budget).status().code(),
+            StatusCode::kResourceExhausted);
+}
+
 TEST(SchemaBuilderTest, MatchesTextFormatSemantics) {
   SchemaBuilder builder;
   builder.AddType("Lib", "library", "Book*");

@@ -13,12 +13,15 @@
 #include <variant>
 #include <vector>
 
+#include "stap/approx/upper.h"
 #include "stap/automata/determinize.h"
 #include "stap/base/metrics.h"
 #include "stap/base/thread_pool.h"
 #include "stap/base/trace.h"
+#include "stap/gen/families.h"
 #include "stap/regex/ast.h"
 #include "stap/regex/glushkov.h"
+#include "stap/schema/text_format.h"
 
 namespace stap {
 namespace {
@@ -305,6 +308,27 @@ TEST(TraceTest, DeterminizeSpanMatchesTheMetricsRegistry) {
     if (key == "states_created") span_states = value;
   }
   EXPECT_EQ(span_states, registry_delta);
+}
+
+TEST(TraceTest, ApproxPipelineShowsEveryStageAtTopLevel) {
+  // What `stap approx` and `stap explain` run: Construction 3.1, then the
+  // one printer, whose minimization and printing are phases of their own.
+  const Edtd schema = Theorem32Family(3);
+  TraceSession session;
+  session.Start();
+  StatusOr<DfaXsd> xsd = MinimalUpperApproximation(schema, nullptr);
+  StatusOr<std::string> text =
+      xsd.ok() ? XsdToText(*xsd, nullptr) : xsd.status();
+  session.Stop();
+  ASSERT_TRUE(text.ok()) << text.status();
+
+  std::vector<std::string> top_level;
+  for (const TraceSession::PhaseRow& row : session.PhaseTable()) {
+    if (row.depth == 0) top_level.push_back(row.name);
+  }
+  EXPECT_EQ(top_level,
+            (std::vector<std::string>{"approx.upper", "schema.minimize_xsd",
+                                      "schema.print"}));
 }
 
 }  // namespace

@@ -1,39 +1,8 @@
 // stap — command-line front end for the library.
 //
-//   stap validate <schema> <doc...>      validate XML documents (the schema
-//                                        may be textual or a compiled
-//                                        artifact; many docs fan out over
-//                                        --jobs=N threads, report in input
-//                                        order)
-//   stap compile <schema> -o <artifact>  compile a schema to a binary
-//                                        artifact for the warm serving path
-//   stap check <schema>                  report schema properties
-//   stap minimize <schema>               canonical minimal XSD
-//   stap approx <schema>                 minimal upper XSD-approximation
-//   stap merge <s1> <s2>                 upper approximation of the union
-//   stap intersect <s1> <s2>             exact intersection
-//   stap diff <s1> <s2>                  upper approximation of s1 \ s2
-//   stap complement <schema>             upper approximation of the complement
-//   stap lower <s1> <s2>                 maximal lower approx of the union
-//                                        containing s1 (Theorem 4.8)
-//   stap included <s1> <s2>              is L(s1) ⊆ L(s2)? (s2 single-type)
-//   stap witness <s1> <s2>               a document in L(s1) \ L(s2)
-//   stap types <schema> <doc.xml>        print the document's typing
-//   stap report <s1> <s2>                full comparison report
-//   stap sample <schema> [count]         sample random documents
-//   stap count <schema> <depth> <width>  count documents within bounds
-//   stap export <schema> [--repair-upa]  write a W3C-style .xsd document
-//   stap import <schema.xsd>             read a W3C-style .xsd document
-//   stap family <name> <n>               generate a paper lower-bound family
-//   stap explain <schema>                approximate and print a per-phase
-//                                        provenance table (sizes, wall ms)
-//   stap serve [flags]                   long-running validation daemon:
-//                                        binary validate/included/approx
-//                                        requests over a length-prefixed
-//                                        socket protocol, plus HTTP
-//                                        /metrics and /healthz; runs until
-//                                        SIGINT/SIGTERM, then drains and
-//                                        exits 0
+// Every command is one row of kCommands (at the end of this file): its
+// name, the bounds on its positional arguments, its help text and its
+// handler. Usage() prints the table, and Run() dispatches from it.
 //
 // Global flags (accepted anywhere on the command line):
 //   --jobs=N             worker threads for batch validation (0 = one per
@@ -54,17 +23,19 @@
 // the partial work is observable.
 //
 // Schemas use the textual format of schema/text_format.h (docs/FORMAT.md)
-// unless stated otherwise; results are printed in the same format.
+// unless stated otherwise. Computed XSDs are printed in the same format
+// by XsdToText, which minimizes them first.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -72,98 +43,37 @@
 #include <thread>
 #include <vector>
 
+#include "stap/approx/diff_report.h"
 #include "stap/approx/inclusion.h"
-#include "stap/base/budget.h"
-#include "stap/base/compile_cache.h"
-#include "stap/base/metrics.h"
-#include "stap/io/artifact.h"
-#include "stap/io/batch_validate.h"
-#include "stap/base/trace.h"
-#include "stap/gen/families.h"
 #include "stap/approx/lower_check.h"
 #include "stap/approx/nv.h"
 #include "stap/approx/upper.h"
 #include "stap/approx/upper_boolean.h"
-#include "stap/approx/diff_report.h"
 #include "stap/approx/witness.h"
+#include "stap/base/budget.h"
+#include "stap/base/compile_cache.h"
+#include "stap/base/metrics.h"
+#include "stap/base/trace.h"
+#include "stap/count/counter.h"
+#include "stap/count/measure.h"
+#include "stap/gen/families.h"
 #include "stap/gen/random.h"
+#include "stap/io/artifact.h"
+#include "stap/io/batch_validate.h"
 #include "stap/regex/bkw.h"
 #include "stap/schema/minimize.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
-#include "stap/count/counter.h"
-#include "stap/count/measure.h"
 #include "stap/schema/text_format.h"
+#include "stap/schema/type_automaton.h"
 #include "stap/schema/typing.h"
 #include "stap/schema/xsd_io.h"
-#include "stap/schema/type_automaton.h"
 #include "stap/serve/client.h"
 #include "stap/serve/server.h"
 #include "stap/tree/xml.h"
 
 namespace stap {
 namespace {
-
-int Usage() {
-  std::cerr
-      << "usage: stap <command> <args>\n"
-         "  validate <schema> <doc...>    validate documents (schema text or\n"
-         "                                compiled artifact; many docs fan\n"
-         "                                out over --jobs=N threads)\n"
-         "  compile <schema> -o <file>    compile a schema to an artifact\n"
-         "  check <schema>                report schema properties\n"
-         "  minimize <schema>             canonical minimal XSD\n"
-         "  approx <schema>               minimal upper XSD-approximation\n"
-         "  merge <s1> <s2>               upper approximation of the union\n"
-         "  intersect <s1> <s2>           exact intersection\n"
-         "  diff <s1> <s2>                upper approximation of s1 \\ s2\n"
-         "  complement <schema>           upper approx of the complement\n"
-         "  lower <s1> <s2>               maximal lower approx of the union\n"
-         "  included <s1> <s2>            L(s1) subset of L(s2)?\n"
-         "  witness <s1> <s2>             a document in L(s1) \\ L(s2)\n"
-         "  types <schema> <doc.xml>      print the document's typing\n"
-         "  report <s1> <s2>              full comparison report\n"
-         "  sample <schema> [count]       sample random documents\n"
-         "  count <schema> <depth> <w>    count documents within bounds\n"
-         "  measure <schema> [flags]      tree-counting precision report:\n"
-         "                                exact |L(S)|, |L(upper)\\L(S)|,\n"
-         "                                |L(S)\\L(lower)| per depth; flags:\n"
-         "                                --upper --lower --both (default)\n"
-         "                                --depth=D --width=W --json\n"
-         "  export <schema> [--repair-upa]  write a W3C-style .xsd\n"
-         "  import <schema.xsd>           read a W3C-style .xsd\n"
-         "  family <name> <n>             generate a lower-bound family\n"
-         "                                (theorem32, theorem36a/b,\n"
-         "                                theorem38a/b, theorem43a/b,\n"
-         "                                theorem411, counted;\n"
-         "                                43/411 ignore n, counted uses\n"
-         "                                Item{n,2n})\n"
-         "  explain <schema>              approximate and print a per-phase\n"
-         "                                provenance table\n"
-         "          [--schema-guided]     run content merges through the\n"
-         "                                schema-guided determinizer and\n"
-         "                                report pruning counters\n"
-         "  serve [flags]                 validation daemon; flags:\n"
-         "                                --port=N (0 = ephemeral)\n"
-         "                                --schemas=DIR (*.stapc/*.stap)\n"
-         "                                --max-connections=N\n"
-         "                                --max-inflight=N\n"
-         "                                --request-budget-ms=N\n"
-         "                                --request-max-states=N\n"
-         "                                --request-max-sets=N\n"
-         "                                --access-log=FILE (JSONL)\n"
-         "                                --slow-ms=N (slow-request capture)\n"
-         "                                --log-ring=N --slow-ring=N\n"
-         "  top --port=N [--host=H]       live one-screen view of a serve\n"
-         "      [--interval-ms=N]         daemon (/statusz + /metrics):\n"
-         "      [--count=N]               qps, p50/p99, error rates, cache\n"
-         "global flags: --jobs=N --budget-ms=N --max-states=N --max-sets=N\n"
-         "              --metrics-json[=file] --metrics-prom[=file]\n"
-         "              --trace-json[=file]  (exit 3 = budget exhausted)\n"
-         "schema arguments accept the textual format (docs/FORMAT.md) or a\n"
-         "W3C .xsd document (auto-detected by a leading '<')\n";
-  return 2;
-}
 
 StatusOr<std::string> ReadFile(const std::string& path) {
   std::ifstream file(path);
@@ -177,7 +87,7 @@ StatusOr<std::string> ReadFile(const std::string& path) {
 // (sniffed via LooksLikeXml) goes through the XSD importer, anything else
 // through the textual-format parser. Content-model compilation — including
 // counted-repetition expansion — is charged against `budget` when set.
-StatusOr<Edtd> LoadSchema(const std::string& path, Budget* budget = nullptr) {
+StatusOr<Edtd> LoadSchema(const std::string& path, Budget* budget) {
   StatusOr<std::string> text = ReadFile(path);
   if (!text.ok()) return text.status();
   if (LooksLikeXml(*text)) return ImportXsd(*text, budget);
@@ -213,38 +123,54 @@ struct GlobalOptions {
   Budget* budget_ptr() const { return budget.get(); }
 };
 
-// Extracts the global --budget-ms/--max-states/--max-sets/--metrics-json/
-// --metrics-prom/--trace-json flags from anywhere on the command line;
-// everything else passes through in order. Returns false on a malformed
-// flag value. (Keep this list in sync with Usage() and the file header.)
-bool ParseGlobalFlags(int argc, char** argv, std::vector<std::string>* args,
+// A command's positional arguments (everything after its name, global
+// flags removed).
+using Args = std::vector<std::string>;
+
+int Usage();
+
+// Checked decimal parse for counts and flag values: garbage, trailing
+// junk and values outside [min_value, max_value] are rejected instead of
+// silently becoming 0 the way std::atoi made them.
+template <typename T>
+bool ParseInt(const std::string& text, int64_t min_value, int64_t max_value,
+              T* out) {
+  char* end = nullptr;
+  errno = 0;
+  long long parsed = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      parsed < min_value || parsed > max_value) {
+    return false;
+  }
+  *out = static_cast<T>(parsed);
+  return true;
+}
+
+// Extracts the global --jobs/--budget-ms/--max-states/--max-sets/
+// --metrics-json/--metrics-prom/--trace-json flags from anywhere on the
+// command line; everything else passes through in order. Returns false on
+// a malformed flag value.
+bool ParseGlobalFlags(int argc, char** argv, Args* args,
                       GlobalOptions* options) {
   auto budget = [&]() -> Budget* {
     if (options->budget == nullptr) options->budget = std::make_unique<Budget>();
     return options->budget.get();
   };
-  auto int_value = [](const std::string& text, int64_t* out) {
-    char* end = nullptr;
-    long long parsed = std::strtoll(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || parsed < 0) return false;
-    *out = parsed;
-    return true;
-  };
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     int64_t value = 0;
     if (arg.rfind("--budget-ms=", 0) == 0) {
-      if (!int_value(arg.substr(12), &value)) return false;
+      if (!ParseInt(arg.substr(12), 0, kMax, &value)) return false;
       budget()->set_deadline_ms(value);
     } else if (arg.rfind("--max-states=", 0) == 0) {
-      if (!int_value(arg.substr(13), &value)) return false;
+      if (!ParseInt(arg.substr(13), 0, kMax, &value)) return false;
       budget()->set_max_states(value);
     } else if (arg.rfind("--max-sets=", 0) == 0) {
-      if (!int_value(arg.substr(11), &value)) return false;
+      if (!ParseInt(arg.substr(11), 0, kMax, &value)) return false;
       budget()->set_max_sets(value);
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      if (!int_value(arg.substr(7), &value) || value > 1024) return false;
-      options->jobs = static_cast<int>(value);
+      if (!ParseInt(arg.substr(7), 0, 1024, &options->jobs)) return false;
     } else if (arg == "--metrics-json") {
       options->dump_metrics = true;
     } else if (arg.rfind("--metrics-json=", 0) == 0) {
@@ -264,23 +190,6 @@ bool ParseGlobalFlags(int argc, char** argv, std::vector<std::string>* args,
       args->push_back(std::move(arg));
     }
   }
-  return true;
-}
-
-// Checked decimal parse for positional counts (sample count, count
-// bounds, family size), mirroring the global-flag parser: garbage,
-// trailing junk, and out-of-range values are reported as errors instead
-// of silently becoming 0 the way std::atoi made them.
-bool ParseCount(const std::string& text, int64_t min_value, int64_t max_value,
-                int* out) {
-  char* end = nullptr;
-  errno = 0;
-  long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-      parsed < min_value || parsed > max_value) {
-    return false;
-  }
-  *out = static_cast<int>(parsed);
   return true;
 }
 
@@ -332,39 +241,72 @@ int DumpTrace(GlobalOptions& options, int exit_code) {
                    "trace", exit_code);
 }
 
+// Loads and reduces (Proviso 2.3) a schema for a command that needs it
+// single-type; otherwise fails with `not_single_type`, each command's own
+// wording of the requirement.
+StatusOr<Edtd> LoadSingleType(const std::string& path, Budget* budget,
+                              const Status& not_single_type) {
+  StatusOr<Edtd> schema = LoadSchema(path, budget);
+  if (!schema.ok()) return schema.status();
+  Edtd reduced = ReduceEdtd(*schema);
+  if (!IsSingleType(reduced)) return not_single_type;
+  return reduced;
+}
+
 // Loads a schema for the validation path: a compiled artifact is
 // deserialized as-is; textual schemas compile through the process-wide
 // content-model cache (so repeated invocations in one process — and the
 // batch tests — share compilations).
 StatusOr<CompiledSchema> LoadCompiledSchema(const std::string& path,
-                                            Budget* budget = nullptr) {
+                                            Budget* budget) {
   StatusOr<std::string> bytes = ReadFile(path);
   if (!bytes.ok()) return bytes.status();
   if (LooksLikeArtifact(*bytes)) return DeserializeArtifact(*bytes);
   return CompileSchema(*bytes, CompileCache::Global(), budget);
 }
 
-int CmdCompile(const std::vector<std::string>& argv, Budget* budget) {
-  // compile <schema> -o <artifact>
-  if (argv.size() != 5 || argv[3] != "-o") return Usage();
-  StatusOr<std::string> text = ReadFile(argv[2]);
+// Prints a computed XSD through the one printer, XsdToText.
+int PrintXsd(const StatusOr<DfaXsd>& xsd, Budget* budget) {
+  if (!xsd.ok()) return Fail(xsd.status());
+  StatusOr<std::string> text = XsdToText(*xsd, budget);
+  if (!text.ok()) return Fail(text.status());
+  std::cout << *text;
+  return 0;
+}
+
+// Runs `op` on the two schemas named by `args`, each reduced and
+// required to be single-type.
+template <typename Op>
+int WithSingleTypePair(const Args& args, Budget* budget, Op op) {
+  const Status not_single_type = InvalidArgumentError(
+      "both schemas must be single-type; run 'approx' on each first");
+  StatusOr<Edtd> r1 = LoadSingleType(args[0], budget, not_single_type);
+  if (!r1.ok()) return Fail(r1.status());
+  StatusOr<Edtd> r2 = LoadSingleType(args[1], budget, not_single_type);
+  if (!r2.ok()) return Fail(r2.status());
+  return op(*r1, *r2);
+}
+
+int CmdCompile(const Args& args, GlobalOptions& options) {
+  if (args[1] != "-o") return Usage();
+  StatusOr<std::string> text = ReadFile(args[0]);
   if (!text.ok()) return Fail(text.status());
   if (LooksLikeArtifact(*text)) {
-    return Fail(InvalidArgumentError("'" + argv[2] +
+    return Fail(InvalidArgumentError("'" + args[0] +
                                      "' is already a compiled artifact"));
   }
   StatusOr<CompiledSchema> schema =
-      CompileSchema(*text, CompileCache::Global(), budget);
+      CompileSchema(*text, CompileCache::Global(), options.budget_ptr());
   if (!schema.ok()) return Fail(schema.status());
   const std::string bytes = SerializeArtifact(*schema);
-  std::ofstream out(argv[4], std::ios::binary);
+  std::ofstream out(args[2], std::ios::binary);
   if (!out || !(out << bytes) || !out.flush()) {
-    return Fail(InternalError("cannot write artifact to '" + argv[4] + "'"));
+    return Fail(InternalError("cannot write artifact to '" + args[2] + "'"));
   }
-  std::cout << "compiled " << argv[2] << ": " << schema->edtd.num_types()
+  std::cout << "compiled " << args[0] << ": " << schema->edtd.num_types()
             << " types, single-type "
             << (schema->single_type ? "yes" : "no") << ", " << bytes.size()
-            << " bytes -> " << argv[4] << "\n";
+            << " bytes -> " << args[2] << "\n";
   return 0;
 }
 
@@ -387,22 +329,21 @@ int ValidateSingle(const CompiledSchema& schema, const std::string& doc_path,
   return 1;
 }
 
-int CmdValidate(const std::vector<std::string>& argv,
-                const GlobalOptions& options) {
+int CmdValidate(const Args& args, GlobalOptions& options) {
   StatusOr<CompiledSchema> schema =
-      LoadCompiledSchema(argv[2], options.budget_ptr());
+      LoadCompiledSchema(args[0], options.budget_ptr());
   if (!schema.ok()) return Fail(schema.status());
-  if (argv.size() == 4 && options.jobs < 0) {
-    return ValidateSingle(*schema, argv[3], options.budget_ptr());
+  if (args.size() == 2 && options.jobs < 0) {
+    return ValidateSingle(*schema, args[1], options.budget_ptr());
   }
   // Batch mode: one status line per document, in input order, plus a
   // summary — byte-identical output whatever the job count.
   std::vector<BatchDocument> documents;
-  documents.reserve(argv.size() - 3);
-  for (size_t i = 3; i < argv.size(); ++i) {
+  documents.reserve(args.size() - 1);
+  for (size_t i = 1; i < args.size(); ++i) {
     BatchDocument doc;
-    doc.name = argv[i];
-    StatusOr<std::string> xml = ReadFile(argv[i]);
+    doc.name = args[i];
+    StatusOr<std::string> xml = ReadFile(args[i]);
     if (xml.ok()) {
       doc.xml = std::move(*xml);
     } else {
@@ -420,8 +361,9 @@ int CmdValidate(const std::vector<std::string>& argv,
   return result.all_valid() ? 0 : 1;
 }
 
-int CmdCheck(const std::string& schema_path, Budget* budget) {
-  StatusOr<Edtd> schema = LoadSchema(schema_path, budget);
+int CmdCheck(const Args& args, GlobalOptions& options) {
+  Budget* const budget = options.budget_ptr();
+  StatusOr<Edtd> schema = LoadSchema(args[0], budget);
   if (!schema.ok()) return Fail(schema.status());
   Edtd reduced = ReduceEdtd(*schema);
   StatusOr<bool> definable = IsSingleTypeDefinable(reduced, budget);
@@ -448,24 +390,146 @@ int CmdCheck(const std::string& schema_path, Budget* budget) {
   return 0;
 }
 
-int PrintXsd(const DfaXsd& xsd, Budget* budget) {
-  StatusOr<DfaXsd> minimized = MinimizeXsd(xsd, budget);
-  if (!minimized.ok()) return Fail(minimized.status());
-  std::cout << SchemaToText(StEdtdFromDfaXsd(*minimized));
+int CmdMinimize(const Args& args, GlobalOptions& options) {
+  StatusOr<Edtd> reduced = LoadSingleType(
+      args[0], options.budget_ptr(),
+      InvalidArgumentError("schema is not single-type; run 'approx' first"));
+  if (!reduced.ok()) return Fail(reduced.status());
+  return PrintXsd(DfaXsdFromStEdtd(*reduced), options.budget_ptr());
+}
+
+int CmdApprox(const Args& args, GlobalOptions& options) {
+  Budget* const budget = options.budget_ptr();
+  StatusOr<Edtd> schema = LoadSchema(args[0], budget);
+  if (!schema.ok()) return Fail(schema.status());
+  return PrintXsd(MinimalUpperApproximation(*schema, budget), budget);
+}
+
+int CmdMerge(const Args& args, GlobalOptions& options) {
+  Budget* const budget = options.budget_ptr();
+  return WithSingleTypePair(args, budget, [&](const Edtd& r1, const Edtd& r2) {
+    return PrintXsd(UpperUnion(r1, r2, budget), budget);
+  });
+}
+
+int CmdIntersect(const Args& args, GlobalOptions& options) {
+  Budget* const budget = options.budget_ptr();
+  return WithSingleTypePair(args, budget, [&](const Edtd& r1, const Edtd& r2) {
+    return PrintXsd(UpperIntersection(r1, r2, nullptr, budget), budget);
+  });
+}
+
+int CmdDiff(const Args& args, GlobalOptions& options) {
+  Budget* const budget = options.budget_ptr();
+  return WithSingleTypePair(args, budget, [&](const Edtd& r1, const Edtd& r2) {
+    return PrintXsd(UpperDifference(r1, r2, nullptr, budget), budget);
+  });
+}
+
+int CmdLower(const Args& args, GlobalOptions& options) {
+  Budget* const budget = options.budget_ptr();
+  return WithSingleTypePair(args, budget, [&](const Edtd& r1, const Edtd& r2) {
+    return PrintXsd(LowerUnionFixingFirst(r1, r2), budget);
+  });
+}
+
+int CmdComplement(const Args& args, GlobalOptions& options) {
+  Budget* const budget = options.budget_ptr();
+  StatusOr<Edtd> reduced = LoadSingleType(
+      args[0], budget,
+      InvalidArgumentError("schema must be single-type; run 'approx' first"));
+  if (!reduced.ok()) return Fail(reduced.status());
+  return PrintXsd(UpperComplement(*reduced, nullptr, budget), budget);
+}
+
+int CmdIncluded(const Args& args, GlobalOptions& options) {
+  Budget* const budget = options.budget_ptr();
+  StatusOr<Edtd> d1 = LoadSchema(args[0], budget);
+  if (!d1.ok()) return Fail(d1.status());
+  StatusOr<Edtd> r2 = LoadSingleType(
+      args[1], budget,
+      InvalidArgumentError(
+          "the second schema must be single-type for the PTIME test"));
+  if (!r2.ok()) return Fail(r2.status());
+  StatusOr<bool> included =
+      IncludedInSingleType(ReduceEdtd(*d1), *r2, nullptr, budget);
+  if (!included.ok()) return Fail(included.status());
+  std::cout << (*included ? "INCLUDED\n" : "NOT INCLUDED\n");
+  return *included ? 0 : 1;
+}
+
+int CmdWitness(const Args& args, GlobalOptions& options) {
+  Budget* const budget = options.budget_ptr();
+  StatusOr<Edtd> d1 = LoadSchema(args[0], budget);
+  if (!d1.ok()) return Fail(d1.status());
+  StatusOr<Edtd> r2 = LoadSingleType(
+      args[1], budget,
+      InvalidArgumentError(
+          "the second schema must be single-type; run 'approx' first"));
+  if (!r2.ok()) return Fail(r2.status());
+  const DfaXsd xsd2 = DfaXsdFromStEdtd(*r2);
+  std::optional<Tree> witness = XsdInclusionWitness(*d1, xsd2);
+  if (!witness.has_value()) {
+    std::cout << "INCLUDED (no witness)\n";
+    return 0;
+  }
+  // Render over the merged alphabet the witness was built with.
+  Alphabet merged = xsd2.sigma;
+  for (int a = 0; a < d1->sigma.size(); ++a) {
+    merged.Intern(d1->sigma.Name(a));
+  }
+  std::cout << ToXml(*witness, merged);
+  return 1;
+}
+
+int CmdTypes(const Args& args, GlobalOptions& options) {
+  StatusOr<Edtd> schema = LoadSchema(args[0], options.budget_ptr());
+  if (!schema.ok()) return Fail(schema.status());
+  Edtd reduced = ReduceEdtd(*schema);
+  StatusOr<std::string> xml = ReadFile(args[1]);
+  if (!xml.ok()) return Fail(xml.status());
+  Alphabet alphabet = reduced.sigma;
+  StatusOr<Tree> document = ParseXml(*xml, &alphabet);
+  if (!document.ok()) return Fail(document.status());
+  if (alphabet.size() != reduced.sigma.size()) {
+    std::cout << "NO TYPING (undeclared elements)\n";
+    return 1;
+  }
+  std::optional<Typing> typing = AssignTypesEdtd(reduced, *document);
+  if (!typing.has_value()) {
+    std::cout << "NO TYPING (document invalid)\n";
+    return 1;
+  }
+  std::cout << typing->ToString(reduced, *document);
+  int64_t count = CountTypings(reduced, *document);
+  if (count > 1) {
+    std::cout << "(ambiguous: " << count << " distinct typings)\n";
+  }
   return 0;
 }
 
-int CmdSample(const std::string& schema_path, int count, Budget* budget) {
-  StatusOr<Edtd> schema = LoadSchema(schema_path, budget);
-  if (!schema.ok()) return Fail(schema.status());
-  Edtd reduced = ReduceEdtd(*schema);
-  if (reduced.num_types() == 0) return Fail(InvalidArgumentError(
-      "schema language is empty"));
-  if (!IsSingleType(reduced)) {
-    return Fail(UnimplementedError(
-        "sampling requires a single-type schema; run 'approx' first"));
+int CmdReport(const Args& args, GlobalOptions& options) {
+  return WithSingleTypePair(
+      args, options.budget_ptr(), [](const Edtd& r1, const Edtd& r2) {
+        std::cout << CompareSchemas(r1, r2).ToString();
+        return 0;
+      });
+}
+
+int CmdSample(const Args& args, GlobalOptions& options) {
+  int count = 1;
+  if (args.size() == 2 && !ParseInt(args[1], 1, 1000000, &count)) {
+    return BadCount("sample count", args[1], 1, 1000000);
   }
-  DfaXsd xsd = DfaXsdFromStEdtd(reduced);
+  StatusOr<Edtd> reduced = LoadSingleType(
+      args[0], options.budget_ptr(),
+      UnimplementedError(
+          "sampling requires a single-type schema; run 'approx' first"));
+  if (!reduced.ok()) return Fail(reduced.status());
+  if (reduced->num_types() == 0) {
+    return Fail(InvalidArgumentError("schema language is empty"));
+  }
+  DfaXsd xsd = DfaXsdFromStEdtd(*reduced);
   std::random_device device;
   std::mt19937 rng(device());
   for (int i = 0; i < count; ++i) {
@@ -477,16 +541,36 @@ int CmdSample(const std::string& schema_path, int count, Budget* budget) {
   return 0;
 }
 
+int CmdCount(const Args& args, GlobalOptions& options) {
+  StatusOr<Edtd> reduced = LoadSingleType(
+      args[0], options.budget_ptr(),
+      InvalidArgumentError(
+          "counting requires a single-type schema; run 'approx' first"));
+  if (!reduced.ok()) return Fail(reduced.status());
+  CountBounds bounds;
+  if (!ParseInt(args[1], 1, 1000000, &bounds.max_depth)) {
+    return BadCount("depth bound", args[1], 1, 1000000);
+  }
+  if (!ParseInt(args[2], 0, 1000000, &bounds.max_width)) {
+    return BadCount("width bound", args[2], 0, 1000000);
+  }
+  StatusOr<std::vector<CountValue>> counts = CountXsdByDepth(
+      DfaXsdFromStEdtd(*reduced), bounds, options.budget_ptr());
+  if (!counts.ok()) return Fail(counts.status());
+  std::cout << counts->back().ToDouble() << "\n";
+  return 0;
+}
+
 // `stap measure <schema> [--upper|--lower|--both] [--depth=D] [--width=W]
 // [--json]`: exact precision analytics. Counts |L(S)|, |L(upper)|, and
 // |L(lower)| by depth with the counting DP, plus the pairwise
 // intersections, and reports the gained/lost document counts and the
 // precision/recall ratios. Budget exhaustion surfaces as exit 3 via Fail.
-int CmdMeasure(const std::vector<std::string>& args, Budget* budget) {
+int CmdMeasure(const Args& args, GlobalOptions& global) {
   MeasureOptions options;
   bool json = false;
   bool side_chosen = false;
-  for (size_t i = 3; i < args.size(); ++i) {
+  for (size_t i = 1; i < args.size(); ++i) {
     const std::string& flag = args[i];
     if (flag == "--upper") {
       options.upper = true;
@@ -503,34 +587,98 @@ int CmdMeasure(const std::vector<std::string>& args, Budget* budget) {
     } else if (flag == "--json") {
       json = true;
     } else if (flag.rfind("--depth=", 0) == 0) {
-      if (!ParseCount(flag.substr(8), 1, 64, &options.bounds.max_depth)) {
+      if (!ParseInt(flag.substr(8), 1, 64, &options.bounds.max_depth)) {
         return BadCount("depth bound", flag.substr(8), 1, 64);
       }
     } else if (flag.rfind("--width=", 0) == 0) {
-      if (!ParseCount(flag.substr(8), 0, 64, &options.bounds.max_width)) {
+      if (!ParseInt(flag.substr(8), 0, 64, &options.bounds.max_width)) {
         return BadCount("width bound", flag.substr(8), 0, 64);
       }
     } else {
       return Usage();
     }
   }
-  StatusOr<Edtd> schema = LoadSchema(args[2], budget);
+  StatusOr<Edtd> schema = LoadSchema(args[0], global.budget_ptr());
   if (!schema.ok()) return Fail(schema.status());
-  StatusOr<MeasureResult> result = MeasureSchema(*schema, options, budget);
+  StatusOr<MeasureResult> result =
+      MeasureSchema(*schema, options, global.budget_ptr());
   if (!result.ok()) return Fail(result.status());
   std::cout << (json ? result->ToJson() : result->ToText());
   if (json) std::cout << "\n";
   return 0;
 }
 
-// `stap explain`: run the approximation pipeline under a trace session and
-// print the per-phase provenance rollup — each phase with call count, wall
-// time, and the size counters its spans recorded. Reuses the global
-// --trace-json session when one is active so the same recording also lands
-// in the Chrome trace; otherwise records into a throwaway local session.
-int CmdExplain(const std::string& schema_path, bool schema_guided,
-               GlobalOptions& options) {
-  StatusOr<Edtd> schema = LoadSchema(schema_path, options.budget_ptr());
+int CmdExport(const Args& args, GlobalOptions& options) {
+  Budget* const budget = options.budget_ptr();
+  StatusOr<Edtd> reduced = LoadSingleType(
+      args[0], budget,
+      InvalidArgumentError(
+          "export requires a single-type schema; run 'approx' first"));
+  if (!reduced.ok()) return Fail(reduced.status());
+  XsdExportOptions export_options;
+  if (args.size() == 2) {
+    if (args[1] != "--repair-upa") return Usage();
+    export_options.repair_upa = true;
+  }
+  StatusOr<DfaXsd> minimized = MinimizeXsd(DfaXsdFromStEdtd(*reduced), budget);
+  if (!minimized.ok()) return Fail(minimized.status());
+  std::cout << ExportXsd(*minimized, export_options);
+  return 0;
+}
+
+int CmdImport(const Args& args, GlobalOptions& options) {
+  StatusOr<std::string> xml = ReadFile(args[0]);
+  if (!xml.ok()) return Fail(xml.status());
+  StatusOr<Edtd> schema = ImportXsd(*xml, options.budget_ptr());
+  if (!schema.ok()) return Fail(schema.status());
+  std::cout << SchemaToText(ReduceEdtd(*schema));
+  return 0;
+}
+
+int CmdFamily(const Args& args, GlobalOptions& /*options*/) {
+  const std::string& name = args[0];
+  int n = 1;
+  if (args.size() == 2 && !ParseInt(args[1], 1, 1000000, &n)) {
+    return BadCount("family size", args[1], 1, 1000000);
+  }
+  // The pair-valued families expose each member under an a/b suffix so
+  // the result is always a single schema on stdout.
+  Edtd schema;
+  if (name == "theorem32") {
+    schema = Theorem32Family(n);
+  } else if (name == "theorem36a") {
+    schema = Theorem36Family(n).first;
+  } else if (name == "theorem36b") {
+    schema = Theorem36Family(n).second;
+  } else if (name == "theorem38a") {
+    schema = Theorem38Family(n).first;
+  } else if (name == "theorem38b") {
+    schema = Theorem38Family(n).second;
+  } else if (name == "theorem43a") {
+    schema = Theorem43Schemas().first;
+  } else if (name == "theorem43b") {
+    schema = Theorem43Schemas().second;
+  } else if (name == "theorem411") {
+    schema = Theorem411Dtd();
+  } else if (name == "counted") {
+    schema = CountedFamily(n, 2 * n);
+  } else {
+    return Fail(InvalidArgumentError("unknown family '" + name + "'"));
+  }
+  std::cout << SchemaToText(schema);
+  return 0;
+}
+
+// `stap explain`: run what `stap approx` runs — the approximation and the
+// printer — under a trace session and print the per-phase provenance
+// rollup: each phase with call count, wall time, and the size counters
+// its spans recorded. Reuses the global --trace-json session when one is
+// active so the same recording also lands in the Chrome trace; otherwise
+// records into a throwaway local session.
+int CmdExplain(const Args& args, GlobalOptions& options) {
+  if (args.size() == 2 && args[1] != "--schema-guided") return Usage();
+  Budget* const budget = options.budget_ptr();
+  StatusOr<Edtd> schema = LoadSchema(args[0], budget);
   if (!schema.ok()) return Fail(schema.status());
 
   Counter* const determinize_states = GetCounter("determinize.states_created");
@@ -559,12 +707,14 @@ int CmdExplain(const std::string& schema_path, bool schema_guided,
   // schema-guided path on real schemas, not to change the answer.
   UpperOptions upper_options;
   Nfa content_context(0, 0);
-  if (schema_guided) {
+  if (args.size() == 2) {
     content_context = ContentUnionContext(*schema);
     upper_options.content_context = &content_context;
   }
   StatusOr<DfaXsd> xsd =
-      MinimalUpperApproximation(*schema, options.budget_ptr(), upper_options);
+      MinimalUpperApproximation(*schema, budget, upper_options);
+  StatusOr<std::string> text =
+      xsd.ok() ? XsdToText(*xsd, budget) : xsd.status();
   if (session == &local) local.Stop();
   // The phase table is printed even when the budget ran out: seeing where
   // the states went is most valuable exactly then.
@@ -595,7 +745,7 @@ int CmdExplain(const std::string& schema_path, bool schema_guided,
               << pruned_transitions->value() - pruned_transitions_before
               << " transitions redirected\n";
   }
-  if (!xsd.ok()) return Fail(xsd.status());
+  if (!text.ok()) return Fail(text.status());
   std::cout << "result: " << xsd->automaton.num_states()
             << " XSD states over " << xsd->sigma.size() << " elements\n";
   return 0;
@@ -621,56 +771,50 @@ extern "C" void ServeSignalHandler(int /*signum*/) {
 // appends one JSONL record per request; requests slower than --slow-ms
 // keep their span tree for /requestz (ring sizes via --log-ring /
 // --slow-ring).
-int CmdServe(const std::vector<std::string>& argv) {
+int CmdServe(const Args& args, GlobalOptions& /*global*/) {
   ServeOptions options;
-  for (size_t i = 2; i < argv.size(); ++i) {
-    const std::string& arg = argv[i];
-    auto flag_value = [&](const char* prefix, int64_t min_value,
-                          int64_t max_value, int64_t* out) {
-      const std::string text = arg.substr(std::strlen(prefix));
-      int value = 0;
-      if (!ParseCount(text, min_value, max_value, &value)) return false;
-      *out = value;
-      return true;
-    };
-    int64_t value = 0;
+  for (const std::string& arg : args) {
     if (arg.rfind("--port=", 0) == 0) {
-      if (!flag_value("--port=", 0, 65535, &value)) return Usage();
-      options.port = static_cast<int>(value);
+      if (!ParseInt(arg.substr(7), 0, 65535, &options.port)) return Usage();
     } else if (arg.rfind("--schemas=", 0) == 0) {
       options.schema_dir = arg.substr(10);
     } else if (arg.rfind("--max-connections=", 0) == 0) {
-      if (!flag_value("--max-connections=", 1, 4096, &value)) return Usage();
-      options.max_connections = static_cast<int>(value);
+      if (!ParseInt(arg.substr(18), 1, 4096, &options.max_connections)) {
+        return Usage();
+      }
     } else if (arg.rfind("--max-inflight=", 0) == 0) {
-      if (!flag_value("--max-inflight=", 0, 4096, &value)) return Usage();
-      options.max_inflight = static_cast<int>(value);
+      if (!ParseInt(arg.substr(15), 0, 4096, &options.max_inflight)) {
+        return Usage();
+      }
     } else if (arg.rfind("--request-budget-ms=", 0) == 0) {
-      if (!flag_value("--request-budget-ms=", 0, 86400000, &value)) {
+      if (!ParseInt(arg.substr(20), 0, 86400000,
+                    &options.request_budget_ms)) {
         return Usage();
       }
-      options.request_budget_ms = value;
     } else if (arg.rfind("--request-max-states=", 0) == 0) {
-      if (!flag_value("--request-max-states=", 0, 1000000000, &value)) {
+      if (!ParseInt(arg.substr(21), 0, 1000000000,
+                    &options.request_max_states)) {
         return Usage();
       }
-      options.request_max_states = value;
     } else if (arg.rfind("--request-max-sets=", 0) == 0) {
-      if (!flag_value("--request-max-sets=", 0, 1000000000, &value)) {
+      if (!ParseInt(arg.substr(19), 0, 1000000000,
+                    &options.request_max_sets)) {
         return Usage();
       }
-      options.request_max_sets = value;
     } else if (arg.rfind("--access-log=", 0) == 0) {
       options.access_log_path = arg.substr(13);
     } else if (arg.rfind("--slow-ms=", 0) == 0) {
-      if (!flag_value("--slow-ms=", 0, 86400000, &value)) return Usage();
-      options.slow_request_ms = value;
+      if (!ParseInt(arg.substr(10), 0, 86400000, &options.slow_request_ms)) {
+        return Usage();
+      }
     } else if (arg.rfind("--log-ring=", 0) == 0) {
-      if (!flag_value("--log-ring=", 1, 1000000, &value)) return Usage();
-      options.access_log_ring = static_cast<size_t>(value);
+      if (!ParseInt(arg.substr(11), 1, 1000000, &options.access_log_ring)) {
+        return Usage();
+      }
     } else if (arg.rfind("--slow-ring=", 0) == 0) {
-      if (!flag_value("--slow-ring=", 1, 1000000, &value)) return Usage();
-      options.slow_ring = static_cast<size_t>(value);
+      if (!ParseInt(arg.substr(12), 1, 1000000, &options.slow_ring)) {
+        return Usage();
+      }
     } else {
       return Usage();
     }
@@ -724,33 +868,22 @@ double FindPromValue(const std::string& text, const std::string& name) {
 // qps (both the 60s window and the poll-to-poll delta), latency
 // quantiles, per-code rates, liveness, and compile-cache hits. --count=N
 // exits after N refreshes (0 = run until interrupted).
-int CmdTop(const std::vector<std::string>& argv) {
+int CmdTop(const Args& args, GlobalOptions& /*global*/) {
   std::string host = "127.0.0.1";
-  int64_t port = 0;
+  int port = 0;
   int64_t interval_ms = 1000;
   int64_t count = 0;
-  for (size_t i = 2; i < argv.size(); ++i) {
-    const std::string& arg = argv[i];
-    auto flag_value = [&](const char* prefix, int64_t min_value,
-                          int64_t max_value, int64_t* out) {
-      int value = 0;
-      if (!ParseCount(arg.substr(std::strlen(prefix)), min_value, max_value,
-                      &value)) {
-        return false;
-      }
-      *out = value;
-      return true;
-    };
+  for (const std::string& arg : args) {
     if (arg.rfind("--port=", 0) == 0) {
-      if (!flag_value("--port=", 1, 65535, &port)) return Usage();
+      if (!ParseInt(arg.substr(7), 1, 65535, &port)) return Usage();
     } else if (arg.rfind("--host=", 0) == 0) {
       host = arg.substr(7);
     } else if (arg.rfind("--interval-ms=", 0) == 0) {
-      if (!flag_value("--interval-ms=", 10, 3600000, &interval_ms)) {
+      if (!ParseInt(arg.substr(14), 10, 3600000, &interval_ms)) {
         return Usage();
       }
     } else if (arg.rfind("--count=", 0) == 0) {
-      if (!flag_value("--count=", 0, 1000000000, &count)) return Usage();
+      if (!ParseInt(arg.substr(8), 0, 1000000000, &count)) return Usage();
     } else {
       return Usage();
     }
@@ -765,11 +898,9 @@ int CmdTop(const std::vector<std::string>& argv) {
     if (iteration > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
     }
-    StatusOr<std::string> statusz = HttpGetBody(host, static_cast<int>(port),
-                                                "/statusz");
+    StatusOr<std::string> statusz = HttpGetBody(host, port, "/statusz");
     if (!statusz.ok()) return Fail(statusz.status());
-    StatusOr<std::string> metrics = HttpGetBody(host, static_cast<int>(port),
-                                                "/metrics");
+    StatusOr<std::string> metrics = HttpGetBody(host, port, "/metrics");
     if (!metrics.ok()) return Fail(metrics.status());
     const auto now = std::chrono::steady_clock::now();
     const double elapsed_s =
@@ -784,8 +915,7 @@ int CmdTop(const std::vector<std::string>& argv) {
 
     if (tty) std::fputs("\x1b[2J\x1b[H", stdout);
     std::printf("stap top — %s:%d    up %.0fs    epoch %.0f    schemas %.0f\n",
-                host.c_str(), static_cast<int>(port),
-                FindJsonNumber(*statusz, "uptime_s"),
+                host.c_str(), port, FindJsonNumber(*statusz, "uptime_s"),
                 FindJsonNumber(*statusz, "snapshot_epoch"),
                 FindJsonNumber(*statusz, "schema_count"));
     std::printf(
@@ -831,258 +961,129 @@ int CmdTop(const std::vector<std::string>& argv) {
   return 0;
 }
 
-int RunCommand(const std::vector<std::string>& argv, GlobalOptions& options) {
-  Budget* const budget = options.budget_ptr();
-  const int argc = static_cast<int>(argv.size());
-  if (argc < 2) return Usage();
-  std::string command = argv[1];
+// One row per command. `synopsis` follows the name on the first help
+// line; `help` is printed from column 32 (or two spaces after a longer
+// synopsis) and its continuation lines carry their own indentation.
+struct Command {
+  const char* name;
+  size_t min_args;
+  size_t max_args;
+  const char* synopsis;
+  const char* help;
+  int (*run)(const Args& args, GlobalOptions& options);
+};
 
-  auto load2 = [&](StatusOr<Edtd>* d1, StatusOr<Edtd>* d2) {
-    *d1 = LoadSchema(argv[2], budget);
-    *d2 = LoadSchema(argv[3], budget);
-    return d1->ok() && d2->ok();
-  };
+constexpr size_t kAnyCount = std::numeric_limits<size_t>::max();
 
-  if (command == "validate" && argc >= 4) {
-    return CmdValidate(argv, options);
+constexpr Command kCommands[] = {
+    {"validate", 2, kAnyCount, "<schema> <doc...>",
+     "validate documents (schema text or\n"
+     "                                compiled artifact; many docs fan\n"
+     "                                out over --jobs=N threads)\n",
+     CmdValidate},
+    {"compile", 3, 3, "<schema> -o <file>",
+     "compile a schema to an artifact\n", CmdCompile},
+    {"check", 1, 1, "<schema>", "report schema properties\n", CmdCheck},
+    {"minimize", 1, 1, "<schema>", "canonical minimal XSD\n", CmdMinimize},
+    {"approx", 1, 1, "<schema>", "minimal upper XSD-approximation\n",
+     CmdApprox},
+    {"merge", 2, 2, "<s1> <s2>", "upper approximation of the union\n",
+     CmdMerge},
+    {"intersect", 2, 2, "<s1> <s2>", "exact intersection\n", CmdIntersect},
+    {"diff", 2, 2, "<s1> <s2>", "upper approximation of s1 \\ s2\n",
+     CmdDiff},
+    {"complement", 1, 1, "<schema>", "upper approx of the complement\n",
+     CmdComplement},
+    {"lower", 2, 2, "<s1> <s2>", "maximal lower approx of the union\n",
+     CmdLower},
+    {"included", 2, 2, "<s1> <s2>", "L(s1) subset of L(s2)?\n", CmdIncluded},
+    {"witness", 2, 2, "<s1> <s2>", "a document in L(s1) \\ L(s2)\n",
+     CmdWitness},
+    {"types", 2, 2, "<schema> <doc.xml>", "print the document's typing\n",
+     CmdTypes},
+    {"report", 2, 2, "<s1> <s2>", "full comparison report\n", CmdReport},
+    {"sample", 1, 2, "<schema> [count]", "sample random documents\n",
+     CmdSample},
+    {"count", 3, 3, "<schema> <depth> <w>", "count documents within bounds\n",
+     CmdCount},
+    {"measure", 1, kAnyCount, "<schema> [flags]",
+     "tree-counting precision report:\n"
+     "                                exact |L(S)|, |L(upper)\\L(S)|,\n"
+     "                                |L(S)\\L(lower)| per depth; flags:\n"
+     "                                --upper --lower --both (default)\n"
+     "                                --depth=D --width=W --json\n",
+     CmdMeasure},
+    {"export", 1, 2, "<schema> [--repair-upa]", "write a W3C-style .xsd\n",
+     CmdExport},
+    {"import", 1, 1, "<schema.xsd>", "read a W3C-style .xsd\n", CmdImport},
+    {"family", 1, 2, "<name> <n>",
+     "generate a lower-bound family\n"
+     "                                (theorem32, theorem36a/b,\n"
+     "                                theorem38a/b, theorem43a/b,\n"
+     "                                theorem411, counted;\n"
+     "                                43/411 ignore n, counted uses\n"
+     "                                Item{n,2n})\n",
+     CmdFamily},
+    {"explain", 1, 2, "<schema>",
+     "approximate and print a per-phase\n"
+     "                                provenance table\n"
+     "          [--schema-guided]     run content merges through the\n"
+     "                                schema-guided determinizer and\n"
+     "                                report pruning counters\n",
+     CmdExplain},
+    {"serve", 0, kAnyCount, "[flags]",
+     "validation daemon; flags:\n"
+     "                                --port=N (0 = ephemeral)\n"
+     "                                --schemas=DIR (*.stapc/*.stap)\n"
+     "                                --max-connections=N\n"
+     "                                --max-inflight=N\n"
+     "                                --request-budget-ms=N\n"
+     "                                --request-max-states=N\n"
+     "                                --request-max-sets=N\n"
+     "                                --access-log=FILE (JSONL)\n"
+     "                                --slow-ms=N (slow-request capture)\n"
+     "                                --log-ring=N --slow-ring=N\n",
+     CmdServe},
+    {"top", 0, kAnyCount, "--port=N [--host=H]",
+     "live one-screen view of a serve\n"
+     "      [--interval-ms=N]         daemon (/statusz + /metrics):\n"
+     "      [--count=N]               qps, p50/p99, error rates, cache\n",
+     CmdTop},
+};
+
+int Usage() {
+  std::cerr << "usage: stap <command> <args>\n";
+  for (const Command& command : kCommands) {
+    std::string line =
+        "  " + std::string(command.name) + " " + command.synopsis;
+    line.resize(std::max<size_t>(line.size() + 2, 32), ' ');
+    std::cerr << line << command.help;
   }
-  if (command == "compile") return CmdCompile(argv, budget);
-  if (command == "check" && argc == 3) return CmdCheck(argv[2], budget);
-  if (command == "minimize" && argc == 3) {
-    StatusOr<Edtd> schema = LoadSchema(argv[2], budget);
-    if (!schema.ok()) return Fail(schema.status());
-    Edtd reduced = ReduceEdtd(*schema);
-    if (!IsSingleType(reduced)) {
-      return Fail(InvalidArgumentError(
-          "schema is not single-type; run 'approx' first"));
+  std::cerr
+      << "global flags: --jobs=N --budget-ms=N --max-states=N --max-sets=N\n"
+         "              --metrics-json[=file] --metrics-prom[=file]\n"
+         "              --trace-json[=file]  (exit 3 = budget exhausted)\n"
+         "schema arguments accept the textual format (docs/FORMAT.md) or a\n"
+         "W3C .xsd document (auto-detected by a leading '<')\n";
+  return 2;
+}
+
+int RunCommand(const Args& argv, GlobalOptions& options) {
+  if (argv.empty()) return Usage();
+  const Args args(argv.begin() + 1, argv.end());
+  for (const Command& command : kCommands) {
+    if (argv[0] != command.name) continue;
+    if (args.size() < command.min_args || args.size() > command.max_args) {
+      return Usage();
     }
-    return PrintXsd(DfaXsdFromStEdtd(reduced), budget);
+    return command.run(args, options);
   }
-  if (command == "approx" && argc == 3) {
-    StatusOr<Edtd> schema = LoadSchema(argv[2], budget);
-    if (!schema.ok()) return Fail(schema.status());
-    StatusOr<DfaXsd> xsd = MinimalUpperApproximation(*schema, budget);
-    if (!xsd.ok()) return Fail(xsd.status());
-    return PrintXsd(*xsd, budget);
-  }
-  if ((command == "merge" || command == "intersect" || command == "diff" ||
-       command == "lower" || command == "included") &&
-      argc == 4) {
-    StatusOr<Edtd> d1(InternalError("unset"));
-    StatusOr<Edtd> d2(InternalError("unset"));
-    if (!load2(&d1, &d2)) {
-      return Fail(d1.ok() ? d2.status() : d1.status());
-    }
-    Edtd r1 = ReduceEdtd(*d1);
-    Edtd r2 = ReduceEdtd(*d2);
-    if (command == "included") {
-      if (!IsSingleType(r2)) {
-        return Fail(InvalidArgumentError(
-            "the second schema must be single-type for the PTIME test"));
-      }
-      StatusOr<bool> included = IncludedInSingleType(r1, r2, nullptr, budget);
-      if (!included.ok()) return Fail(included.status());
-      std::cout << (*included ? "INCLUDED\n" : "NOT INCLUDED\n");
-      return *included ? 0 : 1;
-    }
-    if (!IsSingleType(r1) || !IsSingleType(r2)) {
-      return Fail(InvalidArgumentError(
-          "both schemas must be single-type; run 'approx' on each first"));
-    }
-    if (command == "merge") {
-      StatusOr<DfaXsd> result = UpperUnion(r1, r2, budget);
-      if (!result.ok()) return Fail(result.status());
-      return PrintXsd(*result, budget);
-    }
-    if (command == "intersect") {
-      StatusOr<DfaXsd> result = UpperIntersection(r1, r2, nullptr, budget);
-      if (!result.ok()) return Fail(result.status());
-      return PrintXsd(*result, budget);
-    }
-    if (command == "diff") {
-      StatusOr<DfaXsd> result = UpperDifference(r1, r2, nullptr, budget);
-      if (!result.ok()) return Fail(result.status());
-      return PrintXsd(*result, budget);
-    }
-    return PrintXsd(LowerUnionFixingFirst(r1, r2), budget);
-  }
-  if (command == "complement" && argc == 3) {
-    StatusOr<Edtd> schema = LoadSchema(argv[2], budget);
-    if (!schema.ok()) return Fail(schema.status());
-    Edtd reduced = ReduceEdtd(*schema);
-    if (!IsSingleType(reduced)) {
-      return Fail(InvalidArgumentError(
-          "schema must be single-type; run 'approx' first"));
-    }
-    StatusOr<DfaXsd> result = UpperComplement(reduced, nullptr, budget);
-    if (!result.ok()) return Fail(result.status());
-    return PrintXsd(*result, budget);
-  }
-  if (command == "sample" && (argc == 3 || argc == 4)) {
-    int count = 1;
-    if (argc == 4 && !ParseCount(argv[3], 1, 1000000, &count)) {
-      return BadCount("sample count", argv[3], 1, 1000000);
-    }
-    return CmdSample(argv[2], count, budget);
-  }
-  if (command == "witness" && argc == 4) {
-    StatusOr<Edtd> d1 = LoadSchema(argv[2], budget);
-    if (!d1.ok()) return Fail(d1.status());
-    StatusOr<Edtd> d2 = LoadSchema(argv[3], budget);
-    if (!d2.ok()) return Fail(d2.status());
-    Edtd r2 = ReduceEdtd(*d2);
-    if (!IsSingleType(r2)) {
-      return Fail(InvalidArgumentError(
-          "the second schema must be single-type; run 'approx' first"));
-    }
-    std::optional<Tree> witness =
-        XsdInclusionWitness(*d1, DfaXsdFromStEdtd(r2));
-    if (!witness.has_value()) {
-      std::cout << "INCLUDED (no witness)\n";
-      return 0;
-    }
-    // Render over the merged alphabet the witness was built with.
-    Alphabet merged = DfaXsdFromStEdtd(r2).sigma;
-    for (int a = 0; a < d1->sigma.size(); ++a) {
-      merged.Intern(d1->sigma.Name(a));
-    }
-    std::cout << ToXml(*witness, merged);
-    return 1;
-  }
-  if (command == "report" && argc == 4) {
-    StatusOr<Edtd> d1 = LoadSchema(argv[2], budget);
-    if (!d1.ok()) return Fail(d1.status());
-    StatusOr<Edtd> d2 = LoadSchema(argv[3], budget);
-    if (!d2.ok()) return Fail(d2.status());
-    Edtd r1 = ReduceEdtd(*d1);
-    Edtd r2 = ReduceEdtd(*d2);
-    if (!IsSingleType(r1) || !IsSingleType(r2)) {
-      return Fail(InvalidArgumentError(
-          "both schemas must be single-type; run 'approx' on each first"));
-    }
-    std::cout << CompareSchemas(r1, r2).ToString();
-    return 0;
-  }
-  if (command == "types" && argc == 4) {
-    StatusOr<Edtd> schema = LoadSchema(argv[2], budget);
-    if (!schema.ok()) return Fail(schema.status());
-    Edtd reduced = ReduceEdtd(*schema);
-    StatusOr<std::string> xml = ReadFile(argv[3]);
-    if (!xml.ok()) return Fail(xml.status());
-    Alphabet alphabet = reduced.sigma;
-    StatusOr<Tree> document = ParseXml(*xml, &alphabet);
-    if (!document.ok()) return Fail(document.status());
-    if (alphabet.size() != reduced.sigma.size()) {
-      std::cout << "NO TYPING (undeclared elements)\n";
-      return 1;
-    }
-    std::optional<Typing> typing = AssignTypesEdtd(reduced, *document);
-    if (!typing.has_value()) {
-      std::cout << "NO TYPING (document invalid)\n";
-      return 1;
-    }
-    std::cout << typing->ToString(reduced, *document);
-    int64_t count = CountTypings(reduced, *document);
-    if (count > 1) {
-      std::cout << "(ambiguous: " << count << " distinct typings)\n";
-    }
-    return 0;
-  }
-  if (command == "count" && argc == 5) {
-    StatusOr<Edtd> schema = LoadSchema(argv[2], budget);
-    if (!schema.ok()) return Fail(schema.status());
-    Edtd reduced = ReduceEdtd(*schema);
-    if (!IsSingleType(reduced)) {
-      return Fail(InvalidArgumentError(
-          "counting requires a single-type schema; run 'approx' first"));
-    }
-    CountBounds bounds;
-    if (!ParseCount(argv[3], 1, 1000000, &bounds.max_depth)) {
-      return BadCount("depth bound", argv[3], 1, 1000000);
-    }
-    if (!ParseCount(argv[4], 0, 1000000, &bounds.max_width)) {
-      return BadCount("width bound", argv[4], 0, 1000000);
-    }
-    StatusOr<std::vector<CountValue>> counts =
-        CountXsdByDepth(DfaXsdFromStEdtd(reduced), bounds, budget);
-    if (!counts.ok()) return Fail(counts.status());
-    std::cout << counts->back().ToDouble() << "\n";
-    return 0;
-  }
-  if (command == "measure" && argc >= 3) return CmdMeasure(argv, budget);
-  if (command == "export" && (argc == 3 || argc == 4)) {
-    StatusOr<Edtd> schema = LoadSchema(argv[2], budget);
-    if (!schema.ok()) return Fail(schema.status());
-    Edtd reduced = ReduceEdtd(*schema);
-    if (!IsSingleType(reduced)) {
-      return Fail(InvalidArgumentError(
-          "export requires a single-type schema; run 'approx' first"));
-    }
-    XsdExportOptions options;
-    if (argc == 4) {
-      if (std::string(argv[3]) != "--repair-upa") return Usage();
-      options.repair_upa = true;
-    }
-    StatusOr<DfaXsd> minimized =
-        MinimizeXsd(DfaXsdFromStEdtd(reduced), budget);
-    if (!minimized.ok()) return Fail(minimized.status());
-    std::cout << ExportXsd(*minimized, options);
-    return 0;
-  }
-  if (command == "import" && argc == 3) {
-    StatusOr<std::string> xml = ReadFile(argv[2]);
-    if (!xml.ok()) return Fail(xml.status());
-    StatusOr<Edtd> schema = ImportXsd(*xml, budget);
-    if (!schema.ok()) return Fail(schema.status());
-    std::cout << SchemaToText(ReduceEdtd(*schema));
-    return 0;
-  }
-  if (command == "family" && (argc == 3 || argc == 4)) {
-    const std::string& name = argv[2];
-    int n = 1;
-    if (argc == 4 && !ParseCount(argv[3], 1, 1000000, &n)) {
-      return BadCount("family size", argv[3], 1, 1000000);
-    }
-    // The pair-valued families expose each member under an a/b suffix so
-    // the result is always a single schema on stdout.
-    Edtd schema;
-    if (name == "theorem32") {
-      schema = Theorem32Family(n);
-    } else if (name == "theorem36a") {
-      schema = Theorem36Family(n).first;
-    } else if (name == "theorem36b") {
-      schema = Theorem36Family(n).second;
-    } else if (name == "theorem38a") {
-      schema = Theorem38Family(n).first;
-    } else if (name == "theorem38b") {
-      schema = Theorem38Family(n).second;
-    } else if (name == "theorem43a") {
-      schema = Theorem43Schemas().first;
-    } else if (name == "theorem43b") {
-      schema = Theorem43Schemas().second;
-    } else if (name == "theorem411") {
-      schema = Theorem411Dtd();
-    } else if (name == "counted") {
-      schema = CountedFamily(n, 2 * n);
-    } else {
-      return Fail(InvalidArgumentError("unknown family '" + name + "'"));
-    }
-    std::cout << SchemaToText(schema);
-    return 0;
-  }
-  if (command == "explain" && (argc == 3 || argc == 4)) {
-    if (argc == 4 && argv[3] != "--schema-guided") return Usage();
-    return CmdExplain(argv[2], argc == 4, options);
-  }
-  if (command == "serve") return CmdServe(argv);
-  if (command == "top") return CmdTop(argv);
   return Usage();
 }
 
 int Run(int argc, char** argv) {
   GlobalOptions options;
-  std::vector<std::string> args;
-  args.push_back(argc > 0 ? argv[0] : "stap");
+  Args args;  // the command name, then its positional arguments
   if (!ParseGlobalFlags(argc, argv, &args, &options)) return Usage();
   if (options.trace) {
     options.session = std::make_unique<TraceSession>();
