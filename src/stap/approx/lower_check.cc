@@ -148,6 +148,15 @@ StatusOr<bool> IsSingleTypeDefinable(const Edtd& edtd, Budget* budget,
   StatusOr<DfaXsd> upper = MinimalUpperApproximation(reduced, budget, options);
   if (!upper.ok()) return upper.status();
   // L(edtd) ⊆ L(upper) always; definability is the converse inclusion.
+  // Its stEDTD view holds an N-column row per content state: charged up
+  // front, since the allocation precedes any kernel that would charge it.
+  int64_t content_states = 0;
+  for (int q = 0; q < upper->automaton.num_states(); ++q) {
+    if (q == upper->automaton.initial()) continue;
+    content_states += upper->content[q].num_states();
+  }
+  STAP_RETURN_IF_ERROR(
+      Budget::ChargeStates(budget, content_states * upper->type_size()));
   return EdtdIncludedInExact(StEdtdFromDfaXsd(*upper), reduced);
 }
 

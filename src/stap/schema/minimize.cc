@@ -1,47 +1,192 @@
 #include "stap/schema/minimize.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <deque>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "stap/automata/interner.h"
+#include "stap/automata/minimize.h"
 #include "stap/base/trace.h"
-#include "stap/schema/reduce.h"
-#include "stap/schema/type_automaton.h"
 
 namespace stap {
 
 namespace {
 
-// Removes automaton transitions on symbols that never occur in the source
-// state's content language (they can never be exercised by a valid
-// document and would otherwise block state merging).
-DfaXsd DropUselessTransitions(const DfaXsd& xsd) {
-  DfaXsd result = xsd;
-  const int num_symbols = xsd.sigma.size();
-  const int init = xsd.automaton.initial();
-  for (int q = 0; q < xsd.automaton.num_states(); ++q) {
-    if (q == init) continue;
-    Dfa trimmed = xsd.content[q].Trimmed();
-    std::vector<bool> occurs(num_symbols, false);
-    for (int s = 0; s < trimmed.num_states(); ++s) {
-      for (int a = 0; a < num_symbols; ++a) {
-        if (trimmed.Next(s, a) != kNoState) occurs[a] = true;
+// The initial-partition key: a state's label and its canonical content
+// DFA, by pointer into the reduced automaton (which outlives the table).
+// q_init's label is kNoSymbol, which no other state carries, so it keys a
+// block of its own.
+struct ContentKey {
+  int label;
+  const Dfa* content;
+  bool operator==(const ContentKey& other) const {
+    return label == other.label && *content == *other.content;
+  }
+};
+
+struct ContentKeyHash {
+  size_t operator()(const ContentKey& key) const {
+    const Dfa& dfa = *key.content;
+    uint64_t h = MixU64(static_cast<uint32_t>(key.label));
+    h = MixU64(h ^ static_cast<uint64_t>(dfa.num_states()));
+    for (int s = 0; s < dfa.num_states(); ++s) {
+      h = MixU64(h ^ (dfa.IsFinal(s) ? 1u : 0u));
+      for (int a = 0; a < dfa.num_symbols(); ++a) {
+        h = MixU64(h ^ static_cast<uint32_t>(dfa.Next(s, a)));
       }
     }
+    return static_cast<size_t>(h);
+  }
+};
+
+// Reduces the XSD automaton itself (Proviso 2.3 on Def. 2.8): drops the
+// unproductive and unreachable states, restricts and minimizes every kept
+// content over Σ, and keeps transitions only on symbols that occur in the
+// kept content (from q_init: only the surviving start symbols). q_init
+// becomes state 0 and the kept states follow in their input order.
+StatusOr<DfaXsd> ReduceXsd(const DfaXsd& input, Budget* budget) {
+  const int num_states = input.automaton.num_states();
+  const int num_symbols = input.sigma.size();
+  const int init = input.automaton.initial();
+  const Dfa& delta = input.automaton;
+
+  // content[q] restricted to the symbols a whose δ(q, a) is productive.
+  std::vector<bool> productive(num_states, false);
+  auto restricted = [&](int q) {
+    const Dfa& content = input.content[q];
+    Dfa result(std::max(content.num_states(), 1), num_symbols);
+    if (content.num_states() == 0) return result;
+    result.SetInitial(content.initial());
+    for (int s = 0; s < content.num_states(); ++s) {
+      if (content.IsFinal(s)) result.SetFinal(s);
+      for (int a = 0; a < num_symbols; ++a) {
+        int next = content.Next(s, a);
+        int r = delta.Next(q, a);
+        if (next != kNoState && r != kNoState && productive[r]) {
+          result.SetTransition(s, a, next);
+        }
+      }
+    }
+    return result;
+  };
+
+  // q is productive iff its restricted content is non-empty. Found with a
+  // worklist over predecessors: q is re-tested only when one of its
+  // successors turns productive, at most |Σ| times. δ(q, ·) reaches a
+  // state on one symbol at most (its label), so no list holds duplicates.
+  std::vector<std::vector<int>> preds(num_states);
+  for (int q = 0; q < num_states; ++q) {
+    if (q == init) continue;
     for (int a = 0; a < num_symbols; ++a) {
-      if (!occurs[a]) result.automaton.SetTransition(q, a, kNoState);
+      int r = delta.Next(q, a);
+      if (r != kNoState) preds[r].push_back(q);
     }
   }
-  // From q_init only start symbols matter.
-  for (int a = 0; a < num_symbols; ++a) {
-    if (!StateSetContains(xsd.start_symbols, a)) {
-      result.automaton.SetTransition(init, a, kNoState);
+  std::vector<int> worklist;
+  for (int q = 0; q < num_states; ++q) {
+    if (q != init && !restricted(q).IsEmpty()) {
+      productive[q] = true;
+      worklist.push_back(q);
     }
   }
-  return result;
+  while (!worklist.empty()) {
+    int r = worklist.back();
+    worklist.pop_back();
+    for (int q : preds[r]) {
+      if (!productive[q] && !restricted(q).IsEmpty()) {
+        productive[q] = true;
+        worklist.push_back(q);
+      }
+    }
+  }
+
+  // Reachable states, from the surviving start symbols along the symbols
+  // that occur in the restricted content. Each reached state's content is
+  // restricted to productive successors and minimized over Σ once; the
+  // canonical minimal DFA has no dead states, so its transition symbols
+  // are exactly the occurring ones.
+  std::vector<bool> reached(num_states, false);
+  std::vector<Dfa> contents(num_states);
+  std::vector<int> start_symbols;
+  for (int a : input.start_symbols) {
+    int r = delta.Next(init, a);
+    if (r == kNoState || !productive[r]) continue;
+    start_symbols.push_back(a);
+    if (!reached[r]) {
+      reached[r] = true;
+      worklist.push_back(r);
+    }
+  }
+  while (!worklist.empty()) {
+    int q = worklist.back();
+    worklist.pop_back();
+    StatusOr<Dfa> minimal = Minimize(restricted(q), budget);
+    if (!minimal.ok()) return minimal.status();
+    contents[q] = *std::move(minimal);
+    const Dfa& kept = contents[q];
+    for (int s = 0; s < kept.num_states(); ++s) {
+      for (int a = 0; a < num_symbols; ++a) {
+        if (kept.Next(s, a) == kNoState) continue;
+        int r = delta.Next(q, a);
+        if (!reached[r]) {
+          reached[r] = true;
+          worklist.push_back(r);
+        }
+      }
+    }
+  }
+
+  std::vector<int> remap(num_states, kNoState);
+  remap[init] = 0;
+  int num_kept = 1;
+  for (int q = 0; q < num_states; ++q) {
+    if (reached[q]) remap[q] = num_kept++;
+  }
+  DfaXsd xsd;
+  xsd.sigma = input.sigma;
+  xsd.automaton = Dfa(num_kept, num_symbols);
+  xsd.automaton.SetInitial(0);
+  xsd.state_label.assign(num_kept, kNoSymbol);
+  xsd.content.assign(num_kept, Dfa::EmptyLanguage(num_symbols));
+  // An empty language keeps no provenance table at all.
+  if (!input.content_source.empty() && num_kept > 1) {
+    xsd.content_source.resize(num_kept);
+  }
+  for (int a : start_symbols) {
+    xsd.automaton.SetTransition(0, a, remap[delta.Next(init, a)]);
+  }
+  xsd.start_symbols = std::move(start_symbols);
+  // Σ symbol -> itself where δ(q, a) is kept; a source regex survives
+  // only if it mentions kept successors alone, since restricting the
+  // content may have changed its language elsewhere.
+  std::vector<int> kept_symbols(num_symbols);
+  for (int q = 0; q < num_states; ++q) {
+    if (!reached[q]) continue;
+    const int id = remap[q];
+    xsd.state_label[id] = input.state_label[q];
+    xsd.content[id] = std::move(contents[q]);
+    const Dfa& kept = xsd.content[id];
+    for (int s = 0; s < kept.num_states(); ++s) {
+      for (int a = 0; a < num_symbols; ++a) {
+        if (kept.Next(s, a) != kNoState) {
+          xsd.automaton.SetTransition(id, a, remap[delta.Next(q, a)]);
+        }
+      }
+    }
+    if (!xsd.content_source.empty() && input.content_source[q] != nullptr) {
+      for (int a = 0; a < num_symbols; ++a) {
+        int r = delta.Next(q, a);
+        kept_symbols[a] = r != kNoState && reached[r] ? a : kNoSymbol;
+      }
+      if (Regex::Substitute(input.content_source[q], kept_symbols) !=
+          nullptr) {
+        xsd.content_source[id] = input.content_source[q];
+      }
+    }
+  }
+  return xsd;
 }
 
 // BFS canonical renumbering (q_init becomes state 0).
@@ -98,12 +243,16 @@ DfaXsd MinimizeXsd(const DfaXsd& input) {
 
 StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& input, Budget* budget) {
   ScopedSpan span("schema.minimize_xsd");
-  // Step 1: reduce through the EDTD view; this prunes unproductive and
+  input.CheckWellFormed();
+  span.AddArg("states_in", input.automaton.num_states());
+  // Step 1: reduce the XSD automaton; this prunes unproductive and
   // unreachable states and canonicalizes every content DFA.
-  Edtd reduced = ReduceEdtd(StEdtdFromDfaXsd(input));
-  DfaXsd xsd = DropUselessTransitions(DfaXsdFromStEdtd(reduced));
+  StatusOr<DfaXsd> reduced = ReduceXsd(input, budget);
+  if (!reduced.ok()) return reduced.status();
+  const DfaXsd& xsd = *reduced;
   const int n = xsd.automaton.num_states();
   const int num_symbols = xsd.sigma.size();
+  span.AddArg("states_reduced", n);
   // Charge what step 1 materialized: the reduced automaton and its
   // canonical content DFAs. The refinement below never adds states.
   int64_t states_built = n;
@@ -113,17 +262,12 @@ StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& input, Budget* budget) {
   // Step 2: initial partition by (label, content language). Content DFAs
   // are canonical minimal automata here, so structural equality decides
   // language equality. q_init always forms its own block.
-  std::unordered_map<std::string, int> block_ids;
+  Interner<ContentKey, ContentKeyHash> content_ids(n);
   std::vector<int> block(n);
-  block[0] = 0;
-  block_ids.emplace("", 0);
-  for (int q = 1; q < n; ++q) {
-    std::string key =
-        std::to_string(xsd.state_label[q]) + "\n" + xsd.content[q].ToString();
-    auto [it, inserted] = block_ids.emplace(std::move(key), block_ids.size());
-    block[q] = it->second;
+  for (int q = 0; q < n; ++q) {
+    block[q] = content_ids.Intern({xsd.state_label[q], &xsd.content[q]}).first;
   }
-  int num_blocks = static_cast<int>(block_ids.size());
+  int num_blocks = content_ids.size();
 
   // Step 3: refine by successor blocks until stable (signatures interned
   // as views into one reused buffer, as in automata/minimize.cc).
@@ -131,7 +275,9 @@ StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& input, Budget* budget) {
   // deadline can exhaust; checked once per round.
   const size_t width = static_cast<size_t>(num_symbols) + 1;
   std::vector<int> signatures(width * n);
+  int64_t rounds = 0;
   while (true) {
+    ++rounds;
     STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
     Interner<IntSpanKey, IntSpanKeyHash> signature_ids(n);
     std::vector<int> next_block(n);
@@ -185,6 +331,7 @@ StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& input, Budget* budget) {
 
   DfaXsd result = Canonicalize(quotient);
   result.CheckWellFormed();
+  span.AddArg("rounds", rounds);
   span.AddArg("xsd_states", result.automaton.num_states());
   return result;
 }

@@ -5,6 +5,13 @@
 // equivalence that respects state labels, content languages, and
 // successors. MinimizeXsd computes it in polynomial time; the paper uses
 // this to deliver "optimal representations of optimal approximations".
+//
+// It works on the DfaXsd itself, whose contents are over Σ: reduction
+// (productive states by a predecessor worklist, then reachable ones),
+// one Minimize per kept content, and the initial partition keyed on
+// (label, content DFA) are linear in the number of states for fixed Σ;
+// only the Moore rounds that follow repeat. No N-type stEDTD view is
+// built.
 #ifndef STAP_SCHEMA_MINIMIZE_H_
 #define STAP_SCHEMA_MINIMIZE_H_
 
@@ -19,7 +26,9 @@ namespace stap {
 // minimized XSDs (XsdStructurallyEqual) decides language equivalence.
 // The reduced automaton and its canonical content DFAs charge the state
 // quota, and every refinement round checks the wall-clock deadline.
-// Traced as the `schema.minimize_xsd` span. `budget` has no default so
+// Traced as the `schema.minimize_xsd` span, with args states_in,
+// states_reduced (after reduction, q_init included), rounds (Moore
+// refinement rounds) and xsd_states. `budget` has no default so
 // the call stays distinct from the unbudgeted form below; a null budget
 // is unlimited.
 StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& xsd, Budget* budget);

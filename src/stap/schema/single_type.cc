@@ -1,6 +1,8 @@
 #include "stap/schema/single_type.h"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "stap/automata/determinize.h"
 #include "stap/automata/minimize.h"
@@ -116,6 +118,42 @@ DfaXsd DfaXsdFromStEdtd(const Edtd& edtd) {
   return xsd;
 }
 
+LiftedContent LiftContent(const DfaXsd& xsd, int q) {
+  const int num_symbols = xsd.sigma.size();
+  const int init = xsd.automaton.initial();
+  LiftedContent lifted;
+  lifted.symbol_to_type.assign(num_symbols, kNoSymbol);
+  // δ(q, ·) is deterministic and state-labeled, so distinct symbols reach
+  // distinct types; sorting the (type, symbol) pairs fixes local order.
+  std::vector<std::pair<int, int>> reached;
+  for (int a = 0; a < num_symbols; ++a) {
+    int r = xsd.automaton.Next(q, a);
+    if (r == kNoState) continue;
+    int type = r > init ? r - 1 : r;
+    lifted.symbol_to_type[a] = type;
+    reached.emplace_back(type, a);
+  }
+  std::sort(reached.begin(), reached.end());
+
+  const Dfa& content = xsd.content[q];
+  const int k = static_cast<int>(reached.size());
+  Dfa local(std::max(content.num_states(), 1), k);
+  if (content.num_states() > 0) {
+    local.SetInitial(content.initial());
+    for (int s = 0; s < content.num_states(); ++s) {
+      if (content.IsFinal(s)) local.SetFinal(s);
+      for (int i = 0; i < k; ++i) {
+        int next = content.Next(s, reached[i].second);
+        if (next != kNoState) local.SetTransition(s, i, next);
+      }
+    }
+  }
+  lifted.types.reserve(k);
+  for (const auto& [type, a] : reached) lifted.types.push_back(type);
+  lifted.dfa = *Minimize(local);
+  return lifted;
+}
+
 Edtd StEdtdFromDfaXsd(const DfaXsd& xsd) {
   xsd.CheckWellFormed();
   const int num_states = xsd.automaton.num_states();
@@ -124,13 +162,10 @@ Edtd StEdtdFromDfaXsd(const DfaXsd& xsd) {
   // Types are the non-initial states, numbered in state order. With the
   // usual layout (q_init = 0) this keeps the historical mapping "type of
   // state q is q - 1".
-  std::vector<int> type_of_state(num_states, -1);
   std::vector<int> state_of_type;
   state_of_type.reserve(num_states > 0 ? num_states - 1 : 0);
   for (int q = 0; q < num_states; ++q) {
-    if (q == init) continue;
-    type_of_state[q] = static_cast<int>(state_of_type.size());
-    state_of_type.push_back(q);
+    if (q != init) state_of_type.push_back(q);
   }
   const int num_types = static_cast<int>(state_of_type.size());
 
@@ -144,36 +179,33 @@ Edtd StEdtdFromDfaXsd(const DfaXsd& xsd) {
 
   for (int a : xsd.start_symbols) {
     int q = xsd.automaton.Next(init, a);
-    if (q != kNoState) StateSetInsert(edtd.start_types, type_of_state[q]);
+    if (q != kNoState) StateSetInsert(edtd.start_types, q > init ? q - 1 : q);
   }
 
   edtd.content.reserve(num_types);
   for (int q : state_of_type) {
-    // Lift content[q] from Σ to types: symbol a becomes the unique type
-    // reached via δ(q, a) when that transition exists.
-    std::vector<int> type_to_symbol(num_types, kNoSymbol);
-    for (int tau = 0; tau < num_types; ++tau) {
-      int a = xsd.state_label[state_of_type[tau]];
-      if (xsd.automaton.Next(q, a) == state_of_type[tau]) {
-        type_to_symbol[tau] = a;
+    LiftedContent lifted = LiftContent(xsd, q);
+    const Dfa& local = lifted.dfa;
+    Dfa wide(local.num_states(), num_types);
+    wide.SetInitial(local.initial());
+    for (int s = 0; s < local.num_states(); ++s) {
+      if (local.IsFinal(s)) wide.SetFinal(s);
+      for (int i = 0; i < local.num_symbols(); ++i) {
+        int next = local.Next(s, i);
+        if (next != kNoState) wide.SetTransition(s, lifted.types[i], next);
       }
     }
-    edtd.content.push_back(*Minimize(
-        InverseHomomorphism(xsd.content[q], type_to_symbol, num_types)));
+    edtd.content.push_back(std::move(wide));
     if (!xsd.content_source.empty()) {
-      // δ(q, ·) is deterministic, so each symbol lifts to at most one
-      // type; substituting that map into the source regex picks the
-      // unique preimage word-by-word. A source mentioning a symbol with
-      // no transition from q substitutes to nullptr (provenance dropped).
-      std::vector<int> symbol_to_type(xsd.sigma.size(), kNoSymbol);
-      for (int a = 0; a < xsd.sigma.size(); ++a) {
-        int next = xsd.automaton.Next(q, a);
-        if (next != kNoState) symbol_to_type[a] = type_of_state[next];
-      }
+      // Each symbol lifts to at most one type, so substituting the map
+      // picks the unique preimage word-by-word. A source mentioning a
+      // symbol with no transition from q substitutes to nullptr
+      // (provenance dropped).
       edtd.content_source.push_back(
           xsd.content_source[q] == nullptr
               ? nullptr
-              : Regex::Substitute(xsd.content_source[q], symbol_to_type));
+              : Regex::Substitute(xsd.content_source[q],
+                                  lifted.symbol_to_type));
     }
   }
   edtd.CheckWellFormed();

@@ -5,6 +5,12 @@
 // plus, for every non-initial state, a content language over Σ, plus the
 // allowed root symbols. It admits one-pass top-down validation, which is
 // what the EDC constraint buys in XML Schema.
+//
+// The stEDTD view has one type per non-initial state. LiftContent gives
+// one state's content in that view over only the types the state
+// reaches, which is what keeps printing linear; StEdtdFromDfaXsd widens
+// every lift to all N types, so it is quadratic and reserved for callers
+// that need a full Edtd.
 #ifndef STAP_SCHEMA_SINGLE_TYPE_H_
 #define STAP_SCHEMA_SINGLE_TYPE_H_
 
@@ -53,8 +59,30 @@ struct DfaXsd {
 
 // Prop. 2.9 conversions. DfaXsdFromStEdtd requires IsSingleType(edtd)
 // (checked); both translations are linear up to content-DFA cleanup.
+// The types of StEdtdFromDfaXsd are the non-initial states in state
+// order; each content DFA is LiftContent's, widened to all N types.
 DfaXsd DfaXsdFromStEdtd(const Edtd& edtd);
 Edtd StEdtdFromDfaXsd(const DfaXsd& xsd);
+
+// State q's content lifted from Σ to types, over the at most |Σ| types q
+// reaches rather than all N. The stEDTD type of a state is its rank among
+// the non-initial states.
+struct LiftedContent {
+  // Local symbol i stands for type types[i]; ascending, so local order is
+  // type order.
+  std::vector<int> types;
+  // Σ symbol a -> the type of δ(q, a), or kNoSymbol where δ(q, a) is
+  // undefined. Substituting it into content_source[q] lifts the
+  // provenance the same way.
+  std::vector<int> symbol_to_type;
+  // The canonical minimal DFA over the local alphabet of the type words
+  // whose labels spell a word of content[q]. Minimize numbers states by
+  // BFS over ascending symbols, and the local numbering keeps type order,
+  // so widening it to all N types gives exactly the minimal DFA over the
+  // full type alphabet; DfaToRegex likewise renders the same expression.
+  Dfa dfa;
+};
+LiftedContent LiftContent(const DfaXsd& xsd, int q);
 
 }  // namespace stap
 

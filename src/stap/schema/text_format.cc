@@ -1,6 +1,8 @@
 #include "stap/schema/text_format.h"
 
+#include <ostream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "stap/base/compile_cache.h"
@@ -109,26 +111,43 @@ StatusOr<Edtd> ParseSchema(std::string_view input, CompileCache* cache,
   return edtd;
 }
 
+namespace {
+
+// The `start` line.
+void WriteStartLine(std::ostream& os, const std::vector<int>& start_types,
+                    const Alphabet& types) {
+  os << "start";
+  for (int tau : start_types) os << " " << types.Name(tau);
+  os << "\n";
+}
+
+// One `type NAME : LABEL -> regex` line, shared by both printers. A
+// retained source regex is preferred when it carries counted repetition:
+// DfaToRegex would render the expansion, losing the bounds. Elsewhere the
+// state-eliminated form `fallback` stays the canonical rendering.
+template <typename Fallback>
+void WriteTypeLine(std::ostream& os, std::string_view name,
+                   std::string_view label, const RegexPtr& source,
+                   Fallback fallback, const Alphabet& types) {
+  RegexPtr content = source != nullptr && source->ContainsRepeat()
+                         ? source
+                         : fallback();
+  os << "type " << name << " : " << label << " -> " << content->ToString(types)
+     << "\n";
+}
+
+}  // namespace
+
 std::string SchemaToText(const Edtd& edtd) {
   std::ostringstream os;
-  os << "start";
-  for (int tau : edtd.start_types) os << " " << edtd.types.Name(tau);
-  os << "\n";
+  WriteStartLine(os, edtd.start_types, edtd.types);
   for (int tau = 0; tau < edtd.num_types(); ++tau) {
-    // Prefer the retained source regex when it carries counted repetition:
-    // DfaToRegex would render the expansion, losing the bounds. Elsewhere
-    // the state-eliminated form stays the canonical rendering.
-    RegexPtr regex;
-    if (tau < static_cast<int>(edtd.content_source.size()) &&
-        edtd.content_source[tau] != nullptr &&
-        edtd.content_source[tau]->ContainsRepeat()) {
-      regex = edtd.content_source[tau];
-    } else {
-      regex = DfaToRegex(edtd.content[tau]);
-    }
-    os << "type " << edtd.types.Name(tau) << " : "
-       << edtd.sigma.Name(edtd.mu[tau]) << " -> "
-       << regex->ToString(edtd.types) << "\n";
+    RegexPtr source = tau < static_cast<int>(edtd.content_source.size())
+                          ? edtd.content_source[tau]
+                          : nullptr;
+    WriteTypeLine(
+        os, edtd.types.Name(tau), edtd.sigma.Name(edtd.mu[tau]), source,
+        [&] { return DfaToRegex(edtd.content[tau]); }, edtd.types);
   }
   return os.str();
 }
@@ -137,7 +156,34 @@ StatusOr<std::string> XsdToText(const DfaXsd& xsd, Budget* budget) {
   StatusOr<DfaXsd> minimized = MinimizeXsd(xsd, budget);
   if (!minimized.ok()) return minimized.status();
   ScopedSpan span("schema.print");
-  std::string text = SchemaToText(StEdtdFromDfaXsd(*minimized));
+  // The stEDTD view of Prop. 2.9, one state at a time: state q ≥ 1 is
+  // type q - 1, named LABEL@q, and its content is LiftContent's local
+  // DFA, whose symbols map back to type ids. No N×N table is built.
+  const DfaXsd& m = *minimized;
+  const int num_states = m.automaton.num_states();
+  Alphabet types;
+  for (int q = 1; q < num_states; ++q) {
+    types.Intern(m.sigma.Name(m.state_label[q]) + "@" + std::to_string(q));
+  }
+  std::vector<int> start_types;
+  for (int a : m.start_symbols) {
+    int q = m.automaton.Next(0, a);
+    if (q != kNoState) StateSetInsert(start_types, q - 1);
+  }
+  std::ostringstream os;
+  WriteStartLine(os, start_types, types);
+  for (int q = 1; q < num_states; ++q) {
+    LiftedContent lifted = LiftContent(m, q);
+    RegexPtr source =
+        m.content_source.empty() || m.content_source[q] == nullptr
+            ? nullptr
+            : Regex::Substitute(m.content_source[q], lifted.symbol_to_type);
+    WriteTypeLine(
+        os, types.Name(q - 1), m.sigma.Name(m.state_label[q]), source,
+        [&] { return Regex::Substitute(DfaToRegex(lifted.dfa), lifted.types); },
+        types);
+  }
+  std::string text = os.str();
   span.AddArg("bytes", text.size());
   return text;
 }

@@ -62,10 +62,15 @@ StatusOr<SchemaDeclarations> ParseSchemaDeclarations(std::string_view input);
 // to regular expressions by state elimination.
 std::string SchemaToText(const Edtd& edtd);
 
-// The one printer for computed XSDs: MinimizeXsd (schema/minimize.h), the
-// stEDTD view, then SchemaToText, so every printed result is the
-// canonical minimal representation (Def. 2.8). Minimization charges
-// `budget`; printing is traced as the `schema.print` span.
+// The one printer for computed XSDs: MinimizeXsd (schema/minimize.h),
+// then the stEDTD view in SchemaToText's format, so every printed result
+// is the canonical minimal representation (Def. 2.8). The view is
+// rendered one state at a time from LiftContent (schema/single_type.h):
+// state q is type LABEL@q, and its content is DfaToRegex of the local
+// lift with its symbols mapped back to type ids. The output equals
+// SchemaToText(StEdtdFromDfaXsd(minimized)) byte for byte, without the
+// N×N content tables. Minimization charges `budget`; printing is traced
+// as the `schema.print` span.
 StatusOr<std::string> XsdToText(const DfaXsd& xsd, Budget* budget);
 
 }  // namespace stap

@@ -396,6 +396,42 @@ TEST(Serve, ApproxChargesMinimizationAgainstTheRequestBudget) {
   EXPECT_EQ(response->code, ResponseCode::kExhausted) << response->body;
 }
 
+// An inline schema of a few hundred bytes whose approximation has
+// 2^(n+1)+1 states: under the default quota the answer is the same text
+// the offline printer produces, and under a small state quota the request
+// stops with EXHAUSTED instead of allocating in proportion to its output.
+TEST(Serve, InlineTheorem32ApproxMatchesOfflineAndHonoursTheQuota) {
+  const Edtd schema = Theorem32Family(12);
+  StatusOr<std::string> offline =
+      XsdToText(MinimalUpperApproximation(schema), nullptr);
+  ASSERT_TRUE(offline.ok()) << offline.status();
+  {
+    std::unique_ptr<Server> server = StartWithLib({});
+    ServeClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+    ServeRequest approx;
+    approx.id = 1;
+    approx.op = Opcode::kApprox;
+    approx.schema_ref = SchemaToText(schema);
+    StatusOr<ServeResponse> response = client.Call(approx);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_EQ(response->code, ResponseCode::kOk) << response->body;
+    EXPECT_EQ(response->body, *offline);
+  }
+  ServeOptions options;
+  options.request_max_states = 10000;
+  std::unique_ptr<Server> server = StartWithLib(std::move(options));
+  ServeClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  ServeRequest approx;
+  approx.id = 2;
+  approx.op = Opcode::kApprox;
+  approx.schema_ref = SchemaToText(Theorem32Family(14));
+  StatusOr<ServeResponse> response = client.Call(approx);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->code, ResponseCode::kExhausted) << response->body;
+}
+
 TEST(Serve, ConnectionCapShedsWithBusyFrame) {
   ServeOptions options;
   options.max_connections = 1;

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -329,6 +330,20 @@ TEST(TraceTest, ApproxPipelineShowsEveryStageAtTopLevel) {
   EXPECT_EQ(top_level,
             (std::vector<std::string>{"approx.upper", "schema.minimize_xsd",
                                       "schema.print"}));
+
+  // The minimization span says where its work went: the states it was
+  // given, the states left after reduction, the refinement rounds, and
+  // the canonical result (2^(n+1)+1 states for Theorem 3.2's family).
+  std::map<std::string, int64_t> args;
+  for (const TraceSession::PhaseRow& row : session.PhaseTable()) {
+    if (row.name != "schema.minimize_xsd") continue;
+    for (const auto& [key, value] : row.int_args) args[key] = value;
+  }
+  EXPECT_EQ(args["states_in"], xsd->automaton.num_states());
+  EXPECT_EQ(args["xsd_states"], 17);
+  EXPECT_GE(args["states_reduced"], args["xsd_states"]);
+  EXPECT_LE(args["states_reduced"], args["states_in"]);
+  EXPECT_GE(args["rounds"], 1);
 }
 
 }  // namespace
