@@ -1,8 +1,8 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 //   * the exchange-closure engine (cost vs. seed count, and the effect of
 //     the early-exit stop predicate used by the Section 4.4 checks);
-//   * content-model canonicalization inside Construction 3.1 (minimize vs.
-//     determinize-only).
+//   * Construction 3.1 with its canonical (determinize + minimize)
+//     content models, the baseline the closure costs compare against.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -92,19 +92,6 @@ void BM_UpperWithContentMinimization(benchmark::State& state) {
   state.counters["xsd_size"] = static_cast<double>(size);
 }
 
-void BM_UpperWithoutContentMinimization(benchmark::State& state) {
-  Edtd edtd = AblationSchema(static_cast<int>(state.range(0)));
-  UpperOptions options;
-  options.minimize_content = false;
-  int64_t size = 0;
-  for (auto _ : state) {
-    DfaXsd upper = MinimalUpperApproximation(edtd, options);
-    size = upper.Size();
-    benchmark::DoNotOptimize(size);
-  }
-  state.counters["xsd_size"] = static_cast<double>(size);
-}
-
 BENCHMARK(BM_ClosureFixpoint)
     ->RangeMultiplier(2)
     ->Range(4, 16)
@@ -114,10 +101,6 @@ BENCHMARK(BM_ClosureWithStopPredicate)
     ->Range(4, 16)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_UpperWithContentMinimization)
-    ->RangeMultiplier(2)
-    ->Range(2, 16)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_UpperWithoutContentMinimization)
     ->RangeMultiplier(2)
     ->Range(2, 16)
     ->Unit(benchmark::kMillisecond);

@@ -31,7 +31,7 @@ StatusOr<DfaXsd> SubsetIntersectionLower(const Edtd& input, Budget* budget) {
   // per-subset content model differs below.
   std::vector<StateSet> subsets;
   StatusOr<Dfa> determinized_or =
-      Determinize(type_automaton.nfa, budget, nullptr, &subsets);
+      Determinize(type_automaton.nfa, budget, &subsets);
   if (!determinized_or.ok()) return determinized_or.status();
   Dfa determinized = *std::move(determinized_or);
 

@@ -138,14 +138,13 @@ LowerCheckResult CheckMaximalLowerFinite(const Edtd& candidate_in,
   return result;
 }
 
-StatusOr<bool> IsSingleTypeDefinable(const Edtd& edtd, Budget* budget,
-                                     const UpperOptions& options) {
+StatusOr<bool> IsSingleTypeDefinable(const Edtd& edtd, Budget* budget) {
   // A single-type schema defines itself; skip the EXPTIME inclusion
   // below, which blows up on large content models (e.g. expanded
   // counted bounds) even when the answer is trivially yes.
   Edtd reduced = ReduceEdtd(edtd);
   if (IsSingleType(reduced)) return true;
-  StatusOr<DfaXsd> upper = MinimalUpperApproximation(reduced, budget, options);
+  StatusOr<DfaXsd> upper = MinimalUpperApproximation(reduced, budget);
   if (!upper.ok()) return upper.status();
   // L(edtd) ⊆ L(upper) always; definability is the converse inclusion.
   // Its stEDTD view holds an N-column row per content state: charged up

@@ -66,13 +66,9 @@ LowerCheckResult CheckMaximalLowerFinite(const Edtd& candidate,
 // EXPTIME test, via Theorem 3.2: the language is single-type definable iff
 // it equals its minimal upper approximation.) The upper construction
 // charges the budget (the dominant exponential cost; the converse
-// inclusion runs on whatever it built). `options` configures that
-// construction — any context supplied there must be exact-mode (upper.h)
-// or the verdict concerns the restricted language only. A null budget is
-// unlimited.
+// inclusion runs on whatever it built). A null budget is unlimited.
 StatusOr<bool> IsSingleTypeDefinable(const Edtd& edtd,
-                                     Budget* budget = nullptr,
-                                     const UpperOptions& options = {});
+                                     Budget* budget = nullptr);
 
 }  // namespace stap
 

@@ -13,8 +13,7 @@
 
 namespace stap {
 
-StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& input, Budget* budget,
-                                           const UpperOptions& options) {
+StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& input, Budget* budget) {
   static Counter* const calls = GetCounter("approx.upper_calls");
   static Counter* const merged_states =
       GetCounter("approx.upper_merged_states");
@@ -38,19 +37,13 @@ StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& input, Budget* budget,
   ta_span.AddArg("nfa_states", type_automaton.nfa.num_states());
   ta_span.End();
 
-  if (options.content_context != nullptr &&
-      options.content_context->num_symbols() != edtd.num_symbols()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "content_context alphabet does not match the EDTD");
-  }
-
   // Subset construction on the type automaton. Each materialized subset
   // is either {q_init}, empty (the dead sink), or a set of type states
   // that all carry the same Σ-label.
   ScopedSpan subset_span("upper.subset_construction");
   std::vector<StateSet> subsets;
   StatusOr<Dfa> determinized_or =
-      Determinize(type_automaton.nfa, budget, /*context=*/nullptr, &subsets);
+      Determinize(type_automaton.nfa, budget, &subsets);
   if (!determinized_or.ok()) return determinized_or.status();
   Dfa determinized = *std::move(determinized_or);
   subset_span.AddArg("subset_states", determinized.num_states());
@@ -112,19 +105,9 @@ StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& input, Budget* budget,
     }
     STAP_CHECK(!first);  // non-empty subset
     xsd.state_label[remap[s]] = label;
-    if (options.minimize_content) {
-      StatusOr<Dfa> content =
-          MinimizeNfa(content_union, budget, options.content_context);
-      if (!content.ok()) return content.status();
-      xsd.content[remap[s]] = *std::move(content);
-    } else {
-      // Trimmed() drops the schema path's dead sink along with any other
-      // dead state, so the representation stays comparable to dense.
-      StatusOr<Dfa> content =
-          Determinize(content_union, budget, options.content_context);
-      if (!content.ok()) return content.status();
-      xsd.content[remap[s]] = content->Trimmed();
-    }
+    StatusOr<Dfa> content = MinimizeNfa(content_union, budget);
+    if (!content.ok()) return content.status();
+    xsd.content[remap[s]] = *std::move(content);
   }
   merge_span.AddArg("merged_states", next_id);
   merge_span.End();
@@ -137,20 +120,9 @@ StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& input, Budget* budget,
   return xsd;
 }
 
-DfaXsd MinimalUpperApproximation(const Edtd& input,
-                                 const UpperOptions& options) {
-  StatusOr<DfaXsd> result = MinimalUpperApproximation(input, nullptr, options);
+DfaXsd MinimalUpperApproximation(const Edtd& input) {
+  StatusOr<DfaXsd> result = MinimalUpperApproximation(input, nullptr);
   return *std::move(result);  // a null budget never exhausts
-}
-
-Nfa ContentUnionContext(const Edtd& edtd) {
-  Nfa context(0, edtd.num_symbols());
-  for (int tau = 0; tau < edtd.num_types(); ++tau) {
-    Nfa image = HomomorphicImage(edtd.content[tau], edtd.mu,
-                                 edtd.num_symbols());
-    context = tau == 0 ? std::move(image) : NfaUnion(context, image);
-  }
-  return context;
 }
 
 }  // namespace stap

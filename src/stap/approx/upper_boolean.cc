@@ -393,12 +393,11 @@ StatusOr<Edtd> DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
   return result;
 }
 
-StatusOr<DfaXsd> UpperUnion(const Edtd& d1, const Edtd& d2, Budget* budget,
-                            const UpperOptions& options) {
+StatusOr<DfaXsd> UpperUnion(const Edtd& d1, const Edtd& d2, Budget* budget) {
   ScopedSpan span("approx.upper_union");
   STAP_CHECK(IsSingleType(d1));
   STAP_CHECK(IsSingleType(d2));
-  return MinimalUpperApproximation(EdtdUnion(d1, d2), budget, options);
+  return MinimalUpperApproximation(EdtdUnion(d1, d2), budget);
 }
 
 StatusOr<DfaXsd> UpperIntersection(const Edtd& d1_in, const Edtd& d2_in,
@@ -480,19 +479,18 @@ StatusOr<DfaXsd> UpperIntersection(const Edtd& d1_in, const Edtd& d2_in,
 }
 
 StatusOr<DfaXsd> UpperComplement(const Edtd& d, ThreadPool* pool,
-                                 Budget* budget, const UpperOptions& options) {
+                                 Budget* budget) {
   ScopedSpan span("approx.upper_complement");
   Edtd reduced = ReduceEdtd(d);
   STAP_CHECK(IsSingleType(reduced));
   StatusOr<Edtd> complement =
       ComplementEdtd(DfaXsdFromStEdtd(reduced), pool, budget);
   if (!complement.ok()) return complement.status();
-  return MinimalUpperApproximation(*complement, budget, options);
+  return MinimalUpperApproximation(*complement, budget);
 }
 
 StatusOr<DfaXsd> UpperDifference(const Edtd& d1_in, const Edtd& d2_in,
-                                 ThreadPool* pool, Budget* budget,
-                                 const UpperOptions& options) {
+                                 ThreadPool* pool, Budget* budget) {
   ScopedSpan span("approx.upper_difference");
   auto [d1, d2] = AlignAlphabets(d1_in, d2_in);
   Edtd r1 = ReduceEdtd(d1);
@@ -502,7 +500,7 @@ StatusOr<DfaXsd> UpperDifference(const Edtd& d1_in, const Edtd& d2_in,
   StatusOr<Edtd> difference =
       DifferenceEdtd(r1, DfaXsdFromStEdtd(r2), pool, budget);
   if (!difference.ok()) return difference.status();
-  return MinimalUpperApproximation(*difference, budget, options);
+  return MinimalUpperApproximation(*difference, budget);
 }
 
 }  // namespace stap

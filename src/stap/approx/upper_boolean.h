@@ -67,25 +67,19 @@ StatusOr<Edtd> DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
                               Budget* budget = nullptr);
 
 // Minimal upper XSD-approximations per the theorems. Inputs must be
-// single-type (checked). `options` configures the final
-// MinimalUpperApproximation (upper.h) — note that any context supplied
-// there constrains the *result* schema's alphabet, not the internal
-// types-as-symbols content builds of Complement/Difference, which stay
-// dense (their ambient language is all of Σ*; see DESIGN.md on why the
-// complement construction is the degenerate case for schema guidance).
+// single-type (checked). Union, complement and difference build an EDTD
+// for the exact result and finish with MinimalUpperApproximation
+// (upper.h).
 StatusOr<DfaXsd> UpperUnion(const Edtd& d1, const Edtd& d2,
-                            Budget* budget = nullptr,
-                            const UpperOptions& options = {});
+                            Budget* budget = nullptr);
 StatusOr<DfaXsd> UpperIntersection(const Edtd& d1, const Edtd& d2,
                                    ThreadPool* pool = nullptr,
                                    Budget* budget = nullptr);  // exact
 StatusOr<DfaXsd> UpperComplement(const Edtd& d, ThreadPool* pool = nullptr,
-                                 Budget* budget = nullptr,
-                                 const UpperOptions& options = {});
+                                 Budget* budget = nullptr);
 StatusOr<DfaXsd> UpperDifference(const Edtd& d1, const Edtd& d2,
                                  ThreadPool* pool = nullptr,
-                                 Budget* budget = nullptr,
-                                 const UpperOptions& options = {});
+                                 Budget* budget = nullptr);
 
 }  // namespace stap
 

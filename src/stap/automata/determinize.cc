@@ -36,11 +36,12 @@ DeterminizeMetrics& Metrics() {
 
 const DeterminizeMetrics& g_eager_metrics = Metrics();
 
-// The single budgeted core behind all four public entry points. A null
-// `context` runs the dense subset construction; a non-null context runs
-// the joint (context subset, NFA subset) construction with sink
-// collapsing. Both share the interners, charging, metrics, and span
-// contract, so extensions land in one place.
+// The single budgeted core behind both public entry points: Determinize
+// passes a null `context` and runs the dense subset construction;
+// DeterminizeUnderSchema passes its context and runs the joint
+// (context subset, NFA subset) construction with sink collapsing. Both
+// share the interners, charging, metrics, and span contract, so
+// extensions land in one place.
 StatusOr<Dfa> DeterminizeCore(const Nfa& nfa, const Nfa* context,
                               Budget* budget, std::vector<StateSet>* subsets,
                               std::vector<StateSet>* context_subsets,
@@ -229,9 +230,10 @@ StatusOr<Dfa> DeterminizeCore(const Nfa& nfa, const Nfa* context,
 
 }  // namespace
 
-StatusOr<Dfa> Determinize(const Nfa& nfa, Budget* budget, const Nfa* context,
+StatusOr<Dfa> Determinize(const Nfa& nfa, Budget* budget,
                           std::vector<StateSet>* subsets) {
-  return DeterminizeCore(nfa, context, budget, subsets, nullptr, nullptr);
+  return DeterminizeCore(nfa, /*context=*/nullptr, budget, subsets, nullptr,
+                         nullptr);
 }
 
 StatusOr<Dfa> DeterminizeUnderSchema(const Nfa& nfa, const Nfa& context,

@@ -35,14 +35,10 @@ namespace stap {
 // reachable subsets. Every DFA state created charges the budget, so the
 // exponential families (Theorem 3.2) fail with kResourceExhausted in
 // bounded time instead of exhausting memory; a null budget is unlimited.
-// A non-null `context` selects the schema-guided construction below, a
-// null context the dense path — so call sites can thread an optional
-// context through without branching themselves. If `subsets` is non-null
-// it receives, for each DFA state, the NFA state set it denotes (the
-// empty set is the dead sink, created only when reachable). The dense
-// result is complete by construction.
+// If `subsets` is non-null it receives, for each DFA state, the NFA state
+// set it denotes (the empty set is the dead sink, created only when
+// reachable). The result is complete by construction.
 StatusOr<Dfa> Determinize(const Nfa& nfa, Budget* budget = nullptr,
-                          const Nfa* context = nullptr,
                           std::vector<StateSet>* subsets = nullptr);
 
 // Construction-time observability of a schema-guided run. The registry
@@ -65,7 +61,10 @@ struct SchemaDeterminizeStats {
 
 // Schema-guided subset construction: determinizes `nfa` jointly with
 // `context` (an NFA over the same alphabet), materializing only
-// (context subset, NFA subset) pairs reachable under the schema. See the
+// (context subset, NFA subset) pairs reachable under the schema. This is
+// the only way into the joint construction; its library caller is the
+// Thm 3.5 pair walk (approx/minimal_upper_check.cc), where the candidate
+// XSD genuinely restricts the target subsets. See the
 // file header for the language contract. `subsets` / `context_subsets`
 // receive, per DFA state, the NFA-half / context-half state set (both
 // empty for the sink). Budget charging, interning, metrics, and span

@@ -114,8 +114,8 @@ StatusOr<Dfa> Minimize(const Dfa& input, Budget* budget) {
   return CanonicalizeNumbering(trimmed);
 }
 
-StatusOr<Dfa> MinimizeNfa(const Nfa& nfa, Budget* budget, const Nfa* context) {
-  StatusOr<Dfa> determinized = Determinize(nfa, budget, context);
+StatusOr<Dfa> MinimizeNfa(const Nfa& nfa, Budget* budget) {
+  StatusOr<Dfa> determinized = Determinize(nfa, budget);
   if (!determinized.ok()) return determinized.status();
   return Minimize(*determinized, budget);
 }

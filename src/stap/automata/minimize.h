@@ -17,16 +17,10 @@ namespace stap {
 // count, so only time can exhaust). A null budget is unlimited.
 StatusOr<Dfa> Minimize(const Dfa& dfa, Budget* budget = nullptr);
 
-// Determinizes and minimizes: the subset construction charges states, the
-// refinement checks the deadline. A non-null `context` routes the subset
-// construction through DeterminizeUnderSchema (see determinize.h),
-// exploring only subsets reachable under the ambient schema; a null
-// context is the dense path. When L(context) ⊇ L(nfa) the result is the
-// same canonical minimal DFA as the dense path (minimization erases the
-// pair structure); otherwise it is the canonical minimal DFA of the
-// sub-language L(nfa) ∩ L(context)-prefix-live words.
-StatusOr<Dfa> MinimizeNfa(const Nfa& nfa, Budget* budget = nullptr,
-                          const Nfa* context = nullptr);
+// Determinizes (dense subset construction, determinize.h) and minimizes:
+// the subset construction charges states, the refinement checks the
+// deadline.
+StatusOr<Dfa> MinimizeNfa(const Nfa& nfa, Budget* budget = nullptr);
 
 }  // namespace stap
 

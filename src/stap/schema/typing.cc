@@ -1,6 +1,7 @@
 #include "stap/schema/typing.h"
 
 #include <sstream>
+#include <utility>
 
 #include "stap/base/check.h"
 
@@ -19,27 +20,40 @@ int64_t SatMul(int64_t a, int64_t b, int64_t cap) {
   return a * b;
 }
 
-// Per-node typing counts: counts[tau] = number of typings of `node` whose
-// root gets type tau (0 when µ(tau) mismatches or no typing exists).
-std::vector<int64_t> TypingCounts(const Edtd& edtd, const Tree& node,
-                                  int64_t cap) {
-  const int n = edtd.num_types();
-  std::vector<std::vector<int64_t>> child_counts;
-  child_counts.reserve(node.children.size());
-  for (const Tree& child : node.children) {
-    child_counts.push_back(TypingCounts(edtd, child, cap));
-  }
+// Typing counts of every node of a tree, indexed by pre-order number (the
+// root is 0): counts[v][tau] = number of typings of node v's subtree that
+// give v type tau (0 when µ(tau) mismatches or no typing exists).
+struct TreeCounts {
+  std::vector<std::vector<int64_t>> counts;
+  std::vector<int> subtree_size;
 
-  std::vector<int64_t> result(n, 0);
+  // Pre-order ids of node `id`'s children: child 0 is id + 1, and child
+  // i + 1 follows child i's subtree.
+  void ChildIds(int id, std::vector<int>* out) const {
+    out->clear();
+    for (int child = id + 1; child < id + subtree_size[id];
+         child += subtree_size[child]) {
+      out->push_back(child);
+    }
+  }
+};
+
+// Counts for a node labelled `label` from its children's: a weighted
+// path count through each content DFA, where type t at child position i
+// weighs tree.counts[child_ids[i]][t].
+void NodeCounts(const Edtd& edtd, int label, const TreeCounts& tree,
+                const std::vector<int>& child_ids, int64_t cap,
+                std::vector<int64_t>* result) {
+  const int n = edtd.num_types();
+  result->assign(n, 0);
   for (int tau = 0; tau < n; ++tau) {
-    if (edtd.mu[tau] != node.label) continue;
+    if (edtd.mu[tau] != label) continue;
     const Dfa& dfa = edtd.content[tau];
     if (dfa.num_states() == 0) continue;
-    // Weighted path count through the content DFA: weight of symbol t at
-    // child position i is child_counts[i][t].
     std::vector<int64_t> weight_in_state(dfa.num_states(), 0);
     weight_in_state[dfa.initial()] = 1;
-    for (const std::vector<int64_t>& child : child_counts) {
+    for (int child_id : child_ids) {
+      const std::vector<int64_t>& child = tree.counts[child_id];
       std::vector<int64_t> next(dfa.num_states(), 0);
       for (int s = 0; s < dfa.num_states(); ++s) {
         if (weight_in_state[s] == 0) continue;
@@ -57,87 +71,108 @@ std::vector<int64_t> TypingCounts(const Edtd& edtd, const Tree& node,
     for (int s = 0; s < dfa.num_states(); ++s) {
       if (dfa.IsFinal(s)) total = SatAdd(total, weight_in_state[s], cap);
     }
-    result[tau] = total;
+    (*result)[tau] = total;
+  }
+}
+
+// Bottom-up over an explicit post-order stack, the same shape as
+// Edtd::PossibleTypes: documents are bounded only by memory, so recursion
+// over the tree is not an option.
+TreeCounts ComputeTreeCounts(const Edtd& edtd, const Tree& tree,
+                             int64_t cap) {
+  struct Frame {
+    const Tree* node;
+    int id;
+    size_t next_child;
+  };
+  TreeCounts result;
+  std::vector<Frame> stack = {Frame{&tree, 0, 0}};
+  result.counts.emplace_back();
+  result.subtree_size.push_back(1);
+  std::vector<int> child_ids;
+  while (!stack.empty()) {
+    Frame& frame = stack.back();
+    const std::vector<Tree>& children = frame.node->children;
+    if (frame.next_child < children.size()) {
+      const int id = static_cast<int>(result.counts.size());
+      result.counts.emplace_back();
+      result.subtree_size.push_back(1);
+      stack.push_back(Frame{&children[frame.next_child++], id, 0});
+      continue;
+    }
+    const int id = frame.id;
+    result.ChildIds(id, &child_ids);
+    NodeCounts(edtd, frame.node->label, result, child_ids, cap,
+               &result.counts[id]);
+    stack.pop_back();
+    if (!stack.empty()) {
+      result.subtree_size[stack.back().id] += result.subtree_size[id];
+    }
   }
   return result;
 }
 
-// Extracts one typing, assuming counts certify existence: assigns `tau`
-// to `node` and recurses along a satisfying content word.
-void ExtractTyping(const Edtd& edtd, const Tree& node, int tau,
-                   const TreePath& path, Typing* out) {
-  out->paths.push_back(path);
-  out->types.push_back(tau);
-
+// Extracts one typing top-down, assuming `tree_counts` certify that the
+// root can take type `root_type`: at each node, walk the content DFA
+// keeping only states from which acceptance with the remaining children
+// is possible, and give each child the first type that keeps the walk
+// viable. Nodes are stored at their pre-order ids, so the typing lists
+// them in document order whatever order the stack visits them in.
+Typing ExtractTyping(const Edtd& edtd, const Tree& tree,
+                     const TreeCounts& tree_counts, int root_type) {
   const int n = edtd.num_types();
-  std::vector<std::vector<int64_t>> child_counts;
-  child_counts.reserve(node.children.size());
-  for (const Tree& child : node.children) {
-    child_counts.push_back(TypingCounts(edtd, child, int64_t{1} << 40));
-  }
-
-  // Choose child types: walk the content DFA keeping only states from
-  // which acceptance with the remaining children is possible. reachable
-  // sets are computed right-to-left.
-  const Dfa& dfa = edtd.content[tau];
-  const int k = static_cast<int>(node.children.size());
-  // viable[i] = states from which children i..k-1 can be consumed.
-  std::vector<std::vector<bool>> viable(
-      k + 1, std::vector<bool>(dfa.num_states(), false));
-  for (int s = 0; s < dfa.num_states(); ++s) {
-    viable[k][s] = dfa.IsFinal(s);
-  }
-  for (int i = k - 1; i >= 0; --i) {
+  Typing typing;
+  typing.paths.resize(tree_counts.counts.size());
+  typing.types.resize(tree_counts.counts.size());
+  typing.types[0] = root_type;
+  std::vector<std::pair<const Tree*, int>> stack = {{&tree, 0}};
+  std::vector<int> child_ids;
+  std::vector<std::vector<bool>> viable;
+  while (!stack.empty()) {
+    auto [node, id] = stack.back();
+    stack.pop_back();
+    tree_counts.ChildIds(id, &child_ids);
+    const Dfa& dfa = edtd.content[typing.types[id]];
+    const int k = static_cast<int>(child_ids.size());
+    // viable[i] = states from which children i..k-1 can be consumed,
+    // computed right-to-left.
+    viable.assign(k + 1, std::vector<bool>(dfa.num_states(), false));
     for (int s = 0; s < dfa.num_states(); ++s) {
-      for (int t = 0; t < n && !viable[i][s]; ++t) {
-        if (child_counts[i][t] == 0) continue;
-        int r = dfa.Next(s, t);
-        if (r != kNoState && viable[i + 1][r]) viable[i][s] = true;
+      viable[k][s] = dfa.IsFinal(s);
+    }
+    for (int i = k - 1; i >= 0; --i) {
+      const std::vector<int64_t>& counts = tree_counts.counts[child_ids[i]];
+      for (int s = 0; s < dfa.num_states(); ++s) {
+        for (int t = 0; t < n && !viable[i][s]; ++t) {
+          if (counts[t] == 0) continue;
+          int r = dfa.Next(s, t);
+          if (r != kNoState && viable[i + 1][r]) viable[i][s] = true;
+        }
       }
     }
-  }
-  int state = dfa.initial();
-  STAP_CHECK(viable[0][state]);
-  for (int i = 0; i < k; ++i) {
-    int chosen = -1;
-    for (int t = 0; t < n; ++t) {
-      if (child_counts[i][t] == 0) continue;
-      int r = dfa.Next(state, t);
-      if (r != kNoState && viable[i + 1][r]) {
-        chosen = t;
-        state = r;
-        break;
+    int state = dfa.initial();
+    STAP_CHECK(viable[0][state]);
+    for (int i = 0; i < k; ++i) {
+      const int child = child_ids[i];
+      const std::vector<int64_t>& counts = tree_counts.counts[child];
+      int chosen = -1;
+      for (int t = 0; t < n; ++t) {
+        if (counts[t] == 0) continue;
+        int r = dfa.Next(state, t);
+        if (r != kNoState && viable[i + 1][r]) {
+          chosen = t;
+          state = r;
+          break;
+        }
       }
+      STAP_CHECK(chosen >= 0);
+      typing.types[child] = chosen;
+      typing.paths[child] = typing.paths[id];
+      typing.paths[child].push_back(i);
+      stack.emplace_back(&node->children[i], child);
     }
-    STAP_CHECK(chosen >= 0);
-    TreePath child_path = path;
-    child_path.push_back(i);
-    ExtractTyping(edtd, node.children[i], chosen, child_path, out);
   }
-}
-
-void AssignXsdTypes(const DfaXsd& xsd, const Tree& node, int state,
-                    const TreePath& path, Typing* out, bool* ok) {
-  if (!*ok) return;
-  out->paths.push_back(path);
-  out->types.push_back(state - 1);
-  Word child_string;
-  child_string.reserve(node.children.size());
-  for (const Tree& child : node.children) child_string.push_back(child.label);
-  if (!xsd.content[state].Accepts(child_string)) {
-    *ok = false;
-    return;
-  }
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    int child_state = xsd.automaton.Next(state, node.children[i].label);
-    if (child_state == kNoState) {
-      *ok = false;
-      return;
-    }
-    TreePath child_path = path;
-    child_path.push_back(static_cast<int>(i));
-    AssignXsdTypes(xsd, node.children[i], child_state, child_path, out, ok);
-  }
+  return typing;
 }
 
 }  // namespace
@@ -155,29 +190,12 @@ std::string Typing::ToString(const Edtd& schema, const Tree& tree) const {
   return os.str();
 }
 
-std::optional<Typing> AssignTypes(const DfaXsd& xsd, const Tree& tree) {
-  if (tree.label < 0 || tree.label >= xsd.sigma.size() ||
-      !StateSetContains(xsd.start_symbols, tree.label)) {
-    return std::nullopt;
-  }
-  int state = xsd.automaton.Next(xsd.automaton.initial(), tree.label);
-  if (state == kNoState) return std::nullopt;
-  Typing typing;
-  bool ok = true;
-  AssignXsdTypes(xsd, tree, state, {}, &typing, &ok);
-  if (!ok) return std::nullopt;
-  return typing;
-}
-
 std::optional<Typing> AssignTypesEdtd(const Edtd& edtd, const Tree& tree) {
   if (tree.label < 0 || tree.label >= edtd.num_symbols()) return std::nullopt;
-  std::vector<int64_t> root_counts =
-      TypingCounts(edtd, tree, int64_t{1} << 40);
+  TreeCounts counts = ComputeTreeCounts(edtd, tree, int64_t{1} << 40);
   for (int tau : edtd.start_types) {
-    if (root_counts[tau] > 0) {
-      Typing typing;
-      ExtractTyping(edtd, tree, tau, {}, &typing);
-      return typing;
+    if (counts.counts[0][tau] > 0) {
+      return ExtractTyping(edtd, tree, counts, tau);
     }
   }
   return std::nullopt;
@@ -185,10 +203,10 @@ std::optional<Typing> AssignTypesEdtd(const Edtd& edtd, const Tree& tree) {
 
 int64_t CountTypings(const Edtd& edtd, const Tree& tree, int64_t cap) {
   if (tree.label < 0 || tree.label >= edtd.num_symbols()) return 0;
-  std::vector<int64_t> root_counts = TypingCounts(edtd, tree, cap);
+  TreeCounts counts = ComputeTreeCounts(edtd, tree, cap);
   int64_t total = 0;
   for (int tau : edtd.start_types) {
-    total = SatAdd(total, root_counts[tau], cap);
+    total = SatAdd(total, counts.counts[0][tau], cap);
   }
   return total;
 }

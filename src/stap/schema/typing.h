@@ -1,10 +1,11 @@
 // Type assignments (typings) of documents.
 //
 // A tree satisfies an EDTD when *some* typing exists (Definition 2.2);
-// this module materializes typings: the unique one for single-type
+// this module materializes one typing and counts them. Single-type
 // schemas (where the ancestor string determines the type — the essence of
-// EDC), and the count/one-witness interface for general EDTDs, whose
-// typings can be ambiguous.
+// EDC) always have 0 or 1; general EDTDs can be ambiguous. Both entry
+// points walk the document with explicit stacks, so depth is bounded only
+// by memory.
 #ifndef STAP_SCHEMA_TYPING_H_
 #define STAP_SCHEMA_TYPING_H_
 
@@ -13,12 +14,11 @@
 #include <vector>
 
 #include "stap/schema/edtd.h"
-#include "stap/schema/single_type.h"
 
 namespace stap {
 
-// A typing maps each node (in the breadth-first order of Tree::AllPaths)
-// to a type id.
+// A typing maps each node (in document order: pre-order, children left
+// to right) to a type id.
 struct Typing {
   std::vector<TreePath> paths;
   std::vector<int> types;  // parallel to paths
@@ -26,12 +26,9 @@ struct Typing {
   std::string ToString(const Edtd& schema, const Tree& tree) const;
 };
 
-// The unique typing of `tree` under the single-type schema, or nullopt if
-// the document is invalid. One top-down pass.
-std::optional<Typing> AssignTypes(const DfaXsd& xsd, const Tree& tree);
-
-// Some typing of `tree` under an arbitrary EDTD, or nullopt. Bottom-up
-// possible-type computation plus one top-down choice pass.
+// Some typing of `tree` under an arbitrary EDTD, or nullopt. One
+// bottom-up pass computes every node's typing counts (see CountTypings),
+// then one top-down pass chooses the types from them.
 std::optional<Typing> AssignTypesEdtd(const Edtd& edtd, const Tree& tree);
 
 // The number of distinct typings of `tree` under `edtd` (its *typing

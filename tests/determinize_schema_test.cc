@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "oracles/inclusion.h"
-#include "stap/approx/upper.h"
 #include "stap/automata/determinize.h"
 #include "stap/automata/inclusion.h"
 #include "stap/automata/minimize.h"
@@ -24,8 +23,6 @@
 #include "stap/regex/bkw.h"
 #include "stap/regex/dre_approx.h"
 #include "stap/regex/glushkov.h"
-#include "stap/schema/minimize.h"
-#include "stap/schema/single_type.h"
 #include "stap/schema/type_automaton.h"
 #include "test_seed.h"
 
@@ -122,29 +119,6 @@ TEST(DeterminizeSchemaTest, InclusionOracleAgreesWithAntichain) {
   EXPECT_GT(included, 30);  // both verdicts must actually occur
 }
 
-// Random EDTDs through the full upper approximation: the
-// union-of-contents context is exact-mode, so with minimize_content the
-// schema-guided XSD is *structurally identical* to the dense one
-// (canonical minimization erases the pair structure).
-TEST(DeterminizeSchemaTest, UpperApproximationStructurallyIdentical) {
-  for (int iter = 0; iter < 100; ++iter) {
-    std::mt19937 rng(MixSeed(5000 + iter));
-    RandomSchemaParams params;
-    params.num_symbols = 2 + static_cast<int>(rng() % 3);
-    params.num_types = 3 + static_cast<int>(rng() % 4);
-    Edtd edtd = RandomEdtd(&rng, params);
-
-    DfaXsd dense = MinimalUpperApproximation(edtd);
-    Nfa context = ContentUnionContext(edtd);
-    UpperOptions options;
-    options.content_context = &context;
-    StatusOr<DfaXsd> guided =
-        MinimalUpperApproximation(edtd, nullptr, options);
-    ASSERT_TRUE(guided.ok());
-    EXPECT_TRUE(XsdStructurallyEqual(dense, *guided)) << "iter " << iter;
-  }
-}
-
 // BKW language one-unambiguity and the DRE chain approximation of the
 // schema-guided determinization, under self-context (exact mode):
 // verdicts match the dense path, and the approximation regex still
@@ -157,12 +131,12 @@ TEST(DeterminizeSchemaTest, RegexEntryPointsUnderSelfContext) {
 
     Dfa dense = *Determinize(nfa);
     StatusOr<bool> guided_verdict =
-        IsOneUnambiguousLanguage(*Determinize(nfa, nullptr, &nfa));
+        IsOneUnambiguousLanguage(*DeterminizeUnderSchema(nfa, nfa));
     ASSERT_TRUE(guided_verdict.ok());
     EXPECT_EQ(*guided_verdict, *IsOneUnambiguousLanguage(dense))
         << "iter " << iter;
 
-    RegexPtr approx = ApproximateDre(*Determinize(nfa, nullptr, &nfa));
+    RegexPtr approx = ApproximateDre(*DeterminizeUnderSchema(nfa, nfa));
     Dfa approx_dfa = *RegexToDfa(*approx, num_symbols);
     EXPECT_TRUE(*NfaIncludedInDfa(nfa, approx_dfa)) << "iter " << iter;
   }

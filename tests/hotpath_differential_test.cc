@@ -43,7 +43,7 @@ TEST_P(DifferentialTest, DeterminizeMatchesMapReference) {
     Nfa nfa = RandomNfa(&rng, n, sym, 2 + round % 3);
     std::vector<StateSet> subsets;
     std::vector<StateSet> map_subsets;
-    Dfa hashed = *Determinize(nfa, nullptr, nullptr, &subsets);
+    Dfa hashed = *Determinize(nfa, nullptr, &subsets);
     Dfa reference = MapDeterminize(nfa, &map_subsets);
     // Both implementations assign subset ids in discovery order (BFS over
     // ids, symbols ascending), so the results agree structurally.

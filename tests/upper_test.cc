@@ -117,19 +117,6 @@ TEST(UpperTest, UpperOfUpperIsIdentity) {
   EXPECT_TRUE(XsdStructurallyEqual(MinimizeXsd(upper), MinimizeXsd(twice)));
 }
 
-TEST(UpperTest, ContentMinimizationIsLanguageNeutral) {
-  // The UpperOptions ablation only changes representation sizes, never
-  // the language.
-  Edtd edtd = TwoRootsEdtd();
-  UpperOptions no_minimize;
-  no_minimize.minimize_content = false;
-  DfaXsd with = MinimalUpperApproximation(edtd);
-  DfaXsd without = MinimalUpperApproximation(edtd, no_minimize);
-  EXPECT_TRUE(*SingleTypeEquivalent(StEdtdFromDfaXsd(with),
-                                    StEdtdFromDfaXsd(without)));
-  EXPECT_LE(with.Size(), without.Size());
-}
-
 TEST(UpperTest, EmptyLanguage) {
   SchemaBuilder builder;
   builder.AddType("R", "a", "R");

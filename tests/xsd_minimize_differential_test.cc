@@ -152,12 +152,7 @@ TEST_P(RandomInputTest, Construction31Outputs) {
     params.repeat_percent = round % 2 == 0 ? 0 : 40;
     Edtd edtd = RandomEdtd(&rng, params);
     const std::string name = "random_edtd/" + std::to_string(round);
-    for (bool minimize_content : {true, false}) {
-      UpperOptions options;
-      options.minimize_content = minimize_content;
-      ExpectAgree(MinimalUpperApproximation(edtd, options),
-                  name + (minimize_content ? "/minimized" : "/raw_content"));
-    }
+    ExpectAgree(MinimalUpperApproximation(edtd), name);
     Edtd st = RandomStEdtd(&rng, params);
     ExpectAgree(DfaXsdFromStEdtd(st), "random_st/" + std::to_string(round));
   }

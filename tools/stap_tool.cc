@@ -676,20 +676,11 @@ int CmdFamily(const Args& args, GlobalOptions& /*options*/) {
 // active so the same recording also lands in the Chrome trace; otherwise
 // records into a throwaway local session.
 int CmdExplain(const Args& args, GlobalOptions& options) {
-  if (args.size() == 2 && args[1] != "--schema-guided") return Usage();
   Budget* const budget = options.budget_ptr();
   StatusOr<Edtd> schema = LoadSchema(args[0], budget);
   if (!schema.ok()) return Fail(schema.status());
 
   Counter* const determinize_states = GetCounter("determinize.states_created");
-  Counter* const schema_calls = GetCounter("determinize.schema_calls");
-  Counter* const pruned_states =
-      GetCounter("determinize.schema_pruned_states");
-  Counter* const pruned_transitions =
-      GetCounter("determinize.schema_pruned_transitions");
-  const int64_t schema_calls_before = schema_calls->value();
-  const int64_t pruned_states_before = pruned_states->value();
-  const int64_t pruned_transitions_before = pruned_transitions->value();
   TraceSession local;
   TraceSession* session = options.session.get();
   // The registry delta is measured over the recording window, so it is
@@ -701,18 +692,7 @@ int CmdExplain(const Args& args, GlobalOptions& options) {
     local.Start();
   }
 
-  // --schema-guided: run every content merge under the union-of-contents
-  // context. That context is exact-mode (upper.h), so the resulting XSD
-  // is identical — the flag exists to exercise and observe the
-  // schema-guided path on real schemas, not to change the answer.
-  UpperOptions upper_options;
-  Nfa content_context(0, 0);
-  if (args.size() == 2) {
-    content_context = ContentUnionContext(*schema);
-    upper_options.content_context = &content_context;
-  }
-  StatusOr<DfaXsd> xsd =
-      MinimalUpperApproximation(*schema, budget, upper_options);
+  StatusOr<DfaXsd> xsd = MinimalUpperApproximation(*schema, budget);
   StatusOr<std::string> text =
       xsd.ok() ? XsdToText(*xsd, budget) : xsd.status();
   if (session == &local) local.Stop();
@@ -735,16 +715,6 @@ int CmdExplain(const Args& args, GlobalOptions& options) {
   std::cout << "cross-check: determinize.states_created +" << registry_states
             << " (registry), " << traced_states << " (trace spans)"
             << (registry_states == traced_states ? "" : "  MISMATCH") << "\n";
-  // Schema-guided pruning summary (all deltas over this run); printed
-  // whenever the guided path ran so dense runs stay byte-compatible.
-  if (schema_calls->value() != schema_calls_before) {
-    std::cout << "schema-guided: " << schema_calls->value() - schema_calls_before
-              << " guided determinizations, "
-              << pruned_states->value() - pruned_states_before
-              << " subsets pruned, "
-              << pruned_transitions->value() - pruned_transitions_before
-              << " transitions redirected\n";
-  }
   if (!text.ok()) return Fail(text.status());
   std::cout << "result: " << xsd->automaton.num_states()
             << " XSD states over " << xsd->sigma.size() << " elements\n";
@@ -1024,12 +994,9 @@ constexpr Command kCommands[] = {
      "                                43/411 ignore n, counted uses\n"
      "                                Item{n,2n})\n",
      CmdFamily},
-    {"explain", 1, 2, "<schema>",
+    {"explain", 1, 1, "<schema>",
      "approximate and print a per-phase\n"
-     "                                provenance table\n"
-     "          [--schema-guided]     run content merges through the\n"
-     "                                schema-guided determinizer and\n"
-     "                                report pruning counters\n",
+     "                                provenance table\n",
      CmdExplain},
     {"serve", 0, kAnyCount, "[flags]",
      "validation daemon; flags:\n"
