@@ -80,7 +80,7 @@ void BM_RealisticDiffReport(benchmark::State& state) {
   Edtd jats = JatsLite();
   double incomparable = 0;
   for (auto _ : state) {
-    SchemaDiffReport report = CompareSchemas(docbook, jats, 5, 4);
+    SchemaDiffReport report = *CompareSchemas(docbook, jats, nullptr, 5, 4);
     incomparable =
         report.relation == SchemaRelation::kIncomparable ? 1.0 : 0.0;
     benchmark::DoNotOptimize(incomparable);

@@ -1,9 +1,11 @@
 #include "stap/approx/diff_report.h"
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "stap/approx/inclusion.h"
 #include "stap/approx/upper_boolean.h"
-#include "stap/approx/witness.h"
 #include "stap/base/check.h"
 #include "stap/count/counter.h"
 #include "stap/schema/reduce.h"
@@ -27,8 +29,9 @@ const char* SchemaRelationName(SchemaRelation relation) {
   return "UNKNOWN";
 }
 
-SchemaDiffReport CompareSchemas(const Edtd& a_in, const Edtd& b_in,
-                                int count_depth, int count_width) {
+StatusOr<SchemaDiffReport> CompareSchemas(const Edtd& a_in, const Edtd& b_in,
+                                          Budget* budget, int count_depth,
+                                          int count_width) {
   auto [a_aligned, b_aligned] = AlignAlphabets(a_in, b_in);
   Edtd a = ReduceEdtd(a_aligned);
   Edtd b = ReduceEdtd(b_aligned);
@@ -40,8 +43,14 @@ SchemaDiffReport CompareSchemas(const Edtd& a_in, const Edtd& b_in,
 
   DfaXsd xsd_a = DfaXsdFromStEdtd(a);
   DfaXsd xsd_b = DfaXsdFromStEdtd(b);
-  report.only_in_a = XsdInclusionWitness(a, xsd_b);
-  report.only_in_b = XsdInclusionWitness(b, xsd_a);
+  StatusOr<std::optional<Tree>> only_in_a =
+      XsdInclusionWitness(a, xsd_b, nullptr, budget);
+  if (!only_in_a.ok()) return only_in_a.status();
+  StatusOr<std::optional<Tree>> only_in_b =
+      XsdInclusionWitness(b, xsd_a, nullptr, budget);
+  if (!only_in_b.ok()) return only_in_b.status();
+  report.only_in_a = *std::move(only_in_a);
+  report.only_in_b = *std::move(only_in_b);
   if (report.only_in_a.has_value() && report.only_in_b.has_value()) {
     report.relation = SchemaRelation::kIncomparable;
   } else if (report.only_in_a.has_value()) {
@@ -55,15 +64,18 @@ SchemaDiffReport CompareSchemas(const Edtd& a_in, const Edtd& b_in,
   CountBounds bounds;
   bounds.max_depth = count_depth;
   bounds.max_width = count_width;
-  auto count = [&bounds](const DfaXsd& xsd) {
+  auto count = [&](const DfaXsd& xsd, double* out) -> Status {
     StatusOr<std::vector<CountValue>> counts =
-        CountXsdByDepth(xsd, bounds, nullptr);
-    STAP_CHECK(counts.ok());  // only invalid bounds fail without a budget
-    return counts->back().ToDouble();
+        CountXsdByDepth(xsd, bounds, budget);
+    if (!counts.ok()) return counts.status();
+    *out = counts->back().ToDouble();
+    return Status();
   };
-  report.count_a = count(xsd_a);
-  report.count_b = count(xsd_b);
-  report.count_intersection = count(*UpperIntersection(a, b));
+  STAP_RETURN_IF_ERROR(count(xsd_a, &report.count_a));
+  STAP_RETURN_IF_ERROR(count(xsd_b, &report.count_b));
+  StatusOr<DfaXsd> xsd_ab = UpperIntersection(a, b, nullptr, budget);
+  if (!xsd_ab.ok()) return xsd_ab.status();
+  STAP_RETURN_IF_ERROR(count(*xsd_ab, &report.count_intersection));
   return report;
 }
 

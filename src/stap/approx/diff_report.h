@@ -3,14 +3,17 @@
 // Bundles the paper's decision procedures into the artifact a schema
 // maintainer actually wants when comparing two XSDs: the containment
 // relation (Lemma 3.3, both directions), concrete witness documents for
-// each strict direction (approx/witness.h), and bounded document counts
-// quantifying how much the schemas differ (count/counter.h).
+// each strict direction (XsdInclusionWitness, approx/inclusion.h), and
+// bounded document counts quantifying how much the schemas differ
+// (count/counter.h).
 #ifndef STAP_APPROX_DIFF_REPORT_H_
 #define STAP_APPROX_DIFF_REPORT_H_
 
 #include <optional>
 #include <string>
 
+#include "stap/base/budget.h"
+#include "stap/base/status.h"
 #include "stap/schema/edtd.h"
 #include "stap/tree/tree.h"
 
@@ -42,9 +45,13 @@ struct SchemaDiffReport {
 };
 
 // Compares two single-type schemas (checked). Counting uses documents of
-// depth <= count_depth with at most count_width children per node.
-SchemaDiffReport CompareSchemas(const Edtd& a, const Edtd& b,
-                                int count_depth = 4, int count_width = 4);
+// depth <= count_depth with at most count_width children per node. Both
+// witness walks, the intersection and the counts charge `budget`; a null
+// budget is unlimited.
+StatusOr<SchemaDiffReport> CompareSchemas(const Edtd& a, const Edtd& b,
+                                          Budget* budget = nullptr,
+                                          int count_depth = 4,
+                                          int count_width = 4);
 
 }  // namespace stap
 

@@ -10,13 +10,22 @@
 // other, so they run as one parallel sweep over the reachable pairs when
 // a ThreadPool is supplied (they are the dominant cost; the BFS itself is
 // a cheap graph walk).
+//
+// The walk exists once. The verdict reads whether it found a failing
+// pair; the counterexample document is assembled from the first one:
+// minimal subtrees for every type, a spine of minimal contexts down to
+// the offending node, and the offending child string.
 #ifndef STAP_APPROX_INCLUSION_H_
 #define STAP_APPROX_INCLUSION_H_
+
+#include <optional>
+#include <vector>
 
 #include "stap/base/budget.h"
 #include "stap/base/status.h"
 #include "stap/schema/edtd.h"
 #include "stap/schema/single_type.h"
+#include "stap/tree/tree.h"
 
 namespace stap {
 
@@ -35,6 +44,21 @@ StatusOr<bool> EdtdIncludedInXsd(const Edtd& d1, const DfaXsd& xsd2,
 // Unbudgeted form, kept for the pinned perfbench/src/approx_corpus.cc.
 bool EdtdIncludedInXsd(const Edtd& d1, const DfaXsd& xsd2,
                        ThreadPool* pool = nullptr);
+
+// A tree in L(d1) \ L(xsd2), or nullopt when L(d1) ⊆ L(xsd2): the same
+// walk as EdtdIncludedInXsd, read off at its first failing pair in BFS
+// order, so the tree does not depend on `pool`. It is labeled over xsd2's
+// alphabet followed by d1's extra symbols in d1's order. Under an
+// exhausted budget a failing pair already found still yields a witness
+// (a genuine one, though not necessarily the BFS-first).
+StatusOr<std::optional<Tree>> XsdInclusionWitness(const Edtd& d1,
+                                                  const DfaXsd& xsd2,
+                                                  ThreadPool* pool = nullptr,
+                                                  Budget* budget = nullptr);
+
+// Minimal member trees per type of a reduced EDTD (each tree uses the
+// fewest nodes reachable by the greedy bottom-up construction).
+std::vector<Tree> MinimalTypeTrees(const Edtd& edtd);
 
 // Convenience wrapper: d2 must be single-type (checked). A null budget is
 // unlimited (here and below).

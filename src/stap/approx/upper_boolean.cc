@@ -1,6 +1,7 @@
 #include "stap/approx/upper_boolean.h"
 
 #include <map>
+#include <numeric>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -20,23 +21,6 @@
 namespace stap {
 
 namespace {
-
-// Re-interprets `dfa` over a larger alphabet; symbol ids keep their
-// meaning, the new symbols simply never occur.
-Dfa ExpandAlphabet(const Dfa& dfa, int new_num_symbols) {
-  STAP_CHECK(new_num_symbols >= dfa.num_symbols());
-  Dfa result(std::max(dfa.num_states(), 1), new_num_symbols);
-  if (dfa.num_states() == 0) return result;
-  result.SetInitial(dfa.initial());
-  for (int q = 0; q < dfa.num_states(); ++q) {
-    if (dfa.IsFinal(q)) result.SetFinal(q);
-    for (int a = 0; a < dfa.num_symbols(); ++a) {
-      int r = dfa.Next(q, a);
-      if (r != kNoState) result.SetTransition(q, a, r);
-    }
-  }
-  return result;
-}
 
 // Remaps symbol ids of an Edtd's μ according to `sigma_map` into the
 // merged alphabet.
@@ -85,25 +69,15 @@ Edtd EdtdUnion(const Edtd& a_in, const Edtd& b_in) {
 
   // Content models keep their transitions; a's type ids are unchanged,
   // b's are shifted by na.
+  std::vector<int> keep(na);
+  std::iota(keep.begin(), keep.end(), 0);
   std::vector<int> shift(nb);
-  for (int tau = 0; tau < nb; ++tau) shift[tau] = na + tau;
+  std::iota(shift.begin(), shift.end(), na);
   for (int tau = 0; tau < na; ++tau) {
-    result.content.push_back(ExpandAlphabet(a.content[tau], n));
+    result.content.push_back(RemapSymbols(a.content[tau], keep, n));
   }
   for (int tau = 0; tau < nb; ++tau) {
-    const Dfa& dfa = b.content[tau];
-    Dfa expanded(std::max(dfa.num_states(), 1), n);
-    if (dfa.num_states() > 0) {
-      expanded.SetInitial(dfa.initial());
-      for (int q = 0; q < dfa.num_states(); ++q) {
-        if (dfa.IsFinal(q)) expanded.SetFinal(q);
-        for (int t = 0; t < nb; ++t) {
-          int r = dfa.Next(q, t);
-          if (r != kNoState) expanded.SetTransition(q, shift[t], r);
-        }
-      }
-    }
-    result.content.push_back(std::move(expanded));
+    result.content.push_back(RemapSymbols(b.content[tau], shift, n));
   }
 
   for (int tau : a.start_types) StateSetInsert(result.start_types, tau);
@@ -307,8 +281,10 @@ StatusOr<Edtd> DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
 
   result.content.resize(n, Dfa());
   // Rule (5): plain types validate against D1 only.
+  std::vector<int> keep(n1);
+  std::iota(keep.begin(), keep.end(), 0);
   for (int tau = 0; tau < n1; ++tau) {
-    result.content[tau] = ExpandAlphabet(d1.content[tau], n);
+    result.content[tau] = RemapSymbols(d1.content[tau], keep, n);
   }
 
   // Rule (4): pair types either find the violation in this child string or
@@ -329,7 +305,7 @@ StatusOr<Edtd> DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
       shared.Update(violating.status());
       return;
     }
-    Dfa l1 = ExpandAlphabet(*violating, n);
+    Dfa l1 = RemapSymbols(*violating, keep, n);
 
     // L2: product of c1 and f2 with a one-shot switch onto a pair type.
     // States (s1, s2, mode) flattened.

@@ -170,4 +170,20 @@ Dfa InverseHomomorphism(const Dfa& dfa, const std::vector<int>& symbol_map,
   return result;
 }
 
+Dfa RemapSymbols(const Dfa& dfa, const std::vector<int>& remap, int new_size) {
+  STAP_CHECK(static_cast<int>(remap.size()) >= dfa.num_symbols());
+  Dfa result(std::max(dfa.num_states(), 1), new_size);
+  if (dfa.num_states() == 0) return result;
+  result.SetInitial(dfa.initial());
+  for (int q = 0; q < dfa.num_states(); ++q) {
+    if (dfa.IsFinal(q)) result.SetFinal(q);
+    for (int a = 0; a < dfa.num_symbols(); ++a) {
+      if (remap[a] == kNoSymbol) continue;
+      int r = dfa.Next(q, a);
+      if (r != kNoState) result.SetTransition(q, remap[a], r);
+    }
+  }
+  return result;
+}
+
 }  // namespace stap

@@ -41,6 +41,12 @@ Nfa HomomorphicImage(const Dfa& dfa, const std::vector<int>& symbol_map,
 Dfa InverseHomomorphism(const Dfa& dfa, const std::vector<int>& symbol_map,
                         int domain_size);
 
+// Renumbers the symbols of `dfa`: symbol a becomes remap[a], or loses its
+// transitions when remap[a] is kNoSymbol, in a DFA over `new_size`
+// symbols with the same states. Widening an alphabet is the identity
+// remap; the new symbols then never occur.
+Dfa RemapSymbols(const Dfa& dfa, const std::vector<int>& remap, int new_size);
+
 }  // namespace stap
 
 #endif  // STAP_AUTOMATA_OPS_H_

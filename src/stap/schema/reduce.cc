@@ -1,9 +1,9 @@
 #include "stap/schema/reduce.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "stap/automata/minimize.h"
+#include "stap/automata/ops.h"
 #include "stap/base/check.h"
 
 namespace stap {
@@ -24,23 +24,6 @@ Dfa RestrictToSymbols(const Dfa& dfa, const std::vector<bool>& allowed) {
     }
   }
   return result.Trimmed();
-}
-
-// Renumbers the symbols of `dfa` according to `remap` (old id -> new id or
-// kNoSymbol) into an automaton over `new_size` symbols.
-Dfa RemapSymbols(const Dfa& dfa, const std::vector<int>& remap, int new_size) {
-  Dfa result(std::max(dfa.num_states(), 1), new_size);
-  if (dfa.num_states() == 0) return result;
-  result.SetInitial(dfa.initial());
-  for (int q = 0; q < dfa.num_states(); ++q) {
-    if (dfa.IsFinal(q)) result.SetFinal(q);
-    for (int a = 0; a < dfa.num_symbols(); ++a) {
-      if (remap[a] == kNoSymbol) continue;
-      int r = dfa.Next(q, a);
-      if (r != kNoState) result.SetTransition(q, remap[a], r);
-    }
-  }
-  return result;
 }
 
 }  // namespace

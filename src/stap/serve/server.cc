@@ -549,8 +549,8 @@ ServeResponse Server::HandleRequest(const ServeRequest& request,
             "the second schema must be single-type for the PTIME test";
         break;
       }
-      StatusOr<bool> included = IncludedInSingleType(
-          (*s1)->edtd, (*s2)->edtd, nullptr, budget.get());
+      StatusOr<bool> included = EdtdIncludedInXsd(
+          (*s1)->edtd, (*s2)->xsd, nullptr, budget.get());
       if (!included.ok()) {
         response.code = CodeForStatus(included.status());
         response.body = included.status().message();

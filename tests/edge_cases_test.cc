@@ -6,7 +6,6 @@
 #include "stap/approx/nv.h"
 #include "stap/approx/upper.h"
 #include "stap/approx/upper_boolean.h"
-#include "stap/approx/witness.h"
 #include "stap/automata/determinize.h"
 #include "stap/automata/minimize.h"
 #include "stap/schema/builder.h"
@@ -77,7 +76,7 @@ TEST(EdgeCaseTest, EmptyLanguageThroughEveryOperator) {
   EXPECT_FALSE(*IncludedInSingleType(leaf, empty));
   EXPECT_FALSE(XsdInclusionWitness(empty,
                                    DfaXsdFromStEdtd(ReduceEdtd(leaf)))
-                   .has_value());
+                   ->has_value());
 }
 
 TEST(EdgeCaseTest, UnaryAlphabetApproximations) {

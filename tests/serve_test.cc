@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -197,6 +198,59 @@ TEST(Serve, InclusionAndApproximationOps) {
   EXPECT_NE(approximation->body.find("start "), std::string::npos);
 }
 
+// kIncluded runs Lemma 3.3 against the second schema's compiled XSD: the
+// alphabets are aligned by name in either direction, and the pair walk
+// charges the per-request state quota.
+TEST(Serve, InclusionAlignsAlphabetsAndHonoursTheQuota) {
+  constexpr char kLibWithMagazines[] = R"(
+start Lib
+type Lib      : library  -> (Book | Magazine)*
+type Book     : book     -> Title Chapter+
+type Magazine : magazine -> Title
+type Title    : title    -> %
+type Chapter  : chapter  -> (Section | %)
+type Section  : section  -> %
+)";
+  {
+    std::unique_ptr<Server> server = StartWithLib({});
+    ServeClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+    ServeRequest wider;
+    wider.id = 1;
+    wider.op = Opcode::kIncluded;
+    wider.schema_ref = kLibWithMagazines;  // magazines are not in @lib
+    wider.payload = "@lib";
+    StatusOr<ServeResponse> not_included = client.Call(wider);
+    ASSERT_TRUE(not_included.ok()) << not_included.status();
+    EXPECT_EQ(not_included->code, ResponseCode::kOk);
+    EXPECT_EQ(not_included->body, "NOT INCLUDED");
+
+    ServeRequest narrower;
+    narrower.id = 2;
+    narrower.op = Opcode::kIncluded;
+    narrower.schema_ref = "@lib";
+    narrower.payload = kLibWithMagazines;
+    StatusOr<ServeResponse> included = client.Call(narrower);
+    ASSERT_TRUE(included.ok()) << included.status();
+    EXPECT_EQ(included->code, ResponseCode::kOk);
+    EXPECT_EQ(included->body, "INCLUDED");
+  }
+  // @lib ⊆ @lib walks six pairs (the root pair and one per type).
+  ServeOptions options;
+  options.request_max_states = 2;
+  std::unique_ptr<Server> server = StartWithLib(std::move(options));
+  ServeClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  ServeRequest self;
+  self.id = 3;
+  self.op = Opcode::kIncluded;
+  self.schema_ref = "@lib";
+  self.payload = "@lib";
+  StatusOr<ServeResponse> exhausted = client.Call(self);
+  ASSERT_TRUE(exhausted.ok()) << exhausted.status();
+  EXPECT_EQ(exhausted->code, ResponseCode::kExhausted) << exhausted->body;
+}
+
 TEST(Serve, ConcurrentClients) {
   constexpr int kClients = 8;
   constexpr int kRequestsPerClient = 40;
@@ -344,6 +398,11 @@ TEST(Serve, TruncatedFrameDoesNotCrashTheServer) {
       again.Call(ValidateRequest(1, "@lib", kValidDoc));
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->code, ResponseCode::kOk);
+  // The first connection's handler counts the truncation on its own
+  // thread, which may still be draining when the second call returns.
+  for (int i = 0; i < 500 && bad_frames->value() == bad0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   EXPECT_GE(bad_frames->value() - bad0, 1);
 }
 

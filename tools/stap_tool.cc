@@ -49,7 +49,6 @@
 #include "stap/approx/nv.h"
 #include "stap/approx/upper.h"
 #include "stap/approx/upper_boolean.h"
-#include "stap/approx/witness.h"
 #include "stap/base/budget.h"
 #include "stap/base/compile_cache.h"
 #include "stap/base/metrics.h"
@@ -467,18 +466,17 @@ int CmdWitness(const Args& args, GlobalOptions& options) {
       InvalidArgumentError(
           "the second schema must be single-type; run 'approx' first"));
   if (!r2.ok()) return Fail(r2.status());
-  const DfaXsd xsd2 = DfaXsdFromStEdtd(*r2);
-  std::optional<Tree> witness = XsdInclusionWitness(*d1, xsd2);
-  if (!witness.has_value()) {
+  // One alignment: xsd2's alphabet then covers every witness label.
+  auto [r2_aligned, d1_aligned] = AlignAlphabets(*r2, *d1);
+  const DfaXsd xsd2 = DfaXsdFromStEdtd(r2_aligned);
+  StatusOr<std::optional<Tree>> witness =
+      XsdInclusionWitness(d1_aligned, xsd2, nullptr, budget);
+  if (!witness.ok()) return Fail(witness.status());
+  if (!witness->has_value()) {
     std::cout << "INCLUDED (no witness)\n";
     return 0;
   }
-  // Render over the merged alphabet the witness was built with.
-  Alphabet merged = xsd2.sigma;
-  for (int a = 0; a < d1->sigma.size(); ++a) {
-    merged.Intern(d1->sigma.Name(a));
-  }
-  std::cout << ToXml(*witness, merged);
+  std::cout << ToXml(**witness, xsd2.sigma);
   return 1;
 }
 
@@ -509,11 +507,13 @@ int CmdTypes(const Args& args, GlobalOptions& options) {
 }
 
 int CmdReport(const Args& args, GlobalOptions& options) {
-  return WithSingleTypePair(
-      args, options.budget_ptr(), [](const Edtd& r1, const Edtd& r2) {
-        std::cout << CompareSchemas(r1, r2).ToString();
-        return 0;
-      });
+  Budget* const budget = options.budget_ptr();
+  return WithSingleTypePair(args, budget, [&](const Edtd& r1, const Edtd& r2) {
+    StatusOr<SchemaDiffReport> report = CompareSchemas(r1, r2, budget);
+    if (!report.ok()) return Fail(report.status());
+    std::cout << report->ToString();
+    return 0;
+  });
 }
 
 int CmdSample(const Args& args, GlobalOptions& options) {
