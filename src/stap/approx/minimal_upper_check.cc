@@ -5,11 +5,11 @@
 #include <vector>
 
 #include "stap/approx/inclusion.h"
+#include "stap/approx/upper.h"
 #include "stap/approx/upper_boolean.h"
 #include "stap/automata/antichain.h"
 #include "stap/automata/determinize.h"
 #include "stap/automata/interner.h"
-#include "stap/automata/ops.h"
 #include "stap/base/check.h"
 #include "stap/base/thread_pool.h"
 #include "stap/base/trace.h"
@@ -99,18 +99,12 @@ StatusOr<bool> IsMinimalUpperApproximation(const Edtd& candidate_in,
   ScopedSpan contents_span("muc.subset_contents");
   std::vector<Nfa> subset_content(subsets.size(), Nfa(0, num_symbols));
   ThreadPool::ParallelFor(pool, subsets.size(), [&](int subset_id) {
-    Nfa content_union(0, num_symbols);
-    bool first = true;
+    std::vector<int> types;
     for (int state : subsets[subset_id]) {
       if (state == TypeAutomaton::kInit) continue;
-      int tau = TypeAutomaton::TypeOfState(state);
-      Nfa image =
-          HomomorphicImage(target.content[tau], target.mu, num_symbols);
-      content_union =
-          first ? std::move(image) : NfaUnion(content_union, image);
-      first = false;
+      types.push_back(TypeAutomaton::TypeOfState(state));
     }
-    subset_content[subset_id] = std::move(content_union);
+    subset_content[subset_id] = ContentImageUnion(target, types);
   });
   contents_span.End();
 

@@ -1,5 +1,6 @@
 #include "stap/approx/upper.h"
 
+#include <utility>
 #include <vector>
 
 #include "stap/automata/determinize.h"
@@ -13,19 +14,48 @@
 
 namespace stap {
 
-StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& input, Budget* budget) {
-  static Counter* const calls = GetCounter("approx.upper_calls");
-  static Counter* const merged_states =
-      GetCounter("approx.upper_merged_states");
-  static Histogram* const latency = GetHistogram("approx.upper_ms");
-  calls->Increment();
-  ScopedTimer timer(latency);
-  ScopedSpan span("approx.upper");
-  const int64_t budget_states_before =
-      budget != nullptr ? budget->states_charged() : 0;
+namespace {
 
-  // Construction 3.1 phases, each its own span so `stap explain` and the
-  // trace timeline show where an adversarial schema spends its states.
+// The content model over Σ of a merged state, from the sorted, non-empty,
+// same-labeled `types` it merges.
+using ContentRule = StatusOr<Dfa> (*)(const Edtd& edtd,
+                                      const std::vector<int>& types,
+                                      Budget* budget);
+
+StatusOr<Dfa> UnionRule(const Edtd& edtd, const std::vector<int>& types,
+                        Budget* budget) {
+  return MinimizeNfa(ContentImageUnion(edtd, types), budget);
+}
+
+// Every word the intersection admits is admitted by every member's
+// content model, which is what the soundness induction needs.
+StatusOr<Dfa> IntersectionRule(const Edtd& edtd, const std::vector<int>& types,
+                               Budget* budget) {
+  Dfa meet;
+  for (size_t i = 0; i < types.size(); ++i) {
+    StatusOr<Dfa> image = Determinize(
+        HomomorphicImage(edtd.content[types[i]], edtd.mu, edtd.num_symbols()),
+        budget);
+    if (!image.ok()) return image.status();
+    if (i == 0) {
+      meet = *std::move(image);
+      continue;
+    }
+    StatusOr<Dfa> product = DfaProduct(meet, *image, BoolOp::kAnd, budget);
+    if (!product.ok()) return product.status();
+    meet = *std::move(product);
+  }
+  return Minimize(meet.Trimmed(), budget);
+}
+
+// Construction 3.1 with the content rule as its parameter: reduce the
+// input, determinize its type automaton by the subset construction, and
+// give each reachable non-empty subset the content `rule` computes from
+// the types it merges. Each phase is its own span so `stap explain` and
+// the trace timeline show where an adversarial schema spends its states;
+// the spans keep their upper.* names under either content rule.
+StatusOr<DfaXsd> SubsetConstruction(const Edtd& input, ContentRule rule,
+                                    Budget* budget) {
   ScopedSpan reduce_span("upper.reduce");
   Edtd edtd = ReduceEdtd(input);
   reduce_span.AddArg("types_in", input.num_types());
@@ -37,9 +67,8 @@ StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& input, Budget* budget) {
   ta_span.AddArg("nfa_states", type_automaton.nfa.num_states());
   ta_span.End();
 
-  // Subset construction on the type automaton. Each materialized subset
-  // is either {q_init}, empty (the dead sink), or a set of type states
-  // that all carry the same Σ-label.
+  // Each materialized subset is either {q_init}, empty (the dead sink), or
+  // a set of type states that all carry the same Σ-label.
   ScopedSpan subset_span("upper.subset_construction");
   std::vector<StateSet> subsets;
   StatusOr<Dfa> determinized_or =
@@ -73,46 +102,69 @@ StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& input, Budget* budget) {
   xsd.state_label.assign(next_id, kNoSymbol);
   xsd.content.assign(next_id, Dfa::EmptyLanguage(edtd.num_symbols()));
 
-  merged_states->Increment(next_id);
+  // merged_types[q]: the types state q merges, all labeled state_label[q].
+  std::vector<std::vector<int>> merged_types(next_id);
   for (int s = 0; s < n; ++s) {
-    if (remap[s] == kNoState) continue;
+    const int q = remap[s];
+    if (q == kNoState) continue;
     for (int a = 0; a < edtd.num_symbols(); ++a) {
       int t = determinized.Next(s, a);
       if (t != kNoState && remap[t] != kNoState) {
-        xsd.automaton.SetTransition(remap[s], a, remap[t]);
+        xsd.automaton.SetTransition(q, a, remap[t]);
       }
     }
-    if (remap[s] == 0) continue;
-
-    // Label of the merged state and union of the content images.
-    int label = kNoSymbol;
-    Nfa content_union(0, edtd.num_symbols());
-    bool first = true;
+    if (q == 0) continue;
     for (int state : subsets[s]) {
       STAP_CHECK(state != TypeAutomaton::kInit);
-      int tau = TypeAutomaton::TypeOfState(state);
-      if (first) {
-        label = edtd.mu[tau];
-        content_union =
-            HomomorphicImage(edtd.content[tau], edtd.mu, edtd.num_symbols());
-        first = false;
-      } else {
-        STAP_CHECK(label == edtd.mu[tau]);
-        content_union = NfaUnion(
-            content_union,
-            HomomorphicImage(edtd.content[tau], edtd.mu, edtd.num_symbols()));
-      }
+      merged_types[q].push_back(TypeAutomaton::TypeOfState(state));
     }
-    STAP_CHECK(!first);  // non-empty subset
-    xsd.state_label[remap[s]] = label;
-    StatusOr<Dfa> content = MinimizeNfa(content_union, budget);
+    xsd.state_label[q] = edtd.mu[merged_types[q][0]];
+    for (int tau : merged_types[q]) {
+      STAP_CHECK(edtd.mu[tau] == xsd.state_label[q]);
+    }
+  }
+
+  for (int q = 1; q < next_id; ++q) {
+    StatusOr<Dfa> content = rule(edtd, merged_types[q], budget);
     if (!content.ok()) return content.status();
-    xsd.content[remap[s]] = *std::move(content);
+    xsd.content[q] = *std::move(content);
   }
   merge_span.AddArg("merged_states", next_id);
   merge_span.End();
   xsd.CheckWellFormed();
-  span.AddArg("xsd_states", xsd.automaton.num_states());
+  return xsd;
+}
+
+}  // namespace
+
+Nfa ContentImageUnion(const Edtd& edtd, const std::vector<int>& types) {
+  const int num_symbols = edtd.num_symbols();
+  if (types.empty()) return Nfa(0, num_symbols);
+  Nfa content_union =
+      HomomorphicImage(edtd.content[types[0]], edtd.mu, num_symbols);
+  for (size_t i = 1; i < types.size(); ++i) {
+    content_union = NfaUnion(
+        content_union,
+        HomomorphicImage(edtd.content[types[i]], edtd.mu, num_symbols));
+  }
+  return content_union;
+}
+
+StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& input, Budget* budget) {
+  static Counter* const calls = GetCounter("approx.upper_calls");
+  static Counter* const merged_states =
+      GetCounter("approx.upper_merged_states");
+  static Histogram* const latency = GetHistogram("approx.upper_ms");
+  calls->Increment();
+  ScopedTimer timer(latency);
+  ScopedSpan span("approx.upper");
+  const int64_t budget_states_before =
+      budget != nullptr ? budget->states_charged() : 0;
+
+  StatusOr<DfaXsd> xsd = SubsetConstruction(input, UnionRule, budget);
+  if (!xsd.ok()) return xsd.status();
+  merged_states->Increment(xsd->automaton.num_states());
+  span.AddArg("xsd_states", xsd->automaton.num_states());
   if (budget != nullptr) {
     span.AddArg("budget_states",
                 budget->states_charged() - budget_states_before);
@@ -123,6 +175,22 @@ StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& input, Budget* budget) {
 DfaXsd MinimalUpperApproximation(const Edtd& input) {
   StatusOr<DfaXsd> result = MinimalUpperApproximation(input, nullptr);
   return *std::move(result);  // a null budget never exhausts
+}
+
+StatusOr<DfaXsd> SubsetIntersectionLower(const Edtd& input, Budget* budget) {
+  static Counter* const calls = GetCounter("approx.lower_calls");
+  static Counter* const merged_states =
+      GetCounter("approx.lower_merged_states");
+  static Histogram* const latency = GetHistogram("approx.lower_ms");
+  calls->Increment();
+  ScopedTimer timer(latency);
+  ScopedSpan span("approx.lower");
+
+  StatusOr<DfaXsd> xsd = SubsetConstruction(input, IntersectionRule, budget);
+  if (!xsd.ok()) return xsd.status();
+  merged_states->Increment(xsd->automaton.num_states());
+  span.AddArg("xsd_states", xsd->automaton.num_states());
+  return xsd;
 }
 
 }  // namespace stap

@@ -1,15 +1,35 @@
-// Minimal upper XSD-approximation of an EDTD (paper, Construction 3.1 and
-// Theorem 3.2).
+// Single-type approximations of an EDTD by Construction 3.1's subset
+// construction (paper, Construction 3.1 and Theorem 3.2).
 //
-// Determinizes the type automaton by the subset construction and unions
-// the content models of the merged types; each union is determinized
-// (dense subset construction) and minimized, with nothing to configure,
-// so every merged content is canonical. The result is the unique
-// minimal single-type language containing L(edtd); it can be exponentially
-// larger (Theorem 3.2's family, gen/families.h).
+// Both approximations determinize the type automaton by the subset
+// construction, so every state of the result merges a set of same-labeled
+// types; they differ only in the content rule that gives a merged state
+// its content model:
+//
+//  * MinimalUpperApproximation — the union of the merged types' content
+//    images (ContentImageUnion), determinized (dense subset construction)
+//    and minimized, with nothing to configure, so every merged content is
+//    canonical. The result is the unique minimal single-type language
+//    containing L(edtd); it can be exponentially larger (Theorem 3.2's
+//    family, gen/families.h).
+//  * SubsetIntersectionLower — the intersection of the content images. A
+//    tree accepted by the result assigns, by induction on height, every
+//    type in a node's subset to that node's subtree — children words lie
+//    in every member's content image, and the occurring witnesses stay
+//    inside the child subsets — so the language is contained in L(edtd).
+//    It is exact on single-type inputs (all reachable subsets are
+//    singletons, so intersection and union coincide), but NOT the maximal
+//    single-type sublanguage in general: maximality is the paper's open
+//    Section 4 problem (Theorem 4.3's example has two incomparable maximal
+//    lower approximations, and this construction may undershoot both).
+//    What it gives `stap measure` is a sound, cheap baseline whose loss
+//    |L(S) \ L(lower)| the counting DPs can quantify.
 #ifndef STAP_APPROX_UPPER_H_
 #define STAP_APPROX_UPPER_H_
 
+#include <vector>
+
+#include "stap/automata/nfa.h"
 #include "stap/base/budget.h"
 #include "stap/base/status.h"
 #include "stap/schema/edtd.h"
@@ -29,6 +49,20 @@ StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& edtd, Budget* budget);
 
 // Unbudgeted form, kept for the pinned perfbench/src/approx_corpus.cc.
 DfaXsd MinimalUpperApproximation(const Edtd& edtd);
+
+// Returns a single-type lower approximation with L(result) ⊆ L(edtd), by
+// the intersection content rule above. The input is reduced internally.
+// For an input with empty language the result is the empty XSD (no start
+// symbols). The subset construction and the per-subset determinizations
+// and products charge the budget's state quota; a null budget is
+// unlimited.
+StatusOr<DfaXsd> SubsetIntersectionLower(const Edtd& edtd,
+                                         Budget* budget = nullptr);
+
+// The union rule: an NFA over Σ for the union of the μ-images of the
+// content models of `types` (sorted type ids of `edtd`). Empty `types`
+// give the empty language.
+Nfa ContentImageUnion(const Edtd& edtd, const std::vector<int>& types);
 
 }  // namespace stap
 

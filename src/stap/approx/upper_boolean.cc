@@ -450,7 +450,8 @@ StatusOr<DfaXsd> UpperIntersection(const Edtd& d1_in, const Edtd& d2_in,
       StateSetInsert(product.start_symbols, a);
     }
   }
-  // Prune unproductive states through the EDTD reduction round trip.
+  // MinimizeXsd reduces the product on the DfaXsd itself, pruning the
+  // unproductive pairs, then merges equivalent states.
   return MinimizeXsd(product, budget);
 }
 

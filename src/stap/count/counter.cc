@@ -69,10 +69,9 @@ CountValue CountContentWeighted(const Dfa& content,
   return total;
 }
 
-// A state of the per-label sibling-word DP shared by the EDTD and
-// intersection counters: one content-DFA state subset per type with the
-// current label, plus the XSD content state of the intersection counter
-// (0 for the EDTD counter).
+// A state of the per-XSD-state sibling-word DP of the intersection
+// counter: the XSD content state reached so far, plus one content-DFA
+// state subset per EDTD type with the current label.
 struct SiblingTuple {
   int prefix = 0;
   std::vector<StateSet> subsets;
@@ -145,6 +144,30 @@ StateSet TupleProfile(const std::vector<int>& taus,
   return profile;
 }
 
+// The XSD of all trees over `sigma`: one state per label, every label
+// allowed everywhere, content Σ*. Intersecting with it leaves an EDTD's
+// language unchanged, so CountEdtdByDepth is the intersection DP on it.
+DfaXsd AllTreesXsd(const Alphabet& sigma) {
+  const int k = sigma.size();
+  Dfa any_word(1, k);
+  any_word.SetFinal(0);
+  for (int a = 0; a < k; ++a) any_word.SetTransition(0, a, 0);
+
+  DfaXsd xsd;
+  xsd.sigma = sigma;
+  xsd.automaton = Dfa(k + 1, k);
+  xsd.automaton.SetInitial(0);
+  xsd.state_label.assign(k + 1, kNoSymbol);
+  xsd.content.assign(k + 1, any_word);
+  xsd.content[0] = Dfa::EmptyLanguage(k);  // unused for q_init
+  for (int a = 0; a < k; ++a) {
+    xsd.start_symbols.push_back(a);
+    xsd.state_label[a + 1] = a;
+    for (int q = 0; q <= k; ++q) xsd.automaton.SetTransition(q, a, a + 1);
+  }
+  return xsd;
+}
+
 SiblingTuple InitialTuple(int prefix,
                           const std::vector<const Dfa*>& contents) {
   SiblingTuple tuple{prefix, std::vector<StateSet>(contents.size())};
@@ -198,98 +221,8 @@ StatusOr<std::vector<CountValue>> CountXsdByDepth(const DfaXsd& xsd,
 StatusOr<std::vector<CountValue>> CountEdtdByDepth(const Edtd& edtd,
                                                    const CountBounds& bounds,
                                                    Budget* budget) {
-  STAP_RETURN_IF_ERROR(CheckBounds(bounds));
-  static Counter* const calls = GetCounter("count.edtd_calls");
-  static Counter* const profiles_counter = GetCounter("count.profiles");
-  static Histogram* const latency = GetHistogram("count.edtd_ms");
-  calls->Increment();
-  ScopedTimer timer(latency);
-  ScopedSpan span("count.edtd");
-
-  std::vector<std::vector<int>> types_of(edtd.num_symbols());
-  for (int tau = 0; tau < edtd.num_types(); ++tau) {
-    types_of[edtd.mu[tau]].push_back(tau);
-  }
-
-  // Profiles with counts for trees of depth <= d-1 (cumulative).
-  Interner<StateSet, IntVectorHash> prev_profiles;
-  std::vector<CountValue> prev_counts;
-  std::vector<CountValue> totals;
-  totals.reserve(bounds.max_depth);
-
-  for (int d = 1; d <= bounds.max_depth; ++d) {
-    STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
-    Interner<StateSet, IntVectorHash> next_profiles;
-    std::vector<CountValue> next_counts;
-    auto add_profile = [&](StateSet profile, const CountValue& cnt) -> Status {
-      auto [id, inserted] = next_profiles.Intern(std::move(profile));
-      if (inserted) {
-        STAP_RETURN_IF_ERROR(Budget::ChargeStates(budget));
-        profiles_counter->Increment();
-        next_counts.push_back(cnt);
-      } else {
-        next_counts[id] = CountValue::Add(next_counts[id], cnt);
-      }
-      return Status();
-    };
-
-    for (int a = 0; a < edtd.num_symbols(); ++a) {
-      const std::vector<int>& taus = types_of[a];
-      if (taus.empty()) continue;
-      std::vector<const Dfa*> contents;
-      contents.reserve(taus.size());
-      for (int tau : taus) contents.push_back(&edtd.content[tau]);
-
-      SiblingTuples tuples;
-      int init_id = 0;
-      STAP_RETURN_IF_ERROR(InternTuple(&tuples, InitialTuple(0, contents),
-                                       budget, &init_id));
-      std::unordered_map<int, CountValue> frontier;
-      frontier[init_id] = CountValue::One();
-
-      for (int len = 0; len <= bounds.max_width; ++len) {
-        for (const auto& [id, cnt] : frontier) {
-          StateSet profile = TupleProfile(taus, contents, tuples[id].subsets);
-          if (!profile.empty()) {
-            STAP_RETURN_IF_ERROR(add_profile(std::move(profile), cnt));
-          }
-        }
-        if (len == bounds.max_width || prev_profiles.size() == 0) break;
-        std::unordered_map<int, CountValue> next_frontier;
-        SiblingTuple successor;
-        for (const auto& [id, cnt] : frontier) {
-          // Stays valid while interning: the interner's storage is stable.
-          const std::vector<StateSet>& tuple = tuples[id].subsets;
-          for (int pi = 0; pi < prev_profiles.size(); ++pi) {
-            if (!AdvanceTuple(contents, tuple, prev_profiles[pi],
-                              &successor.subsets)) {
-              continue;
-            }
-            int sid = 0;
-            STAP_RETURN_IF_ERROR(
-                InternTuple(&tuples, std::move(successor), budget, &sid));
-            CountValue& slot = next_frontier[sid];
-            slot = CountValue::Add(slot,
-                                   CountValue::Mul(cnt, prev_counts[pi]));
-          }
-        }
-        if (next_frontier.empty()) break;
-        frontier = std::move(next_frontier);
-      }
-    }
-
-    CountValue total;
-    for (int pi = 0; pi < next_profiles.size(); ++pi) {
-      if (IntersectsSorted(next_profiles[pi], edtd.start_types)) {
-        total = CountValue::Add(total, next_counts[pi]);
-      }
-    }
-    totals.push_back(total);
-    prev_profiles = std::move(next_profiles);
-    prev_counts = std::move(next_counts);
-  }
-  span.AddArg("profiles", prev_profiles.size());
-  return totals;
+  return CountIntersectionByDepth(AllTreesXsd(edtd.sigma), edtd, bounds,
+                                  budget);
 }
 
 StatusOr<std::vector<CountValue>> CountIntersectionByDepth(

@@ -2,27 +2,27 @@
 //
 // All counters work on the bounded slice
 //   L_{d,w} = { t in L : depth(t) <= d, every node has <= w children }
-// and report the cumulative count for every depth 1..d. Three DPs share
+// and report the cumulative count for every depth 1..d. Two DPs share
 // the CountValue arithmetic (count/bignum.h):
 //
 //  * CountXsdByDepth — one-pass top-down validation of a DfaXsd assigns
 //    each node a unique state, so per-state subtree counts compose with
 //    no double counting.
-//  * CountEdtdByDepth — EDTDs are nondeterministic, so per-type counts
-//    would double-count trees assignable to several types. The DP instead
-//    counts per *profile*: the exact set of types assignable to a
-//    subtree. Profiles partition trees, and the sibling-word automaton
-//    that computes a node's profile from its children's profiles is the
-//    on-the-fly bottom-up determinization of the EDTD's binary
-//    (first-child/next-sibling) encoding restricted to one label — its
-//    states are tuples of content-DFA state sets, one per type of the
-//    label. Worst-case exponential in |∆| (the price of counting a
-//    nondeterministic language exactly), so every interned tuple and
-//    profile charges the Budget.
-//  * CountIntersectionByDepth — joint (XSD state × profile) DP counting
-//    |L(xsd) ∩ L(edtd)| without materializing a product automaton, which
-//    is what lets `stap measure` report |L(upper) \ L(S)| and
-//    |L(S) \ L(lower)| as count differences.
+//  * CountIntersectionByDepth — EDTDs are nondeterministic, so per-type
+//    counts would double-count trees assignable to several types. The DP
+//    instead counts per (XSD state, *profile*) pair, a profile being the
+//    exact set of EDTD types assignable to a subtree. Profiles partition
+//    trees, and the sibling-word automaton that computes a node's profile
+//    from its children's profiles is the on-the-fly bottom-up
+//    determinization of the EDTD's binary (first-child/next-sibling)
+//    encoding restricted to one label — its states are tuples of
+//    content-DFA state sets, one per type of the label, next to the XSD
+//    content state. Worst-case exponential in |∆| (the price of counting
+//    a nondeterministic language exactly), so every interned tuple and
+//    pair charges the Budget. Counting |L(xsd) ∩ L(edtd)| without a
+//    product automaton is what lets `stap measure` report
+//    |L(upper) \ L(S)| and |L(S) \ L(lower)| as count differences.
+//    CountEdtdByDepth is this DP with the XSD of all trees over Σ.
 //
 // BuildXsdSizeTables indexes by exact node count instead of depth; the
 // tables are what gen/random.h's SampleTreeUniform draws from.
@@ -50,8 +50,9 @@ StatusOr<std::vector<CountValue>> CountXsdByDepth(const DfaXsd& xsd,
                                                   const CountBounds& bounds,
                                                   Budget* budget);
 
-// Same bounded slice for an arbitrary (not necessarily single-type) EDTD,
-// via the profile DP described above. Exact: every tree is counted once.
+// Same bounded slice for an arbitrary (not necessarily single-type) EDTD:
+// the intersection DP below against the XSD of all trees over Σ. Exact:
+// every tree is counted once.
 StatusOr<std::vector<CountValue>> CountEdtdByDepth(const Edtd& edtd,
                                                    const CountBounds& bounds,
                                                    Budget* budget);

@@ -3,7 +3,6 @@
 #include <sstream>
 #include <utility>
 
-#include "stap/approx/lower.h"
 #include "stap/approx/upper.h"
 #include "stap/base/metrics.h"
 #include "stap/base/trace.h"

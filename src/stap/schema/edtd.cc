@@ -62,38 +62,11 @@ void TypesOfNode(const Edtd& edtd, int label,
 }  // namespace
 
 std::vector<int> Edtd::PossibleTypes(const Tree& subtree) const {
-  // Bottom-up over an explicit post-order stack: documents are bounded
-  // only by memory, so recursion over the tree is not an option. Each
-  // finished node leaves its type set on `done`, so a node's children's
-  // sets are the top children.size() entries when it finishes. A node
-  // with an untypable child is untypable itself, so the first empty set
-  // empties the whole answer. `done` grows but never shrinks, so its
-  // vectors keep their capacity from node to node.
-  struct Frame {
-    const Tree* node;
-    size_t next_child;
-  };
-  std::vector<Frame> stack = {Frame{&subtree, 0}};
-  std::vector<std::vector<int>> done;
-  size_t num_done = 0;
-  std::vector<int> types;
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    const std::vector<Tree>& children = frame.node->children;
-    if (frame.next_child < children.size()) {
-      stack.push_back(Frame{&children[frame.next_child++], 0});
-      continue;
-    }
-    const size_t first = num_done - children.size();
-    TypesOfNode(*this, frame.node->label,
-                std::span(done).subspan(first, children.size()), &types);
-    stack.pop_back();
-    if (types.empty()) return {};
-    if (first == done.size()) done.emplace_back();
-    done[first].swap(types);
-    num_done = first + 1;
-  }
-  return std::move(done[0]);
+  return PossibleTypesBottomUp(
+      subtree, [this](int label, std::span<const std::vector<int>> child_types,
+                      std::vector<int>* types) {
+        TypesOfNode(*this, label, child_types, types);
+      });
 }
 
 bool Edtd::Accepts(const Tree& tree) const {

@@ -12,7 +12,9 @@
 #define STAP_SCHEMA_EDTD_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stap/automata/alphabet.h"
@@ -66,6 +68,50 @@ struct Edtd {
 
   std::string ToString() const;
 };
+
+// The bottom-up walk behind Edtd::PossibleTypes and EdtdNfa::Accepts, with
+// the per-node type step as its parameter: `types_of_node(label,
+// child_types, &types)` writes to `types` the types a node labeled `label`
+// can take when its children can take `child_types` (a span of sorted
+// sets, in child order). Returns the root's set, or {} as soon as some
+// node has none (a node with an untypable child is untypable itself).
+//
+// Iterative over an explicit post-order stack: documents are bounded only
+// by memory, so recursion over the tree is not an option. Each finished
+// node leaves its type set on `done`, so a node's children's sets are the
+// top children.size() entries when it finishes. `done` grows but never
+// shrinks, so its vectors keep their capacity from node to node.
+template <typename TypesOfNode>
+std::vector<int> PossibleTypesBottomUp(const Tree& subtree,
+                                       TypesOfNode&& types_of_node) {
+  struct Frame {
+    const Tree* node;
+    size_t next_child;
+  };
+  std::vector<Frame> stack = {Frame{&subtree, 0}};
+  std::vector<std::vector<int>> done;
+  size_t num_done = 0;
+  std::vector<int> types;
+  while (!stack.empty()) {
+    Frame& frame = stack.back();
+    const std::vector<Tree>& children = frame.node->children;
+    if (frame.next_child < children.size()) {
+      stack.push_back(Frame{&children[frame.next_child++], 0});
+      continue;
+    }
+    const size_t first = num_done - children.size();
+    types_of_node(
+        frame.node->label,
+        std::span<const std::vector<int>>(done).subspan(first, children.size()),
+        &types);
+    stack.pop_back();
+    if (types.empty()) return {};
+    if (first == done.size()) done.emplace_back();
+    done[first].swap(types);
+    num_done = first + 1;
+  }
+  return std::move(done[0]);
+}
 
 }  // namespace stap
 

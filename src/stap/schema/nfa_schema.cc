@@ -1,5 +1,6 @@
 #include "stap/schema/nfa_schema.h"
 
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -58,16 +59,15 @@ Nfa TypeAutomatonNfa(const EdtdNfa& edtd) {
   return automaton;
 }
 
-std::vector<int> PossibleTypesNfa(const EdtdNfa& edtd, const Tree& subtree) {
-  std::vector<std::vector<int>> child_types;
-  child_types.reserve(subtree.children.size());
-  for (const Tree& child : subtree.children) {
-    child_types.push_back(PossibleTypesNfa(edtd, child));
-    if (child_types.back().empty()) return {};
-  }
-  std::vector<int> result;
+// The per-node step of PossibleTypesBottomUp (schema/edtd.h) for NFA
+// contents: the types τ with μ(τ) = `label` whose content accepts some
+// word w with w_i ∈ child_types[i].
+void TypesOfNodeNfa(const EdtdNfa& edtd, int label,
+                    std::span<const std::vector<int>> child_types,
+                    std::vector<int>* result) {
+  result->clear();
   for (int tau = 0; tau < edtd.num_types(); ++tau) {
-    if (edtd.mu[tau] != subtree.label) continue;
+    if (edtd.mu[tau] != label) continue;
     const Nfa& nfa = edtd.content[tau];
     StateSet states = nfa.initial();
     for (const std::vector<int>& options : child_types) {
@@ -82,12 +82,11 @@ std::vector<int> PossibleTypesNfa(const EdtdNfa& edtd, const Tree& subtree) {
     }
     for (int q : states) {
       if (nfa.IsFinal(q)) {
-        result.push_back(tau);
+        result->push_back(tau);
         break;
       }
     }
   }
-  return result;
 }
 
 }  // namespace
@@ -112,7 +111,12 @@ int64_t EdtdNfa::Size() const {
 
 bool EdtdNfa::Accepts(const Tree& tree) const {
   if (tree.label < 0 || tree.label >= sigma.size()) return false;
-  for (int tau : PossibleTypesNfa(*this, tree)) {
+  const std::vector<int> root_types = PossibleTypesBottomUp(
+      tree, [this](int label, std::span<const std::vector<int>> child_types,
+                   std::vector<int>* types) {
+        TypesOfNodeNfa(*this, label, child_types, types);
+      });
+  for (int tau : root_types) {
     if (StateSetContains(start_types, tau)) return true;
   }
   return false;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "oracles/count_binary.h"
+#include "stap/approx/upper.h"
 #include "stap/base/budget.h"
 #include "stap/count/counter.h"
 #include "stap/gen/random.h"
@@ -207,6 +208,14 @@ TEST(CountOracleTest, ExhaustedBudgetSurfacesAsResourceExhausted) {
   counts = CountEdtdByDepthViaBinary(edtd, bounds, &binary_budget);
   EXPECT_FALSE(counts.ok());
   EXPECT_EQ(counts.status().code(), StatusCode::kResourceExhausted);
+
+  // The lower approximation `stap measure` counts charges the same quota
+  // through Construction 3.1's subset construction.
+  Budget lower_budget;
+  lower_budget.set_max_states(1);
+  StatusOr<DfaXsd> lower = SubsetIntersectionLower(edtd, &lower_budget);
+  EXPECT_FALSE(lower.ok());
+  EXPECT_EQ(lower.status().code(), StatusCode::kResourceExhausted);
 }
 
 // Many threads drive independent counts through one shared Budget — the

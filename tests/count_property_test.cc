@@ -15,13 +15,13 @@
 #include <random>
 #include <vector>
 
-#include "stap/approx/lower.h"
 #include "stap/approx/upper.h"
 #include "stap/approx/upper_boolean.h"
 #include "stap/count/counter.h"
 #include "stap/count/measure.h"
 #include "stap/gen/families.h"
 #include "stap/gen/random.h"
+#include "stap/schema/minimize.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
 #include "stap/tree/enumerate.h"
@@ -159,7 +159,8 @@ TEST(CountPropertyTest, SandwichOnRandomEdtds) {
 }
 
 // On a single-type input both approximations are the identity up to
-// state renaming, so gained and lost must vanish at every depth.
+// state renaming, so gained and lost must vanish at every depth and the
+// two XSDs must minimize to the same one.
 TEST(CountPropertyTest, ApproximationsExactOnSingleTypeSchemas) {
   for (int i = 0; i < 30; ++i) {
     std::mt19937 rng(MixSeed(0xE1AC7 + i));
@@ -183,6 +184,13 @@ TEST(CountPropertyTest, ApproximationsExactOnSingleTypeSchemas) {
           << "schema " << i << ": lower lost "
           << result->lost[d].ToString() << " trees at depth " << (d + 1);
     }
+    // Every reachable subset is a singleton, so the intersection and
+    // union content rules give the same language.
+    StatusOr<DfaXsd> lower = SubsetIntersectionLower(st, nullptr);
+    StatusOr<DfaXsd> upper = MinimalUpperApproximation(st, nullptr);
+    ASSERT_TRUE(lower.ok() && upper.ok()) << "schema " << i;
+    EXPECT_TRUE(XsdStructurallyEqual(MinimizeXsd(*lower), MinimizeXsd(*upper)))
+        << "schema " << i;
     if (HasFailure()) {
       ADD_FAILURE() << "failing schema " << i << ":\n" << st.ToString();
       return;

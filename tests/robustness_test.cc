@@ -136,9 +136,10 @@ TEST(DeepDocumentTest, ParsesDepth150kXmlWithoutStackOverflow) {
 }
 
 // Non-single-type validation types the tree bottom-up
-// (Edtd::PossibleTypes), and that walk must be iterative too: ParseXml
-// accepts any depth, so one deep document would otherwise take down the
-// process — under `stap serve`, the whole daemon.
+// (Edtd::PossibleTypes, and EdtdNfa::Accepts through the same walk), and
+// that walk must be iterative too: ParseXml accepts any depth, so one deep
+// document would otherwise take down the process — under `stap serve`, the
+// whole daemon.
 TEST(DeepDocumentTest, NonSingleTypeSchemaValidatesDepth150k) {
   // Two <a> types that differ only in which <b> ends the chain, so the
   // type set of every <a> on the path stays {A1, A2} until the leaf.
@@ -152,6 +153,7 @@ TEST(DeepDocumentTest, NonSingleTypeSchemaValidatesDepth150k) {
   StatusOr<CompiledSchema> schema = CompileSchema(kSchema, nullptr);
   ASSERT_TRUE(schema.ok()) << schema.status();
   ASSERT_FALSE(schema->single_type);
+  const EdtdNfa nfa_schema = EdtdNfa::FromEdtd(schema->edtd);
 
   constexpr int kDepth = 150000;
   auto chain = [&](const std::string& leaf) {
@@ -170,6 +172,7 @@ TEST(DeepDocumentTest, NonSingleTypeSchemaValidatesDepth150k) {
     StatusOr<Tree> tree = ParseXml(xml, &alphabet);
     ASSERT_TRUE(tree.ok());
     EXPECT_TRUE(schema->edtd.Accepts(*tree));
+    EXPECT_TRUE(nfa_schema.Accepts(*tree));
   }
 
   const std::string invalid = chain("<c/>");
@@ -180,6 +183,7 @@ TEST(DeepDocumentTest, NonSingleTypeSchemaValidatesDepth150k) {
   StatusOr<Tree> tree = ParseXml(invalid, &alphabet);
   ASSERT_TRUE(tree.ok());
   EXPECT_FALSE(schema->edtd.Accepts(*tree));
+  EXPECT_FALSE(nfa_schema.Accepts(*tree));
 }
 
 TEST(DotTest, RendersDfaAndNfa) {
