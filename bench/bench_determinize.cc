@@ -1,9 +1,11 @@
-// Experiment E21: schema-guided determinization (automata/determinize.h)
-// A/B'd against the dense subset construction on the paper's families.
-// The headline number is not wall time but `dfa_states` — the
-// determinize.states_created metrics counter delta per construction —
-// since the point of the joint (context × subset) worklist is to never
-// materialize subsets the ambient schema kills. Cases:
+// Experiment E21: schema-guided determinization
+// (oracles/determinize_schema.h) A/B'd against the dense subset
+// construction (automata/determinize.h) on the paper's families. The
+// headline number is not wall time but `dfa_states` — per dense
+// construction the determinize.states_created metrics counter delta,
+// per guided one SchemaDeterminizeStats::pair_states — since the point
+// of the joint (context × subset) worklist is to never materialize
+// subsets the ambient schema kills. Cases:
 //   * Theorem 3.2's (a+b)*a(a+b)^n type automaton, dense (2^n states)
 //     vs guided by BoundedLetterContext (O(n·k) pairs): the >= 2x case.
 //   * The same family under self-context (context = the NFA itself, an
@@ -16,6 +18,7 @@
 
 #include <random>
 
+#include "oracles/determinize_schema.h"
 #include "oracles/inclusion.h"
 #include "stap/automata/determinize.h"
 #include "stap/automata/inclusion.h"
@@ -54,22 +57,15 @@ void BM_GuidedTheorem32(benchmark::State& state) {
   // Ambient schema: documents with at most k = 3 occurrences of `b`.
   Nfa context = BoundedLetterContext(/*symbol=*/1, /*max_count=*/3,
                                      ta.nfa.num_symbols());
-  const int64_t before = StatesCreated();
-  int64_t iters = 0;
-  int64_t pruned = 0;
+  SchemaDeterminizeStats stats;
   for (auto _ : state) {
-    SchemaDeterminizeStats stats;
     StatusOr<Dfa> dfa = DeterminizeUnderSchema(
         ta.nfa, context, nullptr, nullptr, nullptr, &stats);
     benchmark::DoNotOptimize(dfa);
-    pruned = stats.pruned_states;
-    ++iters;
   }
   state.counters["n"] = static_cast<double>(state.range(0));
-  state.counters["dfa_states"] =
-      static_cast<double>(StatesCreated() - before) /
-      static_cast<double>(iters);
-  state.counters["pruned_subsets"] = static_cast<double>(pruned);
+  state.counters["dfa_states"] = static_cast<double>(stats.pair_states);
+  state.counters["pruned_subsets"] = static_cast<double>(stats.pruned_states);
 }
 
 // Same family under self-context: L(context) = L(nfa) is a superset of
@@ -80,22 +76,15 @@ void BM_GuidedTheorem32SupersetContext(benchmark::State& state) {
   TypeAutomaton ta = BuildTypeAutomaton(Theorem32Family(
       static_cast<int>(state.range(0))));
   const Nfa& context = ta.nfa;
-  const int64_t before = StatesCreated();
-  int64_t iters = 0;
-  int64_t pruned = 0;
+  SchemaDeterminizeStats stats;
   for (auto _ : state) {
-    SchemaDeterminizeStats stats;
     StatusOr<Dfa> dfa = DeterminizeUnderSchema(
         ta.nfa, context, nullptr, nullptr, nullptr, &stats);
     benchmark::DoNotOptimize(dfa);
-    pruned = stats.pruned_states;
-    ++iters;
   }
   state.counters["n"] = static_cast<double>(state.range(0));
-  state.counters["dfa_states"] =
-      static_cast<double>(StatesCreated() - before) /
-      static_cast<double>(iters);
-  state.counters["pruned_subsets"] = static_cast<double>(pruned);
+  state.counters["dfa_states"] = static_cast<double>(stats.pair_states);
+  state.counters["pruned_subsets"] = static_cast<double>(stats.pruned_states);
 }
 
 Nfa RandomEdtdTypeNfa(int num_types) {
@@ -127,22 +116,15 @@ void BM_GuidedRandomEdtd(benchmark::State& state) {
   Nfa nfa = RandomEdtdTypeNfa(static_cast<int>(state.range(0)));
   Nfa context = BoundedLetterContext(/*symbol=*/0, /*max_count=*/2,
                                      nfa.num_symbols());
-  const int64_t before = StatesCreated();
-  int64_t iters = 0;
-  int64_t pruned = 0;
+  SchemaDeterminizeStats stats;
   for (auto _ : state) {
-    SchemaDeterminizeStats stats;
     StatusOr<Dfa> dfa = DeterminizeUnderSchema(
         nfa, context, nullptr, nullptr, nullptr, &stats);
     benchmark::DoNotOptimize(dfa);
-    pruned = stats.pruned_states;
-    ++iters;
   }
   state.counters["types"] = static_cast<double>(state.range(0));
-  state.counters["dfa_states"] =
-      static_cast<double>(StatesCreated() - before) /
-      static_cast<double>(iters);
-  state.counters["pruned_subsets"] = static_cast<double>(pruned);
+  state.counters["dfa_states"] = static_cast<double>(stats.pair_states);
+  state.counters["pruned_subsets"] = static_cast<double>(stats.pruned_states);
 }
 
 std::pair<Nfa, Nfa> InclusionInstance(int num_states) {

@@ -5,7 +5,7 @@
 // with the construction's own output as the (positive) candidate.
 #include <benchmark/benchmark.h>
 
-#include "stap/approx/minimal_upper_check.h"
+#include "oracles/minimal_upper_check.h"
 #include "stap/approx/upper.h"
 #include "stap/approx/upper_boolean.h"
 #include "stap/gen/families.h"

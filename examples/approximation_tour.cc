@@ -10,7 +10,6 @@
 #include "stap/approx/nv.h"
 #include "stap/approx/upper.h"
 #include "stap/approx/upper_boolean.h"
-#include "stap/automata/dot.h"
 #include "stap/schema/builder.h"
 #include "stap/count/counter.h"
 #include "stap/schema/minimize.h"
@@ -62,8 +61,8 @@ int main() {
   Edtd union_edtd = EdtdUnion(a1, a2);
   TypeAutomaton automaton = BuildTypeAutomaton(union_edtd);
   std::cout << "Nondeterministic (two leaf types per path), "
-            << automaton.nfa.num_states() << " states. DOT:\n"
-            << NfaToDot(automaton.nfa, &s) << "\n";
+            << automaton.nfa.num_states() << " states:\n"
+            << automaton.nfa.ToString() << "\n";
 
   std::cout << "== 4. Minimal upper approximation ===============\n";
   DfaXsd upper = MinimizeXsd(MinimalUpperApproximation(union_edtd));

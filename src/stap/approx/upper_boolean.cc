@@ -152,82 +152,21 @@ StatusOr<Edtd> EdtdIntersection(const Edtd& a_in, const Edtd& b_in,
 StatusOr<Edtd> ComplementEdtd(const DfaXsd& xsd, ThreadPool* pool,
                               Budget* budget) {
   ScopedSpan span("boolean.complement");
-  xsd.CheckWellFormed();
+  // The schema of all trees over Σ: one type per symbol, content Σ*,
+  // every type a start type.
   const int num_symbols = xsd.sigma.size();
-  const int num_states = xsd.automaton.num_states();
-  const int num_path = num_states - 1;          // path type of state q: q-1
-  const int n = num_path + num_symbols;         // any-type of symbol a:
-  span.AddArg("path_types", num_path);
-  span.AddArg("types", n);
-  auto any_type = [&](int a) { return num_path + a; };
-
-  Edtd result;
-  result.sigma = xsd.sigma;
-  for (int q = 1; q < num_states; ++q) {
-    result.types.Intern("p" + std::to_string(q) + "." +
-                        xsd.sigma.Name(xsd.state_label[q]));
-    result.mu.push_back(xsd.state_label[q]);
-  }
+  Dfa anything(1, num_symbols);
+  anything.SetFinal(0);
+  Edtd all;
+  all.sigma = xsd.sigma;
+  all.types = xsd.sigma;
   for (int a = 0; a < num_symbols; ++a) {
-    result.types.Intern("any." + xsd.sigma.Name(a));
-    result.mu.push_back(a);
+    anything.SetTransition(0, a, 0);
+    all.mu.push_back(a);
+    all.start_types.push_back(a);
   }
-  STAP_CHECK(result.types.size() == n);
-
-  // Start types: guess an error below a valid root, or reject the root
-  // label outright.
-  for (int a = 0; a < num_symbols; ++a) {
-    int q = xsd.automaton.Next(xsd.automaton.initial(), a);
-    if (StateSetContains(xsd.start_symbols, a) && q != kNoState) {
-      StateSetInsert(result.start_types, q - 1);
-    } else {
-      StateSetInsert(result.start_types, any_type(a));
-    }
-  }
-
-  // Map Δc -> Σ that forbids path types (used to build rule L1 below).
-  std::vector<int> any_only(n, kNoSymbol);
-  for (int a = 0; a < num_symbols; ++a) any_only[any_type(a)] = a;
-
-  result.content.resize(n, Dfa());
-  // One independent content build per path type (disjoint slots), swept in
-  // parallel when a pool is supplied.
-  SharedStatus shared;
-  ThreadPool::ParallelFor(pool, num_path, [&](int i) {
-    if (!shared.ok()) return;
-    const int q = i + 1;
-    // L1: child strings whose Σ-projection violates f(q); all children get
-    // "anything" types.
-    Dfa l1 = InverseHomomorphism(DfaComplement(xsd.content[q]), any_only, n);
-    // L2: any-typed siblings around exactly one path-typed child that
-    // continues the guessed route.
-    Nfa l2(2, n);
-    l2.AddInitial(0);
-    l2.SetFinal(1);
-    for (int a = 0; a < num_symbols; ++a) {
-      l2.AddTransition(0, any_type(a), 0);
-      l2.AddTransition(1, any_type(a), 1);
-      int next = xsd.automaton.Next(q, a);
-      if (next != kNoState) l2.AddTransition(0, next - 1, 1);
-    }
-    StatusOr<Dfa> content = MinimizeNfa(NfaUnion(l1.ToNfa(), l2), budget);
-    if (!content.ok()) {
-      shared.Update(content.status());
-      return;
-    }
-    result.content[q - 1] = *std::move(content);
-  });
-  STAP_RETURN_IF_ERROR(shared.ToStatus());
-  // Any-types accept any child string of any-types.
-  Dfa all_any(1, n);
-  all_any.SetFinal(0);
-  for (int a = 0; a < num_symbols; ++a) {
-    all_any.SetTransition(0, any_type(a), 0);
-  }
-  for (int a = 0; a < num_symbols; ++a) result.content[any_type(a)] = all_any;
-
-  result.CheckWellFormed();
-  return result;
+  all.content.assign(num_symbols, anything);
+  return DifferenceEdtd(all, xsd, pool, budget);
 }
 
 StatusOr<Edtd> DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
@@ -295,7 +234,6 @@ StatusOr<Edtd> DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
     if (!shared.ok()) return;
     auto [tau, q] = pairs[p];
     const Dfa& c1 = d1.content[tau];
-    const Dfa f2 = xsd2.content[q].Completed();
 
     // L1 = { w ∈ d1(τ) : μ1(w) ∉ f2(q) }, all children typed by D1 only.
     StatusOr<Dfa> violating = DfaProduct(
@@ -307,43 +245,37 @@ StatusOr<Edtd> DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
     }
     Dfa l1 = RemapSymbols(*violating, keep, n);
 
-    // L2: product of c1 and f2 with a one-shot switch onto a pair type.
-    // States (s1, s2, mode) flattened.
+    // L2: c1 with a one-shot switch of one child onto a pair type. States
+    // (s1, mode) flattened. L2 does not track f2(q): a string that
+    // violates it puts the tree in the difference already, through L1
+    // with every child typed by D1 (a pair type only ever accepts trees
+    // its D1 type accepts), so the language is the same without the
+    // product.
     if (c1.num_states() > 0) {
       const int s1n = c1.num_states();
-      const int s2n = f2.num_states();
-      // Charged up front: the product is allocated and determinized
-      // before any kernel would charge it.
-      Status charged = Budget::ChargeStates(budget, int64_t{2} * s1n * s2n);
+      // Charged up front: the NFA is allocated and determinized before
+      // any kernel would charge it.
+      Status charged = Budget::ChargeStates(budget, int64_t{2} * s1n);
       if (!charged.ok()) {
         shared.Update(charged);
         return;
       }
-      auto state_id = [&](int s1, int s2, int mode) {
-        return (mode * s2n + s2) * s1n + s1;
-      };
-      Nfa l2(s1n * s2n * 2, n);
-      l2.AddInitial(state_id(c1.initial(), f2.initial(), 0));
+      Nfa l2(2 * s1n, n);
+      l2.AddInitial(c1.initial());
       for (int s1 = 0; s1 < s1n; ++s1) {
-        for (int s2 = 0; s2 < s2n; ++s2) {
-          if (c1.IsFinal(s1) && f2.IsFinal(s2)) {
-            l2.SetFinal(state_id(s1, s2, 1));
-          }
-          for (int t = 0; t < n1; ++t) {
-            int r1 = c1.Next(s1, t);
-            if (r1 == kNoState) continue;
-            int r2 = f2.Next(s2, d1.mu[t]);
-            // Keep D1 typing on both modes.
-            l2.AddTransition(state_id(s1, s2, 0), t, state_id(r1, r2, 0));
-            l2.AddTransition(state_id(s1, s2, 1), t, state_id(r1, r2, 1));
-            // Or switch: child continues the guessed route in D2.
-            int q2_next = xsd2.automaton.Next(q, d1.mu[t]);
-            if (q2_next != kNoState) {
-              auto it = pair_id.find(PackPair(t, q2_next));
-              if (it != pair_id.end()) {
-                l2.AddTransition(state_id(s1, s2, 0), it->second,
-                                 state_id(r1, r2, 1));
-              }
+        if (c1.IsFinal(s1)) l2.SetFinal(s1n + s1);
+        for (int t = 0; t < n1; ++t) {
+          int r1 = c1.Next(s1, t);
+          if (r1 == kNoState) continue;
+          // Keep D1 typing on both modes.
+          l2.AddTransition(s1, t, r1);
+          l2.AddTransition(s1n + s1, t, s1n + r1);
+          // Or switch: child continues the guessed route in D2.
+          int q2_next = xsd2.automaton.Next(q, d1.mu[t]);
+          if (q2_next != kNoState) {
+            auto it = pair_id.find(PackPair(t, q2_next));
+            if (it != pair_id.end()) {
+              l2.AddTransition(s1, it->second, s1n + r1);
             }
           }
         }

@@ -6,11 +6,11 @@
 //    only reaches pair-sized subsets.
 //  * Intersection (Theorem 3.8): single-type languages are closed under
 //    intersection, so the "approximation" is exact.
-//  * Complement (Theorem 3.9): an EDTD D_c for the complement that guesses
-//    the path to a violation, whose determinized type automaton stays
-//    polynomial (subsets have at most two elements).
-//  * Difference (Theorem 3.10): same idea, run D1 in parallel with the
-//    violation guess against D2.
+//  * Difference (Theorem 3.10): an EDTD D_c that runs D1 in parallel
+//    with a guess of the path to a violation against D2, whose
+//    determinized type automaton stays polynomial.
+//  * Complement (Theorem 3.9): the difference from the schema of all
+//    trees over Σ.
 //
 // All inputs are single-type EDTDs (checked); schemas over different
 // alphabets are aligned by symbol names first.
@@ -56,12 +56,15 @@ StatusOr<Edtd> EdtdIntersection(const Edtd& a, const Edtd& b,
                                 Budget* budget = nullptr);
 
 // An EDTD for the complement of the single-type `xsd` (Theorem 3.9's D_c):
-// one "path" type per XSD state guessing the route to a violation, plus
-// one "anything" type per symbol.
+// DifferenceEdtd(all, xsd), where `all` has one type per symbol with
+// content Σ* and every type a start type.
 StatusOr<Edtd> ComplementEdtd(const DfaXsd& xsd, ThreadPool* pool = nullptr,
                               Budget* budget = nullptr);
 
-// An EDTD for L(d1) \ L(xsd2), d1 single-type (Theorem 3.10's D_c).
+// An EDTD for L(d1) \ L(xsd2), d1 single-type (Theorem 3.10's D_c): the
+// types of d1, plus one pair type (τ, q) per d1 type and xsd2 state with
+// the same label, which guesses that the route to a violation of xsd2
+// runs through it.
 StatusOr<Edtd> DifferenceEdtd(const Edtd& d1, const DfaXsd& xsd2,
                               ThreadPool* pool = nullptr,
                               Budget* budget = nullptr);

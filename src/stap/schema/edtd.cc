@@ -8,17 +8,6 @@
 
 namespace stap {
 
-Edtd Edtd::FromDtd(const Dtd& dtd) {
-  Edtd edtd;
-  edtd.sigma = dtd.sigma;
-  edtd.types = dtd.sigma;  // one type per symbol, same names
-  edtd.mu.resize(dtd.num_symbols());
-  for (int a = 0; a < dtd.num_symbols(); ++a) edtd.mu[a] = a;
-  edtd.start_types = dtd.start_symbols;
-  edtd.content = dtd.content;  // type ids coincide with symbol ids
-  return edtd;
-}
-
 int64_t Edtd::Size() const {
   int64_t total = sigma.size() + num_types() +
                   static_cast<int64_t>(start_types.size());
@@ -61,12 +50,41 @@ void TypesOfNode(const Edtd& edtd, int label,
 
 }  // namespace
 
+// Iterative over an explicit post-order stack: documents are bounded only
+// by memory, so recursion over the tree is not an option. Each finished
+// node leaves its type set on `done`, so a node's children's sets are the
+// top children.size() entries when it finishes. `done` grows but never
+// shrinks, so its vectors keep their capacity from node to node. Returns
+// {} as soon as some node has no type (a node with an untypable child is
+// untypable itself).
 std::vector<int> Edtd::PossibleTypes(const Tree& subtree) const {
-  return PossibleTypesBottomUp(
-      subtree, [this](int label, std::span<const std::vector<int>> child_types,
-                      std::vector<int>* types) {
-        TypesOfNode(*this, label, child_types, types);
-      });
+  struct Frame {
+    const Tree* node;
+    size_t next_child;
+  };
+  std::vector<Frame> stack = {Frame{&subtree, 0}};
+  std::vector<std::vector<int>> done;
+  size_t num_done = 0;
+  std::vector<int> types;
+  while (!stack.empty()) {
+    Frame& frame = stack.back();
+    const std::vector<Tree>& children = frame.node->children;
+    if (frame.next_child < children.size()) {
+      stack.push_back(Frame{&children[frame.next_child++], 0});
+      continue;
+    }
+    const size_t first = num_done - children.size();
+    TypesOfNode(
+        *this, frame.node->label,
+        std::span<const std::vector<int>>(done).subspan(first, children.size()),
+        &types);
+    stack.pop_back();
+    if (types.empty()) return {};
+    if (first == done.size()) done.emplace_back();
+    done[first].swap(types);
+    num_done = first + 1;
+  }
+  return std::move(done[0]);
 }
 
 bool Edtd::Accepts(const Tree& tree) const {

@@ -12,7 +12,6 @@
 #define STAP_SCHEMA_EDTD_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "stap/automata/alphabet.h"
 #include "stap/automata/dfa.h"
 #include "stap/regex/ast.h"
-#include "stap/schema/dtd.h"
 #include "stap/tree/tree.h"
 
 namespace stap {
@@ -40,9 +38,6 @@ struct Edtd {
   // maintain the invariant null the entry; consumers (export, printing)
   // must treat it as a hint, never as the ground truth.
   std::vector<RegexPtr> content_source;
-
-  // Views a DTD as the EDTD with one type per symbol.
-  static Edtd FromDtd(const Dtd& dtd);
 
   int num_types() const { return static_cast<int>(mu.size()); }
   int num_symbols() const { return sigma.size(); }
@@ -68,50 +63,6 @@ struct Edtd {
 
   std::string ToString() const;
 };
-
-// The bottom-up walk behind Edtd::PossibleTypes and EdtdNfa::Accepts, with
-// the per-node type step as its parameter: `types_of_node(label,
-// child_types, &types)` writes to `types` the types a node labeled `label`
-// can take when its children can take `child_types` (a span of sorted
-// sets, in child order). Returns the root's set, or {} as soon as some
-// node has none (a node with an untypable child is untypable itself).
-//
-// Iterative over an explicit post-order stack: documents are bounded only
-// by memory, so recursion over the tree is not an option. Each finished
-// node leaves its type set on `done`, so a node's children's sets are the
-// top children.size() entries when it finishes. `done` grows but never
-// shrinks, so its vectors keep their capacity from node to node.
-template <typename TypesOfNode>
-std::vector<int> PossibleTypesBottomUp(const Tree& subtree,
-                                       TypesOfNode&& types_of_node) {
-  struct Frame {
-    const Tree* node;
-    size_t next_child;
-  };
-  std::vector<Frame> stack = {Frame{&subtree, 0}};
-  std::vector<std::vector<int>> done;
-  size_t num_done = 0;
-  std::vector<int> types;
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    const std::vector<Tree>& children = frame.node->children;
-    if (frame.next_child < children.size()) {
-      stack.push_back(Frame{&children[frame.next_child++], 0});
-      continue;
-    }
-    const size_t first = num_done - children.size();
-    types_of_node(
-        frame.node->label,
-        std::span<const std::vector<int>>(done).subspan(first, children.size()),
-        &types);
-    stack.pop_back();
-    if (types.empty()) return {};
-    if (first == done.size()) done.emplace_back();
-    done[first].swap(types);
-    num_done = first + 1;
-  }
-  return std::move(done[0]);
-}
 
 }  // namespace stap
 

@@ -15,6 +15,17 @@
 
 namespace stap {
 
+namespace {
+
+// The raw declarations of a schema file, before content compilation.
+struct SchemaDeclarations {
+  Alphabet sigma;
+  Alphabet types;
+  std::vector<int> mu;
+  std::vector<std::string> content_sources;  // regex text per type
+  std::vector<int> start_types;              // sorted
+};
+
 StatusOr<SchemaDeclarations> ParseSchemaDeclarations(std::string_view input) {
   SchemaDeclarations decls;
   std::vector<std::string> start_names;
@@ -71,6 +82,8 @@ StatusOr<SchemaDeclarations> ParseSchemaDeclarations(std::string_view input) {
   }
   return decls;
 }
+
+}  // namespace
 
 StatusOr<Edtd> ParseSchema(std::string_view input, CompileCache* cache,
                            Budget* budget) {

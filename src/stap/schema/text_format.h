@@ -45,19 +45,6 @@ StatusOr<Edtd> ParseSchema(std::string_view input,
                            CompileCache* cache = nullptr,
                            Budget* budget = nullptr);
 
-// The raw declarations of a schema file, before content compilation —
-// shared by the DFA-content (ParseSchema) and NFA-content
-// (ParseSchemaNfa) pipelines.
-struct SchemaDeclarations {
-  Alphabet sigma;
-  Alphabet types;
-  std::vector<int> mu;
-  std::vector<std::string> content_sources;  // regex text per type
-  std::vector<int> start_types;              // sorted
-};
-
-StatusOr<SchemaDeclarations> ParseSchemaDeclarations(std::string_view input);
-
 // Renders an EDTD back into the textual format; content DFAs are converted
 // to regular expressions by state elimination.
 std::string SchemaToText(const Edtd& edtd);

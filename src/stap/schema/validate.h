@@ -1,7 +1,7 @@
 // Validation with diagnostics.
 //
-// Plain membership tests live on the schema types (Dtd::Accepts,
-// Edtd::Accepts, DfaXsd::Accepts); this header adds diagnostic validation
+// Plain membership tests live on the schema types (Edtd::Accepts,
+// DfaXsd::Accepts); this header adds diagnostic validation
 // that reports *where* a document violates an XSD, which the CLI, batch
 // validation and the examples print. It runs the same kernel as
 // DfaXsd::Accepts (StreamingValidator, schema/streaming.h) and only

@@ -1,110 +1,16 @@
-// Tests for the Section 5 machinery: EDTD(NFA) schemas, Lemma 5.1's
-// inclusion test, and the BKW one-unambiguous-language decision.
+// Tests for the Section 5 content-model machinery: NFA inclusion and the
+// BKW one-unambiguous-language decision.
 #include <gtest/gtest.h>
 
 #include <random>
 
-#include "stap/approx/inclusion.h"
 #include "stap/automata/inclusion.h"
-#include "stap/gen/random.h"
 #include "stap/regex/bkw.h"
 #include "stap/regex/glushkov.h"
 #include "stap/regex/parser.h"
-#include "stap/schema/nfa_schema.h"
-#include "stap/schema/reduce.h"
-#include "stap/schema/text_format.h"
-#include "stap/tree/enumerate.h"
 
 namespace stap {
 namespace {
-
-constexpr const char* kNfaFriendly = R"(
-start Root
-type Root : r -> (A | B)* A
-type A    : a -> %
-type B    : b -> %
-)";
-
-TEST(NfaSchemaTest, ParseAndAccept) {
-  StatusOr<EdtdNfa> schema = ParseSchemaNfa(kNfaFriendly);
-  ASSERT_TRUE(schema.ok()) << schema.status();
-  int r = schema->sigma.Find("r"), a = schema->sigma.Find("a"),
-      b = schema->sigma.Find("b");
-  EXPECT_TRUE(schema->Accepts(Tree(r, {Tree(a)})));
-  EXPECT_TRUE(schema->Accepts(Tree(r, {Tree(b), Tree(a), Tree(a)})));
-  EXPECT_FALSE(schema->Accepts(Tree(r, {Tree(a), Tree(b)})));
-  EXPECT_FALSE(schema->Accepts(Tree(r)));
-  EXPECT_FALSE(schema->Accepts(Tree(a)));
-}
-
-TEST(NfaSchemaTest, DeterminizedAgrees) {
-  StatusOr<EdtdNfa> schema = ParseSchemaNfa(kNfaFriendly);
-  ASSERT_TRUE(schema.ok());
-  Edtd determinized = schema->Determinized();
-  for (const Tree& tree : EnumerateTrees({2, 3, 3})) {
-    EXPECT_EQ(schema->Accepts(tree), determinized.Accepts(tree))
-        << tree.ToString(schema->sigma);
-  }
-}
-
-TEST(NfaSchemaTest, AgreesWithDfaParseSemantics) {
-  StatusOr<EdtdNfa> nfa_schema = ParseSchemaNfa(kNfaFriendly);
-  StatusOr<Edtd> dfa_schema = ParseSchema(kNfaFriendly);
-  ASSERT_TRUE(nfa_schema.ok());
-  ASSERT_TRUE(dfa_schema.ok());
-  for (const Tree& tree : EnumerateTrees({2, 3, 3})) {
-    EXPECT_EQ(nfa_schema->Accepts(tree), dfa_schema->Accepts(tree));
-  }
-}
-
-TEST(NfaSchemaTest, SingleTypeTestMatchesDfaVariant) {
-  StatusOr<EdtdNfa> st = ParseSchemaNfa(kNfaFriendly);
-  ASSERT_TRUE(st.ok());
-  EXPECT_TRUE(IsSingleTypeNfa(*st));
-  StatusOr<EdtdNfa> not_st = ParseSchemaNfa(
-      "start Root\n"
-      "type Root : r -> A1 | A2\n"
-      "type A1 : a -> %\n"
-      "type A2 : a -> A1?\n");
-  ASSERT_TRUE(not_st.ok());
-  EXPECT_FALSE(IsSingleTypeNfa(*not_st));
-}
-
-TEST(NfaSchemaTest, Lemma51InclusionAgreesWithLemma33) {
-  // Same instances through both pipelines: NFA contents (Lemma 5.1) and
-  // determinized contents (Lemma 3.3).
-  const char* sub = R"(
-start Root
-type Root : r -> A A
-type A    : a -> %
-)";
-  const char* super = R"(
-start Root
-type Root : r -> (A | B)* A | %
-type A    : a -> %
-type B    : b -> %
-)";
-  StatusOr<EdtdNfa> small_nfa = ParseSchemaNfa(sub);
-  StatusOr<EdtdNfa> big_nfa = ParseSchemaNfa(super);
-  ASSERT_TRUE(small_nfa.ok());
-  ASSERT_TRUE(big_nfa.ok());
-  // Align by construction: parse the small schema against the super
-  // schema's alphabet order instead.
-  const char* sub_aligned = R"(
-start Root
-type Root : r -> A A
-type A    : a -> %
-type B    : b -> ~
-)";
-  StatusOr<EdtdNfa> small2 = ParseSchemaNfa(sub_aligned);
-  ASSERT_TRUE(small2.ok());
-  ASSERT_TRUE(small2->sigma == big_nfa->sigma);
-  EXPECT_TRUE(IncludedInSingleTypeNfa(*small2, *big_nfa));
-  EXPECT_FALSE(IncludedInSingleTypeNfa(*big_nfa, *small2));
-  // Cross-check through the DFA pipeline.
-  EXPECT_TRUE(*IncludedInSingleType(ReduceEdtd(small2->Determinized()),
-                                    big_nfa->Determinized()));
-}
 
 TEST(NfaInclusionTest, NfaIncludedInNfaBasics) {
   Alphabet alphabet({"a", "b"});

@@ -3,12 +3,12 @@
 
 #include <random>
 
+#include "oracles/forest_monoid.h"
 #include "stap/gen/random.h"
 #include "stap/schema/builder.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
 #include "stap/tree/enumerate.h"
-#include "stap/treeauto/forest_monoid.h"
 
 namespace stap {
 namespace {

@@ -4,7 +4,7 @@
 
 #include <random>
 
-#include "stap/approx/minimal_upper_check.h"
+#include "oracles/minimal_upper_check.h"
 #include "stap/approx/upper.h"
 #include "stap/approx/upper_boolean.h"
 #include "stap/gen/families.h"

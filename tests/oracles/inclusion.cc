@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "oracles/determinize_schema.h"
 #include "oracles/map_kernels.h"
 #include "stap/automata/determinize.h"
 #include "stap/automata/inclusion.h"

@@ -8,8 +8,8 @@
 
 #include <random>
 
+#include "oracles/minimal_upper_check.h"
 #include "stap/approx/inclusion.h"
-#include "stap/approx/minimal_upper_check.h"
 #include "stap/approx/upper.h"
 #include "stap/approx/upper_boolean.h"
 #include "stap/gen/random.h"

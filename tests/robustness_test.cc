@@ -6,13 +6,10 @@
 #include <random>
 #include <string>
 
-#include "stap/automata/dot.h"
 #include "stap/io/artifact.h"
 #include "stap/io/batch_validate.h"
 #include "stap/regex/parser.h"
 #include "stap/schema/builder.h"
-#include "stap/schema/dtd_io.h"
-#include "stap/schema/nfa_schema.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
 #include "stap/schema/text_format.h"
@@ -44,8 +41,6 @@ TEST_P(FuzzTest, ParsersNeverCrashOnGarbage) {
     (void)ParseXml(input, &alphabet);
     (void)ParseXmlDocument(input);
     (void)ParseSchema(input);
-    (void)ParseSchemaNfa(input);
-    (void)ParseDtd(input);
     (void)ImportXsd(input);
     Alphabet regex_alphabet;
     (void)ParseRegex(input, &regex_alphabet);
@@ -65,11 +60,6 @@ TEST(FuzzTest, TruncationsOfValidInputsFailCleanly) {
   const std::string xml = "<a x=\"1\"><b/><c/></a>";
   for (size_t cut = 0; cut < xml.size(); ++cut) {
     (void)ParseXmlDocument(xml.substr(0, cut));
-  }
-  const std::string dtd = "<!ELEMENT a (b | c)*><!ELEMENT b EMPTY>"
-                          "<!ELEMENT c EMPTY>";
-  for (size_t cut = 0; cut < dtd.size(); ++cut) {
-    (void)ParseDtd(dtd.substr(0, cut));
   }
 }
 
@@ -136,10 +126,9 @@ TEST(DeepDocumentTest, ParsesDepth150kXmlWithoutStackOverflow) {
 }
 
 // Non-single-type validation types the tree bottom-up
-// (Edtd::PossibleTypes, and EdtdNfa::Accepts through the same walk), and
-// that walk must be iterative too: ParseXml accepts any depth, so one deep
-// document would otherwise take down the process — under `stap serve`, the
-// whole daemon.
+// (Edtd::PossibleTypes), and that walk must be iterative too: ParseXml
+// accepts any depth, so one deep document would otherwise take down the
+// process — under `stap serve`, the whole daemon.
 TEST(DeepDocumentTest, NonSingleTypeSchemaValidatesDepth150k) {
   // Two <a> types that differ only in which <b> ends the chain, so the
   // type set of every <a> on the path stays {A1, A2} until the leaf.
@@ -153,7 +142,6 @@ TEST(DeepDocumentTest, NonSingleTypeSchemaValidatesDepth150k) {
   StatusOr<CompiledSchema> schema = CompileSchema(kSchema, nullptr);
   ASSERT_TRUE(schema.ok()) << schema.status();
   ASSERT_FALSE(schema->single_type);
-  const EdtdNfa nfa_schema = EdtdNfa::FromEdtd(schema->edtd);
 
   constexpr int kDepth = 150000;
   auto chain = [&](const std::string& leaf) {
@@ -172,7 +160,6 @@ TEST(DeepDocumentTest, NonSingleTypeSchemaValidatesDepth150k) {
     StatusOr<Tree> tree = ParseXml(xml, &alphabet);
     ASSERT_TRUE(tree.ok());
     EXPECT_TRUE(schema->edtd.Accepts(*tree));
-    EXPECT_TRUE(nfa_schema.Accepts(*tree));
   }
 
   const std::string invalid = chain("<c/>");
@@ -183,27 +170,6 @@ TEST(DeepDocumentTest, NonSingleTypeSchemaValidatesDepth150k) {
   StatusOr<Tree> tree = ParseXml(invalid, &alphabet);
   ASSERT_TRUE(tree.ok());
   EXPECT_FALSE(schema->edtd.Accepts(*tree));
-  EXPECT_FALSE(nfa_schema.Accepts(*tree));
-}
-
-TEST(DotTest, RendersDfaAndNfa) {
-  Alphabet alphabet({"a", "b"});
-  Dfa dfa(2, 2);
-  dfa.SetTransition(0, 0, 1);
-  dfa.SetTransition(1, 1, 1);
-  dfa.SetFinal(1);
-  std::string dot = DfaToDot(dfa, &alphabet);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("q0 -> q1 [label=\"a\"]"), std::string::npos);
-  EXPECT_NE(dot.find("doublecircle"), std::string::npos);
-
-  Nfa nfa(2, 2);
-  nfa.AddInitial(0);
-  nfa.AddTransition(0, 1, 0);
-  nfa.AddTransition(0, 1, 1);
-  nfa.SetFinal(1);
-  std::string nfa_dot = NfaToDot(nfa);  // raw symbol ids
-  EXPECT_NE(nfa_dot.find("q0 -> q1 [label=\"1\"]"), std::string::npos);
 }
 
 }  // namespace

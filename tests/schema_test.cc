@@ -1,9 +1,8 @@
-// Unit tests for DTDs, EDTDs, reduction, and type automata.
+// Unit tests for EDTDs, reduction, and type automata.
 #include <gtest/gtest.h>
 
 #include "stap/gen/families.h"
 #include "stap/schema/builder.h"
-#include "stap/schema/dtd.h"
 #include "stap/schema/edtd.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/type_automaton.h"
@@ -12,27 +11,32 @@
 namespace stap {
 namespace {
 
-// DTD: store -> book*, book -> (title chapter*), title/chapter leaves.
-Dtd StoreDtd() {
-  Alphabet sigma({"store", "book", "title", "chapter"});
-  Dtd dtd = Dtd::LeafOnly(sigma);
+// A DTD as an EDTD with one type per symbol (type ids = symbol ids):
+// store -> book*, book -> (title chapter*), title/chapter leaves.
+Edtd StoreDtd() {
+  Edtd edtd;
+  edtd.sigma = Alphabet({"store", "book", "title", "chapter"});
+  edtd.types = edtd.sigma;
+  edtd.mu = {0, 1, 2, 3};
+  edtd.content.assign(4, Dfa::EpsilonOnly(4));
   // store: book*
   Dfa store(1, 4);
   store.SetFinal(0);
   store.SetTransition(0, 1, 0);
-  dtd.content[0] = store;
+  edtd.content[0] = store;
   // book: title chapter*
   Dfa book(2, 4);
   book.SetTransition(0, 2, 1);
   book.SetTransition(1, 3, 1);
   book.SetFinal(1);
-  dtd.content[1] = book;
-  dtd.start_symbols = {0};
-  return dtd;
+  edtd.content[1] = book;
+  edtd.start_types = {0};
+  edtd.CheckWellFormed();
+  return edtd;
 }
 
-TEST(DtdTest, AcceptsAndRejects) {
-  Dtd dtd = StoreDtd();
+TEST(EdtdTest, DtdShapedSchemaAcceptsAndRejects) {
+  Edtd dtd = StoreDtd();
   // store(book(title), book(title, chapter, chapter))
   Tree good(0, {Tree(1, {Tree(2)}), Tree(1, {Tree(2), Tree(3), Tree(3)})});
   EXPECT_TRUE(dtd.Accepts(good));
@@ -42,20 +46,6 @@ TEST(DtdTest, AcceptsAndRejects) {
   EXPECT_FALSE(dtd.Accepts(bad));
   Tree nested(0, {Tree(1, {Tree(2, {Tree(3)})})});  // title not a leaf
   EXPECT_FALSE(dtd.Accepts(nested));
-}
-
-TEST(DtdTest, SizeCountsPieces) {
-  Dtd dtd = StoreDtd();
-  EXPECT_GT(dtd.Size(), 4);
-}
-
-TEST(EdtdTest, FromDtdPreservesLanguage) {
-  Dtd dtd = StoreDtd();
-  Edtd edtd = Edtd::FromDtd(dtd);
-  for (const Tree& tree : EnumerateTrees({3, 2, 4})) {
-    EXPECT_EQ(dtd.Accepts(tree), edtd.Accepts(tree))
-        << tree.ToString(dtd.sigma);
-  }
 }
 
 // The classic non-single-type EDTD: root a whose single child is b, where
@@ -200,7 +190,7 @@ TEST(SingleTypeTest, DetectsViolations) {
 }
 
 TEST(SingleTypeTest, DtdsAreAlwaysSingleType) {
-  EXPECT_TRUE(IsSingleType(Edtd::FromDtd(StoreDtd())));
+  EXPECT_TRUE(IsSingleType(StoreDtd()));
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Differential tests for the one DfaXsd validation kernel
 // (StreamingValidator). On random single-type schemas, every way into it —
 // DfaXsd::Accepts, ValidateWithDiagnostics and the raw event API — must
-// agree with two independent references: ReferenceAccepts below, a
-// whole-child-string tree walker kept only for this comparison, and the
-// EDTD obtained by converting the XSD back (Edtd::Accepts). The inputs are
+// agree with three independent references: ReferenceAccepts below, a
+// whole-child-string tree walker kept only for this comparison, the
+// EDTD obtained by converting the XSD back (Edtd::Accepts), and the
+// monoid forest automaton of the XSD (oracles/forest_monoid.h), which
+// evaluates bottom-up in a transformation monoid. The inputs are
 // valid documents, random mutations of them, and arbitrary enumerated
 // trees; every diagnostic on a rejected tree must also point at a node
 // that really is at fault. A second group drives the event API directly
@@ -15,6 +17,7 @@
 #include <random>
 #include <vector>
 
+#include "oracles/forest_monoid.h"
 #include "stap/gen/random.h"
 #include "stap/schema/builder.h"
 #include "stap/schema/reduce.h"
@@ -146,9 +149,11 @@ void ExpectTruthfulDiagnostic(const DfaXsd& xsd, const Tree& tree,
 }
 
 void ExpectAllValidatorsAgree(const DfaXsd& xsd, const Edtd& round_trip,
+                              const MonoidForestAutomaton& mfa,
                               const Tree& tree) {
   const bool expected = ReferenceAccepts(xsd, tree);
   EXPECT_EQ(round_trip.Accepts(tree), expected) << tree.ToString(xsd.sigma);
+  EXPECT_EQ(mfa.AcceptsTree(tree), expected) << tree.ToString(xsd.sigma);
   EXPECT_EQ(xsd.Accepts(tree), expected) << tree.ToString(xsd.sigma);
   StreamingValidator events(&xsd);
   FeedEvents(tree, &events);
@@ -173,22 +178,23 @@ TEST_P(StreamingDifferentialTest, AgreesOnRandomSchemasAndTrees) {
   params.content_breadth = 2;
   DfaXsd xsd = DfaXsdFromStEdtd(RandomStEdtd(&rng, params));
   Edtd round_trip = StEdtdFromDfaXsd(xsd);
+  MonoidForestAutomaton mfa = MfaFromXsd(xsd);
 
   // Sampled members, then mutated members.
   for (int i = 0; i < 8; ++i) {
     std::optional<Tree> tree = SampleTree(xsd, &rng, 5);
     ASSERT_TRUE(tree.has_value());
     EXPECT_TRUE(ReferenceAccepts(xsd, *tree)) << tree->ToString(xsd.sigma);
-    ExpectAllValidatorsAgree(xsd, round_trip, *tree);
+    ExpectAllValidatorsAgree(xsd, round_trip, mfa, *tree);
     Tree mutated = Mutate(*tree, &rng, params.num_symbols);
     for (int j = 0; j < 3; ++j) {
-      ExpectAllValidatorsAgree(xsd, round_trip, mutated);
+      ExpectAllValidatorsAgree(xsd, round_trip, mfa, mutated);
       mutated = Mutate(mutated, &rng, params.num_symbols);
     }
   }
   // Exhaustive small trees, valid or not.
   for (const Tree& tree : EnumerateTrees({3, 2, params.num_symbols})) {
-    ExpectAllValidatorsAgree(xsd, round_trip, tree);
+    ExpectAllValidatorsAgree(xsd, round_trip, mfa, tree);
   }
 }
 

@@ -1,7 +1,6 @@
-// Unit tests for unranked trees, contexts, and subtree exchange.
+// Unit tests for unranked trees, subtree exchange, and enumeration.
 #include <gtest/gtest.h>
 
-#include "stap/tree/context.h"
 #include "stap/tree/enumerate.h"
 #include "stap/tree/tree.h"
 
@@ -88,32 +87,6 @@ TEST(ExchangeTest, GuardedExchangeRespectsAncestorStrings) {
   Tree exchanged = AncestorGuardedExchange(t1, {1}, t2, {0});
   EXPECT_EQ(exchanged, Tree(0, {Tree(1), Tree(0, {Tree(2), Tree(2)})}));
   EXPECT_FALSE(AncestorStringsEqual(t1, {0}, t2, {0}));
-}
-
-TEST(ContextTest, ExtractAndApply) {
-  Tree tree = ABTree();
-  TreeContext context = TreeContext::Extract(tree, {1});
-  EXPECT_EQ(context.hole_label(), 0);
-  EXPECT_EQ(context.tree.NumNodes(), 3);  // subtree at the hole removed
-  Tree rebuilt = context.Apply(tree.At({1}));
-  EXPECT_EQ(rebuilt, tree);
-  Tree other = context.Apply(Tree(0));
-  EXPECT_EQ(other, Tree(0, {Tree(1), Tree(0)}));
-}
-
-TEST(ContextTest, ComposeNestsHoles) {
-  Tree tree = ABTree();
-  TreeContext outer = TreeContext::Extract(tree, {1});
-  TreeContext inner = TreeContext::Extract(tree.At({1}), {1});
-  TreeContext composed = outer.Compose(inner);
-  EXPECT_EQ(composed.hole, (TreePath{1, 1}));
-  EXPECT_EQ(composed.Apply(Tree(2)), tree);
-}
-
-TEST(ContextTest, ToStringMarksHole) {
-  Alphabet alphabet({"a", "b", "c"});
-  TreeContext context = TreeContext::Extract(ABTree(), {1});
-  EXPECT_EQ(context.ToString(alphabet), "a(b, a*)");
 }
 
 TEST(EnumerateTest, CountsMatchMaterialization) {
