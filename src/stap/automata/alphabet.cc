@@ -13,7 +13,7 @@ Alphabet::Alphabet(const std::vector<std::string>& names) {
 }
 
 int Alphabet::Intern(std::string_view name) {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   int id = static_cast<int>(names_.size());
   names_.emplace_back(name);
@@ -22,7 +22,7 @@ int Alphabet::Intern(std::string_view name) {
 }
 
 int Alphabet::Find(std::string_view name) const {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   return it == ids_.end() ? kNoSymbol : it->second;
 }
 

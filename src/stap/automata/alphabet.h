@@ -6,6 +6,7 @@
 #ifndef STAP_AUTOMATA_ALPHABET_H_
 #define STAP_AUTOMATA_ALPHABET_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -26,6 +27,7 @@ class Alphabet {
   int Intern(std::string_view name);
 
   // Returns the id for `name`, or kNoSymbol if it was never interned.
+  // Allocates nothing.
   int Find(std::string_view name) const;
 
   // Require: 0 <= id < size().
@@ -40,8 +42,16 @@ class Alphabet {
   }
 
  private:
+  // Transparent, so string_view lookups build no std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, int> ids_;
+  std::unordered_map<std::string, int, NameHash, std::equal_to<>> ids_;
 };
 
 }  // namespace stap

@@ -16,10 +16,6 @@ StatusOr<bool> NfaIncludedInDfa(const Nfa& nfa, const Dfa& dfa,
   return AntichainIncluded(nfa, dfa.ToNfa(), budget);
 }
 
-StatusOr<bool> NfaIncludedInNfa(const Nfa& a, const Nfa& b, Budget* budget) {
-  return AntichainIncluded(a, b, budget);
-}
-
 bool DfaEquivalent(const Dfa& a, const Dfa& b) {
   return DfaIncludedIn(a, b) && DfaIncludedIn(b, a);
 }

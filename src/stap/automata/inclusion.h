@@ -26,13 +26,6 @@ bool DfaIncludedIn(const Dfa& a, const Dfa& b);
 StatusOr<bool> NfaIncludedInDfa(const Nfa& nfa, const Dfa& dfa,
                                 Budget* budget = nullptr);
 
-// L(a) ⊆ L(b)? Antichain frontier search; worst-case exponential in |b|
-// (the PSPACE-hard case of Section 5's NFA content models) but explores
-// only ⊆-minimal b-sets, with early exit on the first counterexample.
-// A null budget is unlimited.
-StatusOr<bool> NfaIncludedInNfa(const Nfa& a, const Nfa& b,
-                                Budget* budget = nullptr);
-
 // L(a) == L(b)?
 bool DfaEquivalent(const Dfa& a, const Dfa& b);
 

@@ -64,15 +64,6 @@ Edtd Example26Edtd();
 // max_items >= 1.
 Edtd CountedFamily(int min_items, int max_items);
 
-// Ambient-schema context for schema-guided determinization benchmarks:
-// the DFA-shaped NFA of all words over `num_symbols` symbols containing
-// at most `max_count` occurrences of `symbol` (states 0..max_count count
-// occurrences; exceeding the cap is dead). Under this context the
-// Theorem 3.2 type automaton's 2^n dense subsets collapse to O(n·k)
-// live pairs, the motivating case of Niehren/Sakho/Al Serhali
-// (PAPERS.md).
-Nfa BoundedLetterContext(int symbol, int max_count, int num_symbols);
-
 }  // namespace stap
 
 #endif  // STAP_GEN_FAMILIES_H_

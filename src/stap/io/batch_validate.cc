@@ -1,65 +1,152 @@
 #include "stap/io/batch_validate.h"
 
+#include <cstdint>
+#include <span>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "stap/base/metrics.h"
 #include "stap/base/thread_pool.h"
 #include "stap/base/trace.h"
+#include "stap/schema/edtd.h"
+#include "stap/schema/streaming.h"
 #include "stap/schema/validate.h"
 #include "stap/tree/xml.h"
 
 namespace stap {
 
-DocumentVerdict ValidateDocument(const CompiledSchema& schema,
-                                 std::string_view xml, Budget* budget) {
+namespace {
+
+DocumentVerdict ErrorVerdict(const Status& status) {
   DocumentVerdict verdict;
-  Status deadline = Budget::CheckDeadline(budget);
-  if (!deadline.ok()) {
-    verdict.kind = DocumentVerdict::Kind::kError;
-    verdict.message = deadline.message();
-    verdict.error_code = deadline.code();
-    return verdict;
+  verdict.kind = DocumentVerdict::Kind::kError;
+  verdict.message = status.message();
+  verdict.error_code = status.code();
+  return verdict;
+}
+
+DocumentVerdict SchemaVerdict(bool valid, std::string message) {
+  DocumentVerdict verdict;
+  verdict.kind = valid ? DocumentVerdict::Kind::kValid
+                       : DocumentVerdict::Kind::kInvalid;
+  if (!valid) verdict.message = std::move(message);
+  return verdict;
+}
+
+// The single-type path: the StreamingValidator, plus the label, child
+// count and first kMaxFormattedSymbols child labels of every open
+// element. Its first violation is worded when the element it names
+// closes, so children after the violating one are counted too, and the
+// message is the one ValidateWithDiagnostics gives.
+class XsdCheck {
+ public:
+  explicit XsdCheck(const DfaXsd* xsd) : xsd_(xsd), validator_(xsd) {}
+
+  void StartElement(int symbol) {
+    if (!message_.empty()) return;
+    if (!open_.empty() && open_.back().children++ < kMaxFormattedSymbols) {
+      shown_.push_back(symbol);
+    }
+    open_.push_back(Open{symbol, shown_.size(), 0});
+    if (validator_.ok() && !validator_.StartElement(symbol)) Latch();
   }
-  // Per-document alphabet copy: ParseXml interns new names, and the
-  // shared schema must stay immutable under the sweep.
-  Alphabet alphabet = schema.edtd.sigma;
-  StatusOr<Tree> tree = ParseXml(xml, &alphabet);
-  if (!tree.ok()) {
-    verdict.kind = DocumentVerdict::Kind::kError;
-    verdict.message = tree.status().message();
-    verdict.error_code = tree.status().code();
-    return verdict;
+
+  void EndElement() {
+    if (!message_.empty()) return;
+    if (validator_.ok() && !validator_.EndElement()) Latch();
+    const Open& element = open_.back();
+    if (open_.size() == violated_depth_) {
+      message_ = ViolationMessage(
+          *xsd_, validator_.violation().kind, violated_depth_ == 1,
+          element.label, std::span<const int>(shown_).subspan(element.shown),
+          element.children);
+      return;
+    }
+    shown_.resize(element.shown);
+    open_.pop_back();
+  }
+
+  DocumentVerdict Verdict() {
+    return SchemaVerdict(validator_.EndDocument(), message_);
+  }
+
+ private:
+  struct Open {
+    int label;
+    size_t shown;     // where its child labels start in shown_
+    size_t children;  // started so far
+  };
+
+  void Latch() { violated_depth_ = validator_.violation().path.size() + 1; }
+
+  const DfaXsd* xsd_;
+  StreamingValidator validator_;
+  std::vector<Open> open_;
+  std::vector<int> shown_;
+  size_t violated_depth_ = 0;  // 1 = root; 0 while valid
+  std::string message_;
+};
+
+// Tokenizes the whole document into `check`, then rules in order: a
+// parse error anywhere, the budget (one state per element, then the
+// deadline), a name outside Σ, and last the schema, `verdict()`.
+template <typename Check, typename Verdict>
+DocumentVerdict Run(const Alphabet& sigma, std::string_view xml,
+                    Budget* budget, Check* check, Verdict verdict) {
+  XmlTokenizer tokens(xml, /*allow_attributes=*/false);
+  int64_t elements = 0;
+  bool undeclared = false;
+  XmlTokenizer::Token token;
+  while ((token = tokens.Next()) == XmlTokenizer::Token::kStart ||
+         token == XmlTokenizer::Token::kEnd) {
+    if (token == XmlTokenizer::Token::kStart) {
+      ++elements;
+      if (undeclared) continue;
+      const int symbol = sigma.Find(tokens.name());
+      if (symbol == kNoSymbol) {
+        undeclared = true;
+      } else {
+        check->StartElement(symbol);
+      }
+    } else if (!undeclared) {
+      check->EndElement();
+    }
+  }
+  if (token == XmlTokenizer::Token::kError) {
+    return ErrorVerdict(tokens.status());
   }
   // The pre-parse deadline check alone lets one huge document blow the
-  // shared deadline unboundedly: charge the tree against the state quota
-  // and re-sample the clock before walking it, so an oversized document
-  // is cut off here instead of after an arbitrarily long validation.
-  Status charged = Budget::ChargeStates(budget, tree->NumNodes());
+  // shared deadline unboundedly: charge its elements against the state
+  // quota and re-sample the clock before ruling on it.
+  Status charged = Budget::ChargeStates(budget, elements);
   if (charged.ok()) charged = Budget::CheckDeadline(budget);
-  if (!charged.ok()) {
-    verdict.kind = DocumentVerdict::Kind::kError;
-    verdict.message = charged.message();
-    verdict.error_code = charged.code();
-    return verdict;
+  if (!charged.ok()) return ErrorVerdict(charged);
+  if (undeclared) {
+    return SchemaVerdict(false,
+                         "document uses elements the schema does not declare");
   }
-  if (alphabet.size() != schema.edtd.sigma.size()) {
-    verdict.kind = DocumentVerdict::Kind::kInvalid;
-    verdict.message = "document uses elements the schema does not declare";
-    return verdict;
-  }
+  return verdict();
+}
+
+}  // namespace
+
+DocumentVerdict ValidateDocument(const CompiledSchema& schema,
+                                 std::string_view xml, Budget* budget) {
+  Status deadline = Budget::CheckDeadline(budget);
+  if (!deadline.ok()) return ErrorVerdict(deadline);
   if (schema.single_type) {
-    ValidationResult result = ValidateWithDiagnostics(schema.xsd, *tree);
-    verdict.kind = result.ok ? DocumentVerdict::Kind::kValid
-                             : DocumentVerdict::Kind::kInvalid;
-    verdict.message = result.ok ? "" : result.message;
-    return verdict;
+    XsdCheck check(&schema.xsd);
+    return Run(schema.edtd.sigma, xml, budget, &check,
+               [&check] { return check.Verdict(); });
   }
-  const bool ok = schema.edtd.Accepts(*tree);
-  verdict.kind =
-      ok ? DocumentVerdict::Kind::kValid : DocumentVerdict::Kind::kInvalid;
-  if (!ok) verdict.message = "document not in the schema language";
-  return verdict;
+  // Otherwise E11's bottom-up type-set tracking.
+  EdtdTypeTracker tracker(&schema.edtd);
+  return Run(schema.edtd.sigma, xml, budget, &tracker, [&tracker] {
+    return SchemaVerdict(tracker.Accepts(),
+                         "document not in the schema language");
+  });
 }
 
 namespace {

@@ -60,17 +60,21 @@ struct BatchOptions {
   Budget* budget = nullptr;
 };
 
-// Validates one document. Thread-safe: the schema is only read; the
-// parse interns into a private alphabet copy. The budget is checked
-// before the parse, charged one state per tree node after it, and the
-// deadline is re-sampled before validation, so a single oversized
-// document cannot overrun a shared deadline unboundedly. Shared by the
-// batch sweep below and the `stap serve` request path.
+// Validates one document straight from its bytes: the XML tokenizer's
+// events feed the schema's validator (StreamingValidator when the schema
+// is single-type, EdtdTypeTracker otherwise), names are looked up in the
+// schema's Σ, and no document tree is built, so memory is O(depth).
+// Thread-safe: the schema is only read. The tokenizer always reads to
+// the end, and the verdict is, in this order: a parse error (kError);
+// the budget, charged one state per element, then its deadline
+// (kError); a name outside Σ (kInvalid); the schema's verdict. The
+// deadline is also checked before the parse. Shared by the batch sweep
+// below and the `stap serve` request path.
 DocumentVerdict ValidateDocument(const CompiledSchema& schema,
                                  std::string_view xml, Budget* budget);
 
 // Validates every document against `schema`. Thread-safe: the schema is
-// only read; each worker keeps its own alphabet copy for interning.
+// only read.
 BatchResult BatchValidate(const CompiledSchema& schema,
                           const std::vector<BatchDocument>& documents,
                           const BatchOptions& options);

@@ -1,7 +1,6 @@
 #include "stap/schema/edtd.h"
 
 #include <algorithm>
-#include <span>
 #include <sstream>
 
 #include "stap/base/check.h"
@@ -17,83 +16,23 @@ int64_t Edtd::Size() const {
 
 namespace {
 
-// Writes to `result` the types τ with μ(τ) = `label` whose content
-// accepts some word w with w_i ∈ child_types[i].
-void TypesOfNode(const Edtd& edtd, int label,
-                 std::span<const std::vector<int>> child_types,
-                 std::vector<int>* result) {
-  result->clear();
-  for (int tau = 0; tau < edtd.num_types(); ++tau) {
-    if (edtd.mu[tau] != label) continue;
-    const Dfa& dfa = edtd.content[tau];
-    if (dfa.num_states() == 0) continue;
-    StateSet states = {dfa.initial()};
-    for (const std::vector<int>& options : child_types) {
-      StateSet next;
-      for (int q : states) {
-        for (int candidate : options) {
-          int r = dfa.Next(q, candidate);
-          if (r != kNoState) StateSetInsert(next, r);
-        }
-      }
-      states = std::move(next);
-      if (states.empty()) break;
-    }
-    for (int q : states) {
-      if (dfa.IsFinal(q)) {
-        result->push_back(tau);
-        break;
-      }
-    }
-  }
+EdtdTypeTracker Replay(const Edtd& edtd, const Tree& tree) {
+  EdtdTypeTracker tracker(&edtd);
+  ForEachEvent(
+      tree, [&tracker](int label) { return tracker.StartElement(label); },
+      [&tracker] { return tracker.EndElement(); });
+  return tracker;
 }
 
 }  // namespace
 
-// Iterative over an explicit post-order stack: documents are bounded only
-// by memory, so recursion over the tree is not an option. Each finished
-// node leaves its type set on `done`, so a node's children's sets are the
-// top children.size() entries when it finishes. `done` grows but never
-// shrinks, so its vectors keep their capacity from node to node. Returns
-// {} as soon as some node has no type (a node with an untypable child is
-// untypable itself).
 std::vector<int> Edtd::PossibleTypes(const Tree& subtree) const {
-  struct Frame {
-    const Tree* node;
-    size_t next_child;
-  };
-  std::vector<Frame> stack = {Frame{&subtree, 0}};
-  std::vector<std::vector<int>> done;
-  size_t num_done = 0;
-  std::vector<int> types;
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    const std::vector<Tree>& children = frame.node->children;
-    if (frame.next_child < children.size()) {
-      stack.push_back(Frame{&children[frame.next_child++], 0});
-      continue;
-    }
-    const size_t first = num_done - children.size();
-    TypesOfNode(
-        *this, frame.node->label,
-        std::span<const std::vector<int>>(done).subspan(first, children.size()),
-        &types);
-    stack.pop_back();
-    if (types.empty()) return {};
-    if (first == done.size()) done.emplace_back();
-    done[first].swap(types);
-    num_done = first + 1;
-  }
-  return std::move(done[0]);
+  EdtdTypeTracker tracker = Replay(*this, subtree);
+  return tracker.ok() ? tracker.root_types() : std::vector<int>{};
 }
 
 bool Edtd::Accepts(const Tree& tree) const {
-  if (tree.label < 0 || tree.label >= num_symbols()) return false;
-  std::vector<int> root_types = PossibleTypes(tree);
-  for (int tau : root_types) {
-    if (StateSetContains(start_types, tau)) return true;
-  }
-  return false;
+  return Replay(*this, tree).Accepts();
 }
 
 std::vector<int> Edtd::OccurringTypes(int tau) const {
@@ -142,6 +81,88 @@ std::string Edtd::ToString() const {
        << "] -> DFA(" << content[tau].num_states() << " states)\n";
   }
   return os.str();
+}
+
+EdtdTypeTracker::EdtdTypeTracker(const Edtd* edtd)
+    : edtd_(edtd), label_begin_(edtd->num_symbols() + 1, 0) {
+  for (int tau = 0; tau < edtd->num_types(); ++tau) {
+    if (edtd->content[tau].num_states() > 0) ++label_begin_[edtd->mu[tau] + 1];
+  }
+  for (int l = 0; l < edtd->num_symbols(); ++l) {
+    label_begin_[l + 1] += label_begin_[l];
+  }
+  by_label_.resize(label_begin_.back());
+  std::vector<int> fill(label_begin_.begin(), label_begin_.end() - 1);
+  for (int tau = 0; tau < edtd->num_types(); ++tau) {
+    if (edtd->content[tau].num_states() > 0) {
+      by_label_[fill[edtd->mu[tau]]++] = tau;
+    }
+  }
+}
+
+bool EdtdTypeTracker::Fail() {
+  ok_ = false;
+  types_.clear();
+  return false;
+}
+
+bool EdtdTypeTracker::StartElement(int symbol) {
+  if (!ok_) return false;
+  frame_begin_.push_back(candidates_.size());
+  // A label outside Σ has no candidate types.
+  if (symbol >= 0 && symbol < edtd_->num_symbols()) {
+    for (int i = label_begin_[symbol]; i < label_begin_[symbol + 1]; ++i) {
+      const int tau = by_label_[i];
+      candidates_.push_back(Candidate{tau, edtd_->content[tau].initial()});
+    }
+  }
+  if (candidates_.size() == frame_begin_.back()) return Fail();
+  return true;
+}
+
+bool EdtdTypeTracker::EndElement() {
+  if (!ok_) return false;
+  const size_t begin = frame_begin_.back();
+  types_.clear();
+  for (size_t i = begin; i < candidates_.size(); ++i) {
+    const Candidate& c = candidates_[i];
+    if (edtd_->content[c.type].IsFinal(c.state) &&
+        (types_.empty() || types_.back() != c.type)) {
+      types_.push_back(c.type);
+    }
+  }
+  candidates_.resize(begin);
+  frame_begin_.pop_back();
+  if (types_.empty()) return Fail();
+  if (frame_begin_.empty()) return true;
+  // The closed element is the parent's next child: advance each of the
+  // parent's candidate runs by every type the child may have.
+  const size_t parent = frame_begin_.back();
+  next_.clear();
+  for (size_t i = parent; i < candidates_.size(); ++i) {
+    const Candidate& c = candidates_[i];
+    const Dfa& dfa = edtd_->content[c.type];
+    for (int child_type : types_) {
+      const int r = dfa.Next(c.state, child_type);
+      if (r != kNoState) next_.push_back(Candidate{c.type, r});
+    }
+  }
+  if (next_.size() > 1) {
+    std::sort(next_.begin(), next_.end());
+    next_.erase(std::unique(next_.begin(), next_.end()), next_.end());
+  }
+  candidates_.resize(parent);
+  candidates_.insert(candidates_.end(), next_.begin(), next_.end());
+  if (candidates_.size() == parent) return Fail();
+  return true;
+}
+
+bool EdtdTypeTracker::Accepts() const {
+  if (!ok_ || !frame_begin_.empty()) return false;
+  for (int tau : types_) {
+    if (StateSetContains(edtd_->start_types, tau)) return true;
+  }
+  return false;
 }
 
 }  // namespace stap

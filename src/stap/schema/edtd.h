@@ -46,12 +46,12 @@ struct Edtd {
   int64_t Size() const;
 
   // Membership test: does some typing of `tree` satisfy the schema?
-  // Runs the standard bottom-up unranked-tree-automaton evaluation,
-  // polynomial in |tree| * |this|.
+  // Replays the tree into an EdtdTypeTracker (below), polynomial in
+  // |tree| * |this|.
   bool Accepts(const Tree& tree) const;
 
   // The set of types assignable to the root of `subtree` when it occurs
-  // as a subtree (ignores start_types). Sorted.
+  // as a subtree (ignores start_types). Sorted. Same replay.
   std::vector<int> PossibleTypes(const Tree& subtree) const;
 
   // The set of types occurring in some word of L(content[tau]); sorted.
@@ -62,6 +62,60 @@ struct Edtd {
   void CheckWellFormed() const;
 
   std::string ToString() const;
+};
+
+// Event-driven bottom-up typing — libstap's one EDTD typing kernel, the
+// standard unranked-tree-automaton evaluation on start/end element
+// events. Each open element keeps its candidate types (μ(τ) = its label,
+// content non-empty), each with the set of content-DFA states reached
+// over the children closed so far. When an element closes, its types are
+// the candidates in a final state, and they advance the parent's
+// candidates. Memory is O(depth · candidates), never the document.
+//
+// An element left with no candidate has no type, and then neither has
+// the document: the tracker latches !ok() and ignores later events.
+// Events must be well nested (one root, each end matching a start).
+class EdtdTypeTracker {
+ public:
+  // `edtd` must outlive the tracker.
+  explicit EdtdTypeTracker(const Edtd* edtd);
+
+  // Both return ok().
+  bool StartElement(int symbol);
+  bool EndElement();
+
+  bool ok() const { return ok_; }
+
+  // After the root closed with ok(): the root's possible types, sorted.
+  const std::vector<int>& root_types() const { return types_; }
+
+  // After the root closed: does some typing put a start type at the root?
+  bool Accepts() const;
+
+ private:
+  struct Candidate {
+    int type;
+    int state;  // of content[type]
+    friend bool operator<(const Candidate& a, const Candidate& b) {
+      return a.type != b.type ? a.type < b.type : a.state < b.state;
+    }
+    friend bool operator==(const Candidate&, const Candidate&) = default;
+  };
+
+  bool Fail();
+
+  const Edtd* edtd_;
+  // Types by label, CSR: label l's are by_label_[label_begin_[l] ..
+  // label_begin_[l + 1]).
+  std::vector<int> label_begin_;
+  std::vector<int> by_label_;
+  // The open elements' candidates, one sorted run per element, innermost
+  // last; frame_begin_ holds where each run starts.
+  std::vector<Candidate> candidates_;
+  std::vector<size_t> frame_begin_;
+  std::vector<Candidate> next_;  // scratch
+  std::vector<int> types_;       // types of the element that closed last
+  bool ok_ = true;
 };
 
 }  // namespace stap

@@ -80,23 +80,9 @@ bool StreamingValidator::EndDocument() {
 }
 
 bool ReplayTree(const Tree& tree, StreamingValidator* validator) {
-  struct Frame {
-    const Tree* node;
-    size_t next_child;
-  };
-  std::vector<Frame> stack;
-  if (validator->StartElement(tree.label)) stack.push_back(Frame{&tree, 0});
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    if (frame.next_child == frame.node->children.size()) {
-      if (!validator->EndElement()) break;
-      stack.pop_back();
-      continue;
-    }
-    const Tree& child = frame.node->children[frame.next_child++];
-    if (!validator->StartElement(child.label)) break;
-    stack.push_back(Frame{&child, 0});
-  }
+  ForEachEvent(
+      tree, [validator](int label) { return validator->StartElement(label); },
+      [validator] { return validator->EndElement(); });
   return validator->EndDocument();
 }
 

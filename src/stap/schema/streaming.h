@@ -13,9 +13,10 @@
 //   v.EndElement();
 //   bool ok = v.EndDocument();
 //
-// Materialized trees go through ReplayTree: DfaXsd::Accepts returns its
-// verdict, and ValidateWithDiagnostics (schema/validate.h) turns the
-// recorded violation into a message.
+// ValidateDocument (io/batch_validate.h) feeds it XML tokens straight
+// from a document's bytes. Materialized trees go through ReplayTree:
+// DfaXsd::Accepts returns its verdict, and ValidateWithDiagnostics
+// (schema/validate.h) turns the recorded violation into a message.
 #ifndef STAP_SCHEMA_STREAMING_H_
 #define STAP_SCHEMA_STREAMING_H_
 

@@ -1,18 +1,12 @@
 #include "stap/schema/validate.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "stap/base/check.h"
-#include "stap/schema/streaming.h"
 
 namespace stap {
 
 namespace {
-
-// Diagnostics on wide elements stay bounded: child strings longer than
-// this are truncated with an ellipsis and a count of the omitted tail.
-constexpr size_t kMaxFormattedSymbols = 32;
 
 // Hand-built trees can carry labels outside Σ; name them by id.
 std::string SymbolName(const Alphabet& alphabet, int symbol) {
@@ -20,27 +14,53 @@ std::string SymbolName(const Alphabet& alphabet, int symbol) {
   return "#" + std::to_string(symbol);
 }
 
-std::string FormatChildString(const Tree& node, const Alphabet& alphabet) {
-  const std::vector<Tree>& children = node.children;
+std::string FormatChildString(const Alphabet& alphabet,
+                              std::span<const int> shown,
+                              size_t num_children) {
   std::ostringstream os;
   os << "[";
-  const size_t shown = std::min(children.size(), kMaxFormattedSymbols);
-  for (size_t i = 0; i < shown; ++i) {
+  for (size_t i = 0; i < shown.size(); ++i) {
     if (i > 0) os << " ";
-    os << SymbolName(alphabet, children[i].label);
+    os << SymbolName(alphabet, shown[i]);
   }
-  if (children.size() > shown) {
+  if (num_children > shown.size()) {
     // State the full length explicitly: a bare ellipsis is too easy to
     // overlook, and a truncated witness that reads as complete sends
     // people debugging the wrong child string.
-    os << " ... (+" << children.size() - shown << " more; "
-       << children.size() << " symbols total)";
+    os << " ... (+" << num_children - shown.size() << " more; "
+       << num_children << " symbols total)";
   }
   os << "]";
   return os.str();
 }
 
 }  // namespace
+
+std::string ViolationMessage(const DfaXsd& xsd, ViolationKind kind,
+                             bool at_root, int label,
+                             std::span<const int> shown,
+                             size_t num_children) {
+  switch (kind) {
+    case ViolationKind::kRootNotStart:
+      return "root element is not an allowed start symbol";
+    case ViolationKind::kUndeclared:
+      return at_root ? "root element has no declaration"
+                     : "element <" + SymbolName(xsd.sigma, label) +
+                           "> is not declared in this context";
+    case ViolationKind::kChildRejected:
+    case ViolationKind::kContentIncomplete:
+      return "child string " +
+             FormatChildString(xsd.sigma, shown, num_children) +
+             " of element <" + SymbolName(xsd.sigma, label) +
+             "> does not match its content model";
+    case ViolationKind::kNone:
+    case ViolationKind::kMalformed:
+      break;
+  }
+  // Well-nested events never produce these as a node's violation.
+  STAP_CHECK(false);
+  return "";
+}
 
 ValidationResult ValidateWithDiagnostics(const DfaXsd& xsd, const Tree& tree) {
   StreamingValidator validator(&xsd);
@@ -49,27 +69,15 @@ ValidationResult ValidateWithDiagnostics(const DfaXsd& xsd, const Tree& tree) {
   result.ok = false;
   result.violation_path = validator.violation().path;
   const Tree& node = tree.At(result.violation_path);
-  switch (validator.violation().kind) {
-    case ViolationKind::kRootNotStart:
-      result.message = "root element is not an allowed start symbol";
-      break;
-    case ViolationKind::kUndeclared:
-      result.message = result.violation_path.empty()
-                           ? "root element has no declaration"
-                           : "element <" + SymbolName(xsd.sigma, node.label) +
-                                 "> is not declared in this context";
-      break;
-    case ViolationKind::kChildRejected:
-    case ViolationKind::kContentIncomplete:
-      result.message = "child string " + FormatChildString(node, xsd.sigma) +
-                       " of element <" + SymbolName(xsd.sigma, node.label) +
-                       "> does not match its content model";
-      break;
-    case ViolationKind::kNone:
-    case ViolationKind::kMalformed:
-      // A replayed tree is one well-nested element that always closes.
-      STAP_CHECK(false);
+  std::vector<int> shown;
+  for (size_t i = 0;
+       i < node.children.size() && i < kMaxFormattedSymbols; ++i) {
+    shown.push_back(node.children[i].label);
   }
+  result.message =
+      ViolationMessage(xsd, validator.violation().kind,
+                       result.violation_path.empty(), node.label, shown,
+                       node.children.size());
   return result;
 }
 

@@ -11,11 +11,12 @@
 //     in-flight gate (max_inflight) sheds individual requests with BUSY
 //     when the server is saturated, so overload degrades per-request
 //     instead of stalling the socket.
-//   - Schema state is an immutable SchemaSnapshot behind one atomic
-//     load (snapshot.h); artifact hot-reload swaps the epoch without
-//     blocking in-flight requests. Inline schema text compiles through
-//     the exactly-once registry memo + CompileCache — a 32-client cold
-//     stampede performs each content-model compilation once.
+//   - Schema state is an immutable SchemaSnapshot behind one shared_ptr
+//     copied under a short lock (snapshot.h); artifact hot-reload swaps
+//     the epoch without blocking in-flight requests. Inline schema text
+//     compiles through the exactly-once registry memo + CompileCache —
+//     a 32-client cold stampede performs each content-model compilation
+//     once.
 //   - Every request gets its own Budget (deadline + state/set quotas
 //     from ServeOptions); exhaustion returns an EXHAUSTED frame, the
 //     connection stays healthy.

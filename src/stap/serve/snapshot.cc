@@ -11,10 +11,8 @@
 
 namespace stap {
 
-SchemaRegistry::SchemaRegistry() {
-  snapshot_.store(std::make_shared<const SchemaSnapshot>(),
-                  std::memory_order_release);
-}
+SchemaRegistry::SchemaRegistry()
+    : snapshot_(std::make_shared<const SchemaSnapshot>()) {}
 
 std::shared_ptr<const CompiledSchema> SchemaRegistry::Lookup(
     const std::string& name) const {
@@ -29,10 +27,15 @@ int64_t SchemaRegistry::Swap(SchemaMap schemas) {
   auto next = std::make_shared<SchemaSnapshot>();
   next->version = Current()->version + 1;
   next->schemas = std::move(schemas);
-  snapshot_.store(std::shared_ptr<const SchemaSnapshot>(std::move(next)),
-                  std::memory_order_release);
+  const int64_t version = next->version;
+  // The old epoch is released after the lock: if this was its last
+  // reference, its teardown must not hold readers up.
+  std::shared_ptr<const SchemaSnapshot> previous;
+  {
+    std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
+    previous = std::exchange(snapshot_, std::move(next));
+  }
   GetCounter("serve.snapshot_swaps")->Increment();
-  const int64_t version = Current()->version;
   GetGauge("serve.snapshot_epoch")->Set(version);
   return version;
 }

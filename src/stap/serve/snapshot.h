@@ -1,13 +1,14 @@
 // Immutable schema snapshots for the serving daemon.
 //
-// The serve hot path must read schema state without taking a lock: a
-// SchemaSnapshot is an immutable name → CompiledSchema map published
-// through a std::atomic<std::shared_ptr<const SchemaSnapshot>>. Readers
-// pay one atomic load to pin the current epoch; a hot reload builds a
-// whole new snapshot off to the side and swaps it in with one atomic
-// store. In-flight requests keep validating against the epoch they
-// pinned (the shared_ptr keeps it alive), new requests see the new one —
-// RCU by shared_ptr refcount, with no reader-side mutex.
+// A SchemaSnapshot is an immutable name → CompiledSchema map published
+// through a shared_ptr. Readers pin the current epoch by copying that
+// pointer under a short lock of their own (a refcount bump, nothing
+// else); a hot reload builds a whole new snapshot off to the side and
+// swaps the pointer in under the same lock. In-flight requests keep
+// validating against the epoch they pinned (the shared_ptr keeps it
+// alive), new requests see the new one — RCU by shared_ptr refcount.
+// The lock stands in for std::atomic<std::shared_ptr>, which
+// ThreadSanitizer does not model in libstdc++.
 //
 // Inline schemas — requests that carry schema text instead of an "@name"
 // ref — compile through an exactly-once memo keyed on the source text:
@@ -20,7 +21,6 @@
 #ifndef STAP_SERVE_SNAPSHOT_H_
 #define STAP_SERVE_SNAPSHOT_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -51,9 +51,10 @@ class SchemaRegistry {
   SchemaRegistry(const SchemaRegistry&) = delete;
   SchemaRegistry& operator=(const SchemaRegistry&) = delete;
 
-  // The current epoch: one atomic load, never null.
+  // The current epoch, never null.
   std::shared_ptr<const SchemaSnapshot> Current() const {
-    return snapshot_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(snapshot_mutex_);
+    return snapshot_;
   }
 
   // Convenience lookup in the current epoch; null when absent.
@@ -81,7 +82,8 @@ class SchemaRegistry {
     std::shared_ptr<const CompiledSchema> value;  // guarded by mutex
   };
 
-  std::atomic<std::shared_ptr<const SchemaSnapshot>> snapshot_;
+  mutable std::mutex snapshot_mutex_;  // guards snapshot_ itself
+  std::shared_ptr<const SchemaSnapshot> snapshot_;  // never null
   std::mutex swap_mutex_;  // serializes Swap version bumps
 
   mutable std::mutex inline_mutex_;

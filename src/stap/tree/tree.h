@@ -83,6 +83,33 @@ struct Tree {
   }
 };
 
+// Feeds `tree` to start(label) and end() in document order, over an
+// explicit stack (documents can be deeper than the call stack allows).
+// Stops as soon as a callback returns false; returns whether the walk
+// reached the end. The event-driven kernels (StreamingValidator,
+// EdtdTypeTracker) read materialized trees through it.
+template <typename Start, typename End>
+bool ForEachEvent(const Tree& tree, Start start, End end) {
+  struct Frame {
+    const Tree* node;
+    size_t next_child;
+  };
+  if (!start(tree.label)) return false;
+  std::vector<Frame> stack = {Frame{&tree, 0}};
+  while (!stack.empty()) {
+    Frame& frame = stack.back();
+    if (frame.next_child == frame.node->children.size()) {
+      if (!end()) return false;
+      stack.pop_back();
+      continue;
+    }
+    const Tree& child = frame.node->children[frame.next_child++];
+    if (!start(child.label)) return false;
+    stack.push_back(Frame{&child, 0});
+  }
+  return true;
+}
+
 // Applies ancestor-guarded subtree exchange (Definition 2.10 / Figure 1):
 // returns t1[v1 <- subtree^t2(v2)]. Require: the two nodes have equal
 // ancestor strings (checked).

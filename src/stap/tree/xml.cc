@@ -1,7 +1,9 @@
 #include "stap/tree/xml.h"
 
-#include <cctype>
+#include <array>
+#include <cstdint>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -9,173 +11,186 @@ namespace stap {
 
 namespace {
 
+// The "C" locale's isspace, isalpha and isalnum, which is what the
+// grammar has always meant (nothing in stap changes the locale), inline
+// so the byte loops make no library calls.
+constexpr bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+constexpr bool IsAsciiNameStart(unsigned char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+
+// Byte -> 2 if a name may start with it, 1 if it may only continue one,
+// 0 otherwise.
+constexpr std::array<uint8_t, 256> kNameBytes = [] {
+  std::array<uint8_t, 256> table{};
+  for (int c = 0; c < 256; ++c) {
+    if (IsAsciiNameStart(c)) {
+      table[c] = 2;
+    } else if ((c >= '0' && c <= '9') || c == '-' || c == '.' || c == ':') {
+      table[c] = 1;
+    }
+  }
+  return table;
+}();
+
 bool IsNameStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+  return kNameBytes[static_cast<unsigned char>(c)] == 2;
 }
 
 bool IsNameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-' ||
-         c == '.' || c == ':';
+  return kNameBytes[static_cast<unsigned char>(c)] != 0;
 }
 
-class XmlParser {
- public:
-  XmlParser(std::string_view input, bool allow_attributes)
-      : input_(input), allow_attributes_(allow_attributes) {}
+}  // namespace
 
-  StatusOr<XmlElement> Parse() {
-    SkipMisc();
-    StatusOr<XmlElement> root = ParseElement();
-    if (!root.ok()) return root;
-    SkipMisc();
-    if (pos_ != input_.size()) {
-      return Error("trailing content after root element");
-    }
-    return root;
-  }
+XmlTokenizer::XmlTokenizer(std::string_view input, bool allow_attributes)
+    : input_(input), allow_attributes_(allow_attributes) {}
 
- private:
-  Status Error(const std::string& message) const {
-    return InvalidArgumentError("XML parse error at offset " +
-                                std::to_string(pos_) + ": " + message);
-  }
+XmlTokenizer::Token XmlTokenizer::Fail(const std::string& message) {
+  state_ = State::kError;
+  status_ = InvalidArgumentError("XML parse error at offset " +
+                                 std::to_string(pos_) + ": " + message);
+  return Token::kError;
+}
 
-  void SkipWhitespace() {
-    while (pos_ < input_.size() &&
-           std::isspace(static_cast<unsigned char>(input_[pos_]))) {
-      ++pos_;
-    }
-  }
+void XmlTokenizer::SkipWhitespace() {
+  while (pos_ < input_.size() && IsSpace(input_[pos_])) ++pos_;
+}
 
-  // Skips whitespace, comments, processing instructions, and the XML
-  // declaration.
-  void SkipMisc() {
-    while (true) {
-      SkipWhitespace();
-      if (Peek("<!--")) {
-        size_t end = input_.find("-->", pos_ + 4);
-        pos_ = end == std::string_view::npos ? input_.size() : end + 3;
-      } else if (Peek("<?")) {
-        size_t end = input_.find("?>", pos_ + 2);
-        pos_ = end == std::string_view::npos ? input_.size() : end + 2;
-      } else {
-        return;
-      }
-    }
-  }
-
-  bool Peek(std::string_view token) const {
-    return input_.substr(pos_, token.size()) == token;
-  }
-
-  StatusOr<std::string> ParseName() {
-    if (pos_ >= input_.size() || !IsNameStart(input_[pos_])) {
-      return Error("expected name");
-    }
-    size_t start = pos_;
-    while (pos_ < input_.size() && IsNameChar(input_[pos_])) ++pos_;
-    return std::string(input_.substr(start, pos_ - start));
-  }
-
-  StatusOr<XmlAttribute> ParseAttribute() {
-    StatusOr<std::string> name = ParseName();
-    if (!name.ok()) return name.status();
+// Skips whitespace, comments, processing instructions, and the XML
+// declaration.
+void XmlTokenizer::SkipMisc() {
+  while (true) {
     SkipWhitespace();
-    if (!Peek("=")) return Error("expected '=' after attribute name");
-    ++pos_;
-    SkipWhitespace();
-    if (pos_ >= input_.size() ||
-        (input_[pos_] != '"' && input_[pos_] != '\'')) {
-      return Error("expected quoted attribute value");
+    // Both forms start "<!" or "<?"; test one byte before the prefixes.
+    if (pos_ + 1 >= input_.size() || input_[pos_] != '<' ||
+        (input_[pos_ + 1] != '!' && input_[pos_ + 1] != '?')) {
+      return;
     }
-    char quote = input_[pos_++];
-    size_t start = pos_;
-    while (pos_ < input_.size() && input_[pos_] != quote) ++pos_;
-    if (pos_ >= input_.size()) return Error("unterminated attribute value");
-    std::string value(input_.substr(start, pos_ - start));
-    ++pos_;  // closing quote
-    return XmlAttribute{*std::move(name), std::move(value)};
-  }
-
-  // Parses an opening tag through its '>' or '/>': name plus attributes.
-  StatusOr<XmlElement> ParseOpenTag(bool* self_closing) {
-    if (!Peek("<")) return Error("expected '<'");
-    ++pos_;
-    StatusOr<std::string> name = ParseName();
-    if (!name.ok()) return name.status();
-    XmlElement element;
-    element.name = *std::move(name);
-
-    while (true) {
-      SkipWhitespace();
-      if (pos_ >= input_.size()) return Error("unexpected end of tag");
-      if (input_[pos_] == '>' || Peek("/>")) break;
-      if (!allow_attributes_) {
-        return Error("attributes are not supported by the tree model");
-      }
-      StatusOr<XmlAttribute> attribute = ParseAttribute();
-      if (!attribute.ok()) return attribute.status();
-      element.attributes.push_back(*std::move(attribute));
-    }
-    if (Peek("/>")) {
-      pos_ += 2;
-      *self_closing = true;
+    if (input_.substr(pos_, 4) == "<!--") {
+      size_t end = input_.find("-->", pos_ + 4);
+      pos_ = end == std::string_view::npos ? input_.size() : end + 3;
+    } else if (input_[pos_ + 1] == '?') {
+      size_t end = input_.find("?>", pos_ + 2);
+      pos_ = end == std::string_view::npos ? input_.size() : end + 2;
     } else {
-      ++pos_;  // '>'
-      *self_closing = false;
-    }
-    return element;
-  }
-
-  // Iterative: the open-element ancestry lives on an explicit stack, so
-  // document depth is bounded by memory rather than the call stack.
-  StatusOr<XmlElement> ParseElement() {
-    std::vector<XmlElement> open;
-    while (true) {
-      // An element opens here.
-      bool self_closing = false;
-      StatusOr<XmlElement> element = ParseOpenTag(&self_closing);
-      if (!element.ok()) return element;
-      if (self_closing) {
-        if (open.empty()) return element;
-        open.back().children.push_back(*std::move(element));
-      } else {
-        open.push_back(*std::move(element));
-      }
-      // Content of the innermost open element: closing tags pop, a child
-      // opening tag loops back around.
-      while (!open.empty()) {
-        SkipMisc();
-        if (pos_ >= input_.size()) return Error("unexpected end of input");
-        if (Peek("</")) {
-          pos_ += 2;
-          StatusOr<std::string> closing = ParseName();
-          if (!closing.ok()) return closing.status();
-          if (*closing != open.back().name) {
-            return Error("mismatched closing tag </" + *closing + "> for <" +
-                         open.back().name + ">");
-          }
-          SkipWhitespace();
-          if (!Peek(">")) return Error("expected '>' after closing tag name");
-          ++pos_;
-          XmlElement closed = std::move(open.back());
-          open.pop_back();
-          if (open.empty()) return closed;
-          open.back().children.push_back(std::move(closed));
-          continue;
-        }
-        if (!Peek("<")) {
-          return Error("text content is not supported by the tree model");
-        }
-        break;  // a child element opens
-      }
+      return;
     }
   }
+}
 
-  std::string_view input_;
-  bool allow_attributes_;
-  size_t pos_ = 0;
-};
+bool XmlTokenizer::At(char c) const {
+  return pos_ < input_.size() && input_[pos_] == c;
+}
+
+// Reads a name into name_; false (with pos_ unmoved) if none starts here.
+bool XmlTokenizer::ParseName() {
+  if (pos_ >= input_.size() || !IsNameStart(input_[pos_])) return false;
+  size_t start = pos_;
+  while (pos_ < input_.size() && IsNameChar(input_[pos_])) ++pos_;
+  name_ = input_.substr(start, pos_ - start);
+  return true;
+}
+
+// '<' and the element name; attributes and the tag's end follow in kInTag.
+XmlTokenizer::Token XmlTokenizer::OpenTag() {
+  if (!At('<')) return Fail("expected '<'");
+  ++pos_;
+  if (!ParseName()) return Fail("expected name");
+  open_.push_back(name_);
+  state_ = State::kInTag;
+  return Token::kStart;
+}
+
+// Content of the innermost open element: a closing tag or a child.
+XmlTokenizer::Token XmlTokenizer::Content() {
+  SkipMisc();
+  if (pos_ >= input_.size()) return Fail("unexpected end of input");
+  if (input_[pos_] != '<') {
+    return Fail("text content is not supported by the tree model");
+  }
+  if (pos_ + 1 < input_.size() && input_[pos_ + 1] == '/') {
+    pos_ += 2;
+    if (!ParseName()) return Fail("expected name");
+    if (name_ != open_.back()) {
+      return Fail("mismatched closing tag </" + std::string(name_) + "> for <" +
+                  std::string(open_.back()) + ">");
+    }
+    SkipWhitespace();
+    if (!At('>')) return Fail("expected '>' after closing tag name");
+    ++pos_;
+    return Close();
+  }
+  return OpenTag();
+}
+
+XmlTokenizer::Token XmlTokenizer::Attribute() {
+  if (!ParseName()) return Fail("expected name");
+  SkipWhitespace();
+  if (!At('=')) return Fail("expected '=' after attribute name");
+  ++pos_;
+  SkipWhitespace();
+  if (pos_ >= input_.size() || (input_[pos_] != '"' && input_[pos_] != '\'')) {
+    return Fail("expected quoted attribute value");
+  }
+  char quote = input_[pos_++];
+  size_t start = pos_;
+  while (pos_ < input_.size() && input_[pos_] != quote) ++pos_;
+  if (pos_ >= input_.size()) return Fail("unterminated attribute value");
+  value_ = input_.substr(start, pos_ - start);
+  ++pos_;  // closing quote
+  return Token::kAttribute;
+}
+
+XmlTokenizer::Token XmlTokenizer::Close() {
+  open_.pop_back();
+  state_ = open_.empty() ? State::kEpilog : State::kContent;
+  return Token::kEnd;
+}
+
+XmlTokenizer::Token XmlTokenizer::Next() {
+  switch (state_) {
+    case State::kProlog:
+      SkipMisc();
+      return OpenTag();
+    case State::kInTag:
+      SkipWhitespace();
+      if (pos_ >= input_.size()) return Fail("unexpected end of tag");
+      if (input_[pos_] == '>') {
+        ++pos_;
+        state_ = State::kContent;
+        return Content();
+      }
+      if (input_[pos_] == '/' && pos_ + 1 < input_.size() &&
+          input_[pos_ + 1] == '>') {
+        pos_ += 2;
+        return Close();
+      }
+      if (!allow_attributes_) {
+        return Fail("attributes are not supported by the tree model");
+      }
+      return Attribute();
+    case State::kContent:
+      return Content();
+    case State::kEpilog:
+      SkipMisc();
+      if (pos_ != input_.size()) {
+        return Fail("trailing content after root element");
+      }
+      state_ = State::kDone;
+      return Token::kDone;
+    case State::kDone:
+      return Token::kDone;
+    case State::kError:
+      return Token::kError;
+  }
+  return Token::kError;
+}
+
+namespace {
 
 void SerializeElement(const XmlElement& element, int indent,
                       std::ostringstream& os) {
@@ -268,7 +283,34 @@ const std::string* XmlElement::FindAttribute(
 }
 
 StatusOr<XmlElement> ParseXmlDocument(std::string_view input) {
-  return XmlParser(input, /*allow_attributes=*/true).Parse();
+  XmlTokenizer tokens(input, /*allow_attributes=*/true);
+  std::vector<XmlElement> open;
+  XmlElement root;
+  while (true) {
+    switch (tokens.Next()) {
+      case XmlTokenizer::Token::kStart:
+        open.emplace_back().name = std::string(tokens.name());
+        break;
+      case XmlTokenizer::Token::kAttribute:
+        open.back().attributes.push_back(XmlAttribute{
+            std::string(tokens.name()), std::string(tokens.value())});
+        break;
+      case XmlTokenizer::Token::kEnd: {
+        XmlElement closed = std::move(open.back());
+        open.pop_back();
+        if (open.empty()) {
+          root = std::move(closed);
+        } else {
+          open.back().children.push_back(std::move(closed));
+        }
+        break;
+      }
+      case XmlTokenizer::Token::kDone:
+        return root;
+      case XmlTokenizer::Token::kError:
+        return tokens.status();
+    }
+  }
 }
 
 std::string XmlElementToString(const XmlElement& element) {
@@ -277,39 +319,33 @@ std::string XmlElementToString(const XmlElement& element) {
   return os.str();
 }
 
-Tree TreeFromXmlElement(const XmlElement& element, Alphabet* alphabet) {
-  Tree root(alphabet->Intern(element.name));
-  struct Frame {
-    const XmlElement* source;
-    Tree* target;
-    size_t next_child;
-  };
-  std::vector<Frame> stack;
-  // Each target's child vector is reserved to its final size before any
-  // child frame is pushed, so the Tree* pointers below stay stable.
-  auto open = [&stack](const XmlElement& source, Tree* target) {
-    target->children.reserve(source.children.size());
-    stack.push_back(Frame{&source, target, 0});
-  };
-  open(element, &root);
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    if (frame.next_child == frame.source->children.size()) {
-      stack.pop_back();
-      continue;
-    }
-    const XmlElement& child = frame.source->children[frame.next_child++];
-    frame.target->children.emplace_back(alphabet->Intern(child.name));
-    open(child, &frame.target->children.back());
-  }
-  return root;
-}
-
 StatusOr<Tree> ParseXml(std::string_view input, Alphabet* alphabet) {
-  StatusOr<XmlElement> document =
-      XmlParser(input, /*allow_attributes=*/false).Parse();
-  if (!document.ok()) return document.status();
-  return TreeFromXmlElement(*document, alphabet);
+  XmlTokenizer tokens(input, /*allow_attributes=*/false);
+  std::vector<Tree> open;
+  Tree root;
+  while (true) {
+    switch (tokens.Next()) {
+      case XmlTokenizer::Token::kStart:
+        open.emplace_back(alphabet->Intern(tokens.name()));
+        break;
+      case XmlTokenizer::Token::kEnd: {
+        Tree closed = std::move(open.back());
+        open.pop_back();
+        if (open.empty()) {
+          root = std::move(closed);
+        } else {
+          open.back().children.push_back(std::move(closed));
+        }
+        break;
+      }
+      case XmlTokenizer::Token::kAttribute:  // a parse error here
+        break;
+      case XmlTokenizer::Token::kDone:
+        return root;
+      case XmlTokenizer::Token::kError:
+        return tokens.status();
+    }
+  }
 }
 
 std::string ToXml(const Tree& tree, const Alphabet& alphabet) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "oracles/inclusion.h"
 #include "stap/automata/determinize.h"
 #include "stap/automata/inclusion.h"
 #include "stap/automata/minimize.h"

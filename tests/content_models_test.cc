@@ -4,6 +4,7 @@
 
 #include <random>
 
+#include "oracles/inclusion.h"
 #include "stap/automata/inclusion.h"
 #include "stap/regex/bkw.h"
 #include "stap/regex/glushkov.h"

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
 
 #include "oracles/forest_monoid.h"
 #include "stap/gen/random.h"
@@ -67,6 +68,31 @@ TEST(MfaTest, ForestEvaluationIsCompositional) {
   EXPECT_FALSE(mfa.Accepts(two_books));
   EXPECT_FALSE(mfa.Accepts(Forest{}));
   EXPECT_TRUE(mfa.Accepts(Forest{Tree(lib, {valid_book})}));
+}
+
+// EvalTree walks an explicit stack and copies no subtree, so a chain far
+// deeper than the call stack allows evaluates in linear time.
+TEST(MfaTest, EvaluatesChainsDeeperThanTheCallStack) {
+  SchemaBuilder builder;
+  builder.AddType("A", "a", "A | B");
+  builder.AddType("B", "b", "%");
+  builder.AddStart("A");
+  DfaXsd xsd = DfaXsdFromStEdtd(ReduceEdtd(builder.Build()));
+  MonoidForestAutomaton mfa = MfaFromXsd(xsd);
+  const int a = xsd.sigma.Find("a");
+  const int b = xsd.sigma.Find("b");
+  constexpr int kDepth = 100000;
+  auto chain = [a](int leaf) {
+    Tree tree(leaf);
+    for (int i = 1; i < kDepth; ++i) {
+      Tree next(a);
+      next.children.push_back(std::move(tree));
+      tree = std::move(next);
+    }
+    return tree;
+  };
+  EXPECT_TRUE(mfa.AcceptsTree(chain(b)));
+  EXPECT_FALSE(mfa.AcceptsTree(chain(a)));  // the leaf <a> lacks a child
 }
 
 // Property: the MFA agrees with the XSD on random schemas and documents.

@@ -126,4 +126,24 @@ StatusOr<Dfa> DeterminizeUnderSchema(const Nfa& nfa, const Nfa& context,
   return dfa;
 }
 
+Nfa BoundedLetterContext(int symbol, int max_count, int num_symbols) {
+  STAP_CHECK(symbol >= 0 && symbol < num_symbols);
+  STAP_CHECK(max_count >= 0);
+  // State i = "i occurrences of `symbol` seen"; all states final, the
+  // (max_count+1)-th occurrence has no transition (dead).
+  Nfa nfa(max_count + 1, num_symbols);
+  nfa.AddInitial(0);
+  for (int i = 0; i <= max_count; ++i) {
+    nfa.SetFinal(i);
+    for (int a = 0; a < num_symbols; ++a) {
+      if (a == symbol) {
+        if (i < max_count) nfa.AddTransition(i, a, i + 1);
+      } else {
+        nfa.AddTransition(i, a, i);
+      }
+    }
+  }
+  return nfa;
+}
+
 }  // namespace stap

@@ -63,6 +63,16 @@ StatusOr<Dfa> DeterminizeUnderSchema(
     std::vector<StateSet>* context_subsets = nullptr,
     SchemaDeterminizeStats* stats = nullptr);
 
+// Ambient-schema context for the schema-guided determinization tests
+// and benchmarks:
+// the DFA-shaped NFA of all words over `num_symbols` symbols containing
+// at most `max_count` occurrences of `symbol` (states 0..max_count count
+// occurrences; exceeding the cap is dead). Under this context the
+// Theorem 3.2 type automaton's 2^n dense subsets collapse to O(n·k)
+// live pairs, the motivating case of Niehren/Sakho/Al Serhali
+// (PAPERS.md).
+Nfa BoundedLetterContext(int symbol, int max_count, int num_symbols);
+
 }  // namespace stap
 
 #endif  // STAP_TESTS_ORACLES_DETERMINIZE_SCHEMA_H_

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "stap/automata/interner.h"
 #include "stap/base/check.h"
@@ -44,9 +45,28 @@ MonoidForestAutomaton::MonoidForestAutomaton(FiniteMonoid monoid,
   STAP_CHECK(static_cast<int>(final_.size()) == monoid_.size());
 }
 
+// Post-order over an explicit stack, with no subtree copies: each open
+// node composes its finished children into `element` left to right, and
+// applies its label when the last child is done.
 int MonoidForestAutomaton::EvalTree(const Tree& tree) const {
-  Forest children(tree.children.begin(), tree.children.end());
-  return Apply(tree.label, EvalForest(children));
+  struct Frame {
+    const Tree* node;
+    size_t next_child;
+    int element;  // the children evaluated so far, composed
+  };
+  std::vector<Frame> stack = {Frame{&tree, 0, monoid_.identity()}};
+  while (true) {
+    Frame& frame = stack.back();
+    if (frame.next_child < frame.node->children.size()) {
+      const Tree* child = &frame.node->children[frame.next_child++];
+      stack.push_back(Frame{child, 0, monoid_.identity()});
+      continue;
+    }
+    const int value = Apply(frame.node->label, frame.element);
+    stack.pop_back();
+    if (stack.empty()) return value;
+    stack.back().element = monoid_.Compose(stack.back().element, value);
+  }
 }
 
 int MonoidForestAutomaton::EvalForest(const Forest& forest) const {
@@ -62,7 +82,7 @@ bool MonoidForestAutomaton::Accepts(const Forest& forest) const {
 }
 
 bool MonoidForestAutomaton::AcceptsTree(const Tree& tree) const {
-  return Accepts(Forest{tree});
+  return final_[EvalTree(tree)];
 }
 
 namespace {

@@ -8,6 +8,7 @@
 
 #include "oracles/determinize_schema.h"
 #include "oracles/map_kernels.h"
+#include "stap/automata/antichain.h"
 #include "stap/automata/determinize.h"
 #include "stap/automata/inclusion.h"
 #include "stap/base/check.h"
@@ -22,6 +23,10 @@ bool AnyFinal(const Nfa& nfa, const StateSet& set) {
 }
 
 }  // namespace
+
+StatusOr<bool> NfaIncludedInNfa(const Nfa& a, const Nfa& b, Budget* budget) {
+  return AntichainIncluded(a, b, budget);
+}
 
 bool NfaIncludedInNfaViaSubsets(const Nfa& a, const Nfa& b) {
   STAP_CHECK(a.num_symbols() == b.num_symbols());

@@ -18,6 +18,15 @@
 
 namespace stap {
 
+// L(a) ⊆ L(b)? The antichain engine's NFA-against-NFA entry
+// (AntichainIncluded): worst-case exponential in |b| (the PSPACE-hard
+// case of Section 5's NFA content models) but explores only ⊆-minimal
+// b-sets, with early exit on the first counterexample. No command
+// compares two NFAs, so it lives here, beside the routes it is checked
+// against. A null budget is unlimited.
+StatusOr<bool> NfaIncludedInNfa(const Nfa& a, const Nfa& b,
+                                Budget* budget = nullptr);
+
 // L(a) ⊆ L(b) via a breadth-first search over pairs (reachable subset of
 // a, reachable subset of b) for one where a accepts and b rejects, with
 // no subsumption pruning.

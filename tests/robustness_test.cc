@@ -2,6 +2,7 @@
 // with Status errors (never crash), and renderer output must stay
 // re-parseable under mutation-free round trips.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <random>
 #include <string>
@@ -100,7 +101,7 @@ TEST(DeepDocumentTest, PathTreeDepth150kValidatesWithoutStackOverflow) {
 }
 
 // The XML reader feeds the validators at the CLI surface, so it has to
-// survive the same depths they do: parsing, DOM-to-tree conversion, and
+// survive the same depths they do: tokenizing, tree and DOM building, and
 // XmlElement teardown are all iterative.
 TEST(DeepDocumentTest, ParsesDepth150kXmlWithoutStackOverflow) {
   constexpr int kDepth = 150000;
@@ -170,6 +171,56 @@ TEST(DeepDocumentTest, NonSingleTypeSchemaValidatesDepth150k) {
   StatusOr<Tree> tree = ParseXml(invalid, &alphabet);
   ASSERT_TRUE(tree.ok());
   EXPECT_FALSE(schema->edtd.Accepts(*tree));
+}
+
+// ValidateDocument streams the document's bytes into the validator and
+// builds no tree, so validating a 32 MB document needs memory for its
+// depth, not its size: peak RSS (already covering the document itself)
+// must grow by far less than the document.
+TEST(WideDocumentTest, ValidatesFromBytesInBoundedMemory) {
+  StatusOr<CompiledSchema> schema = CompileSchema(
+      "start Lib\n"
+      "type Lib : library -> Book* End\n"
+      "type Book : book -> %\n"
+      "type End : end -> %\n",
+      nullptr);
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  ASSERT_TRUE(schema->single_type);
+  constexpr size_t kBytes = size_t{32} << 20;
+  std::string xml;
+  xml.reserve(kBytes + 64);
+  xml += "<library>";
+  int64_t books = 0;
+  while (xml.size() < kBytes) {
+    xml += "<book/>";
+    ++books;
+  }
+  const size_t body_end = xml.size();
+  xml += "<end/></library>";
+  std::string truncated = xml.substr(0, body_end);  // no <end/>
+  truncated += "</library>";
+
+  auto peak_rss_kb = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<int64_t>(usage.ru_maxrss);
+  };
+  const int64_t before_kb = peak_rss_kb();
+  const DocumentVerdict valid = ValidateDocument(*schema, xml, nullptr);
+  const DocumentVerdict invalid = ValidateDocument(*schema, truncated, nullptr);
+  const int64_t grown_kb = peak_rss_kb() - before_kb;
+
+  EXPECT_EQ(valid.kind, DocumentVerdict::Kind::kValid) << valid.message;
+  EXPECT_EQ(invalid.kind, DocumentVerdict::Kind::kInvalid);
+  EXPECT_EQ(invalid.message,
+            "child string [book book book book book book book book book book "
+            "book book book book book book book book book book book book "
+            "book book book book book book book book book book ... (+" +
+                std::to_string(books - 32) + " more; " +
+                std::to_string(books) +
+                " symbols total)] of element <library> does not match its "
+                "content model");
+  EXPECT_LT(grown_kb, 16 * 1024) << "peak RSS grew by " << grown_kb << " KB";
 }
 
 }  // namespace
