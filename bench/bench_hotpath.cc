@@ -136,6 +136,21 @@ void BM_MinimizeMap(benchmark::State& state) {
   state.counters["dfa_states"] = dfa.num_states();
 }
 
+// The x{1,N} chain DFA that an XSD's maxOccurs="N" compiles to. It is
+// minimal, so refinement has to separate every state, one splitter at a
+// time (hotpath_differential_test bounds the splitters by N·⌈log₂ N⌉).
+void BM_MinimizeChain(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Dfa chain(n + 1, /*num_symbols=*/1);
+  for (int i = 0; i < n; ++i) chain.SetTransition(i, 0, i + 1);
+  for (int i = 1; i <= n; ++i) chain.SetFinal(i);
+  for (auto _ : state) {
+    Dfa minimized = *Minimize(chain);
+    benchmark::DoNotOptimize(minimized);
+  }
+  state.counters["dfa_states"] = chain.num_states();
+}
+
 void BM_NfaInclusionHashed(benchmark::State& state) {
   Nfa a = MakeNfa(static_cast<int>(state.range(0)), 3);
   Nfa b = Loosen(a, 5);
@@ -158,6 +173,7 @@ BENCHMARK(BM_DeterminizeHashed)->RangeMultiplier(2)->Range(8, 64);
 BENCHMARK(BM_DeterminizeMap)->RangeMultiplier(2)->Range(8, 64);
 BENCHMARK(BM_MinimizeHashed)->RangeMultiplier(2)->Range(8, 64);
 BENCHMARK(BM_MinimizeMap)->RangeMultiplier(2)->Range(8, 64);
+BENCHMARK(BM_MinimizeChain)->RangeMultiplier(2)->Range(64, 4096);
 BENCHMARK(BM_NfaInclusionHashed)->RangeMultiplier(2)->Range(8, 32);
 BENCHMARK(BM_NfaInclusionMap)->RangeMultiplier(2)->Range(8, 32);
 

@@ -2,14 +2,13 @@
 // hot paths.
 //
 // Every kernel that explores a graph of set-keyed nodes — subset
-// construction (dense and schema-guided), Moore refinement signatures,
-// bottom-up tree-automaton determinization, the counting DPs' sibling
-// tuples and profiles — gives each distinct key a dense id. This header
-// is the one place that decision is made:
+// construction (dense and schema-guided), bottom-up tree-automaton
+// determinization, the counting DPs' sibling tuples and profiles,
+// MinimizeXsd's initial (label, content) blocks — gives each distinct key
+// a dense id. This header is the one place that decision is made:
 //
-//  * HashIntSpan / IntVectorHash / IntSpanKey — the canonical 64-bit hash
-//    over int sequences, for vector<int> keys (StateSets, guard keys) and
-//    for views into a caller's buffer (Moore signatures).
+//  * HashIntSpan / IntVectorHash — the canonical 64-bit hash over int
+//    sequences, for vector<int> keys (StateSets, guard keys).
 //  * PackPair / U64Hash — product searches walk pairs of small dense ids;
 //    packing two 32-bit ids into one uint64_t key keeps the table flat and
 //    the probe sequence cache-friendly.
@@ -20,7 +19,6 @@
 #ifndef STAP_AUTOMATA_INTERNER_H_
 #define STAP_AUTOMATA_INTERNER_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -51,24 +49,6 @@ inline uint64_t HashIntSpan(const int* data, size_t size) {
 struct IntVectorHash {
   size_t operator()(const std::vector<int>& v) const {
     return static_cast<size_t>(HashIntSpan(v.data(), v.size()));
-  }
-};
-
-// A view of an int sequence stored elsewhere, as an Interner key. Moore
-// refinement writes every state's signature into one reused buffer and
-// interns views of its rows, so a round allocates nothing per class; the
-// buffer must outlive the interner.
-struct IntSpanKey {
-  const int* data;
-  size_t size;
-  bool operator==(const IntSpanKey& other) const {
-    return std::equal(data, data + size, other.data, other.data + size);
-  }
-};
-
-struct IntSpanKeyHash {
-  size_t operator()(const IntSpanKey& key) const {
-    return static_cast<size_t>(HashIntSpan(key.data, key.size));
   }
 };
 

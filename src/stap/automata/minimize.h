@@ -1,6 +1,10 @@
-// DFA minimization to a canonical form.
+// DFA minimization to a canonical form, on one partition-refinement
+// kernel.
 #ifndef STAP_AUTOMATA_MINIMIZE_H_
 #define STAP_AUTOMATA_MINIMIZE_H_
+
+#include <cstdint>
+#include <vector>
 
 #include "stap/automata/dfa.h"
 #include "stap/automata/nfa.h"
@@ -9,12 +13,28 @@
 
 namespace stap {
 
-// Returns the canonical minimal *partial* DFA for L(dfa): Moore partition
-// refinement on the completed automaton, dead states removed, states
-// renumbered in BFS order (symbols ascending). Two DFAs accept the same
-// language iff Minimize() of both compares operator==. The refinement
-// rounds check the wall-clock deadline (minimization never grows the state
-// count, so only time can exhaust). A null budget is unlimited.
+// Hopcroft partition refinement (Hopcroft 1971), in O(|Σ|·n log n).
+// `*block` gives every state of `dfa` an initial block in
+// [0, num_blocks); on success it holds the coarsest partition that refines
+// those blocks and is stable under δ: two states share a block iff they
+// shared one initially and, on every symbol, either both lack a
+// transition or both move to states that share a block (a missing
+// transition goes to a virtual sink in a block of its own). The blocks
+// are renumbered 0, 1, … in order of their least state, and their number
+// is returned. Refinement never adds states, so only the wall-clock
+// deadline can exhaust: it is checked on entry and once per splitter
+// popped from the worklist. If `splitters` is non-null it receives the
+// number of splitters processed (the virtual sink's included).
+StatusOr<int> RefinePartition(const Dfa& dfa, int num_blocks,
+                              std::vector<int>* block, Budget* budget,
+                              int64_t* splitters = nullptr);
+
+// Returns the canonical minimal *partial* DFA for L(dfa): the trimmed
+// automaton's final/non-final partition refined by RefinePartition, dead
+// states removed, states renumbered in BFS order (symbols ascending). Two
+// DFAs accept the same language iff Minimize() of both compares
+// operator==. Traced as the `minimize` span (args states_in, splitters,
+// states_out). A null budget is unlimited.
 StatusOr<Dfa> Minimize(const Dfa& dfa, Budget* budget = nullptr);
 
 // Determinizes (dense subset construction, determinize.h) and minimizes:

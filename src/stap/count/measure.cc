@@ -28,7 +28,7 @@ double MeasureResult::UpperPrecision(int d) const {
 }
 
 double MeasureResult::LowerRecall(int d) const {
-  return CountRatio(lower_common[d], schema[d]);
+  return CountRatio(lower[d], schema[d]);
 }
 
 std::string MeasureResult::ToText() const {
@@ -124,13 +124,10 @@ StatusOr<MeasureResult> MeasureSchema(const Edtd& schema,
         CountXsdByDepth(*upper, options.bounds, budget);
     if (!upper_counts.ok()) return upper_counts.status();
     result.upper = *std::move(upper_counts);
-    StatusOr<std::vector<CountValue>> common =
-        CountIntersectionByDepth(*upper, reduced, options.bounds, budget);
-    if (!common.ok()) return common.status();
-    result.upper_common = *std::move(common);
+    // S ⊆ upper (Lemma 3.3), so |L(upper) ∩ L(S)| is |L(S)|.
     for (int d = 0; d < options.bounds.max_depth; ++d) {
       result.gained.push_back(
-          CountValue::Sub(result.upper[d], result.upper_common[d]));
+          CountValue::Sub(result.upper[d], result.schema[d]));
     }
   }
 
@@ -144,13 +141,11 @@ StatusOr<MeasureResult> MeasureSchema(const Edtd& schema,
         CountXsdByDepth(*lower, options.bounds, budget);
     if (!lower_counts.ok()) return lower_counts.status();
     result.lower = *std::move(lower_counts);
-    StatusOr<std::vector<CountValue>> common =
-        CountIntersectionByDepth(*lower, reduced, options.bounds, budget);
-    if (!common.ok()) return common.status();
-    result.lower_common = *std::move(common);
+    // lower ⊆ S (the intersection rule is sound), so |L(lower) ∩ L(S)| is
+    // |L(lower)|.
     for (int d = 0; d < options.bounds.max_depth; ++d) {
       result.lost.push_back(
-          CountValue::Sub(result.schema[d], result.lower_common[d]));
+          CountValue::Sub(result.schema[d], result.lower[d]));
     }
   }
 

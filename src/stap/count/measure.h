@@ -5,9 +5,11 @@
 // |L(upper) \ L(S)|, and how many a sound lower approximation loses,
 // |L(S) \ L(lower)|, for every depth up to a bound. Both differences are
 // computed from the counting DPs (count/counter.h) without materializing
-// difference automata: S ⊆ upper gives |upper \ S| = |upper| − |upper ∩ S|
-// and lower ⊆ S gives |S \ lower| = |S| − |lower ∩ S|, with the
-// intersection counts from the joint (XSD state × profile) DP.
+// difference automata: S ⊆ upper (Lemma 3.3) gives |upper \ S| =
+// |upper| − |S|, and lower ⊆ S (soundness of the intersection rule,
+// approx/upper.h) gives |S \ lower| = |S| − |lower|. No intersection
+// is counted; count_property_test checks both inclusions' count
+// identities with the joint (XSD state × profile) DP.
 #ifndef STAP_COUNT_MEASURE_H_
 #define STAP_COUNT_MEASURE_H_
 
@@ -38,20 +40,18 @@ struct MeasureResult {
 
   bool has_upper = false;
   int upper_states = 0;  // type size of the minimal upper approximation
-  std::vector<CountValue> upper;         // |L(upper)|
-  std::vector<CountValue> upper_common;  // |L(upper) ∩ L(S)| (== |L(S)|)
-  std::vector<CountValue> gained;        // |L(upper) \ L(S)|
+  std::vector<CountValue> upper;   // |L(upper)|
+  std::vector<CountValue> gained;  // |L(upper) \ L(S)| = |L(upper)| − |L(S)|
 
   bool has_lower = false;
   int lower_states = 0;
-  std::vector<CountValue> lower;         // |L(lower)|
-  std::vector<CountValue> lower_common;  // |L(lower) ∩ L(S)| (== |L(lower)|)
-  std::vector<CountValue> lost;          // |L(S) \ L(lower)|
+  std::vector<CountValue> lower;  // |L(lower)|
+  std::vector<CountValue> lost;   // |L(S) \ L(lower)| = |L(S)| − |L(lower)|
 
   // Precision of the upper approximation at depth index d:
   // |L(S)| / |L(upper)| in (0, 1]; 1.0 when |L(upper)| is 0.
   double UpperPrecision(int d) const;
-  // Recall of the lower approximation: |L(lower) ∩ L(S)| / |L(S)|.
+  // Recall of the lower approximation: |L(lower)| / |L(S)| (lower ⊆ S).
   double LowerRecall(int d) const;
 
   // Human-readable per-depth table.

@@ -267,53 +267,29 @@ StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& input, Budget* budget) {
   for (int q = 0; q < n; ++q) {
     block[q] = content_ids.Intern({xsd.state_label[q], &xsd.content[q]}).first;
   }
-  int num_blocks = content_ids.size();
 
-  // Step 3: refine by successor blocks until stable (signatures interned
-  // as views into one reused buffer, as in automata/minimize.cc).
-  // Refinement never grows the state count, so only the wall-clock
-  // deadline can exhaust; checked once per round.
-  const size_t width = static_cast<size_t>(num_symbols) + 1;
-  std::vector<int> signatures(width * n);
-  int64_t rounds = 0;
-  while (true) {
-    ++rounds;
-    STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
-    Interner<IntSpanKey, IntSpanKeyHash> signature_ids(n);
-    std::vector<int> next_block(n);
-    for (int q = 0; q < n; ++q) {
-      int* signature = signatures.data() + width * q;
-      signature[0] = block[q];
-      for (int a = 0; a < num_symbols; ++a) {
-        int r = xsd.automaton.Next(q, a);
-        signature[a + 1] = r == kNoState ? -1 : block[r];
-      }
-      next_block[q] = signature_ids.Intern({signature, width}).first;
-    }
-    int next_num = signature_ids.size();
-    block = std::move(next_block);
-    if (next_num == num_blocks) break;
-    num_blocks = next_num;
-  }
+  // Step 3: refine by successor blocks until stable (a missing
+  // transition separates states as a block of its own would). Refinement
+  // never grows the state count, so only the wall-clock deadline can
+  // exhaust; RefinePartition checks it once per splitter.
+  int64_t splitters = 0;
+  StatusOr<int> refined = RefinePartition(xsd.automaton, content_ids.size(),
+                                          &block, budget, &splitters);
+  if (!refined.ok()) return refined.status();
+  const int num_blocks = *refined;
 
-  // Step 4: build the quotient.
+  // Step 4: build the quotient. Blocks are numbered in order of their
+  // least state, so q_init (state 0) keeps block 0.
   DfaXsd quotient;
   quotient.sigma = xsd.sigma;
   quotient.start_symbols = xsd.start_symbols;
-  // Renumber blocks so that q_init's block is 0.
-  std::vector<int> block_state(num_blocks, kNoState);
-  int next_id = 0;
-  block_state[block[0]] = next_id++;
-  for (int q = 1; q < n; ++q) {
-    if (block_state[block[q]] == kNoState) block_state[block[q]] = next_id++;
-  }
   quotient.automaton = Dfa(num_blocks, num_symbols);
   quotient.automaton.SetInitial(0);
   quotient.state_label.assign(num_blocks, kNoSymbol);
   quotient.content.assign(num_blocks, Dfa::EmptyLanguage(num_symbols));
   if (!xsd.content_source.empty()) quotient.content_source.resize(num_blocks);
   for (int q = 0; q < n; ++q) {
-    int b = block_state[block[q]];
+    const int b = block[q];
     quotient.state_label[b] = xsd.state_label[q];
     quotient.content[b] = xsd.content[q];
     if (!xsd.content_source.empty() && xsd.content_source[q] != nullptr) {
@@ -322,16 +298,14 @@ StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& input, Budget* budget) {
       quotient.content_source[b] = xsd.content_source[q];
     }
     for (int a = 0; a < num_symbols; ++a) {
-      int r = xsd.automaton.Next(q, a);
-      if (r != kNoState) {
-        quotient.automaton.SetTransition(b, a, block_state[block[r]]);
-      }
+      const int r = xsd.automaton.Next(q, a);
+      if (r != kNoState) quotient.automaton.SetTransition(b, a, block[r]);
     }
   }
 
   DfaXsd result = Canonicalize(quotient);
   result.CheckWellFormed();
-  span.AddArg("rounds", rounds);
+  span.AddArg("splitters", splitters);
   span.AddArg("xsd_states", result.automaton.num_states());
   return result;
 }

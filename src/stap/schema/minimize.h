@@ -10,8 +10,9 @@
 // (productive states by a predecessor worklist, then reachable ones),
 // one Minimize per kept content, and the initial partition keyed on
 // (label, content DFA) are linear in the number of states for fixed Σ;
-// only the Moore rounds that follow repeat. No N-type stEDTD view is
-// built.
+// the refinement that follows is Minimize's Hopcroft kernel
+// (RefinePartition, automata/minimize.h), O(|Σ|·n log n) on the partial
+// XSD automaton. No N-type stEDTD view is built.
 #ifndef STAP_SCHEMA_MINIMIZE_H_
 #define STAP_SCHEMA_MINIMIZE_H_
 
@@ -25,10 +26,10 @@ namespace stap {
 // content DFAs minimized, states in BFS order. Structural equality of two
 // minimized XSDs (XsdStructurallyEqual) decides language equivalence.
 // The reduced automaton and its canonical content DFAs charge the state
-// quota, and every refinement round checks the wall-clock deadline.
+// quota, and every refinement splitter checks the wall-clock deadline.
 // Traced as the `schema.minimize_xsd` span, with args states_in,
-// states_reduced (after reduction, q_init included), rounds (Moore
-// refinement rounds) and xsd_states. `budget` has no default so
+// states_reduced (after reduction, q_init included), splitters (popped
+// by the XSD-level refinement) and xsd_states. `budget` has no default so
 // the call stays distinct from the unbudgeted form below; a null budget
 // is unlimited.
 StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& xsd, Budget* budget);

@@ -9,18 +9,21 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "stap/approx/inclusion.h"
 #include "stap/approx/upper.h"
 #include "stap/automata/antichain.h"
 #include "stap/automata/determinize.h"
+#include "stap/automata/minimize.h"
 #include "stap/base/budget.h"
 #include "stap/base/metrics.h"
 #include "stap/base/thread_pool.h"
 #include "stap/gen/families.h"
 #include "stap/regex/ast.h"
 #include "stap/regex/glushkov.h"
+#include "stap/schema/minimize.h"
 #include "stap/schema/reduce.h"
 
 namespace stap {
@@ -72,6 +75,23 @@ TEST(BudgetTest, DeadlineStopsApproximationInBoundedTime) {
   // Generous bound (CI machines vary), but far below the unbudgeted
   // runtime of the n=16 instance.
   EXPECT_LT(elapsed_ms, 2000.0) << xsd.status();
+}
+
+TEST(BudgetTest, ExpiredDeadlineStopsBothMinimizers) {
+  // Minimization never adds states, so the deadline is all that bounds
+  // it: an already-expired one stops Minimize and MinimizeXsd before
+  // they return a result, as `--budget-ms` does on any command.
+  const Dfa dfa = *Determinize(LastLetterNfa(4));
+  const DfaXsd xsd = MinimalUpperApproximation(Theorem32Family(3));
+  for (int use = 0; use < 2; ++use) {
+    Budget budget;
+    budget.set_deadline_ms(0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const Status status = use == 0 ? Minimize(dfa, &budget).status()
+                                   : MinimizeXsd(xsd, &budget).status();
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+        << (use == 0 ? "Minimize: " : "MinimizeXsd: ") << status;
+  }
 }
 
 TEST(BudgetTest, NullAndUnlimitedBudgetsAgree) {

@@ -105,25 +105,37 @@ TEST(CountPropertyTest, CountsMonotoneInDepthAndWidth) {
 }
 
 // The sandwich |L(lower)| ≤ |L(S)| ≤ |L(upper)| at every depth, plus the
-// two intersection identities measure's difference arithmetic rests on.
+// two intersection identities measure's difference arithmetic rests on:
+// MeasureSchema takes |L(upper) ∩ L(S)| = |L(S)| and |L(lower) ∩ L(S)| =
+// |L(lower)| as given, so they are counted here with the joint DP on the
+// same reduced schema and the same approximations.
 void CheckSandwich(const Edtd& schema, const char* what) {
   MeasureOptions options;
   options.bounds.max_depth = 4;
   options.bounds.max_width = 3;
   StatusOr<MeasureResult> result = MeasureSchema(schema, options, nullptr);
   ASSERT_TRUE(result.ok()) << what;
+  const Edtd reduced = ReduceEdtd(schema);
+  StatusOr<DfaXsd> upper = MinimalUpperApproximation(reduced, nullptr);
+  ASSERT_TRUE(upper.ok()) << what;
+  StatusOr<DfaXsd> lower = SubsetIntersectionLower(reduced, nullptr);
+  ASSERT_TRUE(lower.ok()) << what;
+  StatusOr<std::vector<CountValue>> upper_common =
+      CountIntersectionByDepth(*upper, reduced, options.bounds, nullptr);
+  ASSERT_TRUE(upper_common.ok()) << what;
+  StatusOr<std::vector<CountValue>> lower_common =
+      CountIntersectionByDepth(*lower, reduced, options.bounds, nullptr);
+  ASSERT_TRUE(lower_common.ok()) << what;
   for (int d = 0; d < options.bounds.max_depth; ++d) {
     EXPECT_LE(CountValue::Compare(result->schema[d], result->upper[d]), 0)
         << what << ": |L(S)| > |L(upper)| at depth " << (d + 1);
     EXPECT_LE(CountValue::Compare(result->lower[d], result->schema[d]), 0)
         << what << ": |L(lower)| > |L(S)| at depth " << (d + 1);
     // S ⊆ upper: the intersection with the upper approximation is S.
-    EXPECT_EQ(CountValue::Compare(result->upper_common[d],
-                                  result->schema[d]), 0)
+    EXPECT_EQ(CountValue::Compare((*upper_common)[d], result->schema[d]), 0)
         << what << ": |L(upper) ∩ L(S)| != |L(S)| at depth " << (d + 1);
     // lower ⊆ S: the intersection with the schema is the lower language.
-    EXPECT_EQ(CountValue::Compare(result->lower_common[d],
-                                  result->lower[d]), 0)
+    EXPECT_EQ(CountValue::Compare((*lower_common)[d], result->lower[d]), 0)
         << what << ": |L(lower) ∩ L(S)| != |L(lower)| at depth " << (d + 1);
     EXPECT_GE(result->UpperPrecision(d), 0.0) << what;
     EXPECT_LE(result->UpperPrecision(d), 1.0 + 1e-9) << what;

@@ -16,6 +16,7 @@
 
 #include "stap/approx/upper.h"
 #include "stap/automata/determinize.h"
+#include "stap/automata/minimize.h"
 #include "stap/base/metrics.h"
 #include "stap/base/thread_pool.h"
 #include "stap/base/trace.h"
@@ -311,6 +312,36 @@ TEST(TraceTest, DeterminizeSpanMatchesTheMetricsRegistry) {
   EXPECT_EQ(span_states, registry_delta);
 }
 
+TEST(TraceTest, MinimizeSpanSplittersMatchTheRegistry) {
+  // The `minimize` span reports the refinement's splitters, and they are
+  // the same count the minimize.splitters counter gains. The input is the
+  // (a+b)* a (a+b)^4 subset DFA: 32 states, all distinguishable.
+  RegexPtr ab = Regex::Union({Regex::Symbol(0), Regex::Symbol(1)});
+  std::vector<RegexPtr> parts;
+  parts.push_back(Regex::Star(ab));
+  parts.push_back(Regex::Symbol(0));
+  for (int i = 0; i < 4; ++i) parts.push_back(ab);
+  const Dfa dfa = *Determinize(
+      *GlushkovAutomaton(*Regex::Concat(std::move(parts)), 2));
+
+  Counter* const splitters = GetCounter("minimize.splitters");
+  const int64_t before = splitters->value();
+  TraceSession session;
+  session.Start();
+  const Dfa minimal = *Minimize(dfa);
+  session.Stop();
+  EXPECT_EQ(minimal.num_states(), 32);
+
+  std::vector<TraceSession::PhaseRow> rows = session.PhaseTable();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].name, "minimize");
+  std::map<std::string, int64_t> args(rows[0].int_args.begin(),
+                                      rows[0].int_args.end());
+  EXPECT_GE(args["splitters"], 1);
+  EXPECT_EQ(args["splitters"], splitters->value() - before);
+  EXPECT_EQ(args["states_out"], 32);
+}
+
 TEST(TraceTest, ApproxPipelineShowsEveryStageAtTopLevel) {
   // What `stap approx` and `stap explain` run: Construction 3.1, then the
   // one printer, whose minimization and printing are phases of their own.
@@ -332,7 +363,7 @@ TEST(TraceTest, ApproxPipelineShowsEveryStageAtTopLevel) {
                                       "schema.print"}));
 
   // The minimization span says where its work went: the states it was
-  // given, the states left after reduction, the refinement rounds, and
+  // given, the states left after reduction, the refinement splitters, and
   // the canonical result (2^(n+1)+1 states for Theorem 3.2's family).
   std::map<std::string, int64_t> args;
   for (const TraceSession::PhaseRow& row : session.PhaseTable()) {
@@ -343,7 +374,7 @@ TEST(TraceTest, ApproxPipelineShowsEveryStageAtTopLevel) {
   EXPECT_EQ(args["xsd_states"], 17);
   EXPECT_GE(args["states_reduced"], args["xsd_states"]);
   EXPECT_LE(args["states_reduced"], args["states_in"]);
-  EXPECT_GE(args["rounds"], 1);
+  EXPECT_GE(args["splitters"], 1);
 }
 
 }  // namespace

@@ -4,17 +4,19 @@
 // tests/oracles/xsd_minimize.h, which reduces and prints through the
 // N-type stEDTD view.
 //
-// Inputs: the example schemas, the paper's families, random EDTDs through
-// Construction 3.1 (with and without content minimization), random
-// stEDTDs with counted provenance, and raw unreduced DfaXsds — random
-// labels and transitions, unminimized contents, unproductive and
-// unreachable states, start symbols with no live transition, and
-// provenance that the reduction must drop or keep.
+// Inputs: the example schemas (the counted XSDs also with every type
+// doubled, and their contents against the Moore oracle), the paper's
+// families, random EDTDs through Construction 3.1 (with and without
+// content minimization), random stEDTDs with counted provenance, and raw
+// unreduced DfaXsds — random labels and transitions, unminimized
+// contents, unproductive and unreachable states, start symbols with no
+// live transition, and provenance that the reduction must drop or keep.
 //
 // Run with --seed=N (or STAP_SEED=N) to explore a different random
 // stream; failures print the reproduction flag (see test_seed.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -22,10 +24,12 @@
 #include <utility>
 #include <vector>
 
+#include "oracles/map_kernels.h"
 #include "oracles/xsd_minimize.h"
 #include "stap/approx/upper.h"
 #include "stap/approx/upper_boolean.h"
 #include "stap/automata/determinize.h"
+#include "stap/automata/minimize.h"
 #include "stap/gen/families.h"
 #include "stap/gen/random.h"
 #include "stap/io/artifact.h"
@@ -116,6 +120,82 @@ TEST(XsdMinimizeDifferentialTest, Examples) {
         LooksLikeXml(text) ? ImportXsd(text) : ParseSchema(text);
     ASSERT_TRUE(edtd.ok()) << file << ": " << edtd.status();
     ExpectAgreeOnSchema(*edtd, file);
+  }
+}
+
+// An equivalent DfaXsd with every type doubled: each non-initial state
+// gets a twin with the same label, content and provenance, and every
+// transition enters the original target or its twin at random. The
+// XSD-level refinement has to merge each pair back.
+DfaXsd WithTwinTypes(const DfaXsd& xsd, std::mt19937* rng) {
+  const int n = xsd.automaton.num_states();
+  const int init = xsd.automaton.initial();
+  std::vector<int> original(n);
+  std::vector<int> twin(n, kNoState);
+  for (int q = 0; q < n; ++q) {
+    original[q] = q;
+    if (q != init) {
+      twin[q] = static_cast<int>(original.size());
+      original.push_back(q);
+    }
+  }
+  const int total = static_cast<int>(original.size());
+  DfaXsd result = xsd;
+  result.automaton = Dfa(total, xsd.sigma.size());
+  result.automaton.SetInitial(init);
+  result.state_label.resize(total);
+  result.content.resize(total);
+  if (!result.content_source.empty()) result.content_source.resize(total);
+  for (int p = n; p < total; ++p) {
+    result.state_label[p] = xsd.state_label[original[p]];
+    result.content[p] = xsd.content[original[p]];
+    if (!result.content_source.empty()) {
+      result.content_source[p] = xsd.content_source[original[p]];
+    }
+  }
+  for (int p = 0; p < total; ++p) {
+    for (int a = 0; a < xsd.sigma.size(); ++a) {
+      const int r = xsd.automaton.Next(original[p], a);
+      if (r == kNoState) continue;
+      const bool use_twin = twin[r] != kNoState && (*rng)() % 2 == 0;
+      result.automaton.SetTransition(p, a, use_twin ? twin[r] : r);
+    }
+  }
+  result.CheckWellFormed();
+  return result;
+}
+
+TEST(XsdMinimizeDifferentialTest, CountedExampleXsds) {
+  // The example XSDs whose maxOccurs compile to long counted chains: every
+  // content DFA of their upper approximation minimizes as the Moore
+  // oracle does, and a copy with every type doubled minimizes back to
+  // the same XSD on both pipelines.
+  std::mt19937 rng(MixSeed(0x7715));
+  const std::string dir = STAP_EXAMPLES_DIR;
+  struct Counted {
+    const char* file;
+    int max_occurs;
+  };
+  for (const Counted& example : {Counted{"xsd/catalog.xsd", 500},
+                                 Counted{"xsd/article.xsd", 100},
+                                 Counted{"xsd/purchase_order.xsd", 100}}) {
+    SCOPED_TRACE(example.file);
+    std::ifstream in(dir + "/" + example.file);
+    ASSERT_TRUE(in);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    StatusOr<Edtd> edtd = ImportXsd(buffer.str());
+    ASSERT_TRUE(edtd.ok()) << edtd.status();
+    const DfaXsd upper = MinimalUpperApproximation(*edtd);
+    int largest = 0;
+    for (const Dfa& content : upper.content) {
+      largest = std::max(largest, content.num_states());
+      EXPECT_EQ(*Minimize(content), MapMinimize(content));
+    }
+    EXPECT_GT(largest, example.max_occurs);
+    const DfaXsd twins = WithTwinTypes(upper, &rng);
+    ExpectAgree(twins, std::string(example.file) + "/twins");
+    EXPECT_TRUE(XsdStructurallyEqual(MinimizeXsd(twins), MinimizeXsd(upper)));
   }
 }
 
