@@ -156,7 +156,9 @@ StatusOr<bool> IsSingleTypeDefinable(const Edtd& edtd, Budget* budget) {
   }
   STAP_RETURN_IF_ERROR(
       Budget::ChargeStates(budget, content_states * upper->type_size()));
-  return EdtdIncludedInExact(StEdtdFromDfaXsd(*upper), reduced);
+  StatusOr<Edtd> upper_edtd = StEdtdFromDfaXsd(*upper, budget);
+  if (!upper_edtd.ok()) return upper_edtd.status();
+  return EdtdIncludedInExact(*upper_edtd, reduced, budget);
 }
 
 }  // namespace stap

@@ -64,9 +64,9 @@ LowerCheckResult CheckMaximalLowerFinite(const Edtd& candidate,
 
 // Is L(edtd) definable by a single-type EDTD at all? (Martens et al.'s
 // EXPTIME test, via Theorem 3.2: the language is single-type definable iff
-// it equals its minimal upper approximation.) The upper construction
-// charges the budget (the dominant exponential cost; the converse
-// inclusion runs on whatever it built). A null budget is unlimited.
+// it equals its minimal upper approximation.) The upper construction and
+// the converse inclusion both charge the budget. A null budget is
+// unlimited.
 StatusOr<bool> IsSingleTypeDefinable(const Edtd& edtd,
                                      Budget* budget = nullptr);
 

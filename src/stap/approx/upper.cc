@@ -1,9 +1,11 @@
 #include "stap/approx/upper.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "stap/automata/determinize.h"
+#include "stap/automata/interner.h"
 #include "stap/automata/minimize.h"
 #include "stap/automata/ops.h"
 #include "stap/base/check.h"
@@ -46,6 +48,24 @@ StatusOr<Dfa> IntersectionRule(const Edtd& edtd, const std::vector<int>& types,
     meet = *std::move(product);
   }
   return Minimize(meet.Trimmed(), budget);
+}
+
+// A structural key of an image NFA: its state count, initial states,
+// final states, and every transition row in (state, symbol) order. Equal
+// keys mean equal automata, hence equal languages.
+std::vector<int> ImageKey(const Nfa& image) {
+  std::vector<int> key = {image.num_states(),
+                          static_cast<int>(image.initial().size())};
+  key.insert(key.end(), image.initial().begin(), image.initial().end());
+  for (int s = 0; s < image.num_states(); ++s) key.push_back(image.IsFinal(s));
+  for (int s = 0; s < image.num_states(); ++s) {
+    for (int a = 0; a < image.num_symbols(); ++a) {
+      const StateSet& row = image.Next(s, a);
+      key.push_back(static_cast<int>(row.size()));
+      key.insert(key.end(), row.begin(), row.end());
+    }
+  }
+  return key;
 }
 
 // Construction 3.1 with the content rule as its parameter: reduce the
@@ -124,11 +144,48 @@ StatusOr<DfaXsd> SubsetConstruction(const Edtd& input, ContentRule rule,
     }
   }
 
-  for (int q = 1; q < next_id; ++q) {
-    StatusOr<Dfa> content = rule(edtd, merged_types[q], budget);
-    if (!content.ok()) return content.status();
-    xsd.content[q] = *std::move(content);
+  // A merged state's content depends only on the set of its members'
+  // distinct content images: a union or intersection is unchanged by
+  // duplicate operands, and both rules end in Minimize, whose output is
+  // canonical. So the rule runs once per distinct set, on the least type
+  // of each image (image ids are handed out in type order, so sorted ids
+  // give sorted representatives), and states with the same set share its
+  // content byte for byte.
+  Interner<std::vector<int>, IntVectorHash> image_ids(edtd.num_types());
+  std::vector<int> image_of(edtd.num_types());
+  std::vector<int> representative;
+  for (int tau = 0; tau < edtd.num_types(); ++tau) {
+    auto [id, inserted] = image_ids.Intern(ImageKey(
+        HomomorphicImage(edtd.content[tau], edtd.mu, edtd.num_symbols())));
+    image_of[tau] = id;
+    if (inserted) representative.push_back(tau);
   }
+  static Counter* const rule_calls = GetCounter("approx.content_rules");
+  Interner<std::vector<int>, IntVectorHash> content_ids;
+  std::vector<Dfa> contents;
+  std::vector<int> images, operands;
+  Status status;
+  for (int q = 1; q < next_id; ++q) {
+    images.clear();
+    for (int tau : merged_types[q]) images.push_back(image_of[tau]);
+    std::sort(images.begin(), images.end());
+    images.erase(std::unique(images.begin(), images.end()), images.end());
+    auto [id, inserted] = content_ids.Intern(images);
+    if (inserted) {
+      operands.clear();
+      for (int image : images) operands.push_back(representative[image]);
+      StatusOr<Dfa> content = rule(edtd, operands, budget);
+      if (!content.ok()) {
+        status = content.status();
+        break;
+      }
+      contents.push_back(*std::move(content));
+    }
+    xsd.content[q] = contents[id];
+  }
+  rule_calls->Increment(content_ids.size());
+  merge_span.AddArg("distinct_contents", content_ids.size());
+  if (!status.ok()) return status;
   merge_span.AddArg("merged_states", next_id);
   merge_span.End();
   xsd.CheckWellFormed();

@@ -4,7 +4,11 @@
 // Both approximations determinize the type automaton by the subset
 // construction, so every state of the result merges a set of same-labeled
 // types; they differ only in the content rule that gives a merged state
-// its content model:
+// its content model. A merged state's content depends only on the set of
+// its members' distinct content images, so the rule runs once per such
+// set, on one representative type per image, and every state with that
+// set shares the (canonical, byte-identical) result: Theorem 3.2's family
+// has 2^(n+1) merged states but two distinct sets.
 //
 //  * MinimalUpperApproximation — the union of the merged types' content
 //    images (ContentImageUnion), determinized (dense subset construction)
@@ -40,8 +44,8 @@ namespace stap {
 // Returns the minimal upper XSD-approximation of L(edtd). The input is
 // reduced internally (Proviso 2.3). States of the result correspond to the
 // reachable non-empty subsets of ∆. The type-automaton subset
-// construction and every per-subset content determinization charge the
-// budget's state quota, so the Theorem 3.2 exponential family aborts with
+// construction and every content determinization charge the budget's
+// state quota, so the Theorem 3.2 exponential family aborts with
 // kResourceExhausted instead of exhausting memory. `budget` has no default
 // so the call stays distinct from the unbudgeted form below; a null budget
 // is unlimited.
@@ -53,9 +57,8 @@ DfaXsd MinimalUpperApproximation(const Edtd& edtd);
 // Returns a single-type lower approximation with L(result) ⊆ L(edtd), by
 // the intersection content rule above. The input is reduced internally.
 // For an input with empty language the result is the empty XSD (no start
-// symbols). The subset construction and the per-subset determinizations
-// and products charge the budget's state quota; a null budget is
-// unlimited.
+// symbols). The subset construction and the content determinizations and
+// products charge the budget's state quota; a null budget is unlimited.
 StatusOr<DfaXsd> SubsetIntersectionLower(const Edtd& edtd,
                                          Budget* budget = nullptr);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <sstream>
+#include <utility>
 
 #include "stap/base/check.h"
 
@@ -118,8 +119,12 @@ Dfa Dfa::Completed() const {
 
 Dfa Dfa::Trimmed() const {
   if (num_states_ == 0) return Dfa::EmptyLanguage(num_symbols_);
-  // Forward reachability from the initial state.
+  // Forward reachability from the initial state, recording every
+  // transition out of a reachable state. Only those matter backwards: a
+  // kept state is reachable, and so is every state on its paths to a
+  // final state.
   std::vector<bool> reach(num_states_, false);
+  std::vector<std::pair<int, int>> edges;  // (source, target)
   std::vector<int> stack = {initial_};
   reach[initial_] = true;
   while (!stack.empty()) {
@@ -127,20 +132,25 @@ Dfa Dfa::Trimmed() const {
     stack.pop_back();
     for (int a = 0; a < num_symbols_; ++a) {
       int r = Next(q, a);
-      if (r != kNoState && !reach[r]) {
+      if (r == kNoState) continue;
+      edges.emplace_back(q, r);
+      if (!reach[r]) {
         reach[r] = true;
         stack.push_back(r);
       }
     }
   }
-  // Backward reachability from final states.
-  std::vector<std::vector<int>> reverse(num_states_);
-  for (int q = 0; q < num_states_; ++q) {
-    for (int a = 0; a < num_symbols_; ++a) {
-      int r = Next(q, a);
-      if (r != kNoState) reverse[r].push_back(q);
-    }
-  }
+  // Backward reachability from final states, over the reversed edges in
+  // one CSR array: the predecessors of r are
+  // sources[offset[r] .. offset[r + 1]). Counted into offset[r], summed
+  // to the end of each list, then filled backwards so each entry ends at
+  // the start of its list.
+  std::vector<int> offset(num_states_ + 1, 0);
+  for (const auto& [q, r] : edges) ++offset[r];
+  for (int q = 1; q < num_states_; ++q) offset[q] += offset[q - 1];
+  offset[num_states_] = offset[num_states_ - 1];
+  std::vector<int> sources(edges.size());
+  for (const auto& [q, r] : edges) sources[--offset[r]] = q;
   std::vector<bool> coreach(num_states_, false);
   for (int q = 0; q < num_states_; ++q) {
     if (final_[q]) {
@@ -151,7 +161,8 @@ Dfa Dfa::Trimmed() const {
   while (!stack.empty()) {
     int q = stack.back();
     stack.pop_back();
-    for (int p : reverse[q]) {
+    for (int i = offset[q]; i < offset[q + 1]; ++i) {
+      const int p = sources[i];
       if (!coreach[p]) {
         coreach[p] = true;
         stack.push_back(p);

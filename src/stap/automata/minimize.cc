@@ -255,11 +255,15 @@ StatusOr<Dfa> Minimize(const Dfa& input, Budget* budget) {
     }
   }
 
-  Dfa trimmed = quotient.Trimmed();
+  // The quotient of a trimmed DFA is trimmed already. The empty language
+  // trims to a lone non-final state, so it is the one-class quotient
+  // whose class is not final.
   span.AddArg("splitters", splitters);
-  span.AddArg("states_out", trimmed.num_states());
-  if (trimmed.IsEmpty()) return Dfa::EmptyLanguage(num_symbols);
-  return CanonicalizeNumbering(trimmed);
+  span.AddArg("states_out", *num_classes);
+  if (*num_classes == 1 && !quotient.IsFinal(0)) {
+    return Dfa::EmptyLanguage(num_symbols);
+  }
+  return CanonicalizeNumbering(quotient);
 }
 
 StatusOr<Dfa> MinimizeNfa(const Nfa& nfa, Budget* budget) {

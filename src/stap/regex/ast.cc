@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_map>
 
 #include "stap/base/check.h"
 
@@ -129,6 +130,24 @@ int Regex::MaxSymbol() const {
 
 RegexPtr Regex::Substitute(const RegexPtr& regex,
                            const std::vector<int>& symbol_map) {
+  // An empty map allocates nothing until a shared node is met.
+  std::unordered_map<const Regex*, RegexPtr> memo;
+  return SubstituteNode(regex, symbol_map, memo);
+}
+
+RegexPtr Regex::SubstituteNode(
+    const RegexPtr& regex, const std::vector<int>& symbol_map,
+    std::unordered_map<const Regex*, RegexPtr>& memo) {
+  // Rewrites a child, once per shared node: a child held by more than
+  // its parent may recur elsewhere in the expression.
+  auto child_image = [&](const RegexPtr& child) -> RegexPtr {
+    if (child.use_count() <= 1) return SubstituteNode(child, symbol_map, memo);
+    auto it = memo.find(child.get());
+    if (it != memo.end()) return it->second;
+    RegexPtr image = SubstituteNode(child, symbol_map, memo);
+    memo.emplace(child.get(), image);
+    return image;
+  };
   switch (regex->kind()) {
     case RegexKind::kEmptySet:
     case RegexKind::kEpsilon:
@@ -146,7 +165,7 @@ RegexPtr Regex::Substitute(const RegexPtr& regex,
       std::vector<RegexPtr> children;
       children.reserve(regex->children().size());
       for (const RegexPtr& child : regex->children()) {
-        RegexPtr mapped = Substitute(child, symbol_map);
+        RegexPtr mapped = child_image(child);
         if (mapped == nullptr) return nullptr;
         children.push_back(std::move(mapped));
       }
@@ -158,7 +177,7 @@ RegexPtr Regex::Substitute(const RegexPtr& regex,
     case RegexKind::kPlus:
     case RegexKind::kOptional:
     case RegexKind::kRepeat: {
-      RegexPtr child = Substitute(regex->children()[0], symbol_map);
+      RegexPtr child = child_image(regex->children()[0]);
       if (child == nullptr) return nullptr;
       if (regex->kind() == RegexKind::kStar) return Star(std::move(child));
       if (regex->kind() == RegexKind::kPlus) return Plus(std::move(child));

@@ -16,6 +16,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "stap/automata/alphabet.h"
@@ -96,7 +97,10 @@ class Regex {
   // Rewrites every symbol a to symbol_map[a]. Returns nullptr if the
   // expression mentions a symbol with no mapping (out of range or mapped
   // to kNoSymbol). Used to carry content-model provenance across alphabet
-  // changes (schema reduce / Σ↔∆ conversions).
+  // changes (schema reduce / Σ↔∆ conversions). A subexpression shared
+  // within `regex` (DfaToRegex returns a DAG) is rewritten once and stays
+  // shared in the result; an unshared expression is rewritten with no
+  // allocation beyond its new nodes.
   static RegexPtr Substitute(const RegexPtr& regex,
                              const std::vector<int>& symbol_map);
 
@@ -107,6 +111,12 @@ class Regex {
  private:
   Regex(RegexKind kind, int symbol, std::vector<RegexPtr> children)
       : kind_(kind), symbol_(symbol), children_(std::move(children)) {}
+
+  // Substitute's recursion; `memo` maps each shared node already
+  // rewritten to its image.
+  static RegexPtr SubstituteNode(
+      const RegexPtr& regex, const std::vector<int>& symbol_map,
+      std::unordered_map<const Regex*, RegexPtr>& memo);
 
   RegexKind kind_;
   int symbol_;

@@ -26,18 +26,28 @@ struct ContentKey {
   }
 };
 
+// A structural hash of `dfa`, mixed into `seed`.
+uint64_t HashDfa(const Dfa& dfa, uint64_t seed) {
+  uint64_t h = MixU64(seed ^ static_cast<uint64_t>(dfa.num_states()));
+  for (int s = 0; s < dfa.num_states(); ++s) {
+    h = MixU64(h ^ (dfa.IsFinal(s) ? 1u : 0u));
+    for (int a = 0; a < dfa.num_symbols(); ++a) {
+      h = MixU64(h ^ static_cast<uint32_t>(dfa.Next(s, a)));
+    }
+  }
+  return h;
+}
+
 struct ContentKeyHash {
   size_t operator()(const ContentKey& key) const {
-    const Dfa& dfa = *key.content;
-    uint64_t h = MixU64(static_cast<uint32_t>(key.label));
-    h = MixU64(h ^ static_cast<uint64_t>(dfa.num_states()));
-    for (int s = 0; s < dfa.num_states(); ++s) {
-      h = MixU64(h ^ (dfa.IsFinal(s) ? 1u : 0u));
-      for (int a = 0; a < dfa.num_symbols(); ++a) {
-        h = MixU64(h ^ static_cast<uint32_t>(dfa.Next(s, a)));
-      }
-    }
-    return static_cast<size_t>(h);
+    return static_cast<size_t>(
+        HashDfa(*key.content, MixU64(static_cast<uint32_t>(key.label))));
+  }
+};
+
+struct DfaHash {
+  size_t operator()(const Dfa& dfa) const {
+    return static_cast<size_t>(HashDfa(dfa, 0));
   }
 };
 
@@ -46,7 +56,9 @@ struct ContentKeyHash {
 // content over Σ, and keeps transitions only on symbols that occur in the
 // kept content (from q_init: only the surviving start symbols). q_init
 // becomes state 0 and the kept states follow in their input order.
-StatusOr<DfaXsd> ReduceXsd(const DfaXsd& input, Budget* budget) {
+// `*distinct_contents` receives the number of Minimize calls made.
+StatusOr<DfaXsd> ReduceXsd(const DfaXsd& input, Budget* budget,
+                           int* distinct_contents) {
   const int num_states = input.automaton.num_states();
   const int num_symbols = input.sigma.size();
   const int init = input.automaton.initial();
@@ -104,11 +116,14 @@ StatusOr<DfaXsd> ReduceXsd(const DfaXsd& input, Budget* budget) {
 
   // Reachable states, from the surviving start symbols along the symbols
   // that occur in the restricted content. Each reached state's content is
-  // restricted to productive successors and minimized over Σ once; the
-  // canonical minimal DFA has no dead states, so its transition symbols
-  // are exactly the occurring ones.
+  // restricted to productive successors and minimized over Σ, once per
+  // distinct restricted content (Construction 3.1 gives many states equal
+  // contents); the canonical minimal DFA has no dead states, so its
+  // transition symbols are exactly the occurring ones.
   std::vector<bool> reached(num_states, false);
-  std::vector<Dfa> contents(num_states);
+  Interner<Dfa, DfaHash> restricted_ids;
+  std::vector<Dfa> minimized;  // restricted content id -> minimal
+  std::vector<int> content_of(num_states, -1);
   std::vector<int> start_symbols;
   for (int a : input.start_symbols) {
     int r = delta.Next(init, a);
@@ -122,10 +137,14 @@ StatusOr<DfaXsd> ReduceXsd(const DfaXsd& input, Budget* budget) {
   while (!worklist.empty()) {
     int q = worklist.back();
     worklist.pop_back();
-    StatusOr<Dfa> minimal = Minimize(restricted(q), budget);
-    if (!minimal.ok()) return minimal.status();
-    contents[q] = *std::move(minimal);
-    const Dfa& kept = contents[q];
+    auto [id, inserted] = restricted_ids.Intern(restricted(q));
+    if (inserted) {
+      StatusOr<Dfa> minimal = Minimize(restricted_ids[id], budget);
+      if (!minimal.ok()) return minimal.status();
+      minimized.push_back(*std::move(minimal));
+    }
+    content_of[q] = id;
+    const Dfa& kept = minimized[id];
     for (int s = 0; s < kept.num_states(); ++s) {
       for (int a = 0; a < num_symbols; ++a) {
         if (kept.Next(s, a) == kNoState) continue;
@@ -137,6 +156,8 @@ StatusOr<DfaXsd> ReduceXsd(const DfaXsd& input, Budget* budget) {
       }
     }
   }
+
+  *distinct_contents = restricted_ids.size();
 
   std::vector<int> remap(num_states, kNoState);
   remap[init] = 0;
@@ -166,7 +187,7 @@ StatusOr<DfaXsd> ReduceXsd(const DfaXsd& input, Budget* budget) {
     if (!reached[q]) continue;
     const int id = remap[q];
     xsd.state_label[id] = input.state_label[q];
-    xsd.content[id] = std::move(contents[q]);
+    xsd.content[id] = minimized[content_of[q]];
     const Dfa& kept = xsd.content[id];
     for (int s = 0; s < kept.num_states(); ++s) {
       for (int a = 0; a < num_symbols; ++a) {
@@ -247,8 +268,10 @@ StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& input, Budget* budget) {
   span.AddArg("states_in", input.automaton.num_states());
   // Step 1: reduce the XSD automaton; this prunes unproductive and
   // unreachable states and canonicalizes every content DFA.
-  StatusOr<DfaXsd> reduced = ReduceXsd(input, budget);
+  int distinct_contents = 0;
+  StatusOr<DfaXsd> reduced = ReduceXsd(input, budget, &distinct_contents);
   if (!reduced.ok()) return reduced.status();
+  span.AddArg("distinct_contents", distinct_contents);
   const DfaXsd& xsd = *reduced;
   const int n = xsd.automaton.num_states();
   const int num_symbols = xsd.sigma.size();

@@ -155,6 +155,11 @@ LiftedContent LiftContent(const DfaXsd& xsd, int q) {
 }
 
 Edtd StEdtdFromDfaXsd(const DfaXsd& xsd) {
+  StatusOr<Edtd> edtd = StEdtdFromDfaXsd(xsd, nullptr);
+  return *std::move(edtd);  // a null budget never exhausts
+}
+
+StatusOr<Edtd> StEdtdFromDfaXsd(const DfaXsd& xsd, Budget* budget) {
   xsd.CheckWellFormed();
   const int num_states = xsd.automaton.num_states();
   const int init = xsd.automaton.initial();
@@ -184,6 +189,7 @@ Edtd StEdtdFromDfaXsd(const DfaXsd& xsd) {
 
   edtd.content.reserve(num_types);
   for (int q : state_of_type) {
+    STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
     LiftedContent lifted = LiftContent(xsd, q);
     const Dfa& local = lifted.dfa;
     Dfa wide(local.num_states(), num_types);

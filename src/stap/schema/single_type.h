@@ -20,6 +20,8 @@
 
 #include "stap/automata/alphabet.h"
 #include "stap/automata/dfa.h"
+#include "stap/base/budget.h"
+#include "stap/base/status.h"
 #include "stap/regex/ast.h"
 #include "stap/schema/edtd.h"
 #include "stap/tree/tree.h"
@@ -63,6 +65,11 @@ struct DfaXsd {
 // order; each content DFA is LiftContent's, widened to all N types.
 DfaXsd DfaXsdFromStEdtd(const Edtd& edtd);
 Edtd StEdtdFromDfaXsd(const DfaXsd& xsd);
+
+// As above, checking the budget's deadline once per type: the widened
+// contents take O(N²) cells, which on an exponential XSD is the largest
+// cost. A null budget is unlimited.
+StatusOr<Edtd> StEdtdFromDfaXsd(const DfaXsd& xsd, Budget* budget);
 
 // State q's content lifted from Σ to types, over the at most |Σ| types q
 // reaches rather than all N. The stEDTD type of a state is its rank among

@@ -15,9 +15,12 @@ namespace {
 
 // Searches bottom-up for a binary tree accepted by `bta1` and rejected by
 // `det2` (the determinization of the second automaton). Each discovered
-// product state remembers a witness tree.
-std::optional<Tree> ProductCounterexample(const Bta& bta1, const DetBta& det2,
-                                          int num_binary_symbols) {
+// product state remembers a witness tree. The deadline is checked once per
+// row of the quadratic pair sweep.
+StatusOr<std::optional<Tree>> ProductCounterexample(const Bta& bta1,
+                                                    const DetBta& det2,
+                                                    int num_binary_symbols,
+                                                    Budget* budget) {
   struct Node {
     int q1;
     int s2;
@@ -49,6 +52,7 @@ std::optional<Tree> ProductCounterexample(const Bta& bta1, const DetBta& det2,
     changed = false;
     const size_t known = nodes.size();
     for (size_t i = 0; i < known && !counterexample.has_value(); ++i) {
+      STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
       for (size_t j = 0; j < known && !counterexample.has_value(); ++j) {
         for (int a = 0; a < num_binary_symbols; ++a) {
           const StateSet& targets =
@@ -68,15 +72,23 @@ std::optional<Tree> ProductCounterexample(const Bta& bta1, const DetBta& det2,
   return counterexample;
 }
 
+// The binary-encoded counterexample of EdtdInclusionCounterexample, or
+// nullopt when L(d1) ⊆ L(d2).
+StatusOr<std::optional<Tree>> BinaryCounterexample(const Edtd& d1,
+                                                   const Edtd& d2,
+                                                   Budget* budget) {
+  STAP_CHECK(d1.sigma == d2.sigma);
+  Bta bta1 = BtaFromEdtd(d1);
+  StatusOr<DetBta> det2 = DeterminizeBta(BtaFromEdtd(d2), budget);
+  if (!det2.ok()) return det2.status();
+  return ProductCounterexample(bta1, *det2, d1.num_symbols() + 1, budget);
+}
+
 }  // namespace
 
 std::optional<Tree> EdtdInclusionCounterexample(const Edtd& d1,
                                                 const Edtd& d2) {
-  STAP_CHECK(d1.sigma == d2.sigma);
-  Bta bta1 = BtaFromEdtd(d1);
-  DetBta det2 = *DeterminizeBta(BtaFromEdtd(d2));
-  std::optional<Tree> binary =
-      ProductCounterexample(bta1, det2, d1.num_symbols() + 1);
+  std::optional<Tree> binary = *BinaryCounterexample(d1, d2, nullptr);
   if (!binary.has_value()) return std::nullopt;
   StatusOr<Tree> decoded = DecodeBinary(*binary, d1.num_symbols());
   // The counterexample search may surface a non-canonical variant (a Σ node
@@ -109,8 +121,15 @@ std::optional<Tree> EdtdInclusionCounterexample(const Edtd& d1,
   return *retry;
 }
 
+StatusOr<bool> EdtdIncludedInExact(const Edtd& d1, const Edtd& d2,
+                                   Budget* budget) {
+  StatusOr<std::optional<Tree>> binary = BinaryCounterexample(d1, d2, budget);
+  if (!binary.ok()) return binary.status();
+  return !binary->has_value();
+}
+
 bool EdtdIncludedInExact(const Edtd& d1, const Edtd& d2) {
-  return !EdtdInclusionCounterexample(d1, d2).has_value();
+  return *EdtdIncludedInExact(d1, d2, nullptr);  // a null budget never exhausts
 }
 
 bool EdtdEquivalentExact(const Edtd& d1, const Edtd& d2) {

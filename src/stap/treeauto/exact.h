@@ -9,12 +9,22 @@
 
 #include <optional>
 
+#include "stap/base/budget.h"
+#include "stap/base/status.h"
 #include "stap/schema/edtd.h"
 #include "stap/tree/tree.h"
 
 namespace stap {
 
-// L(d1) ⊆ L(d2)? Worst-case exponential in |d2|.
+// L(d1) ⊆ L(d2)? Worst-case exponential in |d2|. The bottom-up
+// determinization of d2 charges the budget, and the product search checks
+// its deadline once per row of product pairs. `budget` has no default so
+// the call stays distinct from the unbudgeted form below; a null budget is
+// unlimited.
+StatusOr<bool> EdtdIncludedInExact(const Edtd& d1, const Edtd& d2,
+                                   Budget* budget);
+
+// Unbudgeted form.
 bool EdtdIncludedInExact(const Edtd& d1, const Edtd& d2);
 
 // L(d1) == L(d2)?

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "oracles/subset_construction.h"
 #include "stap/approx/inclusion.h"
 #include "stap/approx/upper.h"
 #include "stap/automata/antichain.h"
@@ -21,6 +24,7 @@
 #include "stap/base/metrics.h"
 #include "stap/base/thread_pool.h"
 #include "stap/gen/families.h"
+#include "stap/gen/random.h"
 #include "stap/regex/ast.h"
 #include "stap/regex/glushkov.h"
 #include "stap/schema/minimize.h"
@@ -139,6 +143,47 @@ TEST(BudgetTest, AntichainInclusionRespectsTheBudget) {
   StatusOr<bool> ok = AntichainIncluded(nfa, nfa, &enough);
   ASSERT_TRUE(ok.ok());
   EXPECT_TRUE(*ok);
+}
+
+TEST(BudgetTest, DistinctContentRulesChargeNoMoreThanThePerSubsetLoop) {
+  // Construction 3.1 runs its content rule once per distinct set of
+  // member images; the per-subset loop it replaced runs it once per
+  // merged state. Running the rule on fewer, deduplicated operands never
+  // builds a larger automaton, so the charge can only fall, and a quota
+  // equal to the old charge always suffices.
+  using Construction = StatusOr<DfaXsd> (*)(const Edtd&, Budget*);
+  const struct {
+    const char* name;
+    Construction library;
+    Construction oracle;
+  } rules[] = {
+      {"upper", MinimalUpperApproximation, PerSubsetUpperApproximation},
+      {"lower", SubsetIntersectionLower, PerSubsetIntersectionLower},
+  };
+  std::mt19937 rng(7);
+  std::vector<Edtd> inputs = {Theorem32Family(4), Theorem32Family(8)};
+  for (int round = 0; round < 6; ++round) {
+    RandomSchemaParams params;
+    params.num_types = 4 + round;
+    inputs.push_back(RandomEdtd(&rng, params));
+  }
+  for (const auto& rule : rules) {
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      SCOPED_TRACE(std::string(rule.name) + "/" + std::to_string(i));
+      Budget oracle_budget;
+      ASSERT_TRUE(rule.oracle(inputs[i], &oracle_budget).ok());
+      const int64_t oracle_charge = oracle_budget.states_charged();
+      Budget budget;
+      ASSERT_TRUE(rule.library(inputs[i], &budget).ok());
+      EXPECT_LE(budget.states_charged(), oracle_charge);
+      if (i == 1) {
+        EXPECT_LT(budget.states_charged(), oracle_charge);
+      }
+      Budget capped;
+      capped.set_max_states(oracle_charge);
+      EXPECT_TRUE(rule.library(inputs[i], &capped).ok());
+    }
+  }
 }
 
 TEST(SharedStatusTest, KeepsTheFirstErrorAndFlipsOk) {

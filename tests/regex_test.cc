@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
+#include <vector>
 
 #include "stap/automata/inclusion.h"
 #include "stap/automata/minimize.h"
@@ -246,6 +248,45 @@ TEST(DfaToRegexTest, RoundTripsPreserveLanguage) {
     Dfa dfa2 = *RegexToDfa(*back, alphabet.size());
     EXPECT_TRUE(DfaEquivalent(dfa, dfa2)) << source;
   }
+}
+
+// The nodes reachable from `regex`, each counted once however often it
+// recurs.
+int DistinctNodes(const RegexPtr& regex) {
+  std::set<const Regex*> seen;
+  std::vector<const Regex*> stack = {regex.get()};
+  while (!stack.empty()) {
+    const Regex* node = stack.back();
+    stack.pop_back();
+    if (!seen.insert(node).second) continue;
+    for (const RegexPtr& child : node->children()) stack.push_back(child.get());
+  }
+  return static_cast<int>(seen.size());
+}
+
+TEST(DfaToRegexTest, SubstituteKeepsTheSharedSubexpressions) {
+  // State elimination returns a DAG: the (a|b)* a (a|b)^4 subset DFA's
+  // expression repeats its subexpressions far more often than it has
+  // distinct ones. Substitute rewrites each shared node once, so the
+  // image has exactly as many distinct nodes and prints the same text
+  // under the renamed alphabet.
+  Alphabet alphabet;
+  RegexPtr source = Parse("(a | b)* a (a | b) (a | b) (a | b) (a | b)",
+                          &alphabet);
+  RegexPtr dag = DfaToRegex(*RegexToDfa(*source, alphabet.size()));
+  const int distinct = DistinctNodes(dag);
+  ASSERT_LT(distinct, dag->NumNodes());
+  Alphabet renamed;
+  renamed.Intern("x");
+  renamed.Intern("b");
+  renamed.Intern("a");
+  RegexPtr image = Regex::Substitute(dag, {2, 1});
+  ASSERT_NE(image, nullptr);
+  EXPECT_EQ(DistinctNodes(image), distinct);
+  EXPECT_EQ(image->NumNodes(), dag->NumNodes());
+  EXPECT_EQ(image->ToString(renamed), dag->ToString(alphabet));
+  // An unmapped symbol still drops the whole expression.
+  EXPECT_EQ(Regex::Substitute(dag, {2, kNoSymbol}), nullptr);
 }
 
 // Parameterized sweep: Glushkov automaton language equals the derivative

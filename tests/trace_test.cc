@@ -377,5 +377,38 @@ TEST(TraceTest, ApproxPipelineShowsEveryStageAtTopLevel) {
   EXPECT_GE(args["splitters"], 1);
 }
 
+TEST(TraceTest, ContentRuleCallsMatchTheRegistry) {
+  // The second cross-check of `stap explain`: the distinct_contents args
+  // of the upper.merge_contents spans sum to the approx.content_rules
+  // delta. On Theorem 3.2's family the 2^(n+1) merged states share two
+  // distinct image sets, so the rule runs twice, not once per state.
+  const Edtd schema = Theorem32Family(8);
+  Counter* const rules = GetCounter("approx.content_rules");
+  const int64_t before = rules->value();
+  TraceSession session;
+  session.Start();
+  StatusOr<DfaXsd> xsd = MinimalUpperApproximation(schema, nullptr);
+  StatusOr<std::string> text =
+      xsd.ok() ? XsdToText(*xsd, nullptr) : xsd.status();
+  session.Stop();
+  ASSERT_TRUE(text.ok()) << text.status();
+  const int64_t registry_delta = rules->value() - before;
+
+  std::map<std::string, int64_t> merge_args, minimize_args;
+  for (const TraceSession::PhaseRow& row :
+       session.PhaseTable(/*max_depth=*/1 << 20)) {
+    if (row.name == "upper.merge_contents") {
+      for (const auto& [key, value] : row.int_args) merge_args[key] += value;
+    } else if (row.name == "schema.minimize_xsd") {
+      for (const auto& [key, value] : row.int_args) minimize_args[key] += value;
+    }
+  }
+  EXPECT_EQ(merge_args["distinct_contents"], registry_delta);
+  EXPECT_EQ(merge_args["merged_states"], xsd->automaton.num_states());
+  EXPECT_LE(registry_delta, 2);
+  EXPECT_GE(minimize_args["distinct_contents"], 1);
+  EXPECT_LT(minimize_args["distinct_contents"], minimize_args["states_in"]);
+}
+
 }  // namespace
 }  // namespace stap

@@ -40,6 +40,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -115,9 +116,10 @@ struct GlobalOptions {
   // Session wrapping the whole command when --trace-json is given; also
   // borrowed by `explain` for its phase table so one recording serves both.
   std::unique_ptr<TraceSession> session;
-  // Registry value at session start, so `explain` can cross-check span
+  // Registry values at session start, so `explain` can cross-check span
   // sums against counter deltas over the exact recording window.
   int64_t states_at_trace_start = 0;
+  int64_t content_rules_at_trace_start = 0;
 
   Budget* budget_ptr() const { return budget.get(); }
 };
@@ -669,6 +671,25 @@ int CmdFamily(const Args& args, GlobalOptions& /*options*/) {
   return 0;
 }
 
+// Prints one `cross-check:` line: the registry delta of a counter over
+// the recording window against the `arg` args summed over every `span`
+// span (any depth). Both count the same events, so they must agree.
+void PrintCrossCheck(const TraceSession& session, std::string_view counter,
+                     int64_t registry_delta, std::string_view span,
+                     std::string_view arg) {
+  int64_t traced = 0;
+  for (const TraceSession::PhaseRow& row :
+       session.PhaseTable(/*max_depth=*/1 << 20)) {
+    if (row.name != span) continue;
+    for (const auto& [key, value] : row.int_args) {
+      if (key == arg) traced += value;
+    }
+  }
+  std::cout << "cross-check: " << counter << " +" << registry_delta
+            << " (registry), " << traced << " (trace spans)"
+            << (registry_delta == traced ? "" : "  MISMATCH") << "\n";
+}
+
 // `stap explain`: run what `stap approx` runs — the approximation and the
 // printer — under a trace session and print the per-phase provenance
 // rollup: each phase with call count, wall time, and the size counters
@@ -681,13 +702,16 @@ int CmdExplain(const Args& args, GlobalOptions& options) {
   if (!schema.ok()) return Fail(schema.status());
 
   Counter* const determinize_states = GetCounter("determinize.states_created");
+  Counter* const content_rules = GetCounter("approx.content_rules");
   TraceSession local;
   TraceSession* session = options.session.get();
-  // The registry delta is measured over the recording window, so it is
-  // comparable to the span sums whichever session records.
+  // The registry deltas are measured over the recording window, so they
+  // are comparable to the span sums whichever session records.
   int64_t states_before = options.states_at_trace_start;
+  int64_t rules_before = options.content_rules_at_trace_start;
   if (session == nullptr) {
     states_before = determinize_states->value();
+    rules_before = content_rules->value();
     session = &local;
     local.Start();
   }
@@ -699,22 +723,14 @@ int CmdExplain(const Args& args, GlobalOptions& options) {
   // The phase table is printed even when the budget ran out: seeing where
   // the states went is most valuable exactly then.
   std::cout << TraceSession::FormatPhaseTable(session->PhaseTable());
-  // Cross-check: the `states_created` args summed over every determinize
-  // span (any depth) must equal the registry counter's delta over the
-  // recording window — both count the same subset-construction states.
-  int64_t traced_states = 0;
-  for (const TraceSession::PhaseRow& row :
-       session->PhaseTable(/*max_depth=*/1 << 20)) {
-    if (row.name != "determinize") continue;
-    for (const auto& [key, value] : row.int_args) {
-      if (key == "states_created") traced_states += value;
-    }
-  }
-  const int64_t registry_states =
-      determinize_states->value() - states_before;
-  std::cout << "cross-check: determinize.states_created +" << registry_states
-            << " (registry), " << traced_states << " (trace spans)"
-            << (registry_states == traced_states ? "" : "  MISMATCH") << "\n";
+  // Subset-construction states, and Construction 3.1's content-rule calls
+  // (one per distinct set of member images).
+  PrintCrossCheck(*session, "determinize.states_created",
+                  determinize_states->value() - states_before, "determinize",
+                  "states_created");
+  PrintCrossCheck(*session, "approx.content_rules",
+                  content_rules->value() - rules_before,
+                  "upper.merge_contents", "distinct_contents");
   if (!text.ok()) return Fail(text.status());
   std::cout << "result: " << xsd->automaton.num_states()
             << " XSD states over " << xsd->sigma.size() << " elements\n";
@@ -1057,6 +1073,8 @@ int Run(int argc, char** argv) {
     options.session->Start();
     options.states_at_trace_start =
         GetCounter("determinize.states_created")->value();
+    options.content_rules_at_trace_start =
+        GetCounter("approx.content_rules")->value();
   }
   const int code = RunCommand(args, options);
   return DumpTrace(options, DumpMetrics(options, code));
