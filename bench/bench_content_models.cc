@@ -6,6 +6,7 @@
 
 #include <random>
 
+#include "oracles/regex_kernels.h"
 #include "stap/automata/determinize.h"
 #include "stap/automata/minimize.h"
 #include "stap/regex/ast.h"

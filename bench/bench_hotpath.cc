@@ -1,5 +1,7 @@
-// Hot-path kernels, hashed vs. the original std::map-based versions (the
-// reference kernels in tests/oracles). Instances are seeded random NFAs; run with
+// Hot-path kernels, hashed vs. the original std::map-based versions, and
+// the counted-content compile and print kernels vs. the flat and dense
+// ones they replaced (the reference kernels in tests/oracles). Instances
+// are seeded random NFAs and counted chains; run with
 // --benchmark_format=json for machine-readable before/after numbers (see
 // bench/results/hotpath.json and EXPERIMENTS.md).
 //
@@ -30,6 +32,7 @@
 
 #include "oracles/inclusion.h"
 #include "oracles/map_kernels.h"
+#include "oracles/regex_kernels.h"
 #include "stap/approx/inclusion.h"
 #include "stap/approx/upper.h"
 #include "stap/automata/antichain.h"
@@ -42,6 +45,7 @@
 #include "stap/base/trace.h"
 #include "stap/gen/random.h"
 #include "stap/regex/ast.h"
+#include "stap/regex/from_dfa.h"
 #include "stap/regex/glushkov.h"
 
 namespace stap {
@@ -176,6 +180,72 @@ BENCHMARK(BM_MinimizeMap)->RangeMultiplier(2)->Range(8, 64);
 BENCHMARK(BM_MinimizeChain)->RangeMultiplier(2)->Range(64, 4096);
 BENCHMARK(BM_NfaInclusionHashed)->RangeMultiplier(2)->Range(8, 32);
 BENCHMARK(BM_NfaInclusionMap)->RangeMultiplier(2)->Range(8, 32);
+
+// ---------------------------------------------------------------------
+// Counted content models: compiling v p{1,N} (an XSD maxOccurs="N"), and
+// rendering the N-state chain DFA it compiles to back to text, against
+// the flat expansion, dense state elimination and tree-walking printer
+// they replaced (tests/oracles/regex_kernels.h).
+// ---------------------------------------------------------------------
+
+RegexPtr CountedRegex(int n) {
+  return Regex::Concat(
+      {Regex::Symbol(0), Regex::Repeat(Regex::Symbol(1), 1, n)});
+}
+
+void BM_RegexToDfaCounted(benchmark::State& state) {
+  RegexPtr regex = CountedRegex(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    Dfa dfa = *RegexToDfa(*regex, /*num_symbols=*/2);
+    benchmark::DoNotOptimize(dfa);
+  }
+}
+
+void BM_RegexToDfaCountedFlat(benchmark::State& state) {
+  RegexPtr regex = CountedRegex(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    Dfa dfa = *Minimize(
+        *Determinize(*FlatGlushkovAutomaton(*regex, /*num_symbols=*/2)));
+    benchmark::DoNotOptimize(dfa);
+  }
+}
+
+// The minimal DFA of x{0,N-1}: N states in a row, all final.
+Dfa ChainDfa(int n) {
+  Dfa chain(n, /*num_symbols=*/1);
+  for (int i = 0; i + 1 < n; ++i) chain.SetTransition(i, 0, i + 1);
+  for (int i = 0; i < n; ++i) chain.SetFinal(i);
+  return chain;
+}
+
+void BM_DfaToRegexChain(benchmark::State& state) {
+  Dfa chain = ChainDfa(static_cast<int>(state.range(0)));
+  Alphabet alphabet({"x"});
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string text = DfaToRegex(chain)->ToString(alphabet);
+    bytes = text.size();
+    benchmark::DoNotOptimize(text);
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+
+void BM_DfaToRegexChainDense(benchmark::State& state) {
+  Dfa chain = ChainDfa(static_cast<int>(state.range(0)));
+  Alphabet alphabet({"x"});
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string text = TreeWalkToString(*DenseDfaToRegex(chain), alphabet);
+    bytes = text.size();
+    benchmark::DoNotOptimize(text);
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+
+BENCHMARK(BM_RegexToDfaCounted)->RangeMultiplier(2)->Range(100, 4000);
+BENCHMARK(BM_RegexToDfaCountedFlat)->RangeMultiplier(2)->Range(100, 4000);
+BENCHMARK(BM_DfaToRegexChain)->RangeMultiplier(2)->Range(64, 2048);
+BENCHMARK(BM_DfaToRegexChainDense)->RangeMultiplier(2)->Range(64, 2048);
 
 // ---------------------------------------------------------------------
 // Antichain-vs-determinize crossover on the paper's exponential

@@ -1,8 +1,10 @@
 #include "stap/regex/ast.h"
 
 #include <algorithm>
-#include <sstream>
+#include <cstring>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "stap/base/check.h"
 
@@ -196,70 +198,108 @@ namespace {
 // Precedence levels for printing: union < concat < postfix.
 enum Level { kUnionLevel = 0, kConcatLevel = 1, kPostfixLevel = 2 };
 
-void Print(const Regex& regex, const Alphabet& alphabet, int parent_level,
-           std::ostringstream& os) {
-  auto parenthesize_if = [&](int my_level, auto body) {
-    bool need = my_level < parent_level;
-    if (need) os << "(";
-    body();
-    if (need) os << ")";
-  };
-  switch (regex.kind()) {
-    case RegexKind::kEmptySet:
-      os << "~";
-      break;
-    case RegexKind::kEpsilon:
-      os << "%";
-      break;
-    case RegexKind::kSymbol:
-      os << alphabet.Name(regex.symbol());
-      break;
-    case RegexKind::kUnion:
-      parenthesize_if(kUnionLevel, [&] {
-        for (size_t i = 0; i < regex.children().size(); ++i) {
-          if (i > 0) os << " | ";
-          Print(*regex.children()[i], alphabet, kUnionLevel + 1, os);
-        }
-      });
-      break;
-    case RegexKind::kConcat:
-      parenthesize_if(kConcatLevel, [&] {
-        for (size_t i = 0; i < regex.children().size(); ++i) {
-          if (i > 0) os << " ";
-          Print(*regex.children()[i], alphabet, kConcatLevel + 1, os);
-        }
-      });
-      break;
-    case RegexKind::kStar:
-    case RegexKind::kPlus:
-    case RegexKind::kOptional: {
-      Print(*regex.children()[0], alphabet, kPostfixLevel, os);
-      os << (regex.kind() == RegexKind::kStar
-                 ? "*"
-                 : regex.kind() == RegexKind::kPlus ? "+" : "?");
-      break;
+// Renders into one string. A shared node (use_count() > 1, so it may
+// recur within the expression: DfaToRegex returns a DAG) is rendered
+// once; later occurrences copy its text from the output. A node's text
+// excludes the parentheses its parent may need, so it does not depend on
+// where the node occurs.
+class Printer {
+ public:
+  explicit Printer(const Alphabet& alphabet) : alphabet_(alphabet) {}
+
+  std::string Render(const Regex& regex) && {
+    Body(regex);
+    return std::move(out_);
+  }
+
+ private:
+  void Child(const RegexPtr& child, int parent_level) {
+    const bool parens =
+        (child->kind() == RegexKind::kUnion && kUnionLevel < parent_level) ||
+        (child->kind() == RegexKind::kConcat && kConcatLevel < parent_level);
+    if (parens) out_ += '(';
+    if (child.use_count() > 1 && !child->children().empty()) {
+      SharedBody(*child);
+    } else {
+      Body(*child);
     }
-    case RegexKind::kRepeat: {
-      Print(*regex.children()[0], alphabet, kPostfixLevel, os);
-      os << "{" << regex.repeat_min();
-      if (regex.repeat_max() == Regex::kUnboundedRepeat) {
-        os << ",}";
-      } else if (regex.repeat_max() == regex.repeat_min()) {
-        os << "}";
-      } else {
-        os << "," << regex.repeat_max() << "}";
-      }
-      break;
+    if (parens) out_ += ')';
+  }
+
+  void SharedBody(const Regex& regex) {
+    auto it = rendered_.find(&regex);
+    if (it != rendered_.end()) {
+      // [begin, begin + size) lies before the end of out_, so the copy
+      // never overlaps itself.
+      const auto [begin, size] = it->second;
+      const size_t end = out_.size();
+      out_.resize(end + size);
+      std::memcpy(out_.data() + end, out_.data() + begin, size);
+      return;
+    }
+    const size_t begin = out_.size();
+    Body(regex);
+    rendered_.emplace(&regex, std::make_pair(begin, out_.size() - begin));
+  }
+
+  void Body(const Regex& regex) {
+    switch (regex.kind()) {
+      case RegexKind::kEmptySet:
+        out_ += '~';
+        break;
+      case RegexKind::kEpsilon:
+        out_ += '%';
+        break;
+      case RegexKind::kSymbol:
+        out_ += alphabet_.Name(regex.symbol());
+        break;
+      case RegexKind::kUnion:
+        for (size_t i = 0; i < regex.children().size(); ++i) {
+          if (i > 0) out_ += " | ";
+          Child(regex.children()[i], kUnionLevel + 1);
+        }
+        break;
+      case RegexKind::kConcat:
+        for (size_t i = 0; i < regex.children().size(); ++i) {
+          if (i > 0) out_ += ' ';
+          Child(regex.children()[i], kConcatLevel + 1);
+        }
+        break;
+      case RegexKind::kStar:
+      case RegexKind::kPlus:
+      case RegexKind::kOptional:
+        Child(regex.children()[0], kPostfixLevel);
+        out_ += regex.kind() == RegexKind::kStar   ? '*'
+                : regex.kind() == RegexKind::kPlus ? '+'
+                                                   : '?';
+        break;
+      case RegexKind::kRepeat:
+        Child(regex.children()[0], kPostfixLevel);
+        out_ += '{';
+        out_ += std::to_string(regex.repeat_min());
+        if (regex.repeat_max() == Regex::kUnboundedRepeat) {
+          out_ += ",}";
+        } else if (regex.repeat_max() == regex.repeat_min()) {
+          out_ += '}';
+        } else {
+          out_ += ',';
+          out_ += std::to_string(regex.repeat_max());
+          out_ += '}';
+        }
+        break;
     }
   }
-}
+
+  const Alphabet& alphabet_;
+  std::string out_;
+  // Shared node → [begin, size) of its text in out_.
+  std::unordered_map<const Regex*, std::pair<size_t, size_t>> rendered_;
+};
 
 }  // namespace
 
 std::string Regex::ToString(const Alphabet& alphabet) const {
-  std::ostringstream os;
-  Print(*this, alphabet, kUnionLevel, os);
-  return os.str();
+  return Printer(alphabet).Render(*this);
 }
 
 }  // namespace stap

@@ -4,9 +4,10 @@
 //
 // Section 5 of the paper leans on this notion: XML Schema restricts
 // content models to deterministic expressions, and [4] shows a best
-// deterministic approximation need not exist. IsOneUnambiguous (in
-// glushkov.h) tests a given *expression*; this module tests a given
-// *language* via the BKW orbit criterion on its minimal DFA:
+// deterministic approximation need not exist. A given *expression* is
+// one-unambiguous when its Glushkov automaton (glushkov.h) is
+// deterministic; this module tests a given *language* via the BKW orbit
+// criterion on its minimal DFA:
 //
 //   L(M) is one-unambiguous iff the S-cut of the minimal DFA M (S = the
 //   M-consistent symbols) has the orbit property and all its orbit

@@ -1,5 +1,7 @@
 #include "stap/regex/from_dfa.h"
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace stap {
@@ -48,38 +50,102 @@ RegexPtr DfaToRegex(const Dfa& input) {
   if (dfa.IsEmpty()) return Regex::EmptySet();
 
   // Nodes 0..n-1 are DFA states, node n is a fresh source, node n+1 a
-  // fresh sink; arcs[i][j] is the expression for paths i -> j.
+  // fresh sink. out[i] lists the arcs i -> j with their expression for
+  // paths i -> j; in[j] lists each i with an arc i -> j, dead ones too.
+  // Arcs into eliminated nodes are dropped when their list is next
+  // scanned. This is the (n+2)² matrix of the textbook method, stored
+  // sparsely: the updates are the same, so the result is too.
+  struct OutArc {
+    int target;
+    Arc expr;
+  };
   const int source = n;
   const int sink = n + 1;
-  std::vector<std::vector<Arc>> arcs(n + 2, std::vector<Arc>(n + 2, nullptr));
+  std::vector<std::vector<OutArc>> out(n + 2);
+  std::vector<std::vector<int>> in(n + 2);
+  // slot[j] is the index of arc i -> j in out[i] while stamp[j] is the
+  // current i's stamp.
+  std::vector<int> slot(n + 2, 0);
+  std::vector<int64_t> stamp(n + 2, -1);
+  int64_t next_stamp = 0;
+  auto add_arc = [&](int i, int j, Arc expr) {
+    out[i].push_back({j, std::move(expr)});
+    in[j].push_back(i);
+  };
+
   for (int q = 0; q < n; ++q) {
+    const int64_t current = next_stamp++;
     for (int a = 0; a < dfa.num_symbols(); ++a) {
       int r = dfa.Next(q, a);
-      if (r != kNoState) {
-        arcs[q][r] = UnionArcs(arcs[q][r], Regex::Symbol(a));
+      if (r == kNoState) continue;
+      if (stamp[r] == current) {
+        Arc& arc = out[q][slot[r]].expr;
+        arc = UnionArcs(arc, Regex::Symbol(a));
+      } else {
+        stamp[r] = current;
+        slot[r] = static_cast<int>(out[q].size());
+        add_arc(q, r, Regex::Symbol(a));
       }
     }
-    if (dfa.IsFinal(q)) arcs[q][sink] = Regex::Epsilon();
+    if (dfa.IsFinal(q)) add_arc(q, sink, Regex::Epsilon());
   }
-  arcs[source][dfa.initial()] = Regex::Epsilon();
+  add_arc(source, dfa.initial(), Regex::Epsilon());
 
-  // Eliminate the DFA states one by one.
+  // Eliminate the DFA states one by one: each path i -> k -> j becomes
+  // part of the arc i -> j.
   std::vector<bool> alive(n + 2, true);
+  std::vector<OutArc> through_k;  // k's arcs to live nodes
   for (int k = 0; k < n; ++k) {
     alive[k] = false;
-    Arc loop = StarArc(arcs[k][k]);
-    for (int i = 0; i < n + 2; ++i) {
-      if (!alive[i] || arcs[i][k] == nullptr) continue;
-      for (int j = 0; j < n + 2; ++j) {
-        if (!alive[j] || arcs[k][j] == nullptr) continue;
-        Arc through = ConcatArcs(ConcatArcs(arcs[i][k], loop), arcs[k][j]);
-        arcs[i][j] = UnionArcs(arcs[i][j], through);
+    Arc loop;
+    through_k.clear();
+    for (OutArc& arc : out[k]) {
+      if (arc.target == k) {
+        loop = std::move(arc.expr);
+      } else if (alive[arc.target]) {
+        through_k.push_back(std::move(arc));
       }
     }
+    out[k] = {};
+    loop = StarArc(loop);
+    for (int i : in[k]) {
+      if (!alive[i]) continue;
+      // Drop i's arcs into eliminated nodes, taking i -> k along, and
+      // index the rest by target.
+      const int64_t current = next_stamp++;
+      Arc into_k;
+      std::vector<OutArc>& arcs = out[i];
+      size_t kept = 0;
+      for (size_t s = 0; s < arcs.size(); ++s) {
+        const int target = arcs[s].target;
+        if (target == k) {
+          into_k = std::move(arcs[s].expr);
+        } else if (alive[target]) {
+          stamp[target] = current;
+          slot[target] = static_cast<int>(kept);
+          if (kept != s) arcs[kept] = std::move(arcs[s]);
+          ++kept;
+        }
+      }
+      arcs.resize(kept);
+      const Arc prefix = ConcatArcs(into_k, loop);
+      for (const OutArc& arc : through_k) {
+        Arc through = ConcatArcs(prefix, arc.expr);
+        if (stamp[arc.target] == current) {
+          Arc& existing = arcs[slot[arc.target]].expr;
+          existing = UnionArcs(existing, through);
+        } else {
+          add_arc(i, arc.target, std::move(through));
+        }
+      }
+    }
+    in[k] = {};
   }
 
-  Arc result = arcs[source][sink];
-  return result == nullptr ? Regex::EmptySet() : result;
+  for (const OutArc& arc : out[source]) {
+    if (arc.target == sink) return arc.expr;
+  }
+  return Regex::EmptySet();
 }
 
 }  // namespace stap

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "oracles/inclusion.h"
+#include "oracles/regex_kernels.h"
 #include "stap/automata/inclusion.h"
 #include "stap/regex/bkw.h"
 #include "stap/regex/glushkov.h"

@@ -4,6 +4,7 @@
 
 #include <random>
 
+#include "oracles/regex_kernels.h"
 #include "stap/automata/inclusion.h"
 #include "stap/regex/bkw.h"
 #include "stap/regex/dre_approx.h"

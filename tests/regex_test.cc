@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "oracles/regex_kernels.h"
 #include "stap/automata/inclusion.h"
 #include "stap/automata/minimize.h"
 #include "stap/base/budget.h"
