@@ -18,12 +18,8 @@ namespace stap {
 
 namespace {
 
-// The content model over Σ of a merged state, from the sorted, non-empty,
-// same-labeled `types` it merges.
-using ContentRule = StatusOr<Dfa> (*)(const Edtd& edtd,
-                                      const std::vector<int>& types,
-                                      Budget* budget);
-
+// The content rules: the content model over Σ of a merged state, from the
+// sorted, non-empty, same-labeled `types` it merges.
 StatusOr<Dfa> UnionRule(const Edtd& edtd, const std::vector<int>& types,
                         Budget* budget) {
   return MinimizeNfa(ContentImageUnion(edtd, types), budget);
@@ -68,20 +64,30 @@ std::vector<int> ImageKey(const Nfa& image) {
   return key;
 }
 
-// Construction 3.1 with the content rule as its parameter: reduce the
-// input, determinize its type automaton by the subset construction, and
-// give each reachable non-empty subset the content `rule` computes from
-// the types it merges. Each phase is its own span so `stap explain` and
-// the trace timeline show where an adversarial schema spends its states;
-// the spans keep their upper.* names under either content rule.
-StatusOr<DfaXsd> SubsetConstruction(const Edtd& input, ContentRule rule,
-                                    Budget* budget) {
+// What both public forms run: reduce the input, then the one construction
+// with the union rule (`upper`) or the intersection rule alone.
+StatusOr<DfaXsd> ReduceAndApproximate(const Edtd& input, bool upper,
+                                      Budget* budget) {
   ScopedSpan reduce_span("upper.reduce");
-  Edtd edtd = ReduceEdtd(input);
+  const Edtd edtd = ReduceEdtd(input);
   reduce_span.AddArg("types_in", input.num_types());
   reduce_span.AddArg("types_out", edtd.num_types());
   reduce_span.End();
+  StatusOr<SubsetApproximations> approximations =
+      SubsetConstruction(edtd, upper, !upper, budget);
+  if (!approximations.ok()) return approximations.status();
+  return upper ? *std::move(approximations->upper)
+               : *std::move(approximations->lower);
+}
 
+}  // namespace
+
+// Each phase is its own span so `stap explain` and the trace timeline show
+// where an adversarial schema spends its states; the spans keep their
+// upper.* names whichever rules run.
+StatusOr<SubsetApproximations> SubsetConstruction(const Edtd& edtd,
+                                                  bool upper, bool lower,
+                                                  Budget* budget) {
   ScopedSpan ta_span("upper.type_automaton");
   TypeAutomaton type_automaton = BuildTypeAutomaton(edtd);
   ta_span.AddArg("nfa_states", type_automaton.nfa.num_states());
@@ -112,17 +118,20 @@ StatusOr<DfaXsd> SubsetConstruction(const Edtd& input, ContentRule rule,
     remap[s] = next_id++;
   }
 
-  DfaXsd xsd;
-  xsd.sigma = edtd.sigma;
+  // Both results share everything but their contents.
+  DfaXsd shape;
+  shape.sigma = edtd.sigma;
   for (int tau : edtd.start_types) {
-    StateSetInsert(xsd.start_symbols, edtd.mu[tau]);
+    StateSetInsert(shape.start_symbols, edtd.mu[tau]);
   }
-  xsd.automaton = Dfa(next_id, edtd.num_symbols());
-  xsd.automaton.SetInitial(0);
-  xsd.state_label.assign(next_id, kNoSymbol);
-  xsd.content.assign(next_id, Dfa::EmptyLanguage(edtd.num_symbols()));
+  shape.automaton = Dfa(next_id, edtd.num_symbols());
+  shape.automaton.SetInitial(0);
+  shape.state_label.assign(next_id, kNoSymbol);
+  shape.content.assign(next_id, Dfa::EmptyLanguage(edtd.num_symbols()));
 
   // merged_types[q]: the types state q merges, all labeled state_label[q].
+  SubsetApproximations result;
+  result.single_type = true;
   std::vector<std::vector<int>> merged_types(next_id);
   for (int s = 0; s < n; ++s) {
     const int q = remap[s];
@@ -130,27 +139,29 @@ StatusOr<DfaXsd> SubsetConstruction(const Edtd& input, ContentRule rule,
     for (int a = 0; a < edtd.num_symbols(); ++a) {
       int t = determinized.Next(s, a);
       if (t != kNoState && remap[t] != kNoState) {
-        xsd.automaton.SetTransition(q, a, remap[t]);
+        shape.automaton.SetTransition(q, a, remap[t]);
       }
     }
     if (q == 0) continue;
+    result.single_type = result.single_type && subsets[s].size() == 1;
     for (int state : subsets[s]) {
       STAP_CHECK(state != TypeAutomaton::kInit);
       merged_types[q].push_back(TypeAutomaton::TypeOfState(state));
     }
-    xsd.state_label[q] = edtd.mu[merged_types[q][0]];
+    shape.state_label[q] = edtd.mu[merged_types[q][0]];
     for (int tau : merged_types[q]) {
-      STAP_CHECK(edtd.mu[tau] == xsd.state_label[q]);
+      STAP_CHECK(edtd.mu[tau] == shape.state_label[q]);
     }
   }
 
   // A merged state's content depends only on the set of its members'
   // distinct content images: a union or intersection is unchanged by
   // duplicate operands, and both rules end in Minimize, whose output is
-  // canonical. So the rule runs once per distinct set, on the least type
+  // canonical. So each rule runs once per distinct set, on the least type
   // of each image (image ids are handed out in type order, so sorted ids
   // give sorted representatives), and states with the same set share its
-  // content byte for byte.
+  // content byte for byte. On a set of one image both rules minimize that
+  // image, so one call serves both results.
   Interner<std::vector<int>, IntVectorHash> image_ids(edtd.num_types());
   std::vector<int> image_of(edtd.num_types());
   std::vector<int> representative;
@@ -160,10 +171,13 @@ StatusOr<DfaXsd> SubsetConstruction(const Edtd& input, ContentRule rule,
     image_of[tau] = id;
     if (inserted) representative.push_back(tau);
   }
-  static Counter* const rule_calls = GetCounter("approx.content_rules");
+  static Counter* const rule_counter = GetCounter("approx.content_rules");
   Interner<std::vector<int>, IntVectorHash> content_ids;
-  std::vector<Dfa> contents;
+  std::vector<Dfa> upper_contents, lower_contents;
+  std::vector<int> content_of(next_id, 0);
   std::vector<int> images, operands;
+  int64_t rule_calls = 0;
+  result.lower_is_upper = true;
   Status status;
   for (int q = 1; q < next_id; ++q) {
     images.clear();
@@ -171,28 +185,51 @@ StatusOr<DfaXsd> SubsetConstruction(const Edtd& input, ContentRule rule,
     std::sort(images.begin(), images.end());
     images.erase(std::unique(images.begin(), images.end()), images.end());
     auto [id, inserted] = content_ids.Intern(images);
-    if (inserted) {
-      operands.clear();
-      for (int image : images) operands.push_back(representative[image]);
-      StatusOr<Dfa> content = rule(edtd, operands, budget);
+    content_of[q] = id;
+    if (!inserted) continue;
+    operands.clear();
+    for (int image : images) operands.push_back(representative[image]);
+    const bool one_image = operands.size() == 1;
+    result.lower_is_upper = result.lower_is_upper && one_image;
+    if (upper || (lower && one_image)) {
+      ++rule_calls;
+      StatusOr<Dfa> content = UnionRule(edtd, operands, budget);
       if (!content.ok()) {
         status = content.status();
         break;
       }
-      contents.push_back(*std::move(content));
+      // On one image the union is also the intersection.
+      if (upper && lower && one_image) lower_contents.push_back(*content);
+      (upper ? upper_contents : lower_contents).push_back(*std::move(content));
     }
-    xsd.content[q] = contents[id];
+    if (lower && !one_image) {
+      ++rule_calls;
+      StatusOr<Dfa> content = IntersectionRule(edtd, operands, budget);
+      if (!content.ok()) {
+        status = content.status();
+        break;
+      }
+      lower_contents.push_back(*std::move(content));
+    }
   }
-  rule_calls->Increment(content_ids.size());
+  rule_counter->Increment(rule_calls);
   merge_span.AddArg("distinct_contents", content_ids.size());
+  merge_span.AddArg("content_rules", rule_calls);
   if (!status.ok()) return status;
   merge_span.AddArg("merged_states", next_id);
-  merge_span.End();
-  xsd.CheckWellFormed();
-  return xsd;
-}
 
-}  // namespace
+  auto with_contents = [&](DfaXsd xsd, const std::vector<Dfa>& contents) {
+    for (int q = 1; q < next_id; ++q) xsd.content[q] = contents[content_of[q]];
+    xsd.CheckWellFormed();
+    return xsd;
+  };
+  if (upper) {
+    result.upper = with_contents(lower ? shape : std::move(shape),
+                                 upper_contents);
+  }
+  if (lower) result.lower = with_contents(std::move(shape), lower_contents);
+  return result;
+}
 
 Nfa ContentImageUnion(const Edtd& edtd, const std::vector<int>& types) {
   const int num_symbols = edtd.num_symbols();
@@ -218,7 +255,7 @@ StatusOr<DfaXsd> MinimalUpperApproximation(const Edtd& input, Budget* budget) {
   const int64_t budget_states_before =
       budget != nullptr ? budget->states_charged() : 0;
 
-  StatusOr<DfaXsd> xsd = SubsetConstruction(input, UnionRule, budget);
+  StatusOr<DfaXsd> xsd = ReduceAndApproximate(input, /*upper=*/true, budget);
   if (!xsd.ok()) return xsd.status();
   merged_states->Increment(xsd->automaton.num_states());
   span.AddArg("xsd_states", xsd->automaton.num_states());
@@ -243,7 +280,8 @@ StatusOr<DfaXsd> SubsetIntersectionLower(const Edtd& input, Budget* budget) {
   ScopedTimer timer(latency);
   ScopedSpan span("approx.lower");
 
-  StatusOr<DfaXsd> xsd = SubsetConstruction(input, IntersectionRule, budget);
+  StatusOr<DfaXsd> xsd =
+      ReduceAndApproximate(input, /*upper=*/false, budget);
   if (!xsd.ok()) return xsd.status();
   merged_states->Increment(xsd->automaton.num_states());
   span.AddArg("xsd_states", xsd->automaton.num_states());

@@ -174,15 +174,17 @@ std::string TraceSession::ToChromeJson() const {
 
 std::vector<TraceSession::PhaseRow> TraceSession::PhaseTable(
     int max_depth) const {
+  // Rows in first-appearance order, keyed on (parent row, name); the
+  // parent of a top-level row is kNoRow.
+  constexpr size_t kNoRow = static_cast<size_t>(-1);
   std::vector<PhaseRow> rows;
-  std::map<std::pair<int, std::string>, size_t> row_index;
+  std::map<std::pair<size_t, std::string>, size_t> row_index;
   // Per-thread open-span stack entry: the row the span feeds (or npos
   // when deeper than max_depth) and its begin timestamp.
   struct Open {
     size_t row;
     int64_t begin_us;
   };
-  constexpr size_t kNoRow = static_cast<size_t>(-1);
   for (const ThreadTrace& thread : Snapshot()) {
     std::vector<Open> stack;
     for (const TraceEvent& event : thread.events) {
@@ -190,10 +192,13 @@ std::vector<TraceSession::PhaseRow> TraceSession::PhaseTable(
         const int depth = static_cast<int>(stack.size());
         size_t row = kNoRow;
         if (depth < max_depth) {
+          const size_t parent = stack.empty() ? kNoRow : stack.back().row;
           auto [it, inserted] =
-              row_index.try_emplace({depth, event.name}, rows.size());
+              row_index.try_emplace({parent, event.name}, rows.size());
           if (inserted) {
-            rows.push_back(PhaseRow{event.name, depth, 0, 0, {}});
+            rows.push_back(PhaseRow{
+                event.name, depth,
+                parent == kNoRow ? -1 : static_cast<int>(parent), 0, 0, {}});
           }
           row = it->second;
         }
@@ -221,7 +226,29 @@ std::vector<TraceSession::PhaseRow> TraceSession::PhaseTable(
       }
     }
   }
-  return rows;
+
+  // Reorder into tree preorder: a parent is always created before its
+  // children, so one pass collects each row's children in order.
+  std::vector<std::vector<int>> children(rows.size() + 1);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const int parent = rows[i].parent;
+    children[parent < 0 ? rows.size() : static_cast<size_t>(parent)]
+        .push_back(static_cast<int>(i));
+  }
+  std::vector<PhaseRow> ordered;
+  ordered.reserve(rows.size());
+  std::vector<int> new_index(rows.size(), -1);
+  std::vector<int> pending(children.back().rbegin(), children.back().rend());
+  while (!pending.empty()) {
+    const int i = pending.back();
+    pending.pop_back();
+    new_index[i] = static_cast<int>(ordered.size());
+    ordered.push_back(std::move(rows[i]));
+    PhaseRow& row = ordered.back();
+    if (row.parent >= 0) row.parent = new_index[row.parent];
+    pending.insert(pending.end(), children[i].rbegin(), children[i].rend());
+  }
+  return ordered;
 }
 
 std::string TraceSession::FormatPhaseTable(

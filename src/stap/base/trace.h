@@ -118,14 +118,17 @@ class TraceSession {
   // then the B/E events. Valid JSON whatever the span names/args.
   std::string ToChromeJson() const;
 
-  // Provenance rollup: spans aggregated by (nesting depth, name) in
-  // first-appearance order, depths beyond `max_depth` folded into their
-  // ancestors. Integer args are summed across a row's spans; wall time
-  // is the sum of span durations (concurrent spans can exceed the
-  // session's wall clock).
+  // Provenance rollup: spans aggregated by (parent row, name), so a span
+  // name that runs under two parents gets a row under each; depths beyond
+  // `max_depth` are folded into their ancestors. Rows come in tree
+  // preorder: each row is followed by its children, siblings in
+  // first-appearance order. Integer args are summed across a row's spans;
+  // wall time is the sum of span durations (concurrent spans can exceed
+  // the session's wall clock).
   struct PhaseRow {
     std::string name;
     int depth = 0;
+    int parent = -1;  // index of the parent row in the table; -1 at depth 0
     int64_t count = 0;
     double wall_ms = 0;
     std::vector<std::pair<std::string, int64_t>> int_args;

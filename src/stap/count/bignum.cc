@@ -58,6 +58,55 @@ BigNat BigNat::Add(const BigNat& a, const BigNat& b) {
   return out;
 }
 
+void BigNat::AddInPlace(const BigNat& b) {
+  if (b.limbs_.size() > limbs_.size()) limbs_.resize(b.limbs_.size(), 0);
+  uint64_t carry = 0;
+  size_t i = 0;
+  for (; i < b.limbs_.size(); ++i) {
+    const uint64_t x = limbs_[i];
+    const uint64_t sum = x + b.limbs_[i];
+    const uint64_t with_carry = sum + carry;
+    carry = (sum < x || with_carry < sum) ? 1 : 0;
+    limbs_[i] = with_carry;
+  }
+  for (; carry != 0 && i < limbs_.size(); ++i) {
+    carry = ++limbs_[i] == 0 ? 1 : 0;
+  }
+  if (carry != 0) limbs_.push_back(carry);
+}
+
+void BigNat::AddProduct(const BigNat& a, const BigNat& b) {
+  if (a.IsZero() || b.IsZero()) return;
+  if (&a == this || &b == this) {
+    AddInPlace(Mul(a, b));
+    return;
+  }
+  const size_t n = a.limbs_.size() + b.limbs_.size();
+  if (limbs_.size() < n) limbs_.resize(n, 0);
+  for (size_t i = 0; i < a.limbs_.size(); ++i) {
+    uint64_t carry = 0;
+    for (size_t j = 0; j < b.limbs_.size(); ++j) {
+      const unsigned __int128 cur =
+          static_cast<unsigned __int128>(a.limbs_[i]) * b.limbs_[j] +
+          limbs_[i + j] + carry;
+      limbs_[i + j] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
+    }
+    // Ripple the row's carry upward; past the product's top limb it can
+    // run off the end only when the accumulator was longer.
+    for (size_t k = i + b.limbs_.size(); carry != 0; ++k) {
+      if (k == limbs_.size()) {
+        limbs_.push_back(carry);
+        break;
+      }
+      const uint64_t sum = limbs_[k] + carry;
+      carry = sum < carry ? 1 : 0;
+      limbs_[k] = sum;
+    }
+  }
+  Normalize();
+}
+
 BigNat BigNat::Sub(const BigNat& a, const BigNat& b) {
   STAP_CHECK(Compare(a, b) >= 0);
   BigNat out;
@@ -214,6 +263,34 @@ CountValue CountValue::Mul(const CountValue& a, const CountValue& b) {
   out.exact_ = false;
   out.log2_ = a.Log2() + b.Log2();
   return out;
+}
+
+void CountValue::AddInPlace(const CountValue& b) {
+  if (!exact_ || !b.exact_) {
+    *this = Add(*this, b);
+    return;
+  }
+  nat_.AddInPlace(b.nat_);
+  if (nat_.num_limbs() > kMaxExactLimbs) *this = FromBigNat(std::move(nat_));
+}
+
+void CountValue::AddProduct(const CountValue& a, const CountValue& b) {
+  // Mul(a, b) stays exact (so Add sees two exact operands) whenever the
+  // product's limb bound a + b is within kMaxExactLimbs; otherwise take
+  // the allocating path, which may add in the log domain.
+  if (!exact_ || !a.exact_ || !b.exact_ ||
+      a.nat_.num_limbs() + b.nat_.num_limbs() > kMaxExactLimbs) {
+    *this = Add(*this, Mul(a, b));
+    return;
+  }
+  nat_.AddProduct(a.nat_, b.nat_);
+  if (nat_.num_limbs() > kMaxExactLimbs) *this = FromBigNat(std::move(nat_));
+}
+
+void CountValue::SetZero() {
+  exact_ = true;
+  nat_.SetZero();
+  log2_ = 0.0;
 }
 
 CountValue CountValue::Sub(const CountValue& a, const CountValue& b) {

@@ -35,6 +35,12 @@ class BigNat {
   int BitLength() const;
 
   static BigNat Add(const BigNat& a, const BigNat& b);
+  // *this += b and *this += a·b, reusing this value's limbs (b, a or b may
+  // be *this itself).
+  void AddInPlace(const BigNat& b);
+  void AddProduct(const BigNat& a, const BigNat& b);
+  // Sets the value to zero, keeping the limb storage for reuse.
+  void SetZero() { limbs_.clear(); }
   // Require: a >= b.
   static BigNat Sub(const BigNat& a, const BigNat& b);
   static BigNat Mul(const BigNat& a, const BigNat& b);
@@ -92,6 +98,15 @@ class CountValue {
   static CountValue Add(const CountValue& a, const CountValue& b);
   static CountValue Mul(const CountValue& a, const CountValue& b);
   static CountValue Sub(const CountValue& a, const CountValue& b);
+
+  // *this = Add(*this, b) and *this = Add(*this, Mul(a, b)), with the same
+  // result bit for bit (log-domain fallback included), but reusing this
+  // value's limbs instead of allocating temporaries. The DPs' inner loops
+  // accumulate with these.
+  void AddInPlace(const CountValue& b);
+  void AddProduct(const CountValue& a, const CountValue& b);
+  // Sets the value to exact zero, keeping the limb storage for reuse.
+  void SetZero();
 
   // -1, 0, or 1; mixed exact/log comparisons go through log2 magnitudes.
   static int Compare(const CountValue& a, const CountValue& b);

@@ -38,32 +38,38 @@ bool IntersectsSorted(std::span<const int> a, const std::vector<int>& b) {
 }
 
 // Weighted count of words of length <= max_width through `content`, where
-// symbol a carries weight[a] child subtrees.
+// symbol a carries *weight[a] child subtrees (null: none). `paths` and
+// `next` are the DP's two rows, reused across calls so their counts keep
+// their limbs.
 CountValue CountContentWeighted(const Dfa& content,
-                                const std::vector<CountValue>& weight,
-                                int max_width) {
-  if (content.num_states() == 0) return CountValue::Zero();
-  std::vector<CountValue> paths(content.num_states());
-  paths[content.initial()] = CountValue::One();
+                                const std::vector<const CountValue*>& weight,
+                                int max_width, std::vector<CountValue>* paths,
+                                std::vector<CountValue>* next) {
+  const int num_states = content.num_states();
+  if (num_states == 0) return CountValue::Zero();
+  paths->resize(num_states);
+  next->resize(num_states);
+  for (CountValue& value : *paths) value.SetZero();
+  (*paths)[content.initial()] = CountValue::One();
   CountValue total = content.IsFinal(content.initial()) ? CountValue::One()
                                                         : CountValue::Zero();
   for (int length = 1; length <= max_width; ++length) {
-    std::vector<CountValue> next(content.num_states());
+    for (CountValue& value : *next) value.SetZero();
     bool alive = false;
-    for (int s = 0; s < content.num_states(); ++s) {
-      if (paths[s].IsZero()) continue;
+    for (int s = 0; s < num_states; ++s) {
+      const CountValue& from = (*paths)[s];
+      if (from.IsZero()) continue;
       for (int a = 0; a < content.num_symbols(); ++a) {
         const int r = content.Next(s, a);
-        if (r == kNoState || weight[a].IsZero()) continue;
-        next[r] = CountValue::Add(next[r],
-                                  CountValue::Mul(paths[s], weight[a]));
+        if (r == kNoState || weight[a] == nullptr) continue;
+        (*next)[r].AddProduct(from, *weight[a]);
         alive = true;
       }
     }
     if (!alive) break;
-    paths = std::move(next);
-    for (int s = 0; s < content.num_states(); ++s) {
-      if (content.IsFinal(s)) total = CountValue::Add(total, paths[s]);
+    paths->swap(*next);
+    for (int s = 0; s < num_states; ++s) {
+      if (content.IsFinal(s)) total.AddInPlace((*paths)[s]);
     }
   }
   return total;
@@ -191,28 +197,31 @@ StatusOr<std::vector<CountValue>> CountXsdByDepth(const DfaXsd& xsd,
   const int n = xsd.automaton.num_states();
   const int num_symbols = xsd.sigma.size();
 
-  std::vector<CountValue> count(n);
+  std::vector<CountValue> count(n), next(n);
+  std::vector<const CountValue*> weight(num_symbols);
+  std::vector<CountValue> paths, path_scratch;
   std::vector<CountValue> totals;
   totals.reserve(bounds.max_depth);
   for (int d = 1; d <= bounds.max_depth; ++d) {
     STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
     STAP_RETURN_IF_ERROR(Budget::ChargeSets(budget, n));
-    std::vector<CountValue> next(n);
     for (int q = 1; q < n; ++q) {
-      std::vector<CountValue> weight(num_symbols);
       for (int a = 0; a < num_symbols; ++a) {
         const int child = xsd.automaton.Next(q, a);
-        if (child != kNoState) weight[a] = count[child];
+        weight[a] = child == kNoState || count[child].IsZero()
+                        ? nullptr
+                        : &count[child];
       }
-      next[q] = CountContentWeighted(xsd.content[q], weight, bounds.max_width);
+      next[q] = CountContentWeighted(xsd.content[q], weight, bounds.max_width,
+                                     &paths, &path_scratch);
     }
-    count = std::move(next);
+    count.swap(next);
     CountValue total;
     for (int a : xsd.start_symbols) {
       const int q = xsd.automaton.Next(xsd.automaton.initial(), a);
-      if (q != kNoState) total = CountValue::Add(total, count[q]);
+      if (q != kNoState) total.AddInPlace(count[q]);
     }
-    totals.push_back(total);
+    totals.push_back(std::move(total));
   }
   span.AddArg("depth", bounds.max_depth);
   return totals;
@@ -268,7 +277,7 @@ StatusOr<std::vector<CountValue>> CountIntersectionByDepth(
         STAP_RETURN_IF_ERROR(Budget::ChargeStates(budget));
         next_counts.push_back(cnt);
       } else {
-        next_counts[id] = CountValue::Add(next_counts[id], cnt);
+        next_counts[id].AddInPlace(cnt);
       }
       return Status();
     };
@@ -317,9 +326,7 @@ StatusOr<std::vector<CountValue>> CountIntersectionByDepth(
             int sid = 0;
             STAP_RETURN_IF_ERROR(
                 InternTuple(&tuples, std::move(successor), budget, &sid));
-            CountValue& slot = next_frontier[sid];
-            slot = CountValue::Add(slot,
-                                   CountValue::Mul(cnt, prev_counts[pi]));
+            next_frontier[sid].AddProduct(cnt, prev_counts[pi]);
           }
         }
         if (next_frontier.empty()) break;
@@ -334,7 +341,7 @@ StatusOr<std::vector<CountValue>> CountIntersectionByDepth(
       for (int pi = 0; pi < next_pairs.size(); ++pi) {
         if (next_pairs[pi][0] == q &&
             IntersectsSorted(profile_of(next_pairs[pi]), edtd.start_types)) {
-          total = CountValue::Add(total, next_counts[pi]);
+          total.AddInPlace(next_counts[pi]);
         }
       }
     }

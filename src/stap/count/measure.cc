@@ -7,7 +7,6 @@
 #include "stap/base/metrics.h"
 #include "stap/base/trace.h"
 #include "stap/schema/reduce.h"
-#include "stap/schema/type_automaton.h"
 
 namespace stap {
 
@@ -104,7 +103,6 @@ StatusOr<MeasureResult> MeasureSchema(const Edtd& schema,
   ScopedSpan reduce_span("measure.reduce");
   const Edtd reduced = ReduceEdtd(schema);
   result.schema_types = reduced.num_types();
-  result.single_type = IsSingleType(reduced);
   reduce_span.End();
 
   ScopedSpan schema_span("measure.count_schema");
@@ -114,14 +112,21 @@ StatusOr<MeasureResult> MeasureSchema(const Edtd& schema,
   result.schema = *std::move(schema_counts);
   schema_span.End();
 
+  // One subset construction gives both approximations and single_type.
+  ScopedSpan approx_span("measure.approximate");
+  StatusOr<SubsetApproximations> approximations =
+      SubsetConstruction(reduced, options.upper, options.lower, budget);
+  if (!approximations.ok()) return approximations.status();
+  result.single_type = approximations->single_type;
+  approx_span.End();
+
   if (options.upper) {
     ScopedSpan upper_span("measure.upper");
-    StatusOr<DfaXsd> upper = MinimalUpperApproximation(reduced, budget);
-    if (!upper.ok()) return upper.status();
+    const DfaXsd& upper = *approximations->upper;
     result.has_upper = true;
-    result.upper_states = upper->type_size();
+    result.upper_states = upper.type_size();
     StatusOr<std::vector<CountValue>> upper_counts =
-        CountXsdByDepth(*upper, options.bounds, budget);
+        CountXsdByDepth(upper, options.bounds, budget);
     if (!upper_counts.ok()) return upper_counts.status();
     result.upper = *std::move(upper_counts);
     // S ⊆ upper (Lemma 3.3), so |L(upper) ∩ L(S)| is |L(S)|.
@@ -133,14 +138,18 @@ StatusOr<MeasureResult> MeasureSchema(const Edtd& schema,
 
   if (options.lower) {
     ScopedSpan lower_span("measure.lower");
-    StatusOr<DfaXsd> lower = SubsetIntersectionLower(reduced, budget);
-    if (!lower.ok()) return lower.status();
+    const DfaXsd& lower = *approximations->lower;
     result.has_lower = true;
-    result.lower_states = lower->type_size();
-    StatusOr<std::vector<CountValue>> lower_counts =
-        CountXsdByDepth(*lower, options.bounds, budget);
-    if (!lower_counts.ok()) return lower_counts.status();
-    result.lower = *std::move(lower_counts);
+    result.lower_states = lower.type_size();
+    if (options.upper && approximations->lower_is_upper) {
+      // The same XSD: its counts are upper's.
+      result.lower = result.upper;
+    } else {
+      StatusOr<std::vector<CountValue>> lower_counts =
+          CountXsdByDepth(lower, options.bounds, budget);
+      if (!lower_counts.ok()) return lower_counts.status();
+      result.lower = *std::move(lower_counts);
+    }
     // lower ⊆ S (the intersection rule is sound), so |L(lower) ∩ L(S)| is
     // |L(lower)|.
     for (int d = 0; d < options.bounds.max_depth; ++d) {

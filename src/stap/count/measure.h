@@ -61,8 +61,11 @@ struct MeasureResult {
 };
 
 // Counts the schema and its requested approximations. The input is
-// reduced internally; an empty-language input yields all-zero counts.
-// A null budget is unlimited.
+// reduced once, and one SubsetConstruction (approx/upper.h) on the
+// reduced EDTD gives both approximations and `single_type`; when every
+// merged state's members share one content image, lower is upper and its
+// counts are copied, not recounted. An empty-language input yields
+// all-zero counts. A null budget is unlimited.
 StatusOr<MeasureResult> MeasureSchema(const Edtd& schema,
                                       const MeasureOptions& options,
                                       Budget* budget);

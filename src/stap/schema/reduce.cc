@@ -1,5 +1,6 @@
 #include "stap/schema/reduce.h"
 
+#include <utility>
 #include <vector>
 
 #include "stap/automata/minimize.h"
@@ -26,26 +27,108 @@ Dfa RestrictToSymbols(const Dfa& dfa, const std::vector<bool>& allowed) {
   return result.Trimmed();
 }
 
+// Productive types: the least fixpoint of "the content language contains
+// a word over productive types", by one backward worklist over every
+// content DFA at once. A content state is live when it reaches a final
+// state over productive types: final states are live, and a transition
+// s –t→ r makes s live once t is productive and r is live. A type is
+// productive once its initial state is live. Each transition is looked
+// at once from its target turning live and once from its symbol turning
+// productive, so the whole fixpoint is linear in the EDTD.
+std::vector<bool> ProductiveTypes(const Edtd& edtd) {
+  const int n = edtd.num_types();
+  // Content states numbered globally: type tau's state s is offset[tau]+s.
+  std::vector<int> offset(n + 1, 0);
+  for (int tau = 0; tau < n; ++tau) {
+    offset[tau + 1] = offset[tau] + edtd.content[tau].num_states();
+  }
+  const int num_states = offset[n];
+  std::vector<int> initial_of(num_states, kNoSymbol);
+  for (int tau = 0; tau < n; ++tau) {
+    if (edtd.content[tau].num_states() > 0) {
+      initial_of[offset[tau] + edtd.content[tau].initial()] = tau;
+    }
+  }
+
+  // Every transition (source, symbol, target), bucketed by target and by
+  // symbol (counting sort into flat arrays).
+  struct Edge {
+    int source, symbol, target;
+  };
+  std::vector<Edge> edges;
+  for (int tau = 0; tau < n; ++tau) {
+    const Dfa& dfa = edtd.content[tau];
+    for (int s = 0; s < dfa.num_states(); ++s) {
+      for (int t = 0; t < n; ++t) {
+        const int r = dfa.Next(s, t);
+        if (r != kNoState) {
+          edges.push_back({offset[tau] + s, t, offset[tau] + r});
+        }
+      }
+    }
+  }
+  auto bucket = [&edges](int num_buckets, auto key) {
+    std::vector<int> begin(num_buckets + 1, 0);
+    for (const Edge& e : edges) ++begin[key(e) + 1];
+    for (int i = 0; i < num_buckets; ++i) begin[i + 1] += begin[i];
+    std::vector<int> order(edges.size());
+    std::vector<int> fill(begin.begin(), begin.end() - 1);
+    for (int i = 0; i < static_cast<int>(edges.size()); ++i) {
+      order[fill[key(edges[i])]++] = i;
+    }
+    return std::pair(std::move(begin), std::move(order));
+  };
+  const auto [by_target_begin, by_target] =
+      bucket(num_states, [](const Edge& e) { return e.target; });
+  const auto [by_symbol_begin, by_symbol] =
+      bucket(n, [](const Edge& e) { return e.symbol; });
+
+  std::vector<bool> productive(n, false);
+  std::vector<bool> live(num_states, false);
+  std::vector<int> live_stack, productive_stack;
+  auto mark_live = [&](int state) {
+    if (live[state]) return;
+    live[state] = true;
+    live_stack.push_back(state);
+    const int tau = initial_of[state];
+    if (tau != kNoSymbol && !productive[tau]) {
+      productive[tau] = true;
+      productive_stack.push_back(tau);
+    }
+  };
+  for (int tau = 0; tau < n; ++tau) {
+    const Dfa& dfa = edtd.content[tau];
+    for (int s = 0; s < dfa.num_states(); ++s) {
+      if (dfa.IsFinal(s)) mark_live(offset[tau] + s);
+    }
+  }
+  while (!live_stack.empty() || !productive_stack.empty()) {
+    if (!live_stack.empty()) {
+      const int r = live_stack.back();
+      live_stack.pop_back();
+      for (int i = by_target_begin[r]; i < by_target_begin[r + 1]; ++i) {
+        const Edge& e = edges[by_target[i]];
+        if (productive[e.symbol]) mark_live(e.source);
+      }
+      continue;
+    }
+    const int t = productive_stack.back();
+    productive_stack.pop_back();
+    for (int i = by_symbol_begin[t]; i < by_symbol_begin[t + 1]; ++i) {
+      const Edge& e = edges[by_symbol[i]];
+      if (live[e.target]) mark_live(e.source);
+    }
+  }
+  return productive;
+}
+
 }  // namespace
 
 Edtd ReduceEdtd(const Edtd& input) {
   input.CheckWellFormed();
   const int n = input.num_types();
 
-  // Productive types: fixpoint from below. A type is productive if its
-  // content language contains a word over productive types.
-  std::vector<bool> productive(n, false);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int tau = 0; tau < n; ++tau) {
-      if (productive[tau]) continue;
-      if (!RestrictToSymbols(input.content[tau], productive).IsEmpty()) {
-        productive[tau] = true;
-        changed = true;
-      }
-    }
-  }
+  const std::vector<bool> productive = ProductiveTypes(input);
 
   // Restrict all content models to productive types, then compute
   // reachability from the start types over "occurs in some accepted word".

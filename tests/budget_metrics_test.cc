@@ -23,6 +23,8 @@
 #include "stap/base/budget.h"
 #include "stap/base/metrics.h"
 #include "stap/base/thread_pool.h"
+#include "stap/count/counter.h"
+#include "stap/count/measure.h"
 #include "stap/gen/families.h"
 #include "stap/gen/random.h"
 #include "stap/regex/ast.h"
@@ -183,6 +185,50 @@ TEST(BudgetTest, DistinctContentRulesChargeNoMoreThanThePerSubsetLoop) {
       capped.set_max_states(oracle_charge);
       EXPECT_TRUE(rule.library(inputs[i], &capped).ok());
     }
+  }
+}
+
+TEST(BudgetTest, MeasureChargesNoMoreThanItsPartsRunSeparately) {
+  // MeasureSchema reduces once and runs one subset construction for both
+  // approximations, and skips lower's count when lower is upper. So it
+  // charges no more states or sets than counting the schema, then
+  // building and counting each approximation on its own, and a quota
+  // equal to that sum lets it finish.
+  std::mt19937 rng(11);
+  std::vector<Edtd> inputs = {Theorem32Family(3), Theorem32Family(6),
+                              CountedFamily(2, 4)};
+  for (int round = 0; round < 6; ++round) {
+    RandomSchemaParams params;
+    params.num_types = 3 + round;
+    inputs.push_back(RandomEdtd(&rng, params));
+  }
+  MeasureOptions options;
+  options.bounds.max_depth = 4;
+  options.bounds.max_width = 3;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE(i);
+    Budget parts;
+    ASSERT_TRUE(
+        CountEdtdByDepth(ReduceEdtd(inputs[i]), options.bounds, &parts).ok());
+    using Construction = StatusOr<DfaXsd> (*)(const Edtd&, Budget*);
+    for (Construction approximate :
+         {Construction{MinimalUpperApproximation},
+          Construction{SubsetIntersectionLower}}) {
+      StatusOr<DfaXsd> xsd = approximate(inputs[i], &parts);
+      ASSERT_TRUE(xsd.ok());
+      ASSERT_TRUE(CountXsdByDepth(*xsd, options.bounds, &parts).ok());
+    }
+    Budget measure;
+    ASSERT_TRUE(MeasureSchema(inputs[i], options, &measure).ok());
+    EXPECT_LE(measure.states_charged(), parts.states_charged());
+    EXPECT_LE(measure.sets_charged(), parts.sets_charged());
+    if (i == 1) {  // theorem32(6): one subset construction, not two
+      EXPECT_LT(measure.states_charged(), parts.states_charged());
+    }
+    Budget capped;
+    capped.set_max_states(parts.states_charged());
+    capped.set_max_sets(parts.sets_charged());
+    EXPECT_TRUE(MeasureSchema(inputs[i], options, &capped).ok());
   }
 }
 

@@ -12,7 +12,11 @@
 // |upper ∩ S| = |S| and |lower ∩ S| = |lower|.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <random>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "stap/approx/upper.h"
@@ -24,6 +28,8 @@
 #include "stap/schema/minimize.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
+#include "stap/schema/text_format.h"
+#include "stap/schema/type_automaton.h"
 #include "stap/tree/enumerate.h"
 #include "test_seed.h"
 
@@ -207,6 +213,114 @@ TEST(CountPropertyTest, ApproximationsExactOnSingleTypeSchemas) {
       ADD_FAILURE() << "failing schema " << i << ":\n" << st.ToString();
       return;
     }
+  }
+}
+
+// MeasureSchema runs one reduction and one subset construction for both
+// approximations, and copies upper's counts to lower when the two are
+// the same XSD. It must report field for field what the separate calls
+// give: the schema count of the reduced input, each approximation's own
+// count and type size, and IsSingleType of the reduced input — for both
+// sides at once and for each side alone.
+void CheckMeasureMatchesSeparateCalls(const Edtd& schema,
+                                      const std::string& what) {
+  SCOPED_TRACE(what);
+  CountBounds bounds;
+  bounds.max_depth = 4;
+  bounds.max_width = 3;
+  const Edtd reduced = ReduceEdtd(schema);
+  StatusOr<std::vector<CountValue>> schema_counts =
+      CountEdtdByDepth(reduced, bounds, nullptr);
+  StatusOr<DfaXsd> upper = MinimalUpperApproximation(schema, nullptr);
+  StatusOr<DfaXsd> lower = SubsetIntersectionLower(schema, nullptr);
+  ASSERT_TRUE(schema_counts.ok() && upper.ok() && lower.ok());
+  StatusOr<std::vector<CountValue>> upper_counts =
+      CountXsdByDepth(*upper, bounds, nullptr);
+  StatusOr<std::vector<CountValue>> lower_counts =
+      CountXsdByDepth(*lower, bounds, nullptr);
+  ASSERT_TRUE(upper_counts.ok() && lower_counts.ok());
+
+  auto expect_same = [](const std::vector<CountValue>& got,
+                        const std::vector<CountValue>& want,
+                        const char* field) {
+    ASSERT_EQ(got.size(), want.size()) << field;
+    for (size_t d = 0; d < want.size(); ++d) {
+      EXPECT_EQ(CountValue::Compare(got[d], want[d]), 0)
+          << field << " at depth " << (d + 1) << ": " << got[d].ToString()
+          << " vs " << want[d].ToString();
+    }
+  };
+  for (const auto& [want_upper, want_lower] :
+       {std::pair(true, true), std::pair(true, false),
+        std::pair(false, true)}) {
+    SCOPED_TRACE(std::string(want_upper ? "upper" : "") +
+                 (want_lower ? "+lower" : ""));
+    MeasureOptions options;
+    options.bounds = bounds;
+    options.upper = want_upper;
+    options.lower = want_lower;
+    StatusOr<MeasureResult> result = MeasureSchema(schema, options, nullptr);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->single_type, IsSingleType(reduced));
+    EXPECT_EQ(result->schema_types, reduced.num_types());
+    expect_same(result->schema, *schema_counts, "schema");
+    EXPECT_EQ(result->has_upper, want_upper);
+    EXPECT_EQ(result->has_lower, want_lower);
+    if (want_upper) {
+      EXPECT_EQ(result->upper_states, upper->type_size());
+      expect_same(result->upper, *upper_counts, "upper");
+    }
+    if (want_lower) {
+      EXPECT_EQ(result->lower_states, lower->type_size());
+      expect_same(result->lower, *lower_counts, "lower");
+    }
+  }
+}
+
+Edtd LoadExample(const std::string& file) {
+  std::ifstream in(std::string(STAP_EXAMPLES_DIR) + "/" + file);
+  EXPECT_TRUE(in) << file;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  StatusOr<Edtd> edtd = ParseSchema(buffer.str());
+  EXPECT_TRUE(edtd.ok()) << file << ": " << edtd.status();
+  return edtd.ok() ? *std::move(edtd) : Edtd();
+}
+
+// Whether the one subset construction makes lower the same XSD as upper.
+bool LowerIsUpper(const Edtd& schema) {
+  StatusOr<SubsetApproximations> both = SubsetConstruction(
+      ReduceEdtd(schema), /*upper=*/true, /*lower=*/true, nullptr);
+  EXPECT_TRUE(both.ok());
+  return both.ok() && both->lower_is_upper;
+}
+
+TEST(CountPropertyTest, MeasureMatchesSeparateCalls) {
+  // Inputs where lower and upper differ, so both are counted.
+  const Edtd relaxng = LoadExample("relaxng_style.stap");
+  EXPECT_FALSE(LowerIsUpper(relaxng));
+  CheckMeasureMatchesSeparateCalls(relaxng, "relaxng_style");
+  for (int n = 2; n <= 4; ++n) {
+    EXPECT_FALSE(LowerIsUpper(Theorem32Family(n)));
+    CheckMeasureMatchesSeparateCalls(Theorem32Family(n),
+                                     "theorem32(" + std::to_string(n) + ")");
+  }
+  // Inputs where every merged state has one image, so lower's counts are
+  // upper's, copied.
+  const Edtd library = LoadExample("library_v1.stap");
+  EXPECT_TRUE(LowerIsUpper(library));
+  CheckMeasureMatchesSeparateCalls(library, "library_v1");
+  EXPECT_TRUE(LowerIsUpper(CountedFamily(2, 4)));
+  CheckMeasureMatchesSeparateCalls(CountedFamily(2, 4), "counted(2,4)");
+  for (int i = 0; i < 20; ++i) {
+    std::mt19937 rng(MixSeed(0x3EA5 + i));
+    RandomSchemaParams params;
+    params.num_symbols = 2 + i % 2;
+    params.num_types = 3 + i % 3;
+    params.repeat_percent = (i % 2 == 0) ? 40 : 0;
+    CheckMeasureMatchesSeparateCalls(RandomEdtd(&rng, params),
+                                     "random " + std::to_string(i));
+    if (HasFailure()) return;
   }
 }
 

@@ -1,7 +1,14 @@
 // Unit tests for EDTDs, reduction, and type automata.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "stap/automata/ops.h"
 #include "stap/gen/families.h"
+#include "stap/gen/random.h"
 #include "stap/schema/builder.h"
 #include "stap/schema/edtd.h"
 #include "stap/schema/reduce.h"
@@ -125,6 +132,134 @@ TEST(ReduceTest, EmptyLanguageGivesZeroTypes) {
   Edtd reduced = ReduceEdtd(builder.Build());
   EXPECT_EQ(reduced.num_types(), 0);
   EXPECT_TRUE(reduced.start_types.empty());
+}
+
+// The types a reduction keeps, by the definitions run naively: a type is
+// productive if a word over productive types reaches a final state of
+// its content (iterated to a fixpoint); it is kept if it is productive
+// and reachable from a productive start type through transitions that
+// lie on such a word.
+std::vector<bool> NaiveKeptTypes(const Edtd& edtd) {
+  const int n = edtd.num_types();
+  // States of `dfa` that reach a final state over `allowed` symbols.
+  auto live_states = [](const Dfa& dfa, const std::vector<bool>& allowed) {
+    std::vector<bool> live(dfa.num_states(), false);
+    for (int s = 0; s < dfa.num_states(); ++s) live[s] = dfa.IsFinal(s);
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (int s = 0; s < dfa.num_states(); ++s) {
+        for (int t = 0; t < dfa.num_symbols() && !live[s]; ++t) {
+          const int r = dfa.Next(s, t);
+          if (allowed[t] && r != kNoState && live[r]) live[s] = changed = true;
+        }
+      }
+    }
+    return live;
+  };
+  std::vector<bool> productive(n, false);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (int tau = 0; tau < n; ++tau) {
+      const Dfa& dfa = edtd.content[tau];
+      if (productive[tau] || dfa.num_states() == 0) continue;
+      if (live_states(dfa, productive)[dfa.initial()]) {
+        productive[tau] = changed = true;
+      }
+    }
+  }
+  std::vector<bool> kept(n, false);
+  std::vector<int> stack;
+  for (int tau : edtd.start_types) {
+    if (productive[tau] && !kept[tau]) {
+      kept[tau] = true;
+      stack.push_back(tau);
+    }
+  }
+  while (!stack.empty()) {
+    const Dfa& dfa = edtd.content[stack.back()];
+    stack.pop_back();
+    const std::vector<bool> live = live_states(dfa, productive);
+    // Forward from the initial state over productive types.
+    std::vector<bool> seen(dfa.num_states(), false);
+    std::vector<int> frontier = {dfa.initial()};
+    seen[dfa.initial()] = true;
+    while (!frontier.empty()) {
+      const int s = frontier.back();
+      frontier.pop_back();
+      for (int t = 0; t < n; ++t) {
+        const int r = dfa.Next(s, t);
+        if (!productive[t] || r == kNoState) continue;
+        if (live[r] && !kept[t]) {
+          kept[t] = true;
+          stack.push_back(t);
+        }
+        if (!seen[r]) {
+          seen[r] = true;
+          frontier.push_back(r);
+        }
+      }
+    }
+  }
+  return kept;
+}
+
+// The same EDTD with its type ids shuffled: type tau becomes perm[tau].
+Edtd WithShuffledTypes(const Edtd& edtd, std::mt19937* rng) {
+  const int n = edtd.num_types();
+  std::vector<int> perm(n);
+  for (int tau = 0; tau < n; ++tau) perm[tau] = tau;
+  std::shuffle(perm.begin(), perm.end(), *rng);
+  std::vector<std::string> names(n);
+  for (int tau = 0; tau < n; ++tau) names[perm[tau]] = edtd.types.Name(tau);
+  Edtd result;
+  result.sigma = edtd.sigma;
+  result.types = Alphabet(names);
+  result.mu.resize(n);
+  result.content.resize(n);
+  for (int tau = 0; tau < n; ++tau) {
+    result.mu[perm[tau]] = edtd.mu[tau];
+    result.content[perm[tau]] = RemapSymbols(edtd.content[tau], perm, n);
+  }
+  for (int tau : edtd.start_types) StateSetInsert(result.start_types, perm[tau]);
+  result.CheckWellFormed();
+  return result;
+}
+
+TEST(ReduceTest, KeepsExactlyTheNaiveFixpointsTypes) {
+  // Random reduced EDTDs with shuffled type ids (so types turn productive
+  // in every order), damaged so that some types lose their final states
+  // or gain transitions to types that lose theirs: the reduction must
+  // keep exactly the types the naive fixpoints keep.
+  for (int i = 0; i < 300; ++i) {
+    std::mt19937 rng(0x9ED0 + i);
+    RandomSchemaParams params;
+    params.num_types = 3 + i % 6;
+    params.repeat_percent = i % 3 == 0 ? 40 : 0;
+    Edtd edtd = WithShuffledTypes(RandomEdtd(&rng, params), &rng);
+    const int n = edtd.num_types();
+    for (int tau = 0; tau < n; ++tau) {
+      Dfa& dfa = edtd.content[tau];
+      if (rng() % 4 == 0) {
+        for (int s = 0; s < dfa.num_states(); ++s) dfa.SetFinal(s, false);
+      }
+      if (rng() % 3 == 0 && dfa.num_states() > 0) {
+        const int s = static_cast<int>(rng() % dfa.num_states());
+        const int t = static_cast<int>(rng() % n);
+        if (dfa.Next(s, t) == kNoState) {
+          dfa.SetTransition(s, t, static_cast<int>(rng() % dfa.num_states()));
+        }
+      }
+    }
+    const std::vector<bool> kept = NaiveKeptTypes(edtd);
+    const Edtd reduced = ReduceEdtd(edtd);
+    for (int tau = 0; tau < n; ++tau) {
+      EXPECT_EQ(reduced.types.Find(edtd.types.Name(tau)) != kNoSymbol,
+                kept[tau])
+          << "schema " << i << ", type " << edtd.types.Name(tau) << "\n"
+          << edtd.ToString();
+    }
+    if (HasFailure()) return;
+  }
 }
 
 TEST(ReduceTest, IsIdempotent) {

@@ -3,7 +3,12 @@
 // images, and must agree byte for byte with tests/oracles/
 // subset_construction.h, which runs it once per merged state on every
 // member type. Both the union rule (MinimalUpperApproximation) and the
-// intersection rule (SubsetIntersectionLower) are checked.
+// intersection rule (SubsetIntersectionLower) are checked, and so is the
+// one-run core both call (SubsetConstruction), asked for both
+// approximations at once as `stap measure` asks: each of its results
+// must equal its oracle, its single_type must be IsSingleType of the
+// reduced input, and when it reports lower_is_upper the two XSDs must be
+// equal.
 //
 // Inputs: random EDTDs, the same with every type doubled (each twin has
 // its original's label and content up to renaming types by their twins,
@@ -26,7 +31,9 @@
 #include "stap/gen/random.h"
 #include "stap/io/artifact.h"
 #include "stap/schema/minimize.h"
+#include "stap/schema/reduce.h"
 #include "stap/schema/text_format.h"
+#include "stap/schema/type_automaton.h"
 #include "stap/schema/xsd_io.h"
 #include "test_seed.h"
 
@@ -47,6 +54,18 @@ void ExpectAgree(const Edtd& edtd, const std::string& name) {
   ASSERT_TRUE(lower.ok()) << lower.status();
   ASSERT_TRUE(lower_oracle.ok()) << lower_oracle.status();
   EXPECT_TRUE(XsdStructurallyEqual(*lower, *lower_oracle));
+
+  const Edtd reduced = ReduceEdtd(edtd);
+  StatusOr<SubsetApproximations> both =
+      SubsetConstruction(reduced, /*upper=*/true, /*lower=*/true, nullptr);
+  ASSERT_TRUE(both.ok()) << both.status();
+  ASSERT_TRUE(both->upper.has_value() && both->lower.has_value());
+  EXPECT_TRUE(XsdStructurallyEqual(*both->upper, *upper_oracle));
+  EXPECT_TRUE(XsdStructurallyEqual(*both->lower, *lower_oracle));
+  EXPECT_EQ(both->single_type, IsSingleType(reduced));
+  if (both->lower_is_upper) {
+    EXPECT_TRUE(XsdStructurallyEqual(*both->upper, *both->lower));
+  }
 }
 
 // The same language with every type doubled: type τ + N is τ's twin,

@@ -2,7 +2,7 @@
 // nothing, begin/end events balance per thread — including under a
 // concurrent ParallelFor — args round-trip with their types, the Chrome
 // JSON export is well-formed, the phase-table rollup aggregates by
-// (depth, name), and worker threads appear under their stable names.
+// (parent row, name), and worker threads appear under their stable names.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -281,6 +281,65 @@ TEST(TraceTest, PhaseTableAggregatesByDepthAndName) {
   EXPECT_NE(table.find("n=6"), std::string::npos);
 }
 
+TEST(TraceTest, PhaseTableKeysRowsOnTheirParent) {
+  // One span name under two parents (as Construction 3.1's phases run
+  // under both approximations) gets a row under each parent, and every
+  // row is printed under its own parent even when the parents
+  // interleave and a child first appears after the other parent ran.
+  TraceSession session;
+  session.Start();
+  for (int i = 0; i < 2; ++i) {
+    {
+      ScopedSpan upper("upper");
+      ScopedSpan reduce("reduce");
+      reduce.AddArg("n", 1);
+    }
+    {
+      ScopedSpan lower("lower");
+      ScopedSpan reduce("reduce");
+      reduce.AddArg("n", 10);
+    }
+  }
+  {
+    ScopedSpan upper("upper");
+    ScopedSpan late("late_child");
+  }
+  session.Stop();
+
+  const std::vector<TraceSession::PhaseRow> rows = session.PhaseTable();
+  ASSERT_EQ(rows.size(), 5u);
+  const struct {
+    const char* name;
+    int depth, parent;
+    int64_t count, n;
+  } expected[] = {{"upper", 0, -1, 3, 0},
+                  {"reduce", 1, 0, 2, 2},
+                  {"late_child", 1, 0, 1, 0},
+                  {"lower", 0, -1, 2, 0},
+                  {"reduce", 1, 3, 2, 20}};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(rows[i].name, expected[i].name);
+    EXPECT_EQ(rows[i].depth, expected[i].depth);
+    EXPECT_EQ(rows[i].parent, expected[i].parent);
+    EXPECT_EQ(rows[i].count, expected[i].count);
+    int64_t n = 0;
+    for (const auto& [key, value] : rows[i].int_args) {
+      if (key == "n") n = value;
+    }
+    EXPECT_EQ(n, expected[i].n);
+  }
+  const std::string table = TraceSession::FormatPhaseTable(rows);
+  const size_t upper_reduce = table.find("  reduce");
+  const size_t late = table.find("  late_child");
+  const size_t lower = table.find("\nlower");
+  const size_t lower_reduce = table.find("  reduce", lower);
+  EXPECT_LT(upper_reduce, late);
+  EXPECT_LT(late, lower);
+  EXPECT_NE(lower_reduce, std::string::npos);
+  EXPECT_NE(table.find("n=20"), std::string::npos);
+}
+
 TEST(TraceTest, DeterminizeSpanMatchesTheMetricsRegistry) {
   // The provenance contract behind `stap explain`: the span's
   // states_created arg equals the registry counter's delta for the same
@@ -403,6 +462,8 @@ TEST(TraceTest, ContentRuleCallsMatchTheRegistry) {
       for (const auto& [key, value] : row.int_args) minimize_args[key] += value;
     }
   }
+  EXPECT_EQ(merge_args["content_rules"], registry_delta);
+  // The union rule alone runs once per distinct set.
   EXPECT_EQ(merge_args["distinct_contents"], registry_delta);
   EXPECT_EQ(merge_args["merged_states"], xsd->automaton.num_states());
   EXPECT_LE(registry_delta, 2);

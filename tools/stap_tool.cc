@@ -730,7 +730,7 @@ int CmdExplain(const Args& args, GlobalOptions& options) {
                   "states_created");
   PrintCrossCheck(*session, "approx.content_rules",
                   content_rules->value() - rules_before,
-                  "upper.merge_contents", "distinct_contents");
+                  "upper.merge_contents", "content_rules");
   if (!text.ok()) return Fail(text.status());
   std::cout << "result: " << xsd->automaton.num_states()
             << " XSD states over " << xsd->sigma.size() << " elements\n";
