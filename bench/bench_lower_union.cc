@@ -17,7 +17,7 @@ void BM_LowerUnionPaperExample(benchmark::State& state) {
   auto [d1, d2] = Theorem43Schemas();
   int64_t type_size = 0;
   for (auto _ : state) {
-    DfaXsd lower = LowerUnionFixingFirst(d1, d2);
+    DfaXsd lower = *LowerUnionFixingFirst(d1, d2);
     type_size = lower.type_size();
     benchmark::DoNotOptimize(type_size);
   }
@@ -34,7 +34,7 @@ void BM_NonViolatingRandom(benchmark::State& state) {
   Edtd d2 = RandomStEdtd(&rng, params);
   int64_t type_size = 0;
   for (auto _ : state) {
-    DfaXsd nv = NonViolating(d1, d2);
+    DfaXsd nv = *NonViolating(d1, d2);
     type_size = nv.type_size();
     benchmark::DoNotOptimize(type_size);
   }
@@ -53,7 +53,7 @@ void BM_LowerUnionRandom(benchmark::State& state) {
   Edtd d2 = RandomStEdtd(&rng, params);
   int64_t type_size = 0;
   for (auto _ : state) {
-    DfaXsd lower = LowerUnionFixingFirst(d1, d2);
+    DfaXsd lower = *LowerUnionFixingFirst(d1, d2);
     type_size = lower.type_size();
     benchmark::DoNotOptimize(type_size);
   }

@@ -75,7 +75,7 @@ int main() {
             << (upper_count - union_count) << "\n\n";
 
   std::cout << "== 5. Maximal lower approximation (fixing D1) ===\n";
-  DfaXsd lower = LowerUnionFixingFirst(a1, a2);
+  DfaXsd lower = *LowerUnionFixingFirst(a1, a2);
   std::cout << SchemaToText(StEdtdFromDfaXsd(lower));
   std::cout << "keeps D1: " << (lower.Accepts(doc_a) ? "yes" : "no")
             << ", keeps D2's document: "

@@ -93,7 +93,7 @@ int main() {
   err_only.AddType("Failed", "failed", "%");
   err_only.AddStart("Err");
 
-  DfaXsd lower = LowerUnionFixingFirst(ok_only.Build(), err_only.Build());
+  DfaXsd lower = *LowerUnionFixingFirst(ok_only.Build(), err_only.Build());
   std::cout << "\nMaximal lower XSD-approximation containing the Ok "
                "disjunct ("
             << lower.type_size() << " types):\n"

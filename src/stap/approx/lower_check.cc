@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -144,8 +145,12 @@ StatusOr<bool> IsSingleTypeDefinable(const Edtd& edtd, Budget* budget) {
   // counted bounds) even when the answer is trivially yes.
   Edtd reduced = ReduceEdtd(edtd);
   if (IsSingleType(reduced)) return true;
-  StatusOr<DfaXsd> upper = MinimalUpperApproximation(reduced, budget);
-  if (!upper.ok()) return upper.status();
+  // Construction 3.1 on this reduction: MinimalUpperApproximation would
+  // reduce again.
+  StatusOr<SubsetApproximations> approximations =
+      SubsetConstruction(reduced, /*upper=*/true, /*lower=*/false, budget);
+  if (!approximations.ok()) return approximations.status();
+  const std::optional<DfaXsd>& upper = approximations->upper;
   // L(edtd) ⊆ L(upper) always; definability is the converse inclusion.
   // Its stEDTD view holds an N-column row per content state: charged up
   // front, since the allocation precedes any kernel that would charge it.

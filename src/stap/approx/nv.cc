@@ -76,6 +76,38 @@ bool HasHoleAndBadSibling(const Dfa& f1, int a,
   return false;
 }
 
+// The content of pair p in D', by the case split of d'.
+StatusOr<Dfa> NvContent(const NvAnalysis& analysis, int p, const Dfa& f1,
+                        const Dfa& f2, Budget* budget) {
+  // All of D1's constraints apply below a c-type (rule 1 of d').
+  if (analysis.pairs[p].c_type) {
+    return DfaProduct(f2, f1, BoolOp::kAnd, budget);
+  }
+  // Either no child leads to an s-type, or the whole level is also
+  // D1-valid (rule 2 of d').
+  const int num_symbols = analysis.num_symbols;
+  std::vector<bool> non_slab(num_symbols, true);
+  std::vector<bool> slab(num_symbols, false);
+  bool any_slab = false;
+  for (int a = 0; a < num_symbols; ++a) {
+    int succ = analysis.Next(p, a);
+    if (succ >= 0 && analysis.pairs[succ].s_type) {
+      non_slab[a] = false;
+      slab[a] = true;
+      any_slab = true;
+    }
+  }
+  StatusOr<Dfa> safe =
+      DfaProduct(f2, WordsOver(non_slab), BoolOp::kAnd, budget);
+  if (!safe.ok() || !any_slab) return safe;
+  StatusOr<Dfa> both = DfaProduct(f2, f1, BoolOp::kAnd, budget);
+  if (!both.ok()) return both.status();
+  StatusOr<Dfa> risky =
+      DfaProduct(*both, ContainsMarked(slab), BoolOp::kAnd, budget);
+  if (!risky.ok()) return risky.status();
+  return DfaProduct(*safe, *risky, BoolOp::kOr, budget);
+}
+
 struct ProductBuilder {
   DfaXsd x1;
   DfaXsd x2;
@@ -94,11 +126,13 @@ struct ProductBuilder {
     return it->second;
   }
 
-  void Build() {
+  // Each pair charges the budget's state quota once, when processed.
+  Status Build(Budget* budget) {
     const int num_symbols = analysis.num_symbols;
     Intern(0, 0);  // the product initial state
     size_t processed = 0;
     while (processed < analysis.pairs.size()) {
+      STAP_RETURN_IF_ERROR(Budget::ChargeStates(budget));
       const int q1 = analysis.pairs[processed].q1;
       const int q2 = analysis.pairs[processed].q2;
       ++processed;
@@ -121,6 +155,7 @@ struct ProductBuilder {
             pair_ids.at(PackPair(r1, r2));
       }
     }
+    return Status();
   }
 };
 
@@ -137,7 +172,8 @@ std::string NvAnalysis::ToString(const Alphabet& sigma) const {
   return os.str();
 }
 
-NvAnalysis AnalyzeNv(const Edtd& d1_in, const Edtd& d2_in) {
+StatusOr<NvAnalysis> AnalyzeNv(const Edtd& d1_in, const Edtd& d2_in,
+                               Budget* budget) {
   auto [a1, a2] = AlignAlphabets(d1_in, d2_in);
   Edtd r1 = ReduceEdtd(a1);
   Edtd r2 = ReduceEdtd(a2);
@@ -148,7 +184,7 @@ NvAnalysis AnalyzeNv(const Edtd& d1_in, const Edtd& d2_in) {
   builder.x1 = DfaXsdFromStEdtd(r1);
   builder.x2 = DfaXsdFromStEdtd(r2);
   builder.analysis.num_symbols = builder.x1.sigma.size();
-  builder.Build();
+  STAP_RETURN_IF_ERROR(builder.Build(budget));
 
   NvAnalysis& analysis = builder.analysis;
   const DfaXsd& x1 = builder.x1;
@@ -225,10 +261,13 @@ NvAnalysis AnalyzeNv(const Edtd& d1_in, const Edtd& d2_in) {
       } else {
         std::vector<bool> only_a(num_symbols, false);
         only_a[a] = true;
-        Dfa witness = DfaIntersection(
-            DfaIntersection(f1, ContainsMarked(only_a)),
-            DfaComplement(x2.content[parent.q2]));
-        seed = !witness.IsEmpty();
+        StatusOr<Dfa> level =
+            DfaProduct(f1, ContainsMarked(only_a), BoolOp::kAnd, budget);
+        if (!level.ok()) return level.status();
+        StatusOr<Dfa> witness = DfaProduct(*level, x2.content[parent.q2],
+                                           BoolOp::kDiff, budget);
+        if (!witness.ok()) return witness.status();
+        seed = !witness->IsEmpty();
       }
       // (iii): a D1 level with the hole at `a` and an s-typed sibling.
       if (!seed) seed = HasHoleAndBadSibling(f1, a, s_marked);
@@ -255,13 +294,16 @@ NvAnalysis AnalyzeNv(const Edtd& d1_in, const Edtd& d2_in) {
   return builder.analysis;
 }
 
-DfaXsd NonViolating(const Edtd& d1_in, const Edtd& d2_in) {
+StatusOr<DfaXsd> NonViolating(const Edtd& d1_in, const Edtd& d2_in,
+                              Budget* budget) {
   auto [a1, a2] = AlignAlphabets(d1_in, d2_in);
   Edtd r1 = ReduceEdtd(a1);
   Edtd r2 = ReduceEdtd(a2);
   STAP_CHECK(IsSingleType(r1));
   STAP_CHECK(IsSingleType(r2));
-  NvAnalysis analysis = AnalyzeNv(r1, r2);
+  StatusOr<NvAnalysis> analyzed = AnalyzeNv(r1, r2, budget);
+  if (!analyzed.ok()) return analyzed.status();
+  const NvAnalysis& analysis = *analyzed;
   DfaXsd x1 = DfaXsdFromStEdtd(r1);
   DfaXsd x2 = DfaXsdFromStEdtd(r2);
   const int num_symbols = analysis.num_symbols;
@@ -298,41 +340,24 @@ DfaXsd NonViolating(const Edtd& d1_in, const Edtd& d2_in) {
     const Dfa& f2 = x2.content[pair.q2];
     Dfa f1 = pair.q1 != kNoState ? x1.content[pair.q1]
                                  : Dfa::EmptyLanguage(num_symbols);
-    if (pair.c_type) {
-      // All of D1's constraints apply below a c-type (rule 1 of d').
-      result.content[remap[p]] = *Minimize(DfaIntersection(f2, f1));
-    } else {
-      // Either no child leads to an s-type, or the whole level is also
-      // D1-valid (rule 2 of d').
-      std::vector<bool> non_slab(num_symbols, true);
-      std::vector<bool> slab(num_symbols, false);
-      bool any_slab = false;
-      for (int a = 0; a < num_symbols; ++a) {
-        int succ = analysis.Next(p, a);
-        if (succ >= 0 && analysis.pairs[succ].s_type) {
-          non_slab[a] = false;
-          slab[a] = true;
-          any_slab = true;
-        }
-      }
-      Dfa safe = DfaIntersection(f2, WordsOver(non_slab));
-      if (any_slab) {
-        Dfa risky = DfaIntersection(DfaIntersection(f2, f1),
-                                    ContainsMarked(slab));
-        result.content[remap[p]] = *Minimize(DfaUnion(safe, risky));
-      } else {
-        result.content[remap[p]] = *Minimize(safe);
-      }
-    }
+    StatusOr<Dfa> content = NvContent(analysis, p, f1, f2, budget);
+    if (content.ok()) content = Minimize(*content, budget);
+    if (!content.ok()) return content.status();
+    result.content[remap[p]] = *std::move(content);
   }
-  return MinimizeXsd(result);
+  return MinimizeXsd(result, budget);
 }
 
-DfaXsd LowerUnionFixingFirst(const Edtd& d1, const Edtd& d2) {
-  DfaXsd nv = NonViolating(d1, d2);
-  Edtd nv_edtd = StEdtdFromDfaXsd(nv);
-  auto [d1_aligned, nv_aligned] = AlignAlphabets(d1, nv_edtd);
-  return MinimizeXsd(*UpperUnion(d1_aligned, nv_aligned));
+StatusOr<DfaXsd> LowerUnionFixingFirst(const Edtd& d1, const Edtd& d2,
+                                       Budget* budget) {
+  StatusOr<DfaXsd> nv = NonViolating(d1, d2, budget);
+  if (!nv.ok()) return nv.status();
+  StatusOr<Edtd> nv_edtd = StEdtdFromDfaXsd(*nv, budget);
+  if (!nv_edtd.ok()) return nv_edtd.status();
+  auto [d1_aligned, nv_aligned] = AlignAlphabets(d1, *nv_edtd);
+  StatusOr<DfaXsd> upper = UpperUnion(d1_aligned, nv_aligned, budget);
+  if (!upper.ok()) return upper.status();
+  return MinimizeXsd(*upper, budget);
 }
 
 }  // namespace stap

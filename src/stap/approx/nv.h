@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "stap/base/budget.h"
+#include "stap/base/status.h"
 #include "stap/schema/edtd.h"
 #include "stap/schema/single_type.h"
 
@@ -48,16 +50,22 @@ struct NvAnalysis {
 };
 
 // Both schemas must be single-type (checked); alphabets are aligned and
-// the inputs reduced internally.
-NvAnalysis AnalyzeNv(const Edtd& d1, const Edtd& d2);
+// the inputs reduced internally. Every product pair and every content
+// product charges the budget's state quota, so each function below
+// returns kResourceExhausted once the quota or the deadline runs out. A
+// null budget is unlimited.
+StatusOr<NvAnalysis> AnalyzeNv(const Edtd& d1, const Edtd& d2,
+                               Budget* budget = nullptr);
 
 // The single-type schema D' with L(D') = nv(D2, D1). Polynomial
 // (Lemma 4.6).
-DfaXsd NonViolating(const Edtd& d1, const Edtd& d2);
+StatusOr<DfaXsd> NonViolating(const Edtd& d1, const Edtd& d2,
+                              Budget* budget = nullptr);
 
 // L(D1) ∪ nv(D2, D1): the unique maximal lower XSD-approximation of
 // L(D1) ∪ L(D2) that contains L(D1) (Theorem 4.8). Polynomial.
-DfaXsd LowerUnionFixingFirst(const Edtd& d1, const Edtd& d2);
+StatusOr<DfaXsd> LowerUnionFixingFirst(const Edtd& d1, const Edtd& d2,
+                                       Budget* budget = nullptr);
 
 }  // namespace stap
 

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "stap/automata/interner.h"
 #include "stap/base/check.h"
 
 namespace stap {
@@ -283,6 +284,19 @@ std::string Dfa::ToString() const {
     os << "\n";
   }
   return os.str();
+}
+
+uint64_t DfaStructuralHash(const Dfa& dfa) {
+  uint64_t h = MixU64(PackPair(dfa.num_states(), dfa.num_symbols()));
+  h = MixU64(h ^ static_cast<uint64_t>(dfa.initial()));
+  for (int q = 0; q < dfa.num_states(); ++q) {
+    for (int a = 0; a < dfa.num_symbols(); ++a) {
+      h = MixU64(h ^ static_cast<uint64_t>(
+                         static_cast<uint32_t>(dfa.Next(q, a))));
+    }
+    h = MixU64(h ^ (dfa.IsFinal(q) ? 0x2ull : 0x3ull));
+  }
+  return h;
 }
 
 }  // namespace stap

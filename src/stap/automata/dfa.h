@@ -107,6 +107,13 @@ class Dfa {
   std::vector<bool> final_;
 };
 
+// Structural hash of a DFA (states, symbols, initial, delta, finals):
+// equal under operator== means equal hashes. Keys the tables of distinct
+// content DFAs, and is the per-content-model provenance fingerprint
+// stored in compiled-schema artifacts (io/artifact.h), so its value must
+// not change.
+uint64_t DfaStructuralHash(const Dfa& dfa);
+
 }  // namespace stap
 
 #endif  // STAP_AUTOMATA_DFA_H_

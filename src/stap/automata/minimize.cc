@@ -1,7 +1,7 @@
 #include "stap/automata/minimize.h"
 
 #include <cstdint>
-#include <deque>
+#include <utility>
 #include <vector>
 
 #include "stap/automata/determinize.h"
@@ -10,45 +10,6 @@
 #include "stap/base/trace.h"
 
 namespace stap {
-
-namespace {
-
-// Renumbers the states of a (partial, trimmed) DFA in BFS order, symbols
-// ascending. For a minimal DFA this numbering is canonical.
-Dfa CanonicalizeNumbering(const Dfa& dfa) {
-  const int num_symbols = dfa.num_symbols();
-  std::vector<int> remap(dfa.num_states(), kNoState);
-  std::vector<int> order;
-  std::deque<int> queue = {dfa.initial()};
-  remap[dfa.initial()] = 0;
-  order.push_back(dfa.initial());
-  while (!queue.empty()) {
-    int q = queue.front();
-    queue.pop_front();
-    for (int a = 0; a < num_symbols; ++a) {
-      int r = dfa.Next(q, a);
-      if (r != kNoState && remap[r] == kNoState) {
-        remap[r] = static_cast<int>(order.size());
-        order.push_back(r);
-        queue.push_back(r);
-      }
-    }
-  }
-  Dfa result(static_cast<int>(order.size()), num_symbols);
-  result.SetInitial(0);
-  for (int q : order) {
-    if (dfa.IsFinal(q)) result.SetFinal(remap[q]);
-    for (int a = 0; a < num_symbols; ++a) {
-      int r = dfa.Next(q, a);
-      if (r != kNoState && remap[r] != kNoState) {
-        result.SetTransition(remap[q], a, remap[r]);
-      }
-    }
-  }
-  return result;
-}
-
-}  // namespace
 
 StatusOr<int> RefinePartition(const Dfa& dfa, int num_blocks,
                               std::vector<int>* block, Budget* budget,
@@ -222,6 +183,41 @@ StatusOr<int> RefinePartition(const Dfa& dfa, int num_blocks,
   return count;
 }
 
+Dfa CanonicalQuotient(const Dfa& dfa, const std::vector<int>& block,
+                      int num_blocks, std::vector<int>* state_of_block) {
+  const int num_symbols = dfa.num_symbols();
+  // Each block's least state stands for the whole block.
+  std::vector<int> member(num_blocks, kNoState);
+  for (int q = dfa.num_states() - 1; q >= 0; --q) member[block[q]] = q;
+  // BFS over blocks, symbols ascending; `order` is the queue.
+  std::vector<int> state(num_blocks, kNoState);
+  std::vector<int> order = {block[dfa.initial()]};
+  state[order[0]] = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    const int q = member[order[i]];
+    for (int a = 0; a < num_symbols; ++a) {
+      const int r = dfa.Next(q, a);
+      if (r != kNoState && state[block[r]] == kNoState) {
+        state[block[r]] = static_cast<int>(order.size());
+        order.push_back(block[r]);
+      }
+    }
+  }
+  Dfa result(static_cast<int>(order.size()), num_symbols);
+  for (size_t i = 0; i < order.size(); ++i) {
+    const int q = member[order[i]];
+    if (dfa.IsFinal(q)) result.SetFinal(static_cast<int>(i));
+    for (int a = 0; a < num_symbols; ++a) {
+      const int r = dfa.Next(q, a);
+      if (r != kNoState) {
+        result.SetTransition(static_cast<int>(i), a, state[block[r]]);
+      }
+    }
+  }
+  if (state_of_block != nullptr) *state_of_block = std::move(state);
+  return result;
+}
+
 StatusOr<Dfa> Minimize(const Dfa& input, Budget* budget) {
   static Counter* const calls = GetCounter("minimize.calls");
   static Counter* const splitter_count = GetCounter("minimize.splitters");
@@ -231,7 +227,6 @@ StatusOr<Dfa> Minimize(const Dfa& input, Budget* budget) {
 
   const Dfa dfa = input.Trimmed();
   const int n = dfa.num_states();
-  const int num_symbols = dfa.num_symbols();
   std::vector<int> block(n);
   for (int q = 0; q < n; ++q) block[q] = dfa.IsFinal(q) ? 1 : 0;
   int64_t splitters = 0;
@@ -240,30 +235,11 @@ StatusOr<Dfa> Minimize(const Dfa& input, Budget* budget) {
   splitter_count->Increment(splitters);
   if (!num_classes.ok()) return num_classes.status();
 
-  // Build the quotient automaton. Blocks are numbered in order of their
-  // least state, so block b's least state is the first q at which the
-  // block number reaches b; it stands for the whole block.
-  Dfa quotient(*num_classes, num_symbols);
-  quotient.SetInitial(block[dfa.initial()]);
-  for (int q = 0, represented = 0; q < n; ++q) {
-    if (block[q] != represented) continue;
-    ++represented;
-    if (dfa.IsFinal(q)) quotient.SetFinal(block[q]);
-    for (int a = 0; a < num_symbols; ++a) {
-      const int r = dfa.Next(q, a);
-      if (r != kNoState) quotient.SetTransition(block[q], a, block[r]);
-    }
-  }
-
   // The quotient of a trimmed DFA is trimmed already. The empty language
-  // trims to a lone non-final state, so it is the one-class quotient
-  // whose class is not final.
+  // trims to a lone non-final state, so its quotient is that state.
   span.AddArg("splitters", splitters);
   span.AddArg("states_out", *num_classes);
-  if (*num_classes == 1 && !quotient.IsFinal(0)) {
-    return Dfa::EmptyLanguage(num_symbols);
-  }
-  return CanonicalizeNumbering(quotient);
+  return CanonicalQuotient(dfa, block, *num_classes);
 }
 
 StatusOr<Dfa> MinimizeNfa(const Nfa& nfa, Budget* budget) {

@@ -29,9 +29,19 @@ StatusOr<int> RefinePartition(const Dfa& dfa, int num_blocks,
                               std::vector<int>* block, Budget* budget,
                               int64_t* splitters = nullptr);
 
+// The quotient of `dfa` by a partition into `num_blocks` blocks that is
+// stable under δ (RefinePartition's result), numbered canonically: the
+// initial state's block is state 0 and the rest follow in BFS order,
+// symbols ascending. Blocks the BFS does not reach are dropped. A block
+// is final iff its least state is. If `state_of_block` is non-null it
+// receives each block's state in the result, or kNoState if dropped.
+Dfa CanonicalQuotient(const Dfa& dfa, const std::vector<int>& block,
+                      int num_blocks,
+                      std::vector<int>* state_of_block = nullptr);
+
 // Returns the canonical minimal *partial* DFA for L(dfa): the trimmed
-// automaton's final/non-final partition refined by RefinePartition, dead
-// states removed, states renumbered in BFS order (symbols ascending). Two
+// automaton's final/non-final partition refined by RefinePartition, its
+// CanonicalQuotient taken. Two
 // DFAs accept the same language iff Minimize() of both compares
 // operator==. Traced as the `minimize` span (args states_in, splitters,
 // states_out). A null budget is unlimited.

@@ -543,19 +543,6 @@ uint64_t HashBytes(std::string_view bytes) {
   return MixU64(h);
 }
 
-uint64_t DfaStructuralHash(const Dfa& dfa) {
-  uint64_t h = MixU64(PackPair(dfa.num_states(), dfa.num_symbols()));
-  h = MixU64(h ^ static_cast<uint64_t>(dfa.initial()));
-  for (int q = 0; q < dfa.num_states(); ++q) {
-    for (int a = 0; a < dfa.num_symbols(); ++a) {
-      h = MixU64(h ^ static_cast<uint64_t>(
-                         static_cast<uint32_t>(dfa.Next(q, a))));
-    }
-    h = MixU64(h ^ (dfa.IsFinal(q) ? 0x2ull : 0x3ull));
-  }
-  return h;
-}
-
 std::string SerializeAlphabet(const Alphabet& alphabet) {
   return SerializeSection(alphabet, AppendAlphabet);
 }

@@ -57,16 +57,12 @@ struct CompiledSchema {
   bool single_type = false;
   DfaXsd xsd;         // meaningful iff single_type
   uint64_t source_hash = 0;             // hash of the schema source text
-  std::vector<uint64_t> content_hashes;  // per type: DfaStructuralHash
+  std::vector<uint64_t> content_hashes;  // per type: DfaStructuralHash (dfa.h)
 };
 
 // Chained splitmix64 over raw bytes; the artifact checksum and the
 // source hash both use it (exposed so tests can re-seal patched payloads).
 uint64_t HashBytes(std::string_view bytes);
-
-// Structural hash of a DFA (states, symbols, initial, delta, finals) —
-// the per-content-model provenance fingerprint stored in artifacts.
-uint64_t DfaStructuralHash(const Dfa& dfa);
 
 // --- standalone section serializers (no header/checksum) -------------
 // Each Deserialize* requires the buffer to be fully consumed and returns

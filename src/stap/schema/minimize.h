@@ -6,13 +6,14 @@
 // successors. MinimizeXsd computes it in polynomial time; the paper uses
 // this to deliver "optimal representations of optimal approximations".
 //
-// It works on the DfaXsd itself, whose contents are over Σ: reduction
-// (productive states by a predecessor worklist, then reachable ones),
-// one Minimize per kept content, and the initial partition keyed on
-// (label, content DFA) are linear in the number of states for fixed Σ;
-// the refinement that follows is Minimize's Hopcroft kernel
+// It works on the DfaXsd itself, whose contents are over Σ, and keeps no
+// automata kernel of its own: the reduction is ReduceGraph
+// (schema/reduce.h) rooted at the start symbols' states, one Minimize
+// per distinct restricted content; the initial partition is keyed on
+// (label, content DFA); the refinement is Minimize's Hopcroft kernel
 // (RefinePartition, automata/minimize.h), O(|Σ|·n log n) on the partial
-// XSD automaton. No N-type stEDTD view is built.
+// XSD automaton; and the result is its CanonicalQuotient. No N-type
+// stEDTD view is built.
 #ifndef STAP_SCHEMA_MINIMIZE_H_
 #define STAP_SCHEMA_MINIMIZE_H_
 

@@ -1,8 +1,10 @@
 #include "stap/schema/reduce.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
+#include "stap/automata/interner.h"
 #include "stap/automata/minimize.h"
 #include "stap/automata/ops.h"
 #include "stap/base/check.h"
@@ -11,59 +13,62 @@ namespace stap {
 
 namespace {
 
-// Drops all transitions on symbols not in `allowed` and trims.
-Dfa RestrictToSymbols(const Dfa& dfa, const std::vector<bool>& allowed) {
-  Dfa result(dfa.num_states(), dfa.num_symbols());
-  if (dfa.num_states() == 0) return result;
-  result.SetInitial(dfa.initial());
-  for (int q = 0; q < dfa.num_states(); ++q) {
-    if (dfa.IsFinal(q)) result.SetFinal(q);
-    for (int a = 0; a < dfa.num_symbols(); ++a) {
-      if (!allowed[a]) continue;
-      int r = dfa.Next(q, a);
-      if (r != kNoState) result.SetTransition(q, a, r);
-    }
+struct DfaHash {
+  size_t operator()(const Dfa& dfa) const {
+    return static_cast<size_t>(DfaStructuralHash(dfa));
   }
-  return result.Trimmed();
+};
+
+ContentGraph EdtdGraph(const Edtd& edtd) {
+  ContentGraph graph;
+  graph.content.reserve(edtd.content.size());
+  for (const Dfa& dfa : edtd.content) graph.content.push_back(&dfa);
+  return graph;
 }
 
-// Productive types: the least fixpoint of "the content language contains
-// a word over productive types", by one backward worklist over every
+}  // namespace
+
+// Productive nodes: the least fixpoint of "the content language contains
+// a word over productive nodes", by one backward worklist over every
 // content DFA at once. A content state is live when it reaches a final
-// state over productive types: final states are live, and a transition
-// s –t→ r makes s live once t is productive and r is live. A type is
-// productive once its initial state is live. Each transition is looked
-// at once from its target turning live and once from its symbol turning
-// productive, so the whole fixpoint is linear in the EDTD.
-std::vector<bool> ProductiveTypes(const Edtd& edtd) {
-  const int n = edtd.num_types();
-  // Content states numbered globally: type tau's state s is offset[tau]+s.
+// state over productive nodes: final states are live, and a transition
+// s –a→ r of node v makes s live once a's node Next(v, a) is productive
+// and r is live. A node is productive once its initial state is live.
+// Each transition is looked at once from its target turning live and
+// once from its node turning productive, so the fixpoint is linear in
+// the graph. Useful nodes then follow by one forward walk from the roots
+// over live content states, which visits each content state once.
+std::vector<bool> UsefulNodes(const ContentGraph& graph,
+                              const std::vector<int>& roots) {
+  const int n = static_cast<int>(graph.content.size());
+  // Content states numbered globally: node v's state s is offset[v]+s.
   std::vector<int> offset(n + 1, 0);
-  for (int tau = 0; tau < n; ++tau) {
-    offset[tau + 1] = offset[tau] + edtd.content[tau].num_states();
+  for (int v = 0; v < n; ++v) {
+    const Dfa* dfa = graph.content[v];
+    offset[v + 1] = offset[v] + (dfa == nullptr ? 0 : dfa->num_states());
   }
   const int num_states = offset[n];
-  std::vector<int> initial_of(num_states, kNoSymbol);
-  for (int tau = 0; tau < n; ++tau) {
-    if (edtd.content[tau].num_states() > 0) {
-      initial_of[offset[tau] + edtd.content[tau].initial()] = tau;
+  std::vector<int> initial_of(num_states, kNoState);
+  for (int v = 0; v < n; ++v) {
+    if (offset[v + 1] > offset[v]) {
+      initial_of[offset[v] + graph.content[v]->initial()] = v;
     }
   }
 
-  // Every transition (source, symbol, target), bucketed by target and by
-  // symbol (counting sort into flat arrays).
+  // Every transition (source, node, target), bucketed by target and by
+  // the node its symbol leads to (counting sort into flat arrays).
   struct Edge {
-    int source, symbol, target;
+    int source, node, target;
   };
   std::vector<Edge> edges;
-  for (int tau = 0; tau < n; ++tau) {
-    const Dfa& dfa = edtd.content[tau];
+  for (int v = 0; v < n; ++v) {
+    if (graph.content[v] == nullptr) continue;
+    const Dfa& dfa = *graph.content[v];
     for (int s = 0; s < dfa.num_states(); ++s) {
-      for (int t = 0; t < n; ++t) {
-        const int r = dfa.Next(s, t);
-        if (r != kNoState) {
-          edges.push_back({offset[tau] + s, t, offset[tau] + r});
-        }
+      for (int a = 0; a < dfa.num_symbols(); ++a) {
+        const int r = dfa.Next(s, a);
+        const int w = r == kNoState ? kNoState : graph.Next(v, a);
+        if (w != kNoState) edges.push_back({offset[v] + s, w, offset[v] + r});
       }
     }
   }
@@ -80,8 +85,8 @@ std::vector<bool> ProductiveTypes(const Edtd& edtd) {
   };
   const auto [by_target_begin, by_target] =
       bucket(num_states, [](const Edge& e) { return e.target; });
-  const auto [by_symbol_begin, by_symbol] =
-      bucket(n, [](const Edge& e) { return e.symbol; });
+  const auto [by_node_begin, by_node] =
+      bucket(n, [](const Edge& e) { return e.node; });
 
   std::vector<bool> productive(n, false);
   std::vector<bool> live(num_states, false);
@@ -90,16 +95,15 @@ std::vector<bool> ProductiveTypes(const Edtd& edtd) {
     if (live[state]) return;
     live[state] = true;
     live_stack.push_back(state);
-    const int tau = initial_of[state];
-    if (tau != kNoSymbol && !productive[tau]) {
-      productive[tau] = true;
-      productive_stack.push_back(tau);
+    const int v = initial_of[state];
+    if (v != kNoState && !productive[v]) {
+      productive[v] = true;
+      productive_stack.push_back(v);
     }
   };
-  for (int tau = 0; tau < n; ++tau) {
-    const Dfa& dfa = edtd.content[tau];
-    for (int s = 0; s < dfa.num_states(); ++s) {
-      if (dfa.IsFinal(s)) mark_live(offset[tau] + s);
+  for (int v = 0; v < n; ++v) {
+    for (int s = 0; s < offset[v + 1] - offset[v]; ++s) {
+      if (graph.content[v]->IsFinal(s)) mark_live(offset[v] + s);
     }
   }
   while (!live_stack.empty() || !productive_stack.empty()) {
@@ -108,63 +112,113 @@ std::vector<bool> ProductiveTypes(const Edtd& edtd) {
       live_stack.pop_back();
       for (int i = by_target_begin[r]; i < by_target_begin[r + 1]; ++i) {
         const Edge& e = edges[by_target[i]];
-        if (productive[e.symbol]) mark_live(e.source);
+        if (productive[e.node]) mark_live(e.source);
       }
       continue;
     }
-    const int t = productive_stack.back();
+    const int w = productive_stack.back();
     productive_stack.pop_back();
-    for (int i = by_symbol_begin[t]; i < by_symbol_begin[t + 1]; ++i) {
-      const Edge& e = edges[by_symbol[i]];
+    for (int i = by_node_begin[w]; i < by_node_begin[w + 1]; ++i) {
+      const Edge& e = edges[by_node[i]];
       if (live[e.target]) mark_live(e.source);
     }
   }
-  return productive;
-}
 
-}  // namespace
-
-Edtd ReduceEdtd(const Edtd& input) {
-  input.CheckWellFormed();
-  const int n = input.num_types();
-
-  const std::vector<bool> productive = ProductiveTypes(input);
-
-  // Restrict all content models to productive types, then compute
-  // reachability from the start types over "occurs in some accepted word".
-  std::vector<Dfa> restricted(n);
-  for (int tau = 0; tau < n; ++tau) {
-    restricted[tau] = RestrictToSymbols(input.content[tau], productive);
-  }
-  std::vector<bool> reachable(n, false);
-  std::vector<int> stack;
-  for (int tau : input.start_types) {
-    if (productive[tau] && !reachable[tau]) {
-      reachable[tau] = true;
-      stack.push_back(tau);
+  // A transition s –a→ r from a visited (so accessible) state lies on an
+  // accepted word over productive nodes iff a's node is productive and r
+  // is live; only such transitions are walked and mark a's node useful.
+  std::vector<bool> useful(n, false);
+  std::vector<bool> visited(num_states, false);
+  std::vector<int> node_stack, state_stack;
+  for (int v : roots) {
+    if (productive[v] && !useful[v]) {
+      useful[v] = true;
+      node_stack.push_back(v);
     }
   }
-  while (!stack.empty()) {
-    int tau = stack.back();
-    stack.pop_back();
-    const Dfa& dfa = restricted[tau];
-    // All transitions of the trimmed, restricted DFA are useful, so any
-    // transition symbol occurs in some accepted word.
-    for (int q = 0; q < dfa.num_states(); ++q) {
-      for (int t = 0; t < n; ++t) {
-        if (dfa.Next(q, t) != kNoState && !reachable[t]) {
-          reachable[t] = true;
-          stack.push_back(t);
+  while (!node_stack.empty()) {
+    const int v = node_stack.back();
+    node_stack.pop_back();
+    const Dfa& dfa = *graph.content[v];
+    visited[offset[v] + dfa.initial()] = true;
+    state_stack.push_back(dfa.initial());
+    while (!state_stack.empty()) {
+      const int s = state_stack.back();
+      state_stack.pop_back();
+      for (int a = 0; a < dfa.num_symbols(); ++a) {
+        const int r = dfa.Next(s, a);
+        if (r == kNoState || !live[offset[v] + r]) continue;
+        const int w = graph.Next(v, a);
+        if (w == kNoState || !productive[w]) continue;
+        if (!useful[w]) {
+          useful[w] = true;
+          node_stack.push_back(w);
+        }
+        if (!visited[offset[v] + r]) {
+          visited[offset[v] + r] = true;
+          state_stack.push_back(r);
         }
       }
     }
   }
+  return useful;
+}
 
-  // Keep reachable-and-productive types; renumber densely.
+StatusOr<GraphReduction> ReduceGraph(const ContentGraph& graph,
+                                     const std::vector<int>& roots,
+                                     Budget* budget) {
+  const int n = static_cast<int>(graph.content.size());
+  GraphReduction result;
+  result.useful = UsefulNodes(graph, roots);
+  // Where symbols name nodes, they are renumbered with the useful nodes.
+  std::vector<int> rank(n, kNoSymbol);
+  int num_useful = 0;
+  for (int v = 0; v < n; ++v) {
+    if (result.useful[v]) rank[v] = num_useful++;
+  }
+  result.content_of.assign(n, kNoState);
+  // A useful node's accepted words over productive nodes use useful
+  // nodes only, so restricting to those keeps the trimmed content.
+  // Contents repeat across nodes (Construction 3.1 gives many states
+  // equal contents), so each distinct restricted content is minimized
+  // once.
+  Interner<Dfa, DfaHash> restricted_ids;
+  std::vector<int> kept_symbols;
+  for (int v = 0; v < n; ++v) {
+    if (!result.useful[v]) continue;
+    const Dfa& content = *graph.content[v];
+    kept_symbols.resize(content.num_symbols());
+    for (int a = 0; a < content.num_symbols(); ++a) {
+      const int w = graph.Next(v, a);
+      kept_symbols[a] = w == kNoState || !result.useful[w] ? kNoSymbol
+                        : graph.successor == nullptr       ? rank[w]
+                                                           : a;
+    }
+    auto [id, inserted] = restricted_ids.Intern(RemapSymbols(
+        content, kept_symbols,
+        graph.successor == nullptr ? num_useful : content.num_symbols()));
+    if (inserted) {
+      StatusOr<Dfa> minimal = Minimize(restricted_ids[id], budget);
+      if (!minimal.ok()) return minimal.status();
+      result.contents.push_back(*std::move(minimal));
+    }
+    result.content_of[v] = id;
+  }
+  return result;
+}
+
+Edtd ReduceEdtd(const Edtd& input) {
+  input.CheckWellFormed();
+  const int n = input.num_types();
+  StatusOr<GraphReduction> reduced =
+      ReduceGraph(EdtdGraph(input), input.start_types, nullptr);
+  STAP_CHECK(reduced.ok());  // a null budget never exhausts
+
+  // Keep the useful types; renumber densely.
   std::vector<int> remap(n, kNoSymbol);
   Alphabet new_types;
   for (int tau = 0; tau < n; ++tau) {
-    if (reachable[tau] && productive[tau]) {
+    if (reduced->useful[tau]) {
       remap[tau] = new_types.Intern(input.types.Name(tau));
     }
   }
@@ -179,8 +233,7 @@ Edtd ReduceEdtd(const Edtd& input) {
   for (int tau = 0; tau < n; ++tau) {
     if (remap[tau] == kNoSymbol) continue;
     result.mu[remap[tau]] = input.mu[tau];
-    result.content[remap[tau]] =
-        *Minimize(RemapSymbols(restricted[tau], remap, new_n));
+    result.content[remap[tau]] = reduced->contents[reduced->content_of[tau]];
     if (!input.content_source.empty() &&
         input.content_source[tau] != nullptr) {
       // A source mentioning a dropped (unproductive/unreachable) type
@@ -200,7 +253,10 @@ Edtd ReduceEdtd(const Edtd& input) {
 }
 
 bool IsReduced(const Edtd& edtd) {
-  return ReduceEdtd(edtd).num_types() == edtd.num_types();
+  edtd.CheckWellFormed();
+  const std::vector<bool> useful =
+      UsefulNodes(EdtdGraph(edtd), edtd.start_types);
+  return std::find(useful.begin(), useful.end(), false) == useful.end();
 }
 
 }  // namespace stap

@@ -135,22 +135,14 @@ LiftedContent LiftContent(const DfaXsd& xsd, int q) {
   }
   std::sort(reached.begin(), reached.end());
 
-  const Dfa& content = xsd.content[q];
   const int k = static_cast<int>(reached.size());
-  Dfa local(std::max(content.num_states(), 1), k);
-  if (content.num_states() > 0) {
-    local.SetInitial(content.initial());
-    for (int s = 0; s < content.num_states(); ++s) {
-      if (content.IsFinal(s)) local.SetFinal(s);
-      for (int i = 0; i < k; ++i) {
-        int next = content.Next(s, reached[i].second);
-        if (next != kNoState) local.SetTransition(s, i, next);
-      }
-    }
-  }
+  std::vector<int> local_symbol(num_symbols, kNoSymbol);
   lifted.types.reserve(k);
-  for (const auto& [type, a] : reached) lifted.types.push_back(type);
-  lifted.dfa = *Minimize(local);
+  for (int i = 0; i < k; ++i) {
+    lifted.types.push_back(reached[i].first);
+    local_symbol[reached[i].second] = i;
+  }
+  lifted.dfa = *Minimize(RemapSymbols(xsd.content[q], local_symbol, k));
   return lifted;
 }
 
@@ -191,17 +183,7 @@ StatusOr<Edtd> StEdtdFromDfaXsd(const DfaXsd& xsd, Budget* budget) {
   for (int q : state_of_type) {
     STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
     LiftedContent lifted = LiftContent(xsd, q);
-    const Dfa& local = lifted.dfa;
-    Dfa wide(local.num_states(), num_types);
-    wide.SetInitial(local.initial());
-    for (int s = 0; s < local.num_states(); ++s) {
-      if (local.IsFinal(s)) wide.SetFinal(s);
-      for (int i = 0; i < local.num_symbols(); ++i) {
-        int next = local.Next(s, i);
-        if (next != kNoState) wide.SetTransition(s, lifted.types[i], next);
-      }
-    }
-    edtd.content.push_back(std::move(wide));
+    edtd.content.push_back(RemapSymbols(lifted.dfa, lifted.types, num_types));
     if (!xsd.content_source.empty()) {
       // Each symbol lifts to at most one type, so substituting the map
       // picks the unique preimage word-by-word. A source mentioning a

@@ -10,7 +10,8 @@
 // one state's content in that view over only the types the state
 // reaches, which is what keeps printing linear; StEdtdFromDfaXsd widens
 // every lift to all N types, so it is quadratic and reserved for callers
-// that need a full Edtd.
+// that need a full Edtd. Both rename symbols with RemapSymbols
+// (automata/ops.h).
 #ifndef STAP_SCHEMA_SINGLE_TYPE_H_
 #define STAP_SCHEMA_SINGLE_TYPE_H_
 

@@ -48,7 +48,7 @@ TEST(EdgeCaseTest, SingletonLanguageThroughEveryOperator) {
   EXPECT_FALSE(complement.Accepts(Tree(0)));
   EXPECT_TRUE(complement.Accepts(Tree(0, {Tree(0)})));
   // Lower approximations.
-  DfaXsd lower = LowerUnionFixingFirst(leaf, leaf);
+  DfaXsd lower = *LowerUnionFixingFirst(leaf, leaf);
   EXPECT_TRUE(lower.Accepts(Tree(0)));
 }
 
@@ -68,8 +68,8 @@ TEST(EdgeCaseTest, EmptyLanguageThroughEveryOperator) {
   EXPECT_TRUE(complement.Accepts(Tree(0)));
   EXPECT_TRUE(complement.Accepts(Tree(0, {Tree(0), Tree(0)})));
   // nv(∅, leaf) is empty; nv(leaf, ∅) is all of leaf.
-  EXPECT_EQ(MinimizeXsd(NonViolating(leaf, empty)).type_size(), 0);
-  EXPECT_TRUE(NonViolating(empty, leaf).Accepts(Tree(0)));
+  EXPECT_EQ(MinimizeXsd(*NonViolating(leaf, empty)).type_size(), 0);
+  EXPECT_TRUE(NonViolating(empty, leaf)->Accepts(Tree(0)));
   // Inclusions.
   EXPECT_TRUE(*IncludedInSingleType(empty, leaf));
   EXPECT_TRUE(*IncludedInSingleType(empty, empty));

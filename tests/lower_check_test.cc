@@ -150,7 +150,7 @@ TEST(LowerCheckTest, LowerUnionPassesTheCheckOnFiniteInstance) {
   };
   Edtd d1 = make("a");
   Edtd d2 = make("b");
-  DfaXsd lower = LowerUnionFixingFirst(d1, d2);
+  DfaXsd lower = *LowerUnionFixingFirst(d1, d2);
   Edtd lower_edtd = StEdtdFromDfaXsd(lower);
   Edtd target = EdtdUnion(d1, d2);
   LowerCheckResult result =
@@ -176,7 +176,7 @@ TEST_P(LowerUnionMaximalityTest, LowerUnionIsMaximalOnFiniteInstances) {
   Edtd d2 = RandomNonRecursiveStEdtd(&rng, params);
   auto [a1, a2] = AlignAlphabets(d1, d2);
   Edtd target = EdtdUnion(a1, a2);
-  DfaXsd lower = LowerUnionFixingFirst(a1, a2);
+  DfaXsd lower = *LowerUnionFixingFirst(a1, a2);
 
   TreeBounds bounds{3, 2, a1.sigma.size()};
   // Keep the brute-force reference tractable.

@@ -12,6 +12,7 @@
 #include "stap/gen/families.h"
 #include "stap/gen/random.h"
 #include "stap/schema/builder.h"
+#include "stap/schema/minimize.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
 #include "stap/tree/enumerate.h"
@@ -41,7 +42,7 @@ bool NonViolatingBruteForce(const Tree& t, const Edtd& d1, const Edtd& d2,
 
 TEST(NvTest, Theorem43UnionHasStrictNonViolatingSet) {
   auto [d1, d2] = Theorem43Schemas();  // a*b chains vs. rank<=2 a-trees
-  DfaXsd nv = NonViolating(d1, d2);
+  DfaXsd nv = *NonViolating(d1, d2);
   auto [a1, a2] = AlignAlphabets(d1, d2);
   int a = nv.sigma.Find("a");
 
@@ -67,7 +68,7 @@ TEST(NvTest, Theorem43UnionHasStrictNonViolatingSet) {
 
 TEST(NvTest, LowerUnionIsALowerBoundAndContainsD1) {
   auto [d1, d2] = Theorem43Schemas();
-  DfaXsd lower = LowerUnionFixingFirst(d1, d2);
+  DfaXsd lower = *LowerUnionFixingFirst(d1, d2);
   auto [a1, a2] = AlignAlphabets(d1, d2);
   // Contains D1 entirely.
   EXPECT_TRUE(EdtdIncludedInXsd(a1, lower));
@@ -91,7 +92,7 @@ TEST(NvTest, DisjointAlphabetUnionIsFullyNonViolating) {
   b2.AddType("B", "b", "B?");
   b2.AddStart("B");
   Edtd d1 = b1.Build(), d2 = b2.Build();
-  DfaXsd nv = NonViolating(d1, d2);
+  DfaXsd nv = *NonViolating(d1, d2);
   Edtd d2_aligned = AlignAlphabets(d2, d1).first;
   EXPECT_TRUE(EdtdIncludedInXsd(d2_aligned, nv));
   EXPECT_TRUE(*IncludedInSingleType(StEdtdFromDfaXsd(nv), d2_aligned));
@@ -103,15 +104,15 @@ TEST(NvTest, IdenticalSchemasAreFullyNonViolating) {
   builder.AddType("A", "a", "%");
   builder.AddStart("R");
   Edtd d = builder.Build();
-  DfaXsd nv = NonViolating(d, d);
+  DfaXsd nv = *NonViolating(d, d);
   EXPECT_TRUE(*SingleTypeEquivalent(d, StEdtdFromDfaXsd(nv)));
-  DfaXsd lower = LowerUnionFixingFirst(d, d);
+  DfaXsd lower = *LowerUnionFixingFirst(d, d);
   EXPECT_TRUE(*SingleTypeEquivalent(d, StEdtdFromDfaXsd(lower)));
 }
 
 TEST(NvTest, AnalysisMarksSAndCTypes) {
   auto [d1, d2] = Theorem43Schemas();
-  NvAnalysis analysis = AnalyzeNv(d1, d2);
+  NvAnalysis analysis = *AnalyzeNv(d1, d2);
   bool any_s = false, any_c = false;
   for (const auto& pair : analysis.pairs) {
     any_s |= pair.s_type;
@@ -124,6 +125,24 @@ TEST(NvTest, AnalysisMarksSAndCTypes) {
   EXPECT_TRUE(any_c);
 }
 
+TEST(NvTest, StateQuotaStopsEveryStage) {
+  // `stap lower --max-states=1`: the pair product charges each pair, so a
+  // one-state quota stops the analysis, D' and the lower union alike.
+  auto [d1, d2] = Theorem43Schemas();
+  Budget b1, b2, b3;
+  for (Budget* budget : {&b1, &b2, &b3}) budget->set_max_states(1);
+  for (const Status& status : {AnalyzeNv(d1, d2, &b1).status(),
+                               NonViolating(d1, d2, &b2).status(),
+                               LowerUnionFixingFirst(d1, d2, &b3).status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
+  }
+  // An unlimited budget changes nothing.
+  Budget unlimited;
+  StatusOr<DfaXsd> lower = LowerUnionFixingFirst(d1, d2, &unlimited);
+  ASSERT_TRUE(lower.ok()) << lower.status();
+  EXPECT_TRUE(XsdStructurallyEqual(*lower, *LowerUnionFixingFirst(d1, d2)));
+}
+
 TEST(NvTest, EmptyFirstLanguageKeepsAllOfSecond) {
   SchemaBuilder empty;
   empty.AddType("R", "a", "R");
@@ -132,7 +151,7 @@ TEST(NvTest, EmptyFirstLanguageKeepsAllOfSecond) {
   b2.AddType("B", "a", "B?");
   b2.AddStart("B");
   Edtd d1 = empty.Build(), d2 = b2.Build();
-  DfaXsd nv = NonViolating(d1, d2);
+  DfaXsd nv = *NonViolating(d1, d2);
   EXPECT_TRUE(*IncludedInSingleType(d2, StEdtdFromDfaXsd(nv)));
   EXPECT_TRUE(*IncludedInSingleType(StEdtdFromDfaXsd(nv), d2));
 }
@@ -152,7 +171,7 @@ TEST_P(NvRandomTest, AgreesWithClosureSemantics) {
   Edtd d2 = RandomStEdtd(&rng, params);
   auto [a1, a2] = AlignAlphabets(d1, d2);
 
-  DfaXsd lower = LowerUnionFixingFirst(a1, a2);
+  DfaXsd lower = *LowerUnionFixingFirst(a1, a2);
   EXPECT_TRUE(EdtdIncludedInXsd(a1, lower));
 
   TreeBounds bounds{3, 2, a1.sigma.size()};
@@ -203,7 +222,7 @@ TEST_P(NvFiniteTest, MatchesBruteForceExactly) {
   if (d1_members.size() > 60 || d2_members.size() > 80) {
     GTEST_SKIP() << "instance too large for the brute-force reference";
   }
-  DfaXsd nv = NonViolating(a1, a2);
+  DfaXsd nv = *NonViolating(a1, a2);
   for (const Tree& tree : d2_members) {
     bool reference = NonViolatingBruteForce(tree, a1, a2, d1_members);
     EXPECT_EQ(nv.Accepts(tree), reference)

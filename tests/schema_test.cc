@@ -6,12 +6,16 @@
 #include <string>
 #include <vector>
 
+#include "stap/automata/determinize.h"
 #include "stap/automata/ops.h"
+#include "stap/base/trace.h"
 #include "stap/gen/families.h"
 #include "stap/gen/random.h"
 #include "stap/schema/builder.h"
 #include "stap/schema/edtd.h"
+#include "stap/schema/minimize.h"
 #include "stap/schema/reduce.h"
+#include "stap/schema/single_type.h"
 #include "stap/schema/type_automaton.h"
 #include "stap/tree/enumerate.h"
 
@@ -260,6 +264,149 @@ TEST(ReduceTest, KeepsExactlyTheNaiveFixpointsTypes) {
     }
     if (HasFailure()) return;
   }
+}
+
+// A well-formed, unreduced DfaXsd: q_init anywhere, random labels, random
+// label-respecting transitions (some states unreachable), random start
+// symbols (some with no transition) and random unminimized contents (some
+// accepting nothing, some needing unproductive successors).
+DfaXsd RandomRawXsd(std::mt19937* rng, int num_states, int num_symbols) {
+  DfaXsd xsd;
+  for (int a = 0; a < num_symbols; ++a) {
+    xsd.sigma.Intern(std::string(1, static_cast<char>('a' + a)));
+  }
+  const int init = static_cast<int>((*rng)() % num_states);
+  xsd.automaton = Dfa(num_states, num_symbols);
+  xsd.automaton.SetInitial(init);
+  xsd.state_label.assign(num_states, kNoSymbol);
+  std::vector<std::vector<int>> by_label(num_symbols);
+  for (int q = 0; q < num_states; ++q) {
+    if (q == init) continue;
+    xsd.state_label[q] = static_cast<int>((*rng)() % num_symbols);
+    by_label[xsd.state_label[q]].push_back(q);
+  }
+  for (int q = 0; q < num_states; ++q) {
+    for (int a = 0; a < num_symbols; ++a) {
+      if (by_label[a].empty() || (*rng)() % 10 < 3) continue;
+      xsd.automaton.SetTransition(
+          q, a, by_label[a][(*rng)() % by_label[a].size()]);
+    }
+  }
+  for (int a = 0; a < num_symbols; ++a) {
+    if ((*rng)() % 10 < 6) xsd.start_symbols.push_back(a);
+  }
+  xsd.content.assign(num_states, Dfa::EmptyLanguage(num_symbols));
+  for (int q = 0; q < num_states; ++q) {
+    if (q == init) continue;
+    const int size = 1 + static_cast<int>((*rng)() % 4);
+    xsd.content[q] = *Determinize(RandomNfa(rng, size, num_symbols, 2));
+    if ((*rng)() % 5 == 0) {
+      for (int s = 0; s < xsd.content[q].num_states(); ++s) {
+        xsd.content[q].SetFinal(s, false);
+      }
+    }
+  }
+  xsd.CheckWellFormed();
+  return xsd;
+}
+
+// The states an XSD reduction keeps, by the definitions run naively:
+// restrict each content to the symbols whose successor is productive and
+// test it for emptiness until nothing changes; then walk from the start
+// symbols over the symbols of the trimmed restricted contents.
+std::vector<bool> NaiveKeptStates(const DfaXsd& xsd) {
+  const Dfa& delta = xsd.automaton;
+  const int n = delta.num_states();
+  const int num_symbols = xsd.sigma.size();
+  std::vector<bool> productive(n, false);
+  auto restricted = [&](int q) {
+    const Dfa& content = xsd.content[q];
+    Dfa result(content.num_states(), num_symbols);
+    result.SetInitial(content.initial());
+    for (int s = 0; s < content.num_states(); ++s) {
+      result.SetFinal(s, content.IsFinal(s));
+      for (int a = 0; a < num_symbols; ++a) {
+        const int r = delta.Next(q, a);
+        if (r != kNoState && productive[r] && content.Next(s, a) != kNoState) {
+          result.SetTransition(s, a, content.Next(s, a));
+        }
+      }
+    }
+    return result.Trimmed();
+  };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (int q = 0; q < n; ++q) {
+      if (q != delta.initial() && !productive[q] && !restricted(q).IsEmpty()) {
+        productive[q] = changed = true;
+      }
+    }
+  }
+  std::vector<bool> kept(n, false);
+  std::vector<int> stack;
+  auto keep = [&](int r) {
+    if (r != kNoState && productive[r] && !kept[r]) {
+      kept[r] = true;
+      stack.push_back(r);
+    }
+  };
+  for (int a : xsd.start_symbols) keep(delta.Next(delta.initial(), a));
+  while (!stack.empty()) {
+    const int q = stack.back();
+    stack.pop_back();
+    const Dfa trimmed = restricted(q);
+    for (int s = 0; s < trimmed.num_states(); ++s) {
+      for (int a = 0; a < num_symbols; ++a) {
+        if (trimmed.Next(s, a) != kNoState) keep(delta.Next(q, a));
+      }
+    }
+  }
+  return kept;
+}
+
+TEST(ReduceTest, KeepsExactlyTheNaiveFixpointsXsdStates) {
+  // The kernel on the XSD graph (symbol a of state q leads to δ(q, a),
+  // the start symbols' states are the roots) keeps exactly the states the
+  // naive fixpoints keep, and MinimizeXsd's reduction is that set plus
+  // q_init.
+  int pruned = 0;
+  for (int i = 0; i < 300; ++i) {
+    std::mt19937 rng(0x05D0 + i);
+    const DfaXsd xsd = RandomRawXsd(&rng, 2 + i % 10, 1 + i % 4);
+    const Dfa& delta = xsd.automaton;
+    ContentGraph graph;
+    graph.successor = &delta;
+    std::vector<int> roots;
+    for (int q = 0; q < delta.num_states(); ++q) {
+      graph.content.push_back(q == delta.initial() ? nullptr : &xsd.content[q]);
+    }
+    for (int a : xsd.start_symbols) {
+      if (delta.Next(delta.initial(), a) != kNoState) {
+        roots.push_back(delta.Next(delta.initial(), a));
+      }
+    }
+    const std::vector<bool> kept = NaiveKeptStates(xsd);
+    EXPECT_EQ(UsefulNodes(graph, roots), kept) << "xsd " << i << "\n"
+                                               << xsd.ToString();
+
+    TraceSession session;
+    session.Start();
+    MinimizeXsd(xsd);
+    session.Stop();
+    int64_t states_reduced = -1;
+    for (const TraceSession::PhaseRow& row : session.PhaseTable()) {
+      if (row.name != "schema.minimize_xsd") continue;
+      for (const auto& [key, value] : row.int_args) {
+        if (key == "states_reduced") states_reduced = value;
+      }
+    }
+    const int64_t num_kept = std::count(kept.begin(), kept.end(), true);
+    EXPECT_EQ(states_reduced, num_kept + 1) << "xsd " << i;
+    if (num_kept > 0 && num_kept + 1 < delta.num_states()) ++pruned;
+    if (HasFailure()) return;
+  }
+  // The stream must exercise pruning, not just empty languages.
+  EXPECT_GT(pruned, 30);
 }
 
 TEST(ReduceTest, IsIdempotent) {

@@ -430,7 +430,7 @@ int CmdDiff(const Args& args, GlobalOptions& options) {
 int CmdLower(const Args& args, GlobalOptions& options) {
   Budget* const budget = options.budget_ptr();
   return WithSingleTypePair(args, budget, [&](const Edtd& r1, const Edtd& r2) {
-    return PrintXsd(LowerUnionFixingFirst(r1, r2), budget);
+    return PrintXsd(LowerUnionFixingFirst(r1, r2, budget), budget);
   });
 }
 
