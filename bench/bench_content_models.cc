@@ -79,7 +79,7 @@ void BM_DfaToRegexRoundTrip(benchmark::State& state) {
   Dfa dfa = *RegexToDfa(*regex, 3);
   int64_t nodes = 0;
   for (auto _ : state) {
-    RegexPtr back = DfaToRegex(dfa);
+    RegexPtr back = *DfaToRegex(dfa);
     nodes = back->NumNodes();
     benchmark::DoNotOptimize(nodes);
   }

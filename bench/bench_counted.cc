@@ -55,7 +55,7 @@ void BM_ExportCountPreserving(benchmark::State& state) {
   const DfaXsd xsd = CountedXsd(static_cast<int>(state.range(0)));
   size_t bytes = 0;
   for (auto _ : state) {
-    std::string out = ExportXsd(xsd);
+    std::string out = *ExportXsd(xsd);
     bytes = out.size();
     benchmark::DoNotOptimize(out);
   }
@@ -71,7 +71,7 @@ void BM_ExportExpanded(benchmark::State& state) {
   xsd.content_source.clear();
   size_t bytes = 0;
   for (auto _ : state) {
-    std::string out = ExportXsd(xsd);
+    std::string out = *ExportXsd(xsd);
     bytes = out.size();
     benchmark::DoNotOptimize(out);
   }
@@ -83,7 +83,7 @@ void BM_ExportExpanded(benchmark::State& state) {
 // O(1) syntax then pays the same expansion at compile time; re-ingesting
 // an expanded export also parses Θ(n) particles first.
 void BM_ImportCountPreserving(benchmark::State& state) {
-  const std::string xml = ExportXsd(CountedXsd(static_cast<int>(
+  const std::string xml = *ExportXsd(CountedXsd(static_cast<int>(
       state.range(0))));
   for (auto _ : state) {
     StatusOr<Edtd> edtd = ImportXsd(xml);
@@ -96,7 +96,7 @@ void BM_ImportCountPreserving(benchmark::State& state) {
 void BM_ImportExpanded(benchmark::State& state) {
   DfaXsd xsd = CountedXsd(static_cast<int>(state.range(0)));
   xsd.content_source.clear();
-  const std::string xml = ExportXsd(xsd);
+  const std::string xml = *ExportXsd(xsd);
   for (auto _ : state) {
     StatusOr<Edtd> edtd = ImportXsd(xml);
     benchmark::DoNotOptimize(edtd);

@@ -223,7 +223,7 @@ void BM_DfaToRegexChain(benchmark::State& state) {
   Alphabet alphabet({"x"});
   size_t bytes = 0;
   for (auto _ : state) {
-    std::string text = DfaToRegex(chain)->ToString(alphabet);
+    std::string text = (*DfaToRegex(chain))->ToString(alphabet);
     bytes = text.size();
     benchmark::DoNotOptimize(text);
   }

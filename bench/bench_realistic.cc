@@ -93,7 +93,7 @@ void BM_RealisticExportImport(benchmark::State& state) {
       MinimizeXsd(*UpperUnion(DocbookLite(), JatsLite()));
   int64_t bytes = 0;
   for (auto _ : state) {
-    std::string exported = ExportXsd(merged);
+    std::string exported = *ExportXsd(merged);
     StatusOr<Edtd> imported = ImportXsd(exported);
     STAP_CHECK(imported.ok());
     bytes = static_cast<int64_t>(exported.size());

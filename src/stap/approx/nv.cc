@@ -109,8 +109,8 @@ StatusOr<Dfa> NvContent(const NvAnalysis& analysis, int p, const Dfa& f1,
 }
 
 struct ProductBuilder {
-  DfaXsd x1;
-  DfaXsd x2;
+  const DfaXsd& x1;
+  const DfaXsd& x2;
   NvAnalysis analysis;
   std::unordered_map<uint64_t, int, U64Hash> pair_ids;
 
@@ -172,17 +172,27 @@ std::string NvAnalysis::ToString(const Alphabet& sigma) const {
   return os.str();
 }
 
-StatusOr<NvAnalysis> AnalyzeNv(const Edtd& d1_in, const Edtd& d2_in,
-                               Budget* budget) {
+namespace {
+
+// The two inputs as Analyze and NonViolating need them: aligned, reduced
+// and viewed as DFA-based XSDs, built once per call.
+struct NvInputs {
+  DfaXsd x1;
+  DfaXsd x2;
+};
+
+NvInputs PrepareInputs(const Edtd& d1_in, const Edtd& d2_in) {
   auto [a1, a2] = AlignAlphabets(d1_in, d2_in);
   Edtd r1 = ReduceEdtd(a1);
   Edtd r2 = ReduceEdtd(a2);
   STAP_CHECK(IsSingleType(r1));
   STAP_CHECK(IsSingleType(r2));
+  return {DfaXsdFromStEdtd(r1), DfaXsdFromStEdtd(r2)};
+}
 
-  ProductBuilder builder;
-  builder.x1 = DfaXsdFromStEdtd(r1);
-  builder.x2 = DfaXsdFromStEdtd(r2);
+// The s-type / c-type analysis of the product of the prepared inputs.
+StatusOr<NvAnalysis> Analyze(const NvInputs& inputs, Budget* budget) {
+  ProductBuilder builder{inputs.x1, inputs.x2, {}, {}};
   builder.analysis.num_symbols = builder.x1.sigma.size();
   STAP_RETURN_IF_ERROR(builder.Build(budget));
 
@@ -294,18 +304,21 @@ StatusOr<NvAnalysis> AnalyzeNv(const Edtd& d1_in, const Edtd& d2_in,
   return builder.analysis;
 }
 
-StatusOr<DfaXsd> NonViolating(const Edtd& d1_in, const Edtd& d2_in,
+}  // namespace
+
+StatusOr<NvAnalysis> AnalyzeNv(const Edtd& d1, const Edtd& d2,
+                               Budget* budget) {
+  return Analyze(PrepareInputs(d1, d2), budget);
+}
+
+StatusOr<DfaXsd> NonViolating(const Edtd& d1, const Edtd& d2,
                               Budget* budget) {
-  auto [a1, a2] = AlignAlphabets(d1_in, d2_in);
-  Edtd r1 = ReduceEdtd(a1);
-  Edtd r2 = ReduceEdtd(a2);
-  STAP_CHECK(IsSingleType(r1));
-  STAP_CHECK(IsSingleType(r2));
-  StatusOr<NvAnalysis> analyzed = AnalyzeNv(r1, r2, budget);
+  const NvInputs inputs = PrepareInputs(d1, d2);
+  StatusOr<NvAnalysis> analyzed = Analyze(inputs, budget);
   if (!analyzed.ok()) return analyzed.status();
   const NvAnalysis& analysis = *analyzed;
-  DfaXsd x1 = DfaXsdFromStEdtd(r1);
-  DfaXsd x2 = DfaXsdFromStEdtd(r2);
+  const DfaXsd& x1 = inputs.x1;
+  const DfaXsd& x2 = inputs.x2;
   const int num_symbols = analysis.num_symbols;
 
   // States of D' are the product pairs with a live D2 coordinate.

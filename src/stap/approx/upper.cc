@@ -46,6 +46,27 @@ StatusOr<Dfa> IntersectionRule(const Edtd& edtd, const std::vector<int>& types,
   return Minimize(meet.Trimmed(), budget);
 }
 
+// The union rule's counted provenance: the union of the μ-images of the
+// content sources of `types`, whose language is exactly the rule's
+// content. It is built only when some source carries counted repetition,
+// since the printers and the exporter prefer a source only then, and it
+// is null when some member has no source.
+RegexPtr CountedUnionSource(const Edtd& edtd, const std::vector<int>& types) {
+  if (edtd.content_source.empty()) return nullptr;
+  bool counted = false;
+  for (int tau : types) {
+    const RegexPtr& source = edtd.content_source[tau];
+    if (source == nullptr) return nullptr;
+    counted = counted || source->ContainsRepeat();
+  }
+  if (!counted) return nullptr;
+  std::vector<RegexPtr> images;
+  for (int tau : types) {
+    images.push_back(Regex::Substitute(edtd.content_source[tau], edtd.mu));
+  }
+  return Regex::Union(std::move(images));
+}
+
 // A structural key of an image NFA: its state count, initial states,
 // final states, and every transition row in (state, symbol) order. Equal
 // keys mean equal automata, hence equal languages.
@@ -174,6 +195,10 @@ StatusOr<SubsetApproximations> SubsetConstruction(const Edtd& edtd,
   static Counter* const rule_counter = GetCounter("approx.content_rules");
   Interner<std::vector<int>, IntVectorHash> content_ids;
   std::vector<Dfa> upper_contents, lower_contents;
+  // Per content id, its counted source or null (CountedUnionSource); the
+  // intersection rule keeps one only for a set of one image, where it is
+  // the union rule's.
+  std::vector<RegexPtr> upper_sources, lower_sources;
   std::vector<int> content_of(next_id, 0);
   std::vector<int> images, operands;
   int64_t rule_calls = 0;
@@ -198,9 +223,14 @@ StatusOr<SubsetApproximations> SubsetConstruction(const Edtd& edtd,
         status = content.status();
         break;
       }
+      RegexPtr source = CountedUnionSource(edtd, operands);
       // On one image the union is also the intersection.
-      if (upper && lower && one_image) lower_contents.push_back(*content);
+      if (upper && lower && one_image) {
+        lower_contents.push_back(*content);
+        lower_sources.push_back(source);
+      }
       (upper ? upper_contents : lower_contents).push_back(*std::move(content));
+      (upper ? upper_sources : lower_sources).push_back(std::move(source));
     }
     if (lower && !one_image) {
       ++rule_calls;
@@ -210,6 +240,7 @@ StatusOr<SubsetApproximations> SubsetConstruction(const Edtd& edtd,
         break;
       }
       lower_contents.push_back(*std::move(content));
+      lower_sources.push_back(nullptr);
     }
   }
   rule_counter->Increment(rule_calls);
@@ -218,16 +249,29 @@ StatusOr<SubsetApproximations> SubsetConstruction(const Edtd& edtd,
   if (!status.ok()) return status;
   merge_span.AddArg("merged_states", next_id);
 
-  auto with_contents = [&](DfaXsd xsd, const std::vector<Dfa>& contents) {
-    for (int q = 1; q < next_id; ++q) xsd.content[q] = contents[content_of[q]];
+  // States with the same content id share its DFA and, by pointer, its
+  // source; an XSD with no counted source keeps no provenance table.
+  auto with_contents = [&](DfaXsd xsd, const std::vector<Dfa>& contents,
+                           const std::vector<RegexPtr>& sources) {
+    const bool counted =
+        std::any_of(sources.begin(), sources.end(),
+                    [](const RegexPtr& source) { return source != nullptr; });
+    if (counted) xsd.content_source.resize(next_id);
+    for (int q = 1; q < next_id; ++q) {
+      xsd.content[q] = contents[content_of[q]];
+      if (counted) xsd.content_source[q] = sources[content_of[q]];
+    }
     xsd.CheckWellFormed();
     return xsd;
   };
   if (upper) {
     result.upper = with_contents(lower ? shape : std::move(shape),
-                                 upper_contents);
+                                 upper_contents, upper_sources);
   }
-  if (lower) result.lower = with_contents(std::move(shape), lower_contents);
+  if (lower) {
+    result.lower =
+        with_contents(std::move(shape), lower_contents, lower_sources);
+  }
   return result;
 }
 

@@ -16,6 +16,17 @@
 // both rules (each minimizes that one image), so its rule runs once and
 // both results share the content.
 //
+// Counted provenance survives the construction. A merged state's content
+// is the union of its members' images μ(content[τ]), so the regex
+// Substitute(source[τ1], μ) | … | Substitute(source[τk], μ) over one
+// representative per image denotes it exactly. The union rule builds that
+// source next to the content, once per distinct set, and every state with
+// the set shares it by pointer (DfaXsd::content_source); the intersection
+// rule keeps it only for a set of one image. It is built only when some
+// member's source carries counted repetition, since the printers and the
+// exporter prefer a source only then, so XsdToText prints catalog.xsd's
+// product{1,500} instead of its state-eliminated expansion.
+//
 //  * MinimalUpperApproximation — the union of the merged types' content
 //    images (ContentImageUnion), determinized (dense subset construction)
 //    and minimized, with nothing to configure, so every merged content is

@@ -8,6 +8,7 @@
 #ifndef STAP_AUTOMATA_DFA_H_
 #define STAP_AUTOMATA_DFA_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -113,6 +114,13 @@ class Dfa {
 // stored in compiled-schema artifacts (io/artifact.h), so its value must
 // not change.
 uint64_t DfaStructuralHash(const Dfa& dfa);
+
+// Hasher for Dfa keys (Interner<Dfa, DfaHash>, automata/interner.h).
+struct DfaHash {
+  size_t operator()(const Dfa& dfa) const {
+    return static_cast<size_t>(DfaStructuralHash(dfa));
+  }
+};
 
 }  // namespace stap
 

@@ -205,14 +205,38 @@ enum Level { kUnionLevel = 0, kConcatLevel = 1, kPostfixLevel = 2 };
 // where the node occurs.
 class Printer {
  public:
-  explicit Printer(const Alphabet& alphabet) : alphabet_(alphabet) {}
+  Printer(const std::vector<std::string>& names,
+          const std::vector<int>& symbol_map, Budget* budget)
+      : names_(names), symbol_map_(symbol_map), budget_(budget) {}
 
-  std::string Render(const Regex& regex) && {
+  StatusOr<std::string> Render(const Regex& regex) && {
     Body(regex);
+    if (status_.ok() && out_.size() > charged_) Charge(0, /*force=*/true);
+    if (!status_.ok()) return status_;
     return std::move(out_);
   }
 
  private:
+  // Text is charged in batches of at least this many bytes.
+  static constexpr size_t kChargeBytes = 4096;
+
+  // Charges the text rendered since the last charge plus `upcoming`
+  // bytes about to be appended, once they reach kChargeBytes (or on
+  // `force`), and checks the deadline. Fresh text is linear in the DAG's
+  // nodes; only the copies of shared nodes can grow exponentially, and
+  // each is charged before it is made. False once the budget has run
+  // out.
+  bool Charge(size_t upcoming, bool force = false) {
+    if (budget_ == nullptr) return true;
+    if (!status_.ok()) return false;
+    const size_t pending = out_.size() + upcoming - charged_;
+    if (pending < kChargeBytes && !force) return true;
+    charged_ += pending;
+    status_ = budget_->ChargeStates(static_cast<int64_t>(pending));
+    if (status_.ok()) status_ = budget_->CheckDeadline();
+    return status_.ok();
+  }
+
   void Child(const RegexPtr& child, int parent_level) {
     const bool parens =
         (child->kind() == RegexKind::kUnion && kUnionLevel < parent_level) ||
@@ -232,6 +256,7 @@ class Printer {
       // [begin, begin + size) lies before the end of out_, so the copy
       // never overlaps itself.
       const auto [begin, size] = it->second;
+      if (!Charge(size)) return;
       const size_t end = out_.size();
       out_.resize(end + size);
       std::memcpy(out_.data() + end, out_.data() + begin, size);
@@ -243,6 +268,7 @@ class Printer {
   }
 
   void Body(const Regex& regex) {
+    if (!status_.ok()) return;
     switch (regex.kind()) {
       case RegexKind::kEmptySet:
         out_ += '~';
@@ -251,7 +277,8 @@ class Printer {
         out_ += '%';
         break;
       case RegexKind::kSymbol:
-        out_ += alphabet_.Name(regex.symbol());
+        out_ += names_[symbol_map_.empty() ? regex.symbol()
+                                           : symbol_map_[regex.symbol()]];
         break;
       case RegexKind::kUnion:
         for (size_t i = 0; i < regex.children().size(); ++i) {
@@ -290,7 +317,11 @@ class Printer {
     }
   }
 
-  const Alphabet& alphabet_;
+  const std::vector<std::string>& names_;
+  const std::vector<int>& symbol_map_;  // empty: every symbol as itself
+  Budget* const budget_;
+  Status status_;
+  size_t charged_ = 0;  // bytes of out_ charged to budget_
   std::string out_;
   // Shared node → [begin, size) of its text in out_.
   std::unordered_map<const Regex*, std::pair<size_t, size_t>> rendered_;
@@ -299,7 +330,14 @@ class Printer {
 }  // namespace
 
 std::string Regex::ToString(const Alphabet& alphabet) const {
-  return Printer(alphabet).Render(*this);
+  // A null budget never exhausts.
+  return *ToString(alphabet.names(), /*symbol_map=*/{}, /*budget=*/nullptr);
+}
+
+StatusOr<std::string> Regex::ToString(const std::vector<std::string>& names,
+                                      const std::vector<int>& symbol_map,
+                                      Budget* budget) const {
+  return Printer(names, symbol_map, budget).Render(*this);
 }
 
 }  // namespace stap

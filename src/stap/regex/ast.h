@@ -21,6 +21,8 @@
 
 #include "stap/automata/alphabet.h"
 #include "stap/automata/nfa.h"
+#include "stap/base/budget.h"
+#include "stap/base/status.h"
 
 namespace stap {
 
@@ -107,6 +109,19 @@ class Regex {
   // Renders with `|` for union, juxtaposition for concatenation, postfix
   // * + ?, `%` for ε and `~` for ∅, resolving symbol ids via `alphabet`.
   std::string ToString(const Alphabet& alphabet) const;
+
+  // As above, with each symbol a printed as names[symbol_map[a]]: the
+  // text of Substitute(this, symbol_map) under an alphabet with those
+  // names, without building that expression (an empty map prints symbol
+  // a as names[a]). Charges the budget's state quota one unit per
+  // rendered byte and checks its deadline as the text grows: a DAG
+  // (DfaToRegex's output) can render to text exponential in its nodes,
+  // and each repeated subexpression is charged before its copy is
+  // appended, so a tripped quota stops the rendering before it
+  // allocates. A null budget is unlimited.
+  StatusOr<std::string> ToString(const std::vector<std::string>& names,
+                                 const std::vector<int>& symbol_map,
+                                 Budget* budget) const;
 
  private:
   Regex(RegexKind kind, int symbol, std::vector<RegexPtr> children)

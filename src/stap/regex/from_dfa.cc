@@ -44,7 +44,7 @@ Arc StarArc(const Arc& a) {
 
 }  // namespace
 
-RegexPtr DfaToRegex(const Dfa& input) {
+StatusOr<RegexPtr> DfaToRegex(const Dfa& input, Budget* budget) {
   Dfa dfa = input.Trimmed();
   const int n = dfa.num_states();
   if (dfa.IsEmpty()) return Regex::EmptySet();
@@ -96,6 +96,7 @@ RegexPtr DfaToRegex(const Dfa& input) {
   std::vector<bool> alive(n + 2, true);
   std::vector<OutArc> through_k;  // k's arcs to live nodes
   for (int k = 0; k < n; ++k) {
+    STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
     alive[k] = false;
     Arc loop;
     through_k.clear();
@@ -129,6 +130,8 @@ RegexPtr DfaToRegex(const Dfa& input) {
       }
       arcs.resize(kept);
       const Arc prefix = ConcatArcs(into_k, loop);
+      STAP_RETURN_IF_ERROR(Budget::ChargeStates(
+          budget, static_cast<int64_t>(through_k.size())));
       for (const OutArc& arc : through_k) {
         Arc through = ConcatArcs(prefix, arc.expr);
         if (stamp[arc.target] == current) {

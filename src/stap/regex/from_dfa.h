@@ -8,12 +8,19 @@
 #define STAP_REGEX_FROM_DFA_H_
 
 #include "stap/automata/dfa.h"
+#include "stap/base/budget.h"
+#include "stap/base/status.h"
 #include "stap/regex/ast.h"
 
 namespace stap {
 
-// Returns a regular expression for L(dfa).
-RegexPtr DfaToRegex(const Dfa& dfa);
+// Returns a regular expression for L(dfa), as a DAG: a path expression
+// feeds every arc built through it, so the text it renders to can be
+// exponential in the states (Regex::ToString charges what it renders).
+// Each eliminated state checks the budget's deadline and charges the
+// arcs its elimination builds to the state quota; a null budget is
+// unlimited.
+StatusOr<RegexPtr> DfaToRegex(const Dfa& dfa, Budget* budget = nullptr);
 
 }  // namespace stap
 

@@ -13,12 +13,6 @@ namespace stap {
 
 namespace {
 
-struct DfaHash {
-  size_t operator()(const Dfa& dfa) const {
-    return static_cast<size_t>(DfaStructuralHash(dfa));
-  }
-};
-
 ContentGraph EdtdGraph(const Edtd& edtd) {
   ContentGraph graph;
   graph.content.reserve(edtd.content.size());

@@ -126,6 +126,7 @@ LiftedContent LiftContent(const DfaXsd& xsd, int q) {
   // δ(q, ·) is deterministic and state-labeled, so distinct symbols reach
   // distinct types; sorting the (type, symbol) pairs fixes local order.
   std::vector<std::pair<int, int>> reached;
+  reached.reserve(num_symbols);
   for (int a = 0; a < num_symbols; ++a) {
     int r = xsd.automaton.Next(q, a);
     if (r == kNoState) continue;
@@ -142,7 +143,7 @@ LiftedContent LiftContent(const DfaXsd& xsd, int q) {
     lifted.types.push_back(reached[i].first);
     local_symbol[reached[i].second] = i;
   }
-  lifted.dfa = *Minimize(RemapSymbols(xsd.content[q], local_symbol, k));
+  lifted.dfa = RemapSymbols(xsd.content[q], local_symbol, k);
   return lifted;
 }
 
@@ -183,7 +184,8 @@ StatusOr<Edtd> StEdtdFromDfaXsd(const DfaXsd& xsd, Budget* budget) {
   for (int q : state_of_type) {
     STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
     LiftedContent lifted = LiftContent(xsd, q);
-    edtd.content.push_back(RemapSymbols(lifted.dfa, lifted.types, num_types));
+    edtd.content.push_back(
+        RemapSymbols(*Minimize(lifted.dfa), lifted.types, num_types));
     if (!xsd.content_source.empty()) {
       // Each symbol lifts to at most one type, so substituting the map
       // picks the unique preimage word-by-word. A source mentioning a

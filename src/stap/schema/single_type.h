@@ -9,9 +9,12 @@
 // The stEDTD view has one type per non-initial state. LiftContent gives
 // one state's content in that view over only the types the state
 // reaches, which is what keeps printing linear; StEdtdFromDfaXsd widens
-// every lift to all N types, so it is quadratic and reserved for callers
-// that need a full Edtd. Both rename symbols with RemapSymbols
-// (automata/ops.h).
+// every minimized lift to all N types, so it is quadratic and reserved
+// for callers that need a full Edtd. Both rename symbols with
+// RemapSymbols (automata/ops.h). Content provenance (content_source)
+// rides along: Construction 3.1 (approx/upper.h) gives a merged state a
+// counted source when its members' sources carry bounds, MinimizeXsd
+// keeps it, and the printers prefer it to state elimination.
 #ifndef STAP_SCHEMA_SINGLE_TYPE_H_
 #define STAP_SCHEMA_SINGLE_TYPE_H_
 
@@ -83,11 +86,15 @@ struct LiftedContent {
   // undefined. Substituting it into content_source[q] lifts the
   // provenance the same way.
   std::vector<int> symbol_to_type;
-  // The canonical minimal DFA over the local alphabet of the type words
-  // whose labels spell a word of content[q]. Minimize numbers states by
-  // BFS over ascending symbols, and the local numbering keeps type order,
-  // so widening it to all N types gives exactly the minimal DFA over the
-  // full type alphabet; DfaToRegex likewise renders the same expression.
+  // content[q] with each symbol renamed to its local type symbol: the
+  // type words whose labels spell a word of content[q]. It is not
+  // minimized, so states with the same content and the same order of
+  // successor types lift to equal DFAs, which is what XsdToText keys its
+  // one state elimination per content on. Minimize numbers states by BFS
+  // over ascending symbols, and the local numbering keeps type order, so
+  // Minimize(dfa) widened to all N types is exactly the minimal DFA over
+  // the full type alphabet; DfaToRegex likewise renders the same
+  // expression.
   Dfa dfa;
 };
 LiftedContent LiftContent(const DfaXsd& xsd, int q);

@@ -1,16 +1,16 @@
 #include "stap/schema/text_format.h"
 
-#include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "stap/base/compile_cache.h"
 #include "stap/base/string_util.h"
 #include "stap/base/trace.h"
-#include "stap/regex/from_dfa.h"
 #include "stap/regex/glushkov.h"
 #include "stap/regex/parser.h"
+#include "stap/schema/content_regex.h"
 #include "stap/schema/minimize.h"
 
 namespace stap {
@@ -127,42 +127,57 @@ StatusOr<Edtd> ParseSchema(std::string_view input, CompileCache* cache,
 namespace {
 
 // The `start` line.
-void WriteStartLine(std::ostream& os, const std::vector<int>& start_types,
-                    const Alphabet& types) {
-  os << "start";
-  for (int tau : start_types) os << " " << types.Name(tau);
-  os << "\n";
+void WriteStartLine(const std::vector<int>& start_types,
+                    const std::vector<std::string>& type_names,
+                    std::string* out) {
+  *out += "start";
+  for (int tau : start_types) {
+    *out += ' ';
+    *out += type_names[tau];
+  }
+  *out += '\n';
 }
 
-// One `type NAME : LABEL -> regex` line, shared by both printers. A
-// retained source regex is preferred when it carries counted repetition:
+// A retained source regex is printed when it carries counted repetition:
 // DfaToRegex would render the expansion, losing the bounds. Elsewhere the
-// state-eliminated form `fallback` stays the canonical rendering.
-template <typename Fallback>
-void WriteTypeLine(std::ostream& os, std::string_view name,
-                   std::string_view label, const RegexPtr& source,
-                   Fallback fallback, const Alphabet& types) {
-  RegexPtr content = source != nullptr && source->ContainsRepeat()
-                         ? source
-                         : fallback();
-  os << "type " << name << " : " << label << " -> " << content->ToString(types)
-     << "\n";
+// state-eliminated form stays the canonical rendering.
+bool PrintsSource(const RegexPtr& source) {
+  return source != nullptr && source->ContainsRepeat();
+}
+
+// One `type NAME : LABEL -> regex` line, shared by both printers.
+void WriteTypeLine(std::string_view name, std::string_view label,
+                   std::string_view content, std::string* out) {
+  *out += "type ";
+  *out += name;
+  *out += " : ";
+  *out += label;
+  *out += " -> ";
+  *out += content;
+  *out += '\n';
 }
 
 }  // namespace
 
 std::string SchemaToText(const Edtd& edtd) {
-  std::ostringstream os;
-  WriteStartLine(os, edtd.start_types, edtd.types);
+  const std::vector<std::string>& type_names = edtd.types.names();
+  std::string out;
+  WriteStartLine(edtd.start_types, type_names, &out);
+  ContentRegexMemo memo(/*budget=*/nullptr);
+  std::vector<int> symbols;
   for (int tau = 0; tau < edtd.num_types(); ++tau) {
-    RegexPtr source = tau < static_cast<int>(edtd.content_source.size())
-                          ? edtd.content_source[tau]
-                          : nullptr;
-    WriteTypeLine(
-        os, edtd.types.Name(tau), edtd.sigma.Name(edtd.mu[tau]), source,
-        [&] { return DfaToRegex(edtd.content[tau]); }, edtd.types);
+    RegexPtr content = tau < static_cast<int>(edtd.content_source.size())
+                           ? edtd.content_source[tau]
+                           : nullptr;
+    symbols.clear();  // a source prints its symbols as they are
+    // A null budget never exhausts.
+    if (!PrintsSource(content)) {
+      content = *memo.Eliminate(edtd.content[tau], &symbols);
+    }
+    WriteTypeLine(type_names[tau], edtd.sigma.Name(edtd.mu[tau]),
+                  *content->ToString(type_names, symbols, nullptr), &out);
   }
-  return os.str();
+  return out;
 }
 
 StatusOr<std::string> XsdToText(const DfaXsd& xsd, Budget* budget) {
@@ -171,34 +186,45 @@ StatusOr<std::string> XsdToText(const DfaXsd& xsd, Budget* budget) {
   ScopedSpan span("schema.print");
   // The stEDTD view of Prop. 2.9, one state at a time: state q ≥ 1 is
   // type q - 1, named LABEL@q, and its content is LiftContent's local
-  // DFA, whose symbols map back to type ids. No N×N table is built.
+  // DFA, whose symbols map back to type ids. No N×N table is built, and
+  // the memo minimizes and eliminates each distinct local DFA once.
   const DfaXsd& m = *minimized;
   const int num_states = m.automaton.num_states();
-  Alphabet types;
+  std::vector<std::string> type_names;
+  type_names.reserve(num_states > 0 ? num_states - 1 : 0);
   for (int q = 1; q < num_states; ++q) {
-    types.Intern(m.sigma.Name(m.state_label[q]) + "@" + std::to_string(q));
+    type_names.push_back(m.sigma.Name(m.state_label[q]) + "@" +
+                         std::to_string(q));
   }
   std::vector<int> start_types;
   for (int a : m.start_symbols) {
     int q = m.automaton.Next(0, a);
     if (q != kNoState) StateSetInsert(start_types, q - 1);
   }
-  std::ostringstream os;
-  WriteStartLine(os, start_types, types);
+  std::string out;
+  WriteStartLine(start_types, type_names, &out);
+  ContentRegexMemo memo(budget);
   for (int q = 1; q < num_states; ++q) {
     LiftedContent lifted = LiftContent(m, q);
-    RegexPtr source =
+    StatusOr<RegexPtr> content =
         m.content_source.empty() || m.content_source[q] == nullptr
             ? nullptr
             : Regex::Substitute(m.content_source[q], lifted.symbol_to_type);
-    WriteTypeLine(
-        os, types.Name(q - 1), m.sigma.Name(m.state_label[q]), source,
-        [&] { return Regex::Substitute(DfaToRegex(lifted.dfa), lifted.types); },
-        types);
+    std::vector<int> symbols;  // a source prints its symbols as they are
+    if (!PrintsSource(*content)) {
+      content = memo.EliminateMinimized(std::move(lifted.dfa));
+      if (!content.ok()) return content.status();
+      symbols = std::move(lifted.types);
+    }
+    StatusOr<std::string> text =
+        (*content)->ToString(type_names, symbols, budget);
+    if (!text.ok()) return text.status();
+    WriteTypeLine(type_names[q - 1], m.sigma.Name(m.state_label[q]), *text,
+                  &out);
   }
-  std::string text = os.str();
-  span.AddArg("bytes", text.size());
-  return text;
+  span.AddArg("bytes", out.size());
+  span.AddArg("distinct_contents", memo.distinct_contents());
+  return out;
 }
 
 }  // namespace stap

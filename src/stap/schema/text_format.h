@@ -45,19 +45,29 @@ StatusOr<Edtd> ParseSchema(std::string_view input,
                            CompileCache* cache = nullptr,
                            Budget* budget = nullptr);
 
-// Renders an EDTD back into the textual format; content DFAs are converted
-// to regular expressions by state elimination.
+// Renders an EDTD back into the textual format. A content source with
+// counted repetition is printed as it is; every other content DFA is
+// converted to a regular expression by state elimination, once per
+// distinct content up to a monotone renaming of its symbols
+// (ContentRegexMemo, schema/content_regex.h), which prints the same bytes
+// as one elimination per type.
 std::string SchemaToText(const Edtd& edtd);
 
 // The one printer for computed XSDs: MinimizeXsd (schema/minimize.h),
 // then the stEDTD view in SchemaToText's format, so every printed result
 // is the canonical minimal representation (Def. 2.8). The view is
 // rendered one state at a time from LiftContent (schema/single_type.h):
-// state q is type LABEL@q, and its content is DfaToRegex of the local
-// lift with its symbols mapped back to type ids. The output equals
-// SchemaToText(StEdtdFromDfaXsd(minimized)) byte for byte, without the
-// N×N content tables. Minimization charges `budget`; printing is traced
-// as the `schema.print` span.
+// state q is type LABEL@q, and its content is its counted source when
+// it has one, else DfaToRegex of the minimized local lift with its
+// symbols printed as type names. ContentRegexMemo keys on the local lift
+// before its Minimize, so states whose lifts coincide (Theorem 3.2's
+// 2^(n+1) states lift to a handful) share one Minimize and one state
+// elimination. The output equals SchemaToText(StEdtdFromDfaXsd(minimized))
+// byte for byte, without the N×N content tables. Minimization, state
+// elimination and the rendered bytes charge `budget`, so an exponential
+// text stops at the quota or the deadline. Printing is traced as the
+// `schema.print` span, with args bytes and distinct_contents (the
+// DfaToRegex runs).
 StatusOr<std::string> XsdToText(const DfaXsd& xsd, Budget* budget);
 
 }  // namespace stap

@@ -12,8 +12,8 @@
 #include "stap/base/string_util.h"
 #include "stap/regex/bkw.h"
 #include "stap/regex/dre_approx.h"
-#include "stap/regex/from_dfa.h"
 #include "stap/regex/glushkov.h"
+#include "stap/schema/content_regex.h"
 #include "stap/tree/xml.h"
 
 namespace stap {
@@ -64,72 +64,81 @@ XmlElement WithOccurs(XmlElement particle, std::string min, std::string max) {
   return particle;
 }
 
-XmlElement ParticleFromRegex(const DfaXsd& xsd, int state,
-                             const Regex& regex) {
-  switch (regex.kind()) {
-    case RegexKind::kEmptySet: {
-      // Unsatisfiable content; an empty choice (flagged, since W3C XSD
-      // has no direct equivalent). Reduced schemas never produce this.
-      XmlElement choice;
-      choice.name = "xs:choice";
-      choice.attributes.push_back({"stap-empty", "true"});
-      return choice;
-    }
-    case RegexKind::kEpsilon: {
-      XmlElement sequence;
-      sequence.name = "xs:sequence";
-      return sequence;
-    }
-    case RegexKind::kSymbol: {
-      int symbol = regex.symbol();
-      int child_state = xsd.automaton.Next(state, symbol);
-      STAP_CHECK(child_state != kNoState);  // content is trim
-      XmlElement element;
-      element.name = "xs:element";
-      element.attributes.push_back({"name", xsd.sigma.Name(symbol)});
-      element.attributes.push_back({"type", TypeNameOfState(xsd, child_state)});
-      return element;
-    }
-    case RegexKind::kConcat: {
-      XmlElement sequence;
-      sequence.name = "xs:sequence";
-      for (const RegexPtr& child : regex.children()) {
-        sequence.children.push_back(ParticleFromRegex(xsd, state, *child));
-      }
-      return sequence;
-    }
-    case RegexKind::kUnion: {
-      XmlElement choice;
-      choice.name = "xs:choice";
-      for (const RegexPtr& child : regex.children()) {
-        choice.children.push_back(ParticleFromRegex(xsd, state, *child));
-      }
-      return choice;
-    }
-    case RegexKind::kStar:
-      return WithOccurs(
-          ParticleFromRegex(xsd, state, *regex.children()[0]), "0",
-          "unbounded");
-    case RegexKind::kPlus:
-      return WithOccurs(
-          ParticleFromRegex(xsd, state, *regex.children()[0]), "1",
-          "unbounded");
-    case RegexKind::kOptional:
-      return WithOccurs(ParticleFromRegex(xsd, state, *regex.children()[0]),
-                        "0", "1");
-    case RegexKind::kRepeat:
-      return WithOccurs(ParticleFromRegex(xsd, state, *regex.children()[0]),
-                        std::to_string(regex.repeat_min()),
-                        regex.repeat_max() == Regex::kUnboundedRepeat
-                            ? "unbounded"
-                            : std::to_string(regex.repeat_max()));
-  }
-  return XmlElement{};
-}
+// Builds state `state`'s content particle from a regex, walking it as a
+// tree: a subexpression DfaToRegex shares becomes one particle per
+// occurrence, so every particle charges the budget's state quota, and the
+// first failed charge stops the walk (status() says why).
+class ParticleBuilder {
+ public:
+  ParticleBuilder(const DfaXsd& xsd, int state, Budget* budget)
+      : xsd_(xsd), state_(state), budget_(budget) {}
 
-// ParticleFromRegex dereferences δ(state, a) for every symbol the regex
+  XmlElement Build(const Regex& regex) {
+    if (status_.ok()) status_ = Budget::ChargeStates(budget_);
+    if (!status_.ok()) return XmlElement{};
+    switch (regex.kind()) {
+      case RegexKind::kEmptySet: {
+        // Unsatisfiable content; an empty choice (flagged, since W3C XSD
+        // has no direct equivalent). Reduced schemas never produce this.
+        XmlElement choice;
+        choice.name = "xs:choice";
+        choice.attributes.push_back({"stap-empty", "true"});
+        return choice;
+      }
+      case RegexKind::kEpsilon: {
+        XmlElement sequence;
+        sequence.name = "xs:sequence";
+        return sequence;
+      }
+      case RegexKind::kSymbol: {
+        int symbol = regex.symbol();
+        int child_state = xsd_.automaton.Next(state_, symbol);
+        STAP_CHECK(child_state != kNoState);  // content is trim
+        XmlElement element;
+        element.name = "xs:element";
+        element.attributes.push_back({"name", xsd_.sigma.Name(symbol)});
+        element.attributes.push_back(
+            {"type", TypeNameOfState(xsd_, child_state)});
+        return element;
+      }
+      case RegexKind::kConcat:
+      case RegexKind::kUnion: {
+        XmlElement group;
+        group.name = regex.kind() == RegexKind::kConcat ? "xs:sequence"
+                                                        : "xs:choice";
+        for (const RegexPtr& child : regex.children()) {
+          group.children.push_back(Build(*child));
+        }
+        return group;
+      }
+      case RegexKind::kStar:
+        return WithOccurs(Build(*regex.children()[0]), "0", "unbounded");
+      case RegexKind::kPlus:
+        return WithOccurs(Build(*regex.children()[0]), "1", "unbounded");
+      case RegexKind::kOptional:
+        return WithOccurs(Build(*regex.children()[0]), "0", "1");
+      case RegexKind::kRepeat:
+        return WithOccurs(Build(*regex.children()[0]),
+                          std::to_string(regex.repeat_min()),
+                          regex.repeat_max() == Regex::kUnboundedRepeat
+                              ? "unbounded"
+                              : std::to_string(regex.repeat_max()));
+    }
+    return XmlElement{};
+  }
+
+  const Status& status() const { return status_; }
+
+ private:
+  const DfaXsd& xsd_;
+  const int state_;
+  Budget* const budget_;
+  Status status_;
+};
+
+// ParticleBuilder dereferences δ(state, a) for every symbol the regex
 // mentions, which only works when each has a live transition — true for
-// DfaToRegex output (built from the trimmed content DFA) but a
+// state-eliminated output (built from the trimmed content DFA) but a
 // precondition to verify before trusting content_source provenance.
 bool SymbolsHaveTransitions(const DfaXsd& xsd, int state, const Regex& regex) {
   if (regex.kind() == RegexKind::kSymbol) {
@@ -438,7 +447,9 @@ class Importer {
 
 }  // namespace
 
-std::string ExportXsd(const DfaXsd& xsd, const XsdExportOptions& options) {
+StatusOr<std::string> ExportXsd(const DfaXsd& xsd,
+                                const XsdExportOptions& options,
+                                Budget* budget) {
   xsd.CheckWellFormed();
   const int init = xsd.automaton.initial();
   XmlElement schema;
@@ -455,6 +466,8 @@ std::string ExportXsd(const DfaXsd& xsd, const XsdExportOptions& options) {
     global.attributes.push_back({"type", TypeNameOfState(xsd, state)});
     schema.children.push_back(std::move(global));
   }
+  ContentRegexMemo memo(budget);
+  std::vector<int> symbols;
   for (int q = 0; q < xsd.automaton.num_states(); ++q) {
     if (q == init) continue;  // q_init carries no content model
     XmlElement complex_type;
@@ -480,8 +493,15 @@ std::string ExportXsd(const DfaXsd& xsd, const XsdExportOptions& options) {
       // survive instead of being exploded by state elimination.
       regex = xsd.content_source[q];
     }
-    if (regex == nullptr) regex = DfaToRegex(xsd.content[q]);
-    complex_type.children.push_back(ParticleFromRegex(xsd, q, *regex));
+    if (regex == nullptr) {
+      StatusOr<RegexPtr> eliminated = memo.Eliminate(xsd.content[q], &symbols);
+      if (!eliminated.ok()) return eliminated.status();
+      regex = Regex::Substitute(*eliminated, symbols);
+    }
+    ParticleBuilder particles(xsd, q, budget);
+    complex_type.children.push_back(particles.Build(*regex));
+    if (!particles.status().ok()) return particles.status();
+    STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
     schema.children.push_back(std::move(complex_type));
   }
   return XmlElementToString(schema);

@@ -60,8 +60,13 @@ struct XsdExportOptions {
 // Renders the schema as a W3C-style XSD document. When the schema carries
 // content_source provenance with counted repetition, those models are
 // emitted with numeric minOccurs/maxOccurs instead of the expanded
-// state-eliminated expression.
-std::string ExportXsd(const DfaXsd& xsd, const XsdExportOptions& options = {});
+// state-eliminated expression. The other models are state-eliminated
+// once per distinct content (ContentRegexMemo, schema/content_regex.h).
+// State elimination and every particle built charge `budget`, and the
+// deadline is checked once per type; a null budget is unlimited.
+StatusOr<std::string> ExportXsd(const DfaXsd& xsd,
+                                const XsdExportOptions& options = {},
+                                Budget* budget = nullptr);
 
 // Parses the supported XSD subset into an EDTD (one type per global
 // element / complexType pairing). The result is single-type whenever the

@@ -101,7 +101,7 @@ TEST_P(CountedRoundTripTest, ExportImportPreservesCountedLanguages) {
   ASSERT_TRUE(IsSingleType(schema));
   DfaXsd xsd = MinimizeXsd(DfaXsdFromStEdtd(schema));
 
-  std::string exported = ExportXsd(xsd);
+  std::string exported = *ExportXsd(xsd);
   // The exporter must never fall back to expanding a counted bound into
   // a repeated particle: every counted content model in this family is
   // small in the bounds, so the document stays small too.
@@ -112,7 +112,7 @@ TEST_P(CountedRoundTripTest, ExportImportPreservesCountedLanguages) {
 
   // Second generation: provenance survives the re-import's own compile.
   std::string again =
-      ExportXsd(MinimizeXsd(DfaXsdFromStEdtd(ReduceEdtd(*imported))));
+      *ExportXsd(MinimizeXsd(DfaXsdFromStEdtd(ReduceEdtd(*imported))));
   StatusOr<Edtd> twice = ImportXsd(again);
   ASSERT_TRUE(twice.ok()) << twice.status() << "\n" << again;
   EXPECT_TRUE(*SingleTypeEquivalent(schema, *twice)) << again;
@@ -121,7 +121,7 @@ TEST_P(CountedRoundTripTest, ExportImportPreservesCountedLanguages) {
 TEST_P(CountedRoundTripTest, NamespaceSpellingsAreInterchangeable) {
   std::mt19937 rng(MixSeed(7400 + GetParam()));
   Edtd schema = ReduceEdtd(RandomCountedSchema(&rng));
-  std::string exported = ExportXsd(MinimizeXsd(DfaXsdFromStEdtd(schema)));
+  std::string exported = *ExportXsd(MinimizeXsd(DfaXsdFromStEdtd(schema)));
   for (const char* prefix : {"xsd", "w", ""}) {
     std::string respelled = Reprefix(exported, prefix);
     StatusOr<Edtd> imported = ImportXsd(respelled);
@@ -134,7 +134,7 @@ TEST_P(CountedRoundTripTest, NamespaceSpellingsAreInterchangeable) {
 TEST_P(CountedRoundTripTest, DuplicatedComplexTypeIsRejected) {
   std::mt19937 rng(MixSeed(7500 + GetParam()));
   Edtd schema = ReduceEdtd(RandomCountedSchema(&rng));
-  std::string exported = ExportXsd(MinimizeXsd(DfaXsdFromStEdtd(schema)));
+  std::string exported = *ExportXsd(MinimizeXsd(DfaXsdFromStEdtd(schema)));
   // Duplicate the first top-level complexType block verbatim (export
   // never nests complexType elements, so the close tag is unambiguous).
   size_t open = exported.find("<xs:complexType");

@@ -30,7 +30,7 @@ using test::MixSeed;
 // the tree walk — and expects one text.
 void ExpectSameText(const Dfa& dfa, const Alphabet& alphabet,
                     const std::string& label) {
-  RegexPtr sparse = DfaToRegex(dfa);
+  RegexPtr sparse = *DfaToRegex(dfa);
   const std::string text = sparse->ToString(alphabet);
   EXPECT_EQ(text, TreeWalkToString(*sparse, alphabet)) << label;
   EXPECT_EQ(text, TreeWalkToString(*DenseDfaToRegex(dfa), alphabet))

@@ -245,7 +245,7 @@ TEST(DfaToRegexTest, RoundTripsPreserveLanguage) {
     alphabet.Intern("b");
     alphabet.Intern("c");
     Dfa dfa = *RegexToDfa(*regex, alphabet.size());
-    RegexPtr back = DfaToRegex(dfa);
+    RegexPtr back = *DfaToRegex(dfa);
     Dfa dfa2 = *RegexToDfa(*back, alphabet.size());
     EXPECT_TRUE(DfaEquivalent(dfa, dfa2)) << source;
   }
@@ -274,7 +274,7 @@ TEST(DfaToRegexTest, SubstituteKeepsTheSharedSubexpressions) {
   Alphabet alphabet;
   RegexPtr source = Parse("(a | b)* a (a | b) (a | b) (a | b) (a | b)",
                           &alphabet);
-  RegexPtr dag = DfaToRegex(*RegexToDfa(*source, alphabet.size()));
+  RegexPtr dag = *DfaToRegex(*RegexToDfa(*source, alphabet.size()));
   const int distinct = DistinctNodes(dag);
   ASSERT_LT(distinct, dag->NumNodes());
   Alphabet renamed;

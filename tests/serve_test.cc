@@ -491,6 +491,38 @@ TEST(Serve, InlineTheorem32ApproxMatchesOfflineAndHonoursTheQuota) {
   EXPECT_EQ(response->code, ResponseCode::kExhausted) << response->body;
 }
 
+// A five-line single-type schema whose one computed content prints to
+// text exponential in its bound: reduction drops R's source (it mentions
+// the unproductive U), so the printer state-eliminates (A B | C){0,40}.
+// The printer charges the bytes it renders, so under a state quota the
+// request stops with EXHAUSTED instead of exhausting the daemon's memory,
+// and the daemon goes on serving.
+TEST(Serve, InlineApproxWithExponentialTextHonoursTheQuota) {
+  ServeOptions options;
+  options.request_max_states = 100000;
+  std::unique_ptr<Server> server = StartWithLib(std::move(options));
+  ServeClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  ServeRequest approx;
+  approx.id = 1;
+  approx.op = Opcode::kApprox;
+  approx.schema_ref =
+      "start R\n"
+      "type R : r -> (A B | C | U){0,40}\n"
+      "type A : a -> %\n"
+      "type B : b -> %\n"
+      "type C : c -> %\n"
+      "type U : u -> U\n";
+  StatusOr<ServeResponse> response = client.Call(approx);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->code, ResponseCode::kExhausted) << response->body;
+
+  StatusOr<ServeResponse> next = client.Call(ValidateRequest(2, "@lib",
+                                                             kValidDoc));
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->code, ResponseCode::kOk) << next->body;
+}
+
 TEST(Serve, ConnectionCapShedsWithBusyFrame) {
   ServeOptions options;
   options.max_connections = 1;
@@ -708,11 +740,12 @@ TEST(Serve, SlowRequestKeepsItsSpanTreeInRequestz) {
   // A fast request stays out of the slow ring...
   ASSERT_TRUE(client.Call(ValidateRequest(1, "@lib", kValidDoc)).ok());
   // ...while the approximation of the Theorem 3.2 family (necessarily
-  // exponential, well past 1 ms) lands in it with its span tree.
+  // exponential: 8193 states at n = 12, well past 1 ms) lands in it with
+  // its span tree.
   ServeRequest slow;
   slow.id = 2;
   slow.op = Opcode::kApprox;
-  slow.schema_ref = SchemaToText(Theorem32Family(8));
+  slow.schema_ref = SchemaToText(Theorem32Family(12));
   StatusOr<ServeResponse> response = client.Call(slow);
   ASSERT_TRUE(response.ok());
   ASSERT_EQ(response->code, ResponseCode::kOk);

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <set>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "stap/gen/families.h"
 #include "stap/regex/ast.h"
 #include "stap/regex/glushkov.h"
+#include "stap/schema/minimize.h"
 #include "stap/schema/text_format.h"
 
 namespace stap {
@@ -469,6 +471,57 @@ TEST(TraceTest, ContentRuleCallsMatchTheRegistry) {
   EXPECT_LE(registry_delta, 2);
   EXPECT_GE(minimize_args["distinct_contents"], 1);
   EXPECT_LT(minimize_args["distinct_contents"], minimize_args["states_in"]);
+}
+
+// The distinct_contents arg of the one schema.print span XsdToText opens
+// on `xsd`: its DfaToRegex runs.
+int64_t PrintedDistinctContents(const DfaXsd& xsd) {
+  TraceSession session;
+  session.Start();
+  StatusOr<std::string> text = XsdToText(xsd, nullptr);
+  session.Stop();
+  EXPECT_TRUE(text.ok()) << text.status();
+  int64_t distinct = -1;
+  for (const TraceSession::PhaseRow& row : session.PhaseTable()) {
+    if (row.name != "schema.print") continue;
+    for (const auto& [key, value] : row.int_args) {
+      if (key == "distinct_contents") distinct = value;
+    }
+  }
+  EXPECT_GE(distinct, 0) << "no schema.print span with distinct_contents";
+  return distinct;
+}
+
+TEST(TraceTest, PrinterEliminatesEachDistinctContentOnce) {
+  // Theorem 3.2's approximation has 2^(n+1)+1 states but two distinct
+  // contents, so the printer's state eliminations must not grow with n.
+  std::set<int64_t> runs;
+  for (int n = 5; n <= 10; ++n) {
+    StatusOr<DfaXsd> xsd = MinimalUpperApproximation(Theorem32Family(n),
+                                                     nullptr);
+    ASSERT_TRUE(xsd.ok()) << xsd.status();
+    runs.insert(PrintedDistinctContents(*xsd));
+  }
+  EXPECT_EQ(runs.size(), 1u);
+  EXPECT_GE(*runs.begin(), 1);
+}
+
+TEST(TraceTest, PrinterRunsAtMostOneEliminationPerDistinctContent) {
+  // On a single-type input the printer eliminates at most once per
+  // distinct content of the minimized XSD, counted here independently.
+  for (const Edtd& schema :
+       {Theorem32Family(6), CountedFamily(5, 10), Theorem411Dtd()}) {
+    StatusOr<DfaXsd> xsd = MinimalUpperApproximation(schema, nullptr);
+    ASSERT_TRUE(xsd.ok()) << xsd.status();
+    StatusOr<DfaXsd> minimized = MinimizeXsd(*xsd, nullptr);
+    ASSERT_TRUE(minimized.ok()) << minimized.status();
+    std::set<std::string> contents;
+    for (int q = 1; q < minimized->automaton.num_states(); ++q) {
+      contents.insert(minimized->content[q].ToString());
+    }
+    EXPECT_LE(PrintedDistinctContents(*minimized),
+              static_cast<int64_t>(contents.size()));
+  }
 }
 
 }  // namespace

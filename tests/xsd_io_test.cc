@@ -30,7 +30,7 @@ Edtd LibrarySchema() {
 
 TEST(XsdExportTest, EmitsSchemaSkeleton) {
   DfaXsd xsd = MinimizeXsd(DfaXsdFromStEdtd(ReduceEdtd(LibrarySchema())));
-  std::string exported = ExportXsd(xsd);
+  std::string exported = *ExportXsd(xsd);
   EXPECT_NE(exported.find("<xs:schema"), std::string::npos);
   EXPECT_NE(exported.find("xs:complexType"), std::string::npos);
   EXPECT_NE(exported.find("name=\"library\""), std::string::npos);
@@ -40,7 +40,7 @@ TEST(XsdExportTest, EmitsSchemaSkeleton) {
 TEST(XsdExportTest, RoundTripsThroughImport) {
   Edtd schema = ReduceEdtd(LibrarySchema());
   DfaXsd xsd = MinimizeXsd(DfaXsdFromStEdtd(schema));
-  StatusOr<Edtd> imported = ImportXsd(ExportXsd(xsd));
+  StatusOr<Edtd> imported = ImportXsd(*ExportXsd(xsd));
   ASSERT_TRUE(imported.ok()) << imported.status();
   EXPECT_TRUE(IsSingleType(ReduceEdtd(*imported)));
   EXPECT_TRUE(*SingleTypeEquivalent(schema, *imported));
@@ -265,7 +265,7 @@ TEST(XsdExportTest, CountedBoundsRoundTripThroughExport) {
   builder.AddStart("R");
   Edtd schema = ReduceEdtd(builder.Build());
   DfaXsd xsd = MinimizeXsd(DfaXsdFromStEdtd(schema));
-  std::string exported = ExportXsd(xsd);
+  std::string exported = *ExportXsd(xsd);
   EXPECT_NE(exported.find("minOccurs=\"2\""), std::string::npos) << exported;
   EXPECT_NE(exported.find("maxOccurs=\"5\""), std::string::npos) << exported;
   StatusOr<Edtd> imported = ImportXsd(exported);
@@ -273,7 +273,7 @@ TEST(XsdExportTest, CountedBoundsRoundTripThroughExport) {
   EXPECT_TRUE(*SingleTypeEquivalent(schema, *imported));
   // Second generation: the re-imported schema exports with bounds intact.
   std::string again =
-      ExportXsd(MinimizeXsd(DfaXsdFromStEdtd(ReduceEdtd(*imported))));
+      *ExportXsd(MinimizeXsd(DfaXsdFromStEdtd(ReduceEdtd(*imported))));
   EXPECT_NE(again.find("minOccurs=\"2\""), std::string::npos) << again;
   EXPECT_NE(again.find("maxOccurs=\"5\""), std::string::npos) << again;
 }
@@ -393,7 +393,7 @@ TEST(XsdExportTest, HandlesNonZeroInitialState) {
   xsd.content[0] = Dfa::EpsilonOnly(1);
   xsd.CheckWellFormed();
 
-  std::string exported = ExportXsd(xsd);
+  std::string exported = *ExportXsd(xsd);
   StatusOr<Edtd> imported = ImportXsd(exported);
   ASSERT_TRUE(imported.ok()) << imported.status() << "\n" << exported;
   int ia = imported->sigma.Find("a");
@@ -436,12 +436,12 @@ TEST(XsdExportTest, UpaRepairApproximatesNonDeterministicContent) {
   Edtd schema = ReduceEdtd(builder.Build());
   DfaXsd xsd = MinimizeXsd(DfaXsdFromStEdtd(schema));
 
-  std::string flagged = ExportXsd(xsd);
+  std::string flagged = *ExportXsd(xsd);
   EXPECT_NE(flagged.find("stap-upa=\"unsatisfiable\""), std::string::npos);
 
   XsdExportOptions repair;
   repair.repair_upa = true;
-  std::string repaired = ExportXsd(xsd, repair);
+  std::string repaired = *ExportXsd(xsd, repair);
   EXPECT_NE(repaired.find("stap-upa=\"approximated\""), std::string::npos);
   StatusOr<Edtd> imported = ImportXsd(repaired);
   ASSERT_TRUE(imported.ok()) << imported.status();
@@ -455,7 +455,7 @@ TEST(XsdImportTest, ImportedSchemasRoundTripThroughTextFormat) {
   // Imported type names carry '$'; the textual format must accept them.
   Edtd schema = ReduceEdtd(LibrarySchema());
   DfaXsd xsd = MinimizeXsd(DfaXsdFromStEdtd(schema));
-  StatusOr<Edtd> imported = ImportXsd(ExportXsd(xsd));
+  StatusOr<Edtd> imported = ImportXsd(*ExportXsd(xsd));
   ASSERT_TRUE(imported.ok());
   std::string text = SchemaToText(ReduceEdtd(*imported));
   StatusOr<Edtd> reparsed = ParseSchema(text);
@@ -489,9 +489,9 @@ TEST_P(XsdRoundTripTest, ExportImportPreservesLanguage) {
   params.num_types = 5;
   Edtd schema = RandomStEdtd(&rng, params);
   DfaXsd xsd = MinimizeXsd(DfaXsdFromStEdtd(schema));
-  StatusOr<Edtd> imported = ImportXsd(ExportXsd(xsd));
-  ASSERT_TRUE(imported.ok()) << imported.status() << "\n" << ExportXsd(xsd);
-  EXPECT_TRUE(*SingleTypeEquivalent(schema, *imported)) << ExportXsd(xsd);
+  StatusOr<Edtd> imported = ImportXsd(*ExportXsd(xsd));
+  ASSERT_TRUE(imported.ok()) << imported.status() << "\n" << *ExportXsd(xsd);
+  EXPECT_TRUE(*SingleTypeEquivalent(schema, *imported)) << *ExportXsd(xsd);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XsdRoundTripTest, ::testing::Range(0, 20));

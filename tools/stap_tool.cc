@@ -624,7 +624,9 @@ int CmdExport(const Args& args, GlobalOptions& options) {
   }
   StatusOr<DfaXsd> minimized = MinimizeXsd(DfaXsdFromStEdtd(*reduced), budget);
   if (!minimized.ok()) return Fail(minimized.status());
-  std::cout << ExportXsd(*minimized, export_options);
+  StatusOr<std::string> xml = ExportXsd(*minimized, export_options, budget);
+  if (!xml.ok()) return Fail(xml.status());
+  std::cout << *xml;
   return 0;
 }
 
